@@ -1,7 +1,7 @@
 // Bloom-filter sideways-information-passing sweep (EXPERIMENTS.md B1):
 // the same build-heavy-probe join at match rates from 0.1% to 50%, once
-// with BloomMode::kOff and once with BloomMode::kAuto, on each execution
-// path -- serial tuple-at-a-time, columnar, morsel-parallel (4 lanes),
+// with BloomMode::kOff and once with BloomMode::kAuto, on each lane count
+// of the hash-join core -- serial ("Columnar"), morsel-parallel (4 lanes),
 // and memory-starved/spilled. The probe side draws `match_permille` of
 // its keys from the build domain and the rest from a disjoint domain, so
 // the filter's reject rate tracks (1 - match rate) directly; the headline
@@ -54,13 +54,12 @@ struct Inputs {
   }
 };
 
-void RunJoin(benchmark::State& state, exec::BloomMode bloom,
-             exec::BatchMode batch, bool parallel, bool spilled) {
+void RunJoin(benchmark::State& state, exec::BloomMode bloom, bool parallel,
+             bool spilled) {
   Inputs in(state.range(0), state.range(1));
   for (auto _ : state) {
     exec::ExecContext ctx;
     ctx.bloom = bloom;
-    ctx.batch = batch;
     if (parallel) ctx.executor = &bench::BenchExecutor(4);
     ResourceBudget budget;
     exec::SpillConfig cfg;
@@ -77,31 +76,25 @@ void RunJoin(benchmark::State& state, exec::BloomMode bloom,
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_JoinSerialOff(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kOff, exec::BatchMode::kOff, false, false);
-}
-void BM_JoinSerialBloom(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kAuto, exec::BatchMode::kOff, false, false);
-}
+// "Columnar" names the serial core, keeping the names of the committed
+// baselines.
 void BM_JoinColumnarOff(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kOff, exec::BatchMode::kForce, false,
-          false);
+  RunJoin(state, exec::BloomMode::kOff, false, false);
 }
 void BM_JoinColumnarBloom(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kAuto, exec::BatchMode::kForce, false,
-          false);
+  RunJoin(state, exec::BloomMode::kAuto, false, false);
 }
 void BM_JoinParallelOff(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kOff, exec::BatchMode::kAuto, true, false);
+  RunJoin(state, exec::BloomMode::kOff, true, false);
 }
 void BM_JoinParallelBloom(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kAuto, exec::BatchMode::kAuto, true, false);
+  RunJoin(state, exec::BloomMode::kAuto, true, false);
 }
 void BM_JoinSpilledOff(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kOff, exec::BatchMode::kAuto, false, true);
+  RunJoin(state, exec::BloomMode::kOff, false, true);
 }
 void BM_JoinSpilledBloom(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kAuto, exec::BatchMode::kAuto, false, true);
+  RunJoin(state, exec::BloomMode::kAuto, false, true);
 }
 
 // Match-rate sweep at the headline size, plus the 64K point at 1%.
@@ -110,8 +103,6 @@ void BM_JoinSpilledBloom(benchmark::State& state) {
       ->Args({16384, 500})->Args({65536, 10})                     \
       ->Unit(benchmark::kMicrosecond)
 
-BENCHMARK(BM_JoinSerialOff)->MATCH_SWEEP;
-BENCHMARK(BM_JoinSerialBloom)->MATCH_SWEEP;
 BENCHMARK(BM_JoinColumnarOff)->MATCH_SWEEP;
 BENCHMARK(BM_JoinColumnarBloom)->MATCH_SWEEP;
 BENCHMARK(BM_JoinParallelOff)->MATCH_SWEEP;

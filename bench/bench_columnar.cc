@@ -1,11 +1,11 @@
-// Columnar-vs-tuple kernel pairs (EXPERIMENTS.md "Columnar batch
-// execution"): the same operator on the same input, once with
-// BatchMode::kOff (the tuple-at-a-time reference kernels) and once with
-// BatchMode::kForce (the batch paths in exec/columnar.cc). The input
-// shapes mirror bench_gs_cost's Inputs -- domain rows/4+1, so joins have
-// ~4 matches per key -- and the 16384-row rows are the issue's headline
-// comparison. Aggregation groups on the join column with a SUM and a
-// COUNT(*) per group.
+// Batch kernels (EXPERIMENTS.md "Columnar batch execution"): selection and
+// aggregation on the same input once with BatchMode::kOff (the reference
+// evaluator's row-at-a-time kernels) and once with BatchMode::kAuto (the
+// batch paths), plus the hash-join core. The reference join is nested
+// loops -- quadratic, so it has no pair here. The input shapes mirror
+// bench_gs_cost's Inputs -- domain rows/4+1, so joins have ~4 matches per
+// key. Aggregation groups on the join column with a SUM and a COUNT(*)
+// per group.
 #include <benchmark/benchmark.h>
 
 #include "report.h"
@@ -70,16 +70,7 @@ void BM_SelectColumnar(benchmark::State& state) {
   Inputs in(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        exec::Select(in.a, in.sel, Ctx(exec::BatchMode::kForce)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_InnerJoinTuple(benchmark::State& state) {
-  Inputs in(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        exec::InnerJoin(in.a, in.b, in.eq, Ctx(exec::BatchMode::kOff)));
+        exec::Select(in.a, in.sel, Ctx(exec::BatchMode::kAuto)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -88,7 +79,7 @@ void BM_InnerJoinColumnar(benchmark::State& state) {
   Inputs in(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        exec::InnerJoin(in.a, in.b, in.eq, Ctx(exec::BatchMode::kForce)));
+        exec::InnerJoin(in.a, in.b, in.eq, Ctx(exec::BatchMode::kAuto)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -109,7 +100,7 @@ void BM_HashAggregateColumnar(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         exec::GeneralizedProjection(in.a, spec,
-                                    Ctx(exec::BatchMode::kForce)));
+                                    Ctx(exec::BatchMode::kAuto)));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -117,7 +108,6 @@ void BM_HashAggregateColumnar(benchmark::State& state) {
 #define SIZES Arg(1024)->Arg(4096)->Arg(16384)->Unit(benchmark::kMicrosecond)
 BENCHMARK(BM_SelectTuple)->SIZES;
 BENCHMARK(BM_SelectColumnar)->SIZES;
-BENCHMARK(BM_InnerJoinTuple)->SIZES;
 BENCHMARK(BM_InnerJoinColumnar)->SIZES;
 BENCHMARK(BM_HashAggregateTuple)->SIZES;
 BENCHMARK(BM_HashAggregateColumnar)->SIZES;

@@ -38,7 +38,7 @@ namespace gsopt::bench {
 // thread start-up. min_parallel_rows is lowered from its production
 // default (2048) so bench-sized inputs actually take the parallel path;
 // the pairing convention is that the serial variant of each pair passes no
-// executor at all and therefore runs the reference kernels.
+// executor at all and therefore runs the serial kernels.
 inline gsopt::exec::Executor& BenchExecutor(int threads) {
   static std::map<int, std::unique_ptr<gsopt::exec::Executor>> cache;
   std::unique_ptr<gsopt::exec::Executor>& slot = cache[threads];

@@ -131,7 +131,7 @@ void RunQuery(const std::string& text, Session& session, QueryMode mode) {
   // already spent the deadline degrading, and the point of the fallback
   // ladder is that the rung it landed on still answers.
   ResourceBudget exec_budget;
-  ExecOptions xo;
+  ExecuteOptions xo;
   if (g_timeout_ms > 0) {
     exec_budget.WithDeadlineAfter(std::chrono::milliseconds(g_timeout_ms));
     xo.WithBudget(&exec_budget);
@@ -236,7 +236,7 @@ void RunExecute(const std::string& rest,
     return;
   }
   ResourceBudget exec_budget;
-  ExecOptions xo;
+  ExecuteOptions xo;
   if (g_timeout_ms > 0) {
     exec_budget.WithDeadlineAfter(std::chrono::milliseconds(g_timeout_ms));
     xo.WithBudget(&exec_budget);

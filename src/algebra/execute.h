@@ -36,7 +36,7 @@ struct ExecPolicy {
   // Optional cooperative budget (deadline / row / memory cap); not owned.
   ResourceBudget* budget = nullptr;
   // Optional morsel-parallel executor (not owned). Null -- the default --
-  // runs every operator on the serial reference kernels. With more than
+  // runs every operator on the serial kernels. With more than
   // one lane, large inputs take the parallel kernel paths; results are
   // bag-equal to serial execution (row order may differ).
   exec::Executor* executor = nullptr;
@@ -48,11 +48,11 @@ struct ExecPolicy {
   // joins and aggregations that trip the memory cap degrade to the
   // out-of-core partitioned path instead of failing; see exec/eval.h.
   const exec::SpillConfig* spill = nullptr;
-  // Columnar batch-execution policy (exec/eval.h BatchMode). kAuto -- the
-  // default -- vectorizes large inputs; kOff pins the tuple-at-a-time
-  // reference kernels; kForce vectorizes regardless of size. Results are
-  // bag-equal across modes (the columnar-vs-tuple oracle enforces this);
-  // only row order may differ.
+  // Kernel policy (exec/eval.h BatchMode). kAuto -- the default -- runs
+  // the optimized batch kernels; kOff runs the reference evaluator
+  // (serial, row-at-a-time, nested-loop joins: a testing mode). Results
+  // are bag-equal across modes (the optimized-vs-reference oracle enforces
+  // this); only row order may differ.
   exec::BatchMode batch = exec::BatchMode::kAuto;
   // Bloom-filter sideways-information-passing policy (exec/bloom.h
   // BloomMode). kAuto -- the default -- builds a build-side filter for
@@ -157,10 +157,6 @@ struct ExecuteOptions : ExecPolicy, ExecPolicyBuilder<ExecuteOptions> {
     return *this;
   }
 };
-
-// The serving API (core/session.h) spells this ExecOptions; both names
-// refer to the same struct.
-using ExecOptions = ExecuteOptions;
 
 // Low-level entry point: executes an already-optimized (or hand-built)
 // expression tree. Application code serving SQL should prefer

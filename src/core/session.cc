@@ -8,19 +8,19 @@
 
 namespace gsopt {
 
-StatusOr<QueryResult> PreparedStatement::Execute(const ExecOptions& exec) {
+StatusOr<QueryResult> PreparedStatement::Execute(const ExecuteOptions& exec) {
   return Execute(bound_, exec);
 }
 
 StatusOr<QueryResult> PreparedStatement::Execute(std::vector<Value> params,
-                                                   const ExecOptions& exec) {
+                                                   const ExecuteOptions& exec) {
   GSOPT_CHECK(session_ != nullptr);
   if (static_cast<int>(params.size()) != pq_.num_explicit) {
     return Status::InvalidArgument(
         "statement expects " + std::to_string(pq_.num_explicit) +
         " parameter(s), " + std::to_string(params.size()) + " bound");
   }
-  ExecOptions merged = session_->MergedExec(exec);
+  ExecuteOptions merged = session_->MergedExec(exec);
   // Statistics may have moved since Prepare (or the last Execute); the
   // epoch check re-acquires through the cache so a stale template is
   // re-optimized at most once per epoch, not per call. A fresh-epoch
@@ -100,8 +100,8 @@ std::shared_ptr<const QueryOptimizer> Session::optimizer() {
   return RefreshOptimizer(nullptr);
 }
 
-ExecOptions Session::MergedExec(const ExecOptions& exec) const {
-  ExecOptions merged;
+ExecuteOptions Session::MergedExec(const ExecuteOptions& exec) const {
+  ExecuteOptions merged;
   merged.policy() = MergeExecPolicy(options_.exec, exec.policy());
   merged.stats = exec.stats;
   return merged;
@@ -163,13 +163,13 @@ StatusOr<std::shared_ptr<const CachedPlan>> Session::AcquirePlan(
 StatusOr<QueryResult> Session::ExecuteTemplate(
     const std::shared_ptr<const CachedPlan>& plan,
     const std::vector<Value>& values, bool hit,
-    const OptimizerCounters& traffic, const ExecOptions& exec) {
+    const OptimizerCounters& traffic, const ExecuteOptions& exec) {
   GSOPT_ASSIGN_OR_RETURN(NodePtr executable,
                          SubstituteParams(plan->plan, values));
   // collect_stats: grow the stats tree inside the result instead of a
-  // caller-supplied side channel (an explicit ExecOptions::stats pointer
+  // caller-supplied side channel (an explicit ExecuteOptions::stats pointer
   // -- the legacy channel -- wins when both are set).
-  ExecOptions run = exec;
+  ExecuteOptions run = exec;
   std::shared_ptr<exec::OperatorStats> owned_stats;
   if (run.collect_stats && run.stats == nullptr) {
     owned_stats = std::make_shared<exec::OperatorStats>();
@@ -251,13 +251,13 @@ StatusOr<PreparedStatement> Session::Prepare(const std::string& sql,
 }
 
 StatusOr<QueryResult> Session::ServeParameterized(
-    const ParameterizedQuery& pq, const ExecOptions& exec) {
+    const ParameterizedQuery& pq, const ExecuteOptions& exec) {
   if (pq.num_explicit > 0) {
     return Status::InvalidArgument(
         "query has " + std::to_string(pq.num_explicit) +
         " unbound parameter(s); use Prepare()/Bind()/Execute()");
   }
-  ExecOptions merged = MergedExec(exec);
+  ExecuteOptions merged = MergedExec(exec);
   uint64_t epoch = 0;
   bool hit = false;
   OptimizerCounters traffic;
@@ -277,7 +277,7 @@ StatusOr<QueryResult> Session::ServeParameterized(
 }
 
 StatusOr<QueryResult> Session::Query(const std::string& sql,
-                                       const ExecOptions& exec) {
+                                       const ExecuteOptions& exec) {
   if (options_.optimize.max_plans == 0) {
     return Status::InvalidArgument(
         "SessionOptions: max_plans must be positive (a zero cap would "
@@ -291,7 +291,7 @@ StatusOr<QueryResult> Session::Query(const std::string& sql,
 }
 
 StatusOr<QueryResult> Session::Run(const NodePtr& tree,
-                                     const ExecOptions& exec) {
+                                     const ExecuteOptions& exec) {
   if (tree == nullptr) return Status::InvalidArgument("null query");
   if (options_.optimize.max_plans == 0) {
     return Status::InvalidArgument(

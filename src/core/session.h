@@ -48,7 +48,7 @@
 // PROVIDED the catalog is not mutated concurrently with serving, which
 // the underlying Relation storage has never supported.
 //
-// Budgets: a ResourceBudget in SessionOptions (or per-call ExecOptions)
+// Budgets: a ResourceBudget in SessionOptions (or per-call ExecuteOptions)
 // governs a miss's optimization AND every execution; a hit skips the
 // enumeration spend but still threads the budget into execution, so a
 // cached plan cannot dodge row caps or deadlines.
@@ -78,7 +78,7 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   // simplify, max_plans) is folded into every cache key, so two sessions
   // sharing a cache but differing in knobs never serve each other's plans.
   OptimizeOptions optimize;
-  // Default execution policy applied to every call; per-call ExecOptions
+  // Default execution policy applied to every call; per-call ExecuteOptions
   // override via MergeExecPolicy (pointers when non-null, mode enums when
   // not kAuto). The With* execution setters come from the shared
   // ExecPolicyBuilder mixin (algebra/execute.h), so SessionOptions and
@@ -136,7 +136,7 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
 // retries the execution burned. One value, no side channels: the server's
 // wire frames, the shell's \analyze, and the bench drivers all read their
 // fields off this struct instead of threading stats pointers and
-// degradation plumbing through ExecOptions.
+// degradation plumbing through ExecuteOptions.
 struct QueryResult {
   Relation rows;
   NodePtr plan;            // executed plan, parameters substituted
@@ -153,19 +153,11 @@ struct QueryResult {
   int transient_retries = 0;
   // Per-operator runtime stats for the executed plan; non-null iff the
   // merged policy had collect_stats set. A caller that instead passes its
-  // own ExecOptions::stats root keeps the legacy side channel and this
+  // own ExecuteOptions::stats root keeps the legacy side channel and this
   // stays null. shared_ptr because OperatorStats owns its children;
   // copying a QueryResult shares the tree.
   std::shared_ptr<exec::OperatorStats> stats;
-
-  // Pre-redesign spelling (`result->relation` was a field); kept as a thin
-  // accessor so old call sites need only add parentheses.
-  const Relation& relation() const { return rows; }
-  Relation& relation() { return rows; }
 };
-
-// Pre-redesign name for QueryResult.
-using SessionResult = QueryResult;
 
 class Session;
 
@@ -198,10 +190,10 @@ class PreparedStatement {
   }
 
   // Executes with the values bound via Bind() (or none).
-  StatusOr<QueryResult> Execute(const ExecOptions& exec = {});
+  StatusOr<QueryResult> Execute(const ExecuteOptions& exec = {});
   // Bind + Execute in one call; does not disturb values set via Bind().
   StatusOr<QueryResult> Execute(std::vector<Value> params,
-                                  const ExecOptions& exec = {});
+                                  const ExecuteOptions& exec = {});
 
   // The fully substituted executable plan for the given explicit values
   // (for EXPLAIN-style inspection without executing). Fails with
@@ -241,12 +233,12 @@ class Session {
   // kInvalidArgument if the SQL contains $n parameters -- those need the
   // Prepare/Bind lifecycle.
   StatusOr<QueryResult> Query(const std::string& sql,
-                                const ExecOptions& exec = {});
+                                const ExecuteOptions& exec = {});
 
   // Tree-level entry for callers that already hold a bound algebra tree
   // (tools, fuzz oracles, tests). Same cache-backed pipeline as Query.
   StatusOr<QueryResult> Run(const NodePtr& tree,
-                              const ExecOptions& exec = {});
+                              const ExecuteOptions& exec = {});
 
   PlanCacheStats cache_stats() const { return cache_.Stats(); }
   void ClearPlanCache() {
@@ -288,21 +280,21 @@ class Session {
   // Shared tail of Query / Run: acquire through the cache, substitute the
   // lifted literals, execute. Rejects unbound $n parameters.
   StatusOr<QueryResult> ServeParameterized(const ParameterizedQuery& pq,
-                                             const ExecOptions& exec);
+                                             const ExecuteOptions& exec);
 
   // Shared tail of Run / PreparedStatement::Execute: substitute `values`
   // into the template and execute under merged options.
   StatusOr<QueryResult> ExecuteTemplate(
       const std::shared_ptr<const CachedPlan>& plan,
       const std::vector<Value>& values, bool hit,
-      const OptimizerCounters& traffic, const ExecOptions& exec);
+      const OptimizerCounters& traffic, const ExecuteOptions& exec);
 
   // Rebuilds the optimizer if the catalog version moved; returns the
   // current snapshot and (via out-param) the stats epoch.
   std::shared_ptr<const QueryOptimizer> RefreshOptimizer(uint64_t* epoch);
 
-  // Per-call ExecOptions override session defaults field-by-field.
-  ExecOptions MergedExec(const ExecOptions& exec) const;
+  // Per-call ExecuteOptions override session defaults field-by-field.
+  ExecuteOptions MergedExec(const ExecuteOptions& exec) const;
 
   // Cache key: canonical tree serialization + options signature.
   std::string KeyCanonical(const std::string& tree_canonical) const;

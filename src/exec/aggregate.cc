@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "base/check.h"
-#include "exec/columnar.h"
 #include "exec/keys.h"
 #include "exec/lane_control.h"
 #include "exec/spill.h"
@@ -193,31 +192,45 @@ struct ResolvedGP {
   bool has_distinct = false;
 };
 
+// The value aggregate k consumes from row t: COUNT(*) and PRESENT count
+// every row, COUNT_PRESENT the rows where its relation is present, the
+// rest their input term.
+Value AggInput(const ResolvedGP& rs, size_t k, const Relation& r,
+               const Tuple& t) {
+  const AggSpec& a = rs.spec->aggs[k];
+  if (a.func == AggFunc::kCountStar || a.func == AggFunc::kGroupFlag) {
+    return Value::Int(1);
+  }
+  if (a.func == AggFunc::kCountPresence) {
+    return t.vids[rs.presence_idx[k]] == kNullRowId ? Value::Null()
+                                                    : Value::Int(1);
+  }
+  return a.input->Eval(t, r.schema());
+}
+
 // Feeds one row into its group's accumulators; returns bytes newly
 // retained (DISTINCT dedup-set growth) for the caller to charge.
 uint64_t FeedRow(const ResolvedGP& rs, const Relation& r, const Tuple& t,
                  Group* g) {
-  const GroupBySpec& spec = *rs.spec;
   uint64_t retained = 0;
-  for (size_t k = 0; k < spec.aggs.size(); ++k) {
-    const AggSpec& a = spec.aggs[k];
-    Value v;
-    if (a.func == AggFunc::kCountStar || a.func == AggFunc::kGroupFlag) {
-      v = Value::Int(1);
-    } else if (a.func == AggFunc::kCountPresence) {
-      v = (t.vids[rs.presence_idx[k]] == kNullRowId) ? Value::Null()
-                                                     : Value::Int(1);
-    } else {
-      v = a.input->Eval(t, r.schema());
-    }
-    retained += g->accs[k].Feed(v, a);
+  for (size_t k = 0; k < rs.spec->aggs.size(); ++k) {
+    retained += g->accs[k].Feed(AggInput(rs, k, r, t), rs.spec->aggs[k]);
   }
   return retained;
 }
 
-// Serial grouping with memory-cap accounting. On failure *mem_trip tells
-// the caller whether the failure was a memory charge (survivable by
-// spilling) or something else (deadline, row cap, injected transient).
+// Bytes charged when a group is created.
+uint64_t GroupBytes(const ResolvedGP& rs, const std::string& key,
+                    const Tuple& t) {
+  return key.size() + internal::ApproxTupleBytes(t) +
+         rs.spec->aggs.size() * sizeof(Accumulator) + 96;
+}
+
+// Row-at-a-time grouping with memory-cap accounting: the reference
+// evaluator's feed (BatchMode::kOff) and the per-partition feed of the
+// out-of-core path. On failure *mem_trip tells the caller whether the
+// failure was a memory charge (survivable by spilling) or something else
+// (deadline, row cap, injected transient).
 Status FeedRows(const Relation& r, const ResolvedGP& rs,
                 const ExecContext& ctx, exec::OpMemory* mem, GroupMap* gm,
                 bool* mem_trip) {
@@ -227,10 +240,7 @@ Status FeedRows(const Relation& r, const ResolvedGP& rs,
     std::string key = EncodeTupleKey(t, rs.gcol_idx, rs.gvid_idx);
     auto it = gm->groups.find(key);
     if (it == gm->groups.end()) {
-      Status cs =
-          mem->Charge(key.size() + internal::ApproxTupleBytes(t) +
-                          spec.aggs.size() * sizeof(Accumulator) + 96,
-                      "group-by");
+      Status cs = mem->Charge(GroupBytes(rs, key, t), "group-by");
       if (!cs.ok()) {
         if (mem_trip != nullptr) *mem_trip = true;
         return cs;
@@ -361,101 +371,121 @@ Status SortedFeedEmit(const Relation& r, const ResolvedGP& rs,
   return Status::OK();
 }
 
-// True when every aggregate input is either absent (COUNT(*), PRESENT,
-// COUNT_PRESENT read no value column) or a plain resolvable column, the
-// shape the batched feed gathers natively; fills agg_col with the schema
-// column index per aggregate (-1 for the no-input functions). DISTINCT
-// aggregates are excluded by the caller: their dedup sets want the
-// row-at-a-time reference path.
-bool ColumnarAggEligible(const GroupBySpec& spec, const Schema& s,
-                         std::vector<int>* agg_col) {
-  agg_col->assign(spec.aggs.size(), -1);
+// The hash grouping feed, serial or morsel-parallel -- serial whenever a
+// DISTINCT aggregate needs one dedup set per group, since per-lane sets
+// cannot be combined without re-deduplicating the inputs. Each range
+// gathers its group-key columns and grouping vids once and encodes binary
+// group keys (the bytes EncodeTupleKeyInto produces); plain-column
+// aggregate inputs are gathered too, other inputs evaluated per row. Lanes
+// discover groups in row order into private maps merged in lane order, so
+// a serial run's representatives, emit order and synthetic ordinals match
+// the reference feed. Lane l's group state is charged to (*mem)[l], which
+// the caller keeps alive until the groups are emitted.
+Status HashFeed(const Relation& r, const ResolvedGP& rs,
+                const ExecContext& ctx, std::vector<OpMemory>* mem,
+                GroupMap* gm, bool* mem_trip) {
+  const GroupBySpec& spec = *rs.spec;
+  const int lanes = rs.has_distinct ? 1 : internal::LanesFor(ctx, r.NumRows());
+  GSOPT_RETURN_IF_ERROR(
+      internal::CheckDispatch(ctx, lanes, "parallel-group-by"));
+  const size_t nlanes = static_cast<size_t>(lanes);
+  // Gather slots for the plain-column aggregate inputs, deduplicated.
+  std::vector<int> in_cols;
+  std::vector<int> agg_slot(spec.aggs.size(), -1);
   for (size_t k = 0; k < spec.aggs.size(); ++k) {
     const AggSpec& a = spec.aggs[k];
     if (a.func == AggFunc::kCountStar || a.func == AggFunc::kGroupFlag ||
-        a.func == AggFunc::kCountPresence) {
+        a.func == AggFunc::kCountPresence || a.input == nullptr ||
+        a.input->kind() != Scalar::Kind::kColumn) {
       continue;
     }
-    if (a.input == nullptr || a.input->kind() != Scalar::Kind::kColumn) {
-      return false;
-    }
-    int c = s.Find(a.input->rel(), a.input->name());
-    if (c < 0) return false;
-    (*agg_col)[k] = c;
-  }
-  return true;
-}
-
-// Batch-at-a-time twin of FeedRows: gathers the group-key columns, the
-// grouping vids and the aggregate input columns once per batch, encodes
-// binary group keys (same equality partition as EncodeTupleKeyInto) and
-// feeds the shared Accumulators. Group discovery order is row order, like
-// the reference path, so representatives and synthetic ordinals agree.
-Status ColumnarFeedRows(const Relation& r, const ResolvedGP& rs,
-                        const std::vector<int>& agg_col,
-                        const ExecContext& ctx, exec::OpMemory* mem,
-                        GroupMap* gm, bool* mem_trip) {
-  const GroupBySpec& spec = *rs.spec;
-  // Dedup the aggregate input columns into gather slots.
-  std::vector<int> in_cols;
-  std::vector<int> agg_slot(spec.aggs.size(), -1);
-  for (size_t k = 0; k < agg_col.size(); ++k) {
-    if (agg_col[k] < 0) continue;
-    int slot = -1;
-    for (size_t j = 0; j < in_cols.size(); ++j) {
-      if (in_cols[j] == agg_col[k]) {
-        slot = static_cast<int>(j);
-        break;
-      }
-    }
-    if (slot < 0) {
-      in_cols.push_back(agg_col[k]);
-      slot = static_cast<int>(in_cols.size() - 1);
-    }
-    agg_slot[k] = slot;
+    int c = r.schema().Find(a.input->rel(), a.input->name());
+    if (c < 0) continue;
+    auto it = std::find(in_cols.begin(), in_cols.end(), c);
+    agg_slot[k] = static_cast<int>(it - in_cols.begin());
+    if (it == in_cols.end()) in_cols.push_back(c);
   }
 
-  std::vector<Column> gcols, acols;
-  std::vector<std::vector<RowId>> gvids;
-  std::string key;
-  for (int64_t begin = 0; begin < r.NumRows(); begin += kBatchRows) {
-    int64_t end = std::min<int64_t>(begin + kBatchRows, r.NumRows());
-    GSOPT_RETURN_IF_ERROR(ctx.Tick("group-by"));
-    GatherColumnsInto(r, rs.gcol_idx, begin, end, &gcols);
-    GatherVidsInto(r, rs.gvid_idx, begin, end, &gvids);
-    GatherColumnsInto(r, in_cols, begin, end, &acols);
-    if (ctx.stats != nullptr) ++ctx.stats->batches;
+  struct Lane {
+    GroupMap groups;
+    OperatorStats stats;
+    std::vector<Column> gcols, acols;
+    std::vector<std::vector<RowId>> gvids;
+  };
+  std::vector<Lane> lane_state(nlanes);
+  mem->clear();
+  for (size_t l = 0; l < nlanes; ++l) mem->emplace_back(ctx);
+  std::atomic<bool> trip{false};
+  internal::LaneControl control(lanes);
+  internal::ForRanges(ctx, lanes, r.NumRows(), [&](int lane, int64_t begin,
+                                                   int64_t end) {
+    if (control.cancelled()) return;
+    Lane& ln = lane_state[static_cast<size_t>(lane)];
+    OpMemory& m = (*mem)[static_cast<size_t>(lane)];
+    auto fail = [&](Status s, bool memory) {
+      if (memory) trip.store(true, std::memory_order_relaxed);
+      control.Fail(lane, std::move(s));
+    };
+    Status s = ctx.Tick("group-by");
+    if (!s.ok()) return fail(std::move(s), false);
+    GatherColumnsInto(r, rs.gcol_idx, begin, end, &ln.gcols);
+    GatherVidsInto(r, rs.gvid_idx, begin, end, &ln.gvids);
+    GatherColumnsInto(r, in_cols, begin, end, &ln.acols);
+    ++ln.stats.batches;
+    std::string key;
     for (int64_t i = 0; i < end - begin; ++i) {
+      const Tuple& t = r.row(begin + i);
       key.clear();
-      internal::AppendBatchGroupKey(gcols, gvids, i, &key);
-      auto it = gm->groups.find(key);
-      if (it == gm->groups.end()) {
-        const Tuple& t = r.row(begin + i);
-        Status cs =
-            mem->Charge(key.size() + internal::ApproxTupleBytes(t) +
-                            spec.aggs.size() * sizeof(Accumulator) + 96,
-                        "group-by");
-        if (!cs.ok()) {
-          if (mem_trip != nullptr) *mem_trip = true;
-          return cs;
-        }
+      AppendBatchGroupKey(ln.gcols, ln.gvids, i, &key);
+      auto it = ln.groups.groups.find(key);
+      if (it == ln.groups.groups.end()) {
+        s = m.Charge(GroupBytes(rs, key, t), "group-by");
+        if (!s.ok()) return fail(std::move(s), true);
         Group g;
         g.representative = t;
         g.accs.resize(spec.aggs.size());
-        it = gm->groups.emplace(key, std::move(g)).first;
-        gm->order.push_back(key);
+        it = ln.groups.groups.emplace(key, std::move(g)).first;
+        ln.groups.order.push_back(key);
       }
-      Group& g = it->second;
+      uint64_t retained = 0;
       for (size_t k = 0; k < spec.aggs.size(); ++k) {
-        const AggSpec& a = spec.aggs[k];
-        if (a.func == AggFunc::kCountStar || a.func == AggFunc::kGroupFlag) {
-          g.accs[k].Feed(Value::Int(1), a);
-        } else if (a.func == AggFunc::kCountPresence) {
-          RowId id = r.row(begin + i).vids[rs.presence_idx[k]];
-          g.accs[k].Feed(id == kNullRowId ? Value::Null() : Value::Int(1), a);
-        } else {
-          g.accs[k].Feed(ColumnValueAt(acols[agg_slot[k]], i), a);
-        }
+        Value v = agg_slot[k] >= 0
+                      ? ColumnValueAt(ln.acols[static_cast<size_t>(
+                                          agg_slot[k])],
+                                      i)
+                      : AggInput(rs, k, r, t);
+        retained += it->second.accs[k].Feed(v, spec.aggs[k]);
+      }
+      if (retained > 0) {
+        s = m.Charge(retained, "group-by");
+        if (!s.ok()) return fail(std::move(s), true);
+      }
+    }
+  });
+  Status first = control.First();
+  if (!first.ok()) {
+    *mem_trip = trip.load(std::memory_order_relaxed);
+    return first;
+  }
+  if (ctx.stats != nullptr) {
+    ctx.stats->columnar = true;
+    for (const Lane& ln : lane_state) ctx.stats->MergeCountersFrom(ln.stats);
+  }
+  if (nlanes == 1) {
+    *gm = std::move(lane_state[0].groups);
+    return Status::OK();
+  }
+  for (Lane& ln : lane_state) {
+    for (std::string& key : ln.groups.order) {
+      Group& g = ln.groups.groups.at(key);
+      auto it = gm->groups.find(key);
+      if (it == gm->groups.end()) {
+        gm->order.push_back(key);
+        gm->groups.emplace(std::move(key), std::move(g));
+        continue;
+      }
+      for (size_t k = 0; k < spec.aggs.size(); ++k) {
+        it->second.accs[k].MergeFrom(g.accs[k]);
       }
     }
   }
@@ -627,106 +657,23 @@ StatusOr<Relation> GeneralizedProjection(const Relation& r,
       ordinal = 0;
       GSOPT_RETURN_IF_ERROR(spill_all());
     }
-  } else
-  // Parallel path: per-lane partial aggregation over row morsels, merged
-  // lane-by-lane afterwards. DISTINCT aggregates stay serial -- per-lane
-  // distinct sets cannot be combined without re-deduplicating -- and
-  // MergeFrom handles everything else. Bag-equal to the serial path: only
-  // which row represents a group (IdentityEquals-equal on the group key by
-  // construction) and the synthetic group ordinals can differ.
-  if (!rs.has_distinct && ctx.Parallel(r.NumRows())) {
-    if (ctx.fault != nullptr) {
-      GSOPT_RETURN_IF_ERROR(
-          ctx.fault->MaybeFail(FaultSite::kDispatch, "parallel-group-by"));
-    }
-    Executor& ex = *ctx.executor;
-    const int lanes = ex.lanes();
-    const size_t nlanes = static_cast<size_t>(lanes);
-    std::vector<GroupMap> lane_groups(nlanes);
-    // Per-lane group-state ledgers; a memory trip in any lane degrades the
-    // whole aggregation to the serial out-of-core path.
-    std::vector<OpMemory> lane_mem;
-    lane_mem.reserve(nlanes);
-    for (size_t l = 0; l < nlanes; ++l) lane_mem.emplace_back(ctx);
-    std::atomic<bool> mem_trip{false};
-    internal::LaneControl control(lanes);
-    ex.pool().ParallelFor(
-        r.NumRows(), ex.morsel_rows(),
-        [&](int lane, int64_t begin, int64_t end) {
-          if (control.cancelled()) return;
-          GroupMap& lg = lane_groups[static_cast<size_t>(lane)];
-          OpMemory& mem = lane_mem[static_cast<size_t>(lane)];
-          std::string key;
-          for (int64_t i = begin; i < end; ++i) {
-            Status s = ctx.Tick("group-by");
-            if (!s.ok()) return control.Fail(lane, std::move(s));
-            const Tuple& t = r.row(i);
-            EncodeTupleKeyInto(t, rs.gcol_idx, rs.gvid_idx, &key);
-            auto it = lg.groups.find(key);
-            if (it == lg.groups.end()) {
-              s = mem.Charge(key.size() + internal::ApproxTupleBytes(t) +
-                                 spec.aggs.size() * sizeof(Accumulator) + 96,
-                             "group-by");
-              if (!s.ok()) {
-                mem_trip.store(true, std::memory_order_relaxed);
-                return control.Fail(lane, std::move(s));
-              }
-              Group g;
-              g.representative = t;
-              g.accs.resize(spec.aggs.size());
-              it = lg.groups.emplace(key, std::move(g)).first;
-              lg.order.push_back(key);
-            }
-            FeedRow(rs, r, t, &it->second);
-          }
-        });
-    Status first = control.First();
-    if (!first.ok()) {
-      if (!mem_trip.load(std::memory_order_relaxed) || !ctx.SpillEnabled()) {
-        return first;
-      }
-      for (OpMemory& m : lane_mem) m.Release();
-      lane_groups.clear();
-      GSOPT_RETURN_IF_ERROR(spill_all());
-    } else {
-      GroupMap gm;
-      for (GroupMap& lg : lane_groups) {
-        for (std::string& key : lg.order) {
-          Group& g = lg.groups.at(key);
-          auto it = gm.groups.find(key);
-          if (it == gm.groups.end()) {
-            gm.order.push_back(key);
-            gm.groups.emplace(std::move(key), std::move(g));
-            continue;
-          }
-          for (size_t k = 0; k < spec.aggs.size(); ++k) {
-            it->second.accs[k].MergeFrom(g.accs[k]);
-          }
-        }
-      }
-      GSOPT_RETURN_IF_ERROR(EmitGroups(rs, gm, ctx, &ordinal, &out));
-    }
   } else {
-    // Serial path: columnar batch feed when the shape is vectorizable and
-    // the input is large enough (or batching is forced); row-at-a-time
-    // reference feed otherwise. Both discover groups in row order, so
-    // representatives, emit order and synthetic ordinals agree; only the
-    // internal key encoding differs. A memory trip degrades to the same
+    // Hash grouping: the reference evaluator's row feed under kOff, the
+    // batch hash feed (serial or parallel) otherwise. Both discover groups
+    // in row order when serial, so representatives, emit order and
+    // synthetic ordinals agree. A memory trip degrades to the same
     // out-of-core path either way (spill_all re-aggregates from scratch).
-    std::vector<int> agg_col;
-    bool columnar = !rs.has_distinct && ctx.Columnar(r.NumRows()) &&
-                    ColumnarAggEligible(spec, r.schema(), &agg_col);
-    if (columnar && ctx.stats != nullptr) ctx.stats->columnar = true;
     GroupMap gm;
-    OpMemory mem(ctx);
+    std::vector<OpMemory> mem;
+    mem.emplace_back(ctx);
     bool trip = false;
-    Status s = columnar
-                   ? ColumnarFeedRows(r, rs, agg_col, ctx, &mem, &gm, &trip)
-                   : FeedRows(r, rs, ctx, &mem, &gm, &trip);
+    Status s = ctx.Reference()
+                   ? FeedRows(r, rs, ctx, &mem[0], &gm, &trip)
+                   : HashFeed(r, rs, ctx, &mem, &gm, &trip);
     if (s.ok()) {
       GSOPT_RETURN_IF_ERROR(EmitGroups(rs, gm, ctx, &ordinal, &out));
     } else if (trip && ctx.SpillEnabled()) {
-      mem.Release();
+      mem.clear();
       gm = GroupMap();
       GSOPT_RETURN_IF_ERROR(spill_all());
     } else {

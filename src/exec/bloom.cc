@@ -1,7 +1,5 @@
 #include "exec/bloom.h"
 
-#include "base/check.h"
-
 namespace gsopt::exec {
 
 uint64_t BloomFilter::BlocksFor(int64_t expected_keys) {
@@ -21,11 +19,6 @@ void BloomFilter::Init(int64_t expected_keys) {
   uint64_t blocks = BlocksFor(expected_keys);
   words_.assign(blocks * kWordsPerBlock, 0);
   block_mask_ = blocks - 1;
-}
-
-void BloomFilter::MergeFrom(const BloomFilter& other) {
-  GSOPT_CHECK(words_.size() == other.words_.size());
-  for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
 }
 
 }  // namespace gsopt::exec

@@ -62,7 +62,7 @@ inline bool BloomEligible(BloomMode mode, int64_t build_rows,
 }
 
 // Runtime calibration for kAuto: the eligibility heuristic cannot see the
-// match rate, so the serial and columnar probe loops measure it. After
+// match rate, so each probe lane of the hash-join core measures it. After
 // kBloomCalibrateChecks probes, the filter stays engaged only while it is
 // rejecting at least three quarters of them -- below that the per-probe
 // check costs more than the table lookups it saves (measured: a 50%-match
@@ -76,10 +76,9 @@ inline bool BloomStillWinning(uint64_t checks, uint64_t rejects) {
 }
 
 // The morsel-parallel probe already hides table-lookup latency with many
-// in-flight morsels and pays (lanes + 1) filter builds plus a block-wise
-// merge, so the filter needs a larger probe side to pay off there
-// (measured: 0.8-1.0x at 16K probe rows, 1.4-1.6x at 64K). kAuto only;
-// kForce bypasses this like every other heuristic.
+// in-flight morsels, so the filter needs a larger probe side to pay off
+// there (measured: 0.8-1.0x at 16K probe rows, 1.4-1.6x at 64K). kAuto
+// only; kForce bypasses this like every other heuristic.
 inline constexpr int64_t kMinBloomProbeRowsParallel = 32768;
 
 class BloomFilter {
@@ -120,11 +119,6 @@ class BloomFilter {
     return ((block[b1 >> 6] >> (b1 & 63)) & (block[b2 >> 6] >> (b2 & 63)) &
             1ull) != 0;
   }
-
-  // ORs another filter of identical geometry into this one (the parallel
-  // build's per-lane merge). Both filters must have been Init'ed with the
-  // same expected_keys.
-  void MergeFrom(const BloomFilter& other);
 
   uint64_t byte_size() const { return words_.size() * sizeof(uint64_t); }
 

@@ -1,25 +1,18 @@
-// Columnar (batch-at-a-time) twins of the hot serial kernels.
+// Columnar (batch-at-a-time) selection.
 //
-// The tuple-at-a-time reference kernels in eval.cc resolve every column BY
-// NAME per row (Scalar::Eval does a linear qualified-name scan of the
-// schema for each column reference) and build join keys with one
-// std::to_string-heavy std::string per row. These paths instead compile
-// the predicate / key list ONCE against the schema, gather the referenced
-// columns of each kBatchRows-row batch into typed arrays
-// (relational/column_batch.h), and run tight per-kind filter loops that
-// refine a selection vector -- the layout the issue calls SIMD-friendly:
+// The reference Select in eval.cc resolves every column BY NAME per row
+// (Scalar::Eval does a linear qualified-name scan of the schema for each
+// column reference). The compiled filter here instead binds the predicate
+// ONCE against the schema, gathers the referenced columns of each
+// kBatchRows-row batch into typed arrays (relational/column_batch.h), and
+// runs tight per-kind filter loops that refine a selection vector:
 // contiguous same-typed operands, data-dependent branches confined to the
-// selection-vector append.
+// selection-vector append. The hash-join core gathers its keys the same
+// way (hash_join.cc).
 //
-// Semantics contract: every kernel here is bag-equal to its reference twin
-// under identical ExecContext policy (same NULL handling, same 3VL
-// residuals, same globally-indexed matched bitmaps, same memory-cap spill
-// degradation). ColumnarSelect additionally preserves the reference row
-// ORDER exactly (it filters in input order); the columnar join emits
-// duplicate build matches in newest-first chain order, so its output is
-// bag-equal but may be permuted, like the parallel path. The
-// columnar-vs-tuple oracle (testing/oracles.h) holds the pair to the
-// bag-equality contract on every fuzzed query.
+// Semantics contract: ColumnarSelect returns exactly the reference
+// Select's rows in the reference order (it filters in input order), with
+// the same NULL handling and 3VL.
 //
 // Atoms a batch loop cannot evaluate natively (arithmetic terms,
 // unresolved columns) compile to a per-row fallback on the source tuples,
@@ -29,11 +22,9 @@
 #define GSOPT_EXEC_COLUMNAR_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "exec/eval.h"
-#include "exec/join_internal.h"
 #include "relational/column_batch.h"
 #include "relational/expr.h"
 
@@ -77,45 +68,11 @@ void ApplyFilter(const CompiledFilter& f, const Relation& r, int64_t begin,
                  int64_t n, const std::vector<Column>& cols,
                  std::vector<int32_t>* sel);
 
-// Canonical binary join-key encoding over gathered key columns: appends
-// batch row i's key bytes for every column of `key_cols` onto `out`.
-// Returns false -- with `out` in an unspecified partial state the caller
-// must clear -- when any key value is NULL (NULL never equi-matches under
-// 3VL). The encoding induces the SAME equality partition as the row path's
-// AppendValueKey (ints and integral doubles within +/-2^53 share a class,
-// -0.0 == +0.0, one class for every NaN payload), in fixed-width binary:
-// 'i' + 8B native-endian int64, 'N' (NaN), 'd' + 8B raw double bits,
-// 's' + u32 length + bytes. Keys never leave one operator, so only the
-// partition must match the row path, not the bytes.
-bool AppendBatchKey(const std::vector<Column>& key_cols, int64_t i,
-                    std::string* out);
-
-// Group-key variant for aggregation: NULLs are a real group (tag 'n'
-// instead of failure), and the selected vid columns are appended after a
-// '#' separator, matching EncodeTupleKeyInto's partition.
-void AppendBatchGroupKey(const std::vector<Column>& key_cols,
-                         const std::vector<std::vector<RowId>>& vids,
-                         int64_t i, std::string* out);
-
-// Batch-at-a-time selection; same output (order included) as the serial
-// Select loop. Caller has already decided via ExecContext::Columnar().
+// Batch-at-a-time selection, serial or morsel-parallel (LanesFor). Serial,
+// the output is exactly the reference Select's, order included; parallel,
+// lane outputs are spliced in lane order (bag-equal).
 StatusOr<Relation> ColumnarSelect(const Relation& r, const Predicate& p,
                                   const ExecContext& ctx);
-
-// True when the hash plan's keys are all plain column references, the
-// shape the batched build/probe encodes natively. (Arithmetic key terms
-// stay on the reference path.)
-bool ColumnarJoinEligible(const HashPlan& plan, const Schema& sa,
-                          const Schema& sb);
-
-// Batch-at-a-time hash join core: arena + open-addressing JoinHashTable
-// build over b, batched probe with a, per-pair 3VL residual, globally-
-// indexed matched bitmaps, and the same spill degradation as the serial
-// path on a memory-cap trip. Requires ColumnarJoinEligible(plan, ...).
-StatusOr<JoinCoreResult> ColumnarJoinCore(const Relation& a,
-                                          const Relation& b,
-                                          const HashPlan& plan,
-                                          const ExecContext& ctx);
 
 }  // namespace gsopt::exec::internal
 

@@ -5,221 +5,48 @@
 #include <unordered_set>
 
 #include "base/check.h"
-#include "exec/bloom.h"
 #include "exec/columnar.h"
-#include "exec/hash_table.h"
 #include "exec/join_internal.h"
 #include "exec/keys.h"
-#include "exec/spill.h"
+#include "exec/lane_control.h"
 
 namespace gsopt::exec {
 
-// Shared join/GS machinery lives in join_internal.h; the parallel kernel
-// paths in parallel.cc.
-using internal::EncodeKeys;
+// Shared join/GS machinery lives in join_internal.h, the join cores in
+// hash_join.cc, the lane machinery in lane_control.h.
+using internal::CheckDispatch;
+using internal::ForRanges;
 using internal::GroupIndex;
 using internal::GroupPartAllNull;
+using internal::HashJoinCore;
 using internal::HashPlan;
 using internal::IndexGroup;
 using internal::JoinCoreResult;
+using internal::LaneControl;
+using internal::LaneOutputs;
+using internal::LanesFor;
 using internal::MakeHashPlan;
 using internal::MergeJoinCore;
+using internal::NestedLoopJoinCore;
 using internal::PadGroupTuple;
 
 namespace {
 
 StatusOr<JoinCoreResult> JoinCore(const Relation& a, const Relation& b,
                                   const Predicate& p, const ExecContext& ctx) {
+  // Forced or hinted sort-merge first (it runs the same NULL-key and
+  // key-class semantics as the hash core); then the hash core for any
+  // separable equi-conjunct; nested loops for everything else and for the
+  // reference evaluator (BatchMode::kOff).
   HashPlan plan = MakeHashPlan(p, a.schema(), b.schema());
-  if (plan.usable() && ctx.MergeJoin()) {
-    // Forced or hinted sort-merge path. Residual conjuncts are evaluated
-    // per candidate pair exactly like the hash path; rows with NULL keys
-    // never match. Without usable equi-keys there is nothing to merge on,
-    // so the strategy falls through to the nested-loop path below (hash
-    // cannot run either).
-    auto merged = MergeJoinCore(a, b, plan, ctx);
-    if (merged.ok() && ctx.stats != nullptr) {
-      ctx.stats->rows_in += static_cast<uint64_t>(a.NumRows()) +
-                            static_cast<uint64_t>(b.NumRows());
-    }
-    return merged;
-  }
-  if (ctx.Parallel(std::max(a.NumRows(), b.NumRows()))) {
-    return internal::ParallelJoinCore(a, b, plan, p, ctx);
-  }
-  if (ctx.Columnar(std::max(a.NumRows(), b.NumRows())) &&
-      internal::ColumnarJoinEligible(plan, a.schema(), b.schema())) {
-    return internal::ColumnarJoinCore(a, b, plan, ctx);
-  }
-
-  JoinCoreResult res;
-  Schema out_schema = Schema::Concat(a.schema(), b.schema());
-  VirtualSchema out_vschema =
-      VirtualSchema::Concat(a.vschema(), b.vschema());
-  res.out = Relation(out_schema, out_vschema);
-  res.a_matched.assign(static_cast<size_t>(a.NumRows()), 0);
-  res.b_matched.assign(static_cast<size_t>(b.NumRows()), 0);
-  OperatorStats* st = ctx.stats;
-
-  if (plan.usable()) {
-    if (st != nullptr) st->hash_path = true;
-    // Snapshot counters the build loop below increments, so an aborted
-    // build (memory-cap trip handing off to the spill path, which recounts
-    // from scratch) does not double-book them.
-    uint64_t build_rows_before = st != nullptr ? st->build_rows : 0;
-    uint64_t null_skips_before = st != nullptr ? st->null_key_skips : 0;
-    OpMemory mem(ctx);
-    // Sideways information passing: a build-side bloom filter lets the
-    // probe loop below reject non-matching rows without touching the hash
-    // table. The filter is charged through its own reservation so a failed
-    // charge (memory cap, injected alloc fault) just leaves it disabled --
-    // the filter is an optimization, never a correctness dependency.
-    BloomFilter bloom;
-    OpMemory bloom_mem(ctx);
-    if (ctx.Bloom(b.NumRows(), a.NumRows()) &&
-        bloom_mem.Charge(BloomFilter::BytesFor(b.NumRows()), "join").ok()) {
-      bloom.Init(b.NumRows());
-    }
-    std::unordered_map<std::string, std::vector<int64_t>> table;
-    std::string key;
-    uint64_t built = 0;
-    for (int64_t j = 0; j < b.NumRows(); ++j) {
-      if (EncodeKeys(plan.b_keys, b.row(j), b.schema(), &key)) {
-        Status cs = mem.Charge(internal::ApproxTupleBytes(b.row(j)) + 64 +
-                                   key.size(),
-                               "join");
-        if (!cs.ok()) {
-          // The build state does not fit (or an alloc fault fired). With
-          // spilling enabled, degrade to the out-of-core grace join; the
-          // reservation and the partial table unwind right here.
-          if (!ctx.SpillEnabled()) return cs;
-          mem.Release();
-          table.clear();
-          if (st != nullptr) {
-            st->build_rows = build_rows_before;
-            st->null_key_skips = null_skips_before;
-          }
-          auto spilled = internal::SpillJoinCore(a, b, plan, ctx);
-          if (spilled.ok() && st != nullptr) {
-            st->rows_in += static_cast<uint64_t>(a.NumRows()) +
-                           static_cast<uint64_t>(b.NumRows());
-          }
-          return spilled;
-        }
-        std::vector<int64_t>& bucket = table[key];
-        bucket.push_back(j);
-        ++built;
-        if (bloom.enabled()) bloom.Insert(HashKeyBytes(key));
-        if (st != nullptr) {
-          ++st->build_rows;
-          st->max_bucket = std::max<uint64_t>(st->max_bucket, bucket.size());
-        }
-      } else if (st != nullptr) {
-        ++st->null_key_skips;
-      }
-    }
-    // Pre-size the output from build-side bucket statistics: expect each
-    // probe row to match the mean bucket (build rows / distinct keys).
-    // Clamped like Product's reservation so a pathological estimate cannot
-    // commit unbounded memory before the row cap or deadline fires. With
-    // the bloom filter active the mean-bucket estimate over-sizes badly
-    // (most probes are rejected before they can match), so the reservation
-    // is deferred until enough probes have been checked to scale it by the
-    // observed filter pass rate.
-    constexpr uint64_t kMaxReserve = 1u << 20;
-    uint64_t mean_bucket =
-        table.empty() ? 0 : std::max<uint64_t>(1, built / table.size());
-    if (!table.empty() && !bloom.enabled()) {
-      uint64_t expected = static_cast<uint64_t>(a.NumRows()) * mean_bucket;
-      res.out.Reserve(
-          static_cast<int64_t>(std::min(expected, kMaxReserve)));
-    }
-    // Filter counters stay in locals through the hot loop (stats may be
-    // disabled entirely) and flush to the stats node once at the end.
-    // bloom_live starts with the filter and is cleared at the calibration
-    // point when the observed reject rate says checking costs more than
-    // it saves (kAuto only; kForce stays engaged for test coverage).
-    uint64_t bchecks = 0, brejects = 0, bfp = 0;
-    bool bloom_live = bloom.enabled();
-    Predicate residual(plan.residual);
-    for (int64_t i = 0; i < a.NumRows(); ++i) {
-      GSOPT_RETURN_IF_ERROR(ctx.Tick("join"));
-      if (!EncodeKeys(plan.a_keys, a.row(i), a.schema(), &key)) {
-        if (st != nullptr) ++st->null_key_skips;
-        continue;
-      }
-      if (st != nullptr) ++st->probe_rows;
-      if (bloom_live && bchecks == kBloomCalibrateChecks) {
-        // Calibration point: disarm when the filter is not rejecting
-        // enough to win, then size the output. (Checked before this
-        // row's filter probe, so a rejected row's `continue` cannot skip
-        // past the == comparison.) Disarmed joins get the full off-path
-        // estimate; engaged ones scale it by the observed pass rate plus
-        // a 1/8 pad -- an exact-fit reserve that undershoots by even one
-        // row forces a whole-vector regrowth at the very end, which
-        // costs more than the slack.
-        if (ctx.bloom == BloomMode::kAuto &&
-            !BloomStillWinning(bchecks, brejects)) {
-          bloom_live = false;
-        }
-        uint64_t pass =
-            bloom_live ? bchecks - brejects + bchecks / 8 : bchecks;
-        uint64_t expected = static_cast<uint64_t>(a.NumRows()) *
-                            mean_bucket * std::min(pass, bchecks) / bchecks;
-        res.out.Reserve(
-            static_cast<int64_t>(std::min(expected, kMaxReserve)));
-      }
-      if (bloom_live) {
-        ++bchecks;
-        if (!bloom.MayContain(HashKeyBytes(key))) {
-          ++brejects;
-          continue;
-        }
-      }
-      auto it = table.find(key);
-      if (it == table.end()) {
-        if (bloom_live) ++bfp;
-        continue;
-      }
-      for (int64_t j : it->second) {
-        // Tick inside the bucket-match loop: a skewed key whose bucket
-        // holds most of the build side would otherwise run deadline-blind
-        // between probe rows (the nested-loop path ticks per pair).
-        GSOPT_RETURN_IF_ERROR(ctx.Tick("join"));
-        Tuple t = Tuple::Concat(a.row(i), b.row(j));
-        if (st != nullptr) ++st->residual_evals;
-        if (residual.Satisfied(t, out_schema)) {
-          res.a_matched[static_cast<size_t>(i)] = 1;
-          res.b_matched[static_cast<size_t>(j)] = 1;
-          res.out.Add(std::move(t));
-          GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "join"));
-        }
-      }
-    }
-    if (st != nullptr && bchecks > 0) {
-      st->bloom = true;
-      st->bloom_checks += bchecks;
-      st->bloom_rejects += brejects;
-      st->bloom_false_positives += bfp;
-    }
-  } else {
-    for (int64_t i = 0; i < a.NumRows(); ++i) {
-      for (int64_t j = 0; j < b.NumRows(); ++j) {
-        GSOPT_RETURN_IF_ERROR(ctx.Tick("join"));
-        Tuple t = Tuple::Concat(a.row(i), b.row(j));
-        if (st != nullptr) ++st->residual_evals;
-        if (p.Satisfied(t, out_schema)) {
-          res.a_matched[static_cast<size_t>(i)] = 1;
-          res.b_matched[static_cast<size_t>(j)] = 1;
-          res.out.Add(std::move(t));
-          GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "join"));
-        }
-      }
-    }
-  }
-  if (st != nullptr) {
-    st->rows_in += static_cast<uint64_t>(a.NumRows()) +
-                   static_cast<uint64_t>(b.NumRows());
+  StatusOr<JoinCoreResult> res =
+      !plan.usable()       ? NestedLoopJoinCore(a, b, p, ctx)
+      : ctx.MergeJoin()    ? MergeJoinCore(a, b, plan, ctx)
+      : ctx.Reference()    ? NestedLoopJoinCore(a, b, p, ctx)
+                           : HashJoinCore(a, b, plan, ctx);
+  if (res.ok() && ctx.stats != nullptr) {
+    ctx.stats->rows_in += static_cast<uint64_t>(a.NumRows()) +
+                          static_cast<uint64_t>(b.NumRows());
   }
   return res;
 }
@@ -234,15 +61,93 @@ void RecordOut(const ExecContext& ctx, const Relation& out) {
   }
 }
 
+// Outer-join padding: appends every row of `side` whose matched flag is
+// clear, concatenated with an all-NULL row shaped like `other` (side on
+// the left when side_is_left).
+Status PadUnmatched(const Relation& side, const std::vector<char>& matched,
+                    const Relation& other, bool side_is_left,
+                    const ExecContext& ctx, const char* stage,
+                    Relation* out) {
+  Tuple null_row = other.NullTuple();
+  for (int64_t i = 0; i < side.NumRows(); ++i) {
+    if (matched[static_cast<size_t>(i)]) continue;
+    out->Add(side_is_left ? Tuple::Concat(side.row(i), null_row)
+                          : Tuple::Concat(null_row, side.row(i)));
+    GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, stage));
+  }
+  return Status::OK();
+}
+
+// Semi / anti join output: the rows of `a` whose matched flag is `keep`.
+StatusOr<Relation> KeepRows(const Relation& a,
+                            const std::vector<char>& matched, bool keep,
+                            const ExecContext& ctx, const char* stage) {
+  Relation out(a.schema(), a.vschema());
+  for (int64_t i = 0; i < a.NumRows(); ++i) {
+    if ((matched[static_cast<size_t>(i)] != 0) != keep) continue;
+    out.Add(a.row(i));
+    GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, stage));
+  }
+  RecordOut(ctx, out);
+  return out;
+}
+
+// The per-group difference of Definition 2.1 over r's rows: appends to
+// `out` one null-padded resurrection tuple per distinct group key of r
+// that does not appear in `surviving`. Lanes collect the first row of each
+// such key in their ranges, deduplicating locally; the fan-in deduplicates
+// across lanes, so each missing key resurrects exactly one tuple.
+Status Resurrect(const Relation& r, const GroupIndex& gi,
+                 const std::unordered_set<std::string>& surviving,
+                 Relation* out, const ExecContext& ctx) {
+  const int lanes = LanesFor(ctx, r.NumRows());
+  GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-gs"));
+  struct Candidate {
+    std::string key;
+    int64_t row;
+  };
+  std::vector<std::vector<Candidate>> lane_cands(static_cast<size_t>(lanes));
+  std::vector<std::unordered_set<std::string>> lane_added(
+      static_cast<size_t>(lanes));
+  LaneControl control(lanes);
+  ForRanges(ctx, lanes, r.NumRows(), [&](int lane, int64_t begin,
+                                         int64_t end) {
+    if (control.cancelled()) return;
+    std::vector<Candidate>& cands = lane_cands[static_cast<size_t>(lane)];
+    std::unordered_set<std::string>& added =
+        lane_added[static_cast<size_t>(lane)];
+    std::string key;
+    for (int64_t i = begin; i < end; ++i) {
+      Status s = ctx.Tick("generalized-selection");
+      if (!s.ok()) return control.Fail(lane, std::move(s));
+      const Tuple& t = r.row(i);
+      if (GroupPartAllNull(t, gi)) continue;
+      EncodeTupleKeyInto(t, gi.value_idx, gi.vid_idx, &key);
+      if (surviving.count(key) || !added.insert(key).second) continue;
+      cands.push_back(Candidate{key, i});
+    }
+  });
+  GSOPT_RETURN_IF_ERROR(control.First());
+  std::unordered_set<std::string> added;
+  for (std::vector<Candidate>& cands : lane_cands) {
+    for (Candidate& c : cands) {
+      if (lanes > 1 && !added.insert(std::move(c.key)).second) continue;
+      out->Add(PadGroupTuple(r.row(c.row), gi, *out));
+      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "generalized-selection"));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 StatusOr<Relation> Product(const Relation& a, const Relation& b,
                            const ExecContext& ctx) {
-  if (ctx.Parallel(a.NumRows()) && b.NumRows() > 0) {
-    return internal::ParallelProduct(a, b, ctx);
-  }
+  const int lanes = b.NumRows() > 0 ? LanesFor(ctx, a.NumRows()) : 1;
+  GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-product"));
   Relation out(Schema::Concat(a.schema(), b.schema()),
                VirtualSchema::Concat(a.vschema(), b.vschema()));
+  LaneOutputs outs(&out, lanes);
   // The exact cross-product cardinality as int*int is signed-overflow UB
   // past ~46k x 46k, and even a correct full-size reservation would commit
   // the whole product's memory before the row cap or deadline can fire.
@@ -250,28 +155,37 @@ StatusOr<Relation> Product(const Relation& a, const Relation& b,
   constexpr uint64_t kMaxReserve = 1u << 20;
   uint64_t total = static_cast<uint64_t>(a.NumRows()) *
                    static_cast<uint64_t>(b.NumRows());
-  out.Reserve(static_cast<int64_t>(std::min(total, kMaxReserve)));
+  for (int l = 0; l < lanes; ++l) {
+    outs[l].Reserve(static_cast<int64_t>(
+        std::min(total / static_cast<uint64_t>(lanes) + 1, kMaxReserve)));
+  }
   RecordIn(ctx, static_cast<uint64_t>(a.NumRows()) +
                     static_cast<uint64_t>(b.NumRows()));
-  for (const Tuple& ta : a.rows()) {
-    for (const Tuple& tb : b.rows()) {
-      GSOPT_RETURN_IF_ERROR(ctx.Tick("product"));
-      out.Add(Tuple::Concat(ta, tb));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "product"));
+  LaneControl control(lanes);
+  ForRanges(ctx, lanes, a.NumRows(), [&](int lane, int64_t begin,
+                                         int64_t end) {
+    if (control.cancelled()) return;
+    Relation& o = outs[lane];
+    for (int64_t i = begin; i < end; ++i) {
+      for (const Tuple& tb : b.rows()) {
+        Status s = ctx.Tick("product");
+        if (s.ok()) {
+          o.Add(Tuple::Concat(a.row(i), tb));
+          s = ctx.ChargeRows(1, "product");
+        }
+        if (!s.ok()) return control.Fail(lane, std::move(s));
+      }
     }
-  }
+  });
+  GSOPT_RETURN_IF_ERROR(control.First());
+  outs.Splice();
   RecordOut(ctx, out);
   return out;
 }
 
 StatusOr<Relation> Select(const Relation& r, const Predicate& p,
                           const ExecContext& ctx) {
-  if (ctx.Parallel(r.NumRows())) {
-    return internal::ParallelSelect(r, p, ctx);
-  }
-  if (ctx.Columnar(r.NumRows())) {
-    return internal::ColumnarSelect(r, p, ctx);
-  }
+  if (!ctx.Reference()) return internal::ColumnarSelect(r, p, ctx);
   Relation out(r.schema(), r.vschema());
   RecordIn(ctx, static_cast<uint64_t>(r.NumRows()));
   for (const Tuple& t : r.rows()) {
@@ -372,15 +286,9 @@ StatusOr<Relation> InnerJoin(const Relation& a, const Relation& b,
 StatusOr<Relation> LeftOuterJoin(const Relation& a, const Relation& b,
                                  const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
-  Tuple b_null;
-  b_null.values.assign(b.schema().size(), Value::Null());
-  b_null.vids.assign(b.vschema().size(), kNullRowId);
-  for (int64_t i = 0; i < a.NumRows(); ++i) {
-    if (!core.a_matched[static_cast<size_t>(i)]) {
-      core.out.Add(Tuple::Concat(a.row(i), b_null));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "left-outer-join"));
-    }
-  }
+  GSOPT_RETURN_IF_ERROR(
+      PadUnmatched(a, core.a_matched, b, true, ctx, "left-outer-join",
+                   &core.out));
   RecordOut(ctx, core.out);
   return std::move(core.out);
 }
@@ -388,15 +296,9 @@ StatusOr<Relation> LeftOuterJoin(const Relation& a, const Relation& b,
 StatusOr<Relation> RightOuterJoin(const Relation& a, const Relation& b,
                                   const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
-  Tuple a_null;
-  a_null.values.assign(a.schema().size(), Value::Null());
-  a_null.vids.assign(a.vschema().size(), kNullRowId);
-  for (int64_t j = 0; j < b.NumRows(); ++j) {
-    if (!core.b_matched[static_cast<size_t>(j)]) {
-      core.out.Add(Tuple::Concat(a_null, b.row(j)));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "right-outer-join"));
-    }
-  }
+  GSOPT_RETURN_IF_ERROR(
+      PadUnmatched(b, core.b_matched, a, false, ctx, "right-outer-join",
+                   &core.out));
   RecordOut(ctx, core.out);
   return std::move(core.out);
 }
@@ -404,24 +306,12 @@ StatusOr<Relation> RightOuterJoin(const Relation& a, const Relation& b,
 StatusOr<Relation> FullOuterJoin(const Relation& a, const Relation& b,
                                  const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
-  Tuple b_null;
-  b_null.values.assign(b.schema().size(), Value::Null());
-  b_null.vids.assign(b.vschema().size(), kNullRowId);
-  for (int64_t i = 0; i < a.NumRows(); ++i) {
-    if (!core.a_matched[static_cast<size_t>(i)]) {
-      core.out.Add(Tuple::Concat(a.row(i), b_null));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "full-outer-join"));
-    }
-  }
-  Tuple a_null;
-  a_null.values.assign(a.schema().size(), Value::Null());
-  a_null.vids.assign(a.vschema().size(), kNullRowId);
-  for (int64_t j = 0; j < b.NumRows(); ++j) {
-    if (!core.b_matched[static_cast<size_t>(j)]) {
-      core.out.Add(Tuple::Concat(a_null, b.row(j)));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "full-outer-join"));
-    }
-  }
+  GSOPT_RETURN_IF_ERROR(
+      PadUnmatched(a, core.a_matched, b, true, ctx, "full-outer-join",
+                   &core.out));
+  GSOPT_RETURN_IF_ERROR(
+      PadUnmatched(b, core.b_matched, a, false, ctx, "full-outer-join",
+                   &core.out));
   RecordOut(ctx, core.out);
   return std::move(core.out);
 }
@@ -429,29 +319,13 @@ StatusOr<Relation> FullOuterJoin(const Relation& a, const Relation& b,
 StatusOr<Relation> AntiJoin(const Relation& a, const Relation& b,
                             const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
-  Relation out(a.schema(), a.vschema());
-  for (int64_t i = 0; i < a.NumRows(); ++i) {
-    if (!core.a_matched[static_cast<size_t>(i)]) {
-      out.Add(a.row(i));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "anti-join"));
-    }
-  }
-  RecordOut(ctx, out);
-  return out;
+  return KeepRows(a, core.a_matched, false, ctx, "anti-join");
 }
 
 StatusOr<Relation> SemiJoin(const Relation& a, const Relation& b,
                             const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
-  Relation out(a.schema(), a.vschema());
-  for (int64_t i = 0; i < a.NumRows(); ++i) {
-    if (core.a_matched[static_cast<size_t>(i)]) {
-      out.Add(a.row(i));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "semi-join"));
-    }
-  }
-  RecordOut(ctx, out);
-  return out;
+  return KeepRows(a, core.a_matched, true, ctx, "semi-join");
 }
 
 StatusOr<Relation> OuterUnion(const Relation& a, const Relation& b,
@@ -535,21 +409,7 @@ StatusOr<Relation> GeneralizedSelection(
     for (const Tuple& t : selected.rows()) {
       surviving.insert(EncodeTupleKey(t, gi.value_idx, gi.vid_idx));
     }
-    if (ctx.Parallel(r.NumRows())) {
-      GSOPT_RETURN_IF_ERROR(
-          internal::ParallelGsResurrect(r, gi, surviving, &out, ctx));
-      continue;
-    }
-    std::unordered_set<std::string> added;
-    for (const Tuple& t : r.rows()) {
-      GSOPT_RETURN_IF_ERROR(ctx.Tick("generalized-selection"));
-      if (GroupPartAllNull(t, gi)) continue;
-      std::string key = EncodeTupleKey(t, gi.value_idx, gi.vid_idx);
-      if (surviving.count(key) || added.count(key)) continue;
-      added.insert(std::move(key));
-      out.Add(PadGroupTuple(t, gi, out));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "generalized-selection"));
-    }
+    GSOPT_RETURN_IF_ERROR(Resurrect(r, gi, surviving, &out, ctx));
   }
   RecordOut(ctx, out);
   return out;
@@ -590,12 +450,8 @@ StatusOr<Relation> Mgoj(const Relation& a, const Relation& b,
 
     bool group_in_a = !ga.value_idx.empty() || !ga.vid_idx.empty();
     bool group_in_b = !gb.value_idx.empty() || !gb.vid_idx.empty();
-    Tuple null_a;
-    null_a.values.assign(a.schema().size(), Value::Null());
-    null_a.vids.assign(a.vschema().size(), kNullRowId);
-    Tuple null_b;
-    null_b.values.assign(b.schema().size(), Value::Null());
-    null_b.vids.assign(b.vschema().size(), kNullRowId);
+    Tuple null_a = a.NullTuple();
+    Tuple null_b = b.NullTuple();
 
     if (group_in_a && group_in_b) {
       // Rare split group: enumerate distinct side projections.

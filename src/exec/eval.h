@@ -54,18 +54,14 @@ struct SpillConfig {
   int max_recursion = 3;
 };
 
-// Batch-execution policy for the columnar kernel paths (exec/columnar.h).
-// kAuto takes the columnar path for vectorizable shapes once the input is
-// large enough to amortize the gather; kOff pins the tuple-at-a-time
-// reference kernels (the differential-testing baseline); kForce takes the
-// columnar path whenever the shape allows regardless of size (so tests can
-// exercise it on tiny inputs).
-enum class BatchMode : uint8_t { kAuto = 0, kOff = 1, kForce = 2 };
-
-// kAuto threshold: below this many input rows the per-batch setup (filter
-// compilation, column gathers) costs more than it saves, and small unit
-// tests keep the reference kernels' row order.
-inline constexpr int64_t kMinColumnarRows = 128;
+// Kernel policy. kAuto -- the default -- runs the optimized kernels:
+// batch selection, the batch hash grouping feed and the hash-join core,
+// serial or morsel-parallel. kOff runs the reference evaluator -- serial,
+// row-at-a-time, every join as nested loops over Predicate::Satisfied --
+// the ground truth the differential tests and fuzz oracles hold the
+// optimized kernels to. kOff is quadratic in join inputs: a testing mode,
+// not a serving one.
+enum class BatchMode : uint8_t { kAuto = 0, kOff = 1 };
 
 // Physical join-strategy policy. kAuto follows the per-node hints the
 // order-aware optimizer pass stamps on join nodes (hash when unhinted);
@@ -88,16 +84,16 @@ struct ExecContext {
   // When non-null with more than one lane, large inputs take the
   // morsel-parallel kernel paths (partitioned hash join, parallel select /
   // product / GS-difference / aggregation). Null -- the default -- runs
-  // the serial reference kernels. Results are bag-equal either way; only
-  // row order may differ. The budget (if any) is charged from all lanes;
-  // ResourceBudget's probes are thread-safe.
+  // the serial kernels. Results are bag-equal either way; only row order
+  // may differ. The budget (if any) is charged from all lanes;
+  // ResourceBudget's probes are thread-safe. Ignored under BatchMode::kOff.
   Executor* executor = nullptr;
   // Chaos harness hook: when non-null, kernels probe it at allocation,
   // spill-I/O, budget-check and dispatch points (base/fault_injector.h).
   FaultInjector* fault = nullptr;
   // Out-of-core policy; null or !enabled means memory trips are fatal.
   const SpillConfig* spill = nullptr;
-  // Columnar batch-execution policy (see BatchMode above).
+  // Optimized kernels or the reference evaluator (see BatchMode above).
   BatchMode batch = BatchMode::kAuto;
   // Bloom-filter sideways-information-passing policy for the hash-join
   // paths (exec/bloom.h). kAuto activates per join from the build/probe
@@ -122,29 +118,13 @@ struct ExecContext {
     if (budget == nullptr) return Status::OK();
     return budget->CheckDeadline(stage);
   }
-  // Charges operator-state bytes, probing the alloc fault site first.
-  // Kernels route every charge through a MemoryReservation so error paths
-  // release by construction; this helper exists for the reservation and
-  // for one-shot probes.
-  Status ChargeMemory(uint64_t n, const char* stage) const {
-    if (fault != nullptr) {
-      GSOPT_RETURN_IF_ERROR(fault->MaybeFail(FaultSite::kAlloc, stage));
-    }
-    if (budget == nullptr) return Status::OK();
-    return budget->ChargeMemory(n, stage);
-  }
   bool SpillEnabled() const { return spill != nullptr && spill->enabled; }
+  // True under the reference evaluator (BatchMode::kOff).
+  bool Reference() const { return batch == BatchMode::kOff; }
   // True when `rows` input rows should take a parallel kernel path.
   bool Parallel(int64_t rows) const {
-    return executor != nullptr && executor->lanes() > 1 &&
+    return !Reference() && executor != nullptr && executor->lanes() > 1 &&
            rows >= executor->min_parallel_rows();
-  }
-  // True when `rows` input rows should take a columnar kernel path (the
-  // kernel still verifies the operator shape is vectorizable).
-  bool Columnar(int64_t rows) const {
-    if (batch == BatchMode::kOff) return false;
-    if (batch == BatchMode::kForce) return true;
-    return rows >= kMinColumnarRows;
   }
   // True when a hash join with these build/probe cardinalities should
   // build a bloom filter on its build side (exec/bloom.h BloomEligible).

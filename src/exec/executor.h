@@ -4,9 +4,9 @@
 // consult: the minimum input size worth fanning out (below it, morsel
 // setup costs more than it saves) and the morsel size itself. Kernels
 // receive it through ExecContext; a null executor -- the default
-// everywhere -- means the serial reference kernels run, byte-identical to
-// pre-parallel behaviour. Serial remains the ground truth: the parallel
-// paths are proven bag-equal to it by tests/exec/parallel_exec_test.cc.
+// everywhere -- runs every kernel as its one-lane case on the calling
+// thread (exec/lane_control.h). Parallel runs are proven bag-equal to
+// serial ones by tests/exec/parallel_exec_test.cc.
 //
 // One Executor serves one query execution at a time (the underlying pool
 // serializes jobs); share it across sequential queries freely to amortize

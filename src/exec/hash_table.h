@@ -1,17 +1,12 @@
-// Allocation-free join-key machinery for the morsel-parallel executor.
+// Allocation-free join-key machinery for the hash-join core
+// (exec/hash_join.cc), serial and morsel-parallel alike:
 //
-// The serial kernels build chaining std::unordered_map tables keyed by
-// per-row std::string encodings -- simple, and the reference semantics.
-// That design pays one string construction plus one node allocation per
-// build row and per probe, which caps the executor at allocator speed.
-// The parallel path instead:
-//
-//   * encodes each key once into a per-lane append-only KeyArena (keys are
-//     the same canonical bytes keys.h produces, so equality semantics are
-//     byte equality and identical to the serial path),
-//   * hashes the encoded bytes once to 64 bits (FNV-1a),
-//   * radix-partitions build rows by the hash's high bits, and
-//   * builds one open-addressing JoinHashTable per partition, with per-key
+//   * each key is encoded once into a per-lane append-only KeyArena (the
+//     canonical bytes of exec/keys.h, so key equality is byte equality),
+//   * the encoded bytes are hashed once to 64 bits (FNV-1a),
+//   * build rows are radix-partitioned by the hash's high bits (a serial
+//     build is the one-partition case), and
+//   * each partition gets one open-addressing JoinHashTable, with per-key
 //     entry chains threaded through a flat entry vector (no per-row
 //     allocation; the arrays are sized once up front).
 //
@@ -29,15 +24,26 @@
 
 namespace gsopt::exec {
 
+// Streaming FNV-1a: the key encoders in keys.h can feed it the bytes they
+// would otherwise append, hashing a key without building it.
+struct KeyHash {
+  uint64_t h = 1469598103934665603ull;
+  void Byte(char c) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  void Bytes(const void* p, size_t n) {
+    const char* s = static_cast<const char*>(p);
+    for (size_t i = 0; i < n; ++i) Byte(s[i]);
+  }
+};
+
 // FNV-1a over the canonical key bytes. Stable across lanes and runs,
 // which keeps partition assignment deterministic for a given input.
 inline uint64_t HashKeyBytes(const char* data, size_t len) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+  KeyHash h;
+  h.Bytes(data, len);
+  return h.h;
 }
 
 inline uint64_t HashKeyBytes(const std::string& key) {
@@ -151,8 +157,7 @@ class JoinHashTable {
 
   uint64_t num_entries() const { return entries_.size(); }
   uint64_t distinct_keys() const { return distinct_keys_; }
-  // Longest duplicate chain (the parallel analogue of the serial path's
-  // max_bucket stat).
+  // Longest duplicate chain (the max_bucket stat).
   uint64_t max_chain() const { return max_chain_; }
 
  private:

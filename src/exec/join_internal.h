@@ -1,9 +1,7 @@
 // Exec-internal shared pieces of the join / generalized-selection kernels:
-// hash-join planning, canonical key encoding of tuples, the JoinCore result
-// shape, and preserved-group indexing. Included by eval.cc (serial
-// reference kernels) and parallel.cc (morsel-parallel kernels) so the two
-// paths share one definition of the semantics-bearing helpers. Not part of
-// the public exec/ API.
+// hash-join planning, bound join-key columns, the JoinCore result shape,
+// the join cores themselves, and preserved-group indexing. Not part of the
+// public exec/ API.
 #ifndef GSOPT_EXEC_JOIN_INTERNAL_H_
 #define GSOPT_EXEC_JOIN_INTERNAL_H_
 
@@ -13,6 +11,7 @@
 
 #include "exec/eval.h"
 #include "exec/keys.h"
+#include "relational/column_batch.h"
 #include "relational/relation.h"
 
 namespace gsopt::exec::internal {
@@ -59,19 +58,29 @@ inline HashPlan MakeHashPlan(const Predicate& p, const Schema& sa,
   return plan;
 }
 
-// Evaluates key scalars against one input tuple into `out`; returns false
-// if any key value is NULL (NULL never equi-matches under 3VL, so such
-// rows cannot join and are skipped by the hash path).
-inline bool EncodeKeys(const std::vector<ScalarPtr>& keys, const Tuple& t,
-                       const Schema& s, std::string* out) {
-  out->clear();
-  for (const ScalarPtr& k : keys) {
-    Value v = k->Eval(t, s);
-    if (v.is_null()) return false;
-    AppendValueKey(v, out);
-  }
-  return true;
-}
+// One input's side of a hash plan, bound to that input once: a key term
+// that is a plain column is gathered straight from the rows; any other
+// term (arithmetic) is evaluated once per row into an owned value column.
+// Either way Gather() yields typed key columns for AppendBatchKey /
+// HashBatchKey, so every equi-join runs on the one binary-key core. Each
+// lane owns its own instance (the gathered columns are scratch).
+class KeyColumns {
+ public:
+  KeyColumns(const std::vector<ScalarPtr>& keys, const Relation& r);
+
+  // Gathers the key columns of rows [begin, end); batch row i is input
+  // row begin + i.
+  void Gather(int64_t begin, int64_t end);
+  const std::vector<Column>& cols() const { return cols_; }
+
+ private:
+  const Relation* r_;
+  std::vector<ScalarPtr> terms_;  // per key: null when a plain column
+  std::vector<int> col_;          // per key: schema index, or -1
+  bool all_columns_ = true;
+  std::vector<std::vector<Value>> computed_;
+  std::vector<Column> cols_;
+};
 
 // Matched pairs plus per-side matched flags; the shared core of every join
 // flavour.
@@ -80,6 +89,42 @@ struct JoinCoreResult {
   std::vector<char> a_matched;
   std::vector<char> b_matched;
 };
+
+// An empty result shaped for a join of a (left) with b (right).
+JoinCoreResult EmptyJoinResult(const Relation& a, const Relation& b);
+
+// The hash-join core (exec/hash_join.cc). Builds over b and probes with a
+// on binary keys in JoinHashTables -- morsel-parallel when ctx.Parallel()
+// says so, otherwise as the one-lane case of the same code -- with one
+// bloom-filter and output-reservation policy for every lane count, and
+// degrades to SpillJoinCore on a memory-cap trip when spilling is enabled.
+// Requires plan.usable().
+StatusOr<JoinCoreResult> HashJoinCore(const Relation& a, const Relation& b,
+                                      const HashPlan& plan,
+                                      const ExecContext& ctx);
+
+// Nested loops over Predicate::Satisfied: the path for predicates with no
+// separable equi-conjunct, and -- serial, under BatchMode::kOff -- the
+// reference evaluator every other join path is tested against.
+StatusOr<JoinCoreResult> NestedLoopJoinCore(const Relation& a,
+                                            const Relation& b,
+                                            const Predicate& p,
+                                            const ExecContext& ctx);
+
+// What a RunHashJoin call computes: a whole in-memory join; one partition
+// of a spilled join, which appends onto the operator's accumulating output
+// and so reserves none; or one build chunk of a partition, whose memory
+// the caller has already charged.
+enum class HashRun { kWhole, kPartition, kChunk };
+
+// The in-memory build/probe behind HashJoinCore, for the out-of-core path
+// to run inside each partition too. Emits into *res (shaped like
+// EmptyJoinResult) and adds counters to *tally. A failed build charge sets
+// *mem_trip, before anything was emitted. *misses (optional) counts probe
+// keys the table did not hold.
+Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
+                   const ExecContext& ctx, HashRun run, JoinCoreResult* res,
+                   OperatorStats* tally, bool* mem_trip, uint64_t* misses);
 
 // Group column/vid indices for one preserved group within a schema.
 struct GroupIndex {
@@ -121,37 +166,11 @@ inline Tuple PadGroupTuple(const Tuple& src, const GroupIndex& gi,
   return t;
 }
 
-// ---------------------------------------------------------------------------
-// Morsel-parallel kernel paths (parallel.cc). Callers have already decided
-// via ExecContext::Parallel(); these assume executor != nullptr.
-// ---------------------------------------------------------------------------
-
-StatusOr<Relation> ParallelSelect(const Relation& r, const Predicate& p,
-                                  const ExecContext& ctx);
-
-StatusOr<Relation> ParallelProduct(const Relation& a, const Relation& b,
-                                   const ExecContext& ctx);
-
-// Hash path when plan.usable(), parallel nested loops otherwise; either
-// way bag-equal to the serial JoinCore.
-StatusOr<JoinCoreResult> ParallelJoinCore(const Relation& a,
-                                          const Relation& b,
-                                          const HashPlan& plan,
-                                          const Predicate& p,
-                                          const ExecContext& ctx);
-
-// The per-group difference of Definition 2.1, fanned out over r's rows:
-// appends to `out` one null-padded resurrection tuple per distinct group
-// key of r that does not appear in `surviving`, deduplicated across lanes.
-Status ParallelGsResurrect(const Relation& r, const GroupIndex& gi,
-                           const std::unordered_set<std::string>& surviving,
-                           Relation* out, const ExecContext& ctx);
-
 // Sort-merge twin of the hash JoinCore (exec/sort.cc): sorts both sides by
 // their equi-key values (key-class comparator, so the equality partition
 // is exactly the hash path's) and merges equal-key blocks, evaluating
-// residual conjuncts per candidate pair. Rows whose key encodes NULL never
-// match, like EncodeKeys' skip. Requires plan.usable(). Matched inner rows
+// residual conjuncts per candidate pair. Rows with a NULL key never match,
+// as on the hash path. Requires plan.usable(). Matched inner rows
 // are emitted in ascending key order, which is what lets the order-aware
 // optimizer claim the join's output order. Degrades to external key-sorted
 // runs when the memory cap trips and spilling is enabled.

@@ -1,74 +1,125 @@
-// Internal: canonical byte-string encodings of value/row-id vectors, used as
-// hash keys by joins, grouping, duplicate elimination and the generalized
-// selection difference. The encoding is consistent with
-// Value::IdentityEquals (NULL == NULL; 1 == 1.0 across int/double).
+// Internal: the executor's one canonical key encoding. Every hash join
+// (serial, parallel, spilled), grouping feed, DISTINCT dedup set,
+// duplicate elimination and generalized-selection difference keys on these
+// bytes, so they all share one equality partition -- the one
+// Value::IdentityEquals defines -- and the sort-merge path's key-class
+// comparator refines its total order with the same bytes.
+//
+// Per value, fixed-width binary:
+//   'i' + 8B native-endian int64 -- ints, and doubles that are exactly an
+//         int64 within the 2^53 exact range (1 == 1.0 across types; -0.0
+//         folds to 0, so -0.0 == +0.0);
+//   'N'                          -- every NaN payload (NaN = NaN is TRUE);
+//   'd' + 8B raw double bits     -- every other double;
+//   's' + u32 length + bytes     -- strings;
+//   'n'                          -- NULL, in grouping keys only (a join key
+//                                   with a NULL component never matches
+//                                   under 3VL and is not encoded at all).
+// Every form is self-delimiting, so concatenated keys need no separators.
+// Row-id columns of grouping keys follow a '#' as raw 8-byte ids. Keys
+// never leave one process, so native endianness is fine.
+//
+// The encoders are written once over a byte sink: appending to a string
+// and streaming FNV-1a (KeyHash) emit exactly the same bytes, which is what
+// lets the bloom filter's probe pass hash a key without building it.
 #ifndef GSOPT_EXEC_KEYS_H_
 #define GSOPT_EXEC_KEYS_H_
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "exec/hash_table.h"
+#include "relational/column_batch.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 
 namespace gsopt::exec {
 
-inline void AppendValueKey(const Value& v, std::string* out) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      out->push_back('n');
-      break;
-    case ValueType::kInt:
-      // Exact int64 digits: never routed through double, so adjacent
-      // int64s past 2^53 keep distinct keys (matching IdentityEquals'
-      // exact int-int comparison).
-      out->push_back('i');
-      out->append(std::to_string(v.AsInt()));
-      break;
-    case ValueType::kDouble: {
-      // Doubles that are exactly an int64 within the 2^53 exact range
-      // share the int encoding, so 1 == 1.0 across types (IdentityEquals'
-      // numeric coercion); ExactInt64 maps -0.0 to 0, so -0.0 and +0.0 --
-      // SQL-equal but distinct under %.17g ("-0" vs "0") -- share one key.
-      // NaN gets a fixed tag byte: it fails every range check, and %.17g
-      // renders it platform-dependently ("nan", "-nan", "nan(...)"), which
-      // would split or merge NaN keys depending on libc. One tag keeps the
-      // hash path consistent with CompareDoubles (NaN = NaN is TRUE).
-      // Everything else gets a round-trippable %.17g (max_digits10)
-      // encoding: std::to_string's fixed 6 fractional digits collapsed
-      // distinct doubles (1e-9 vs 2e-9 -> "0.000000").
-      double d = v.AsDouble();
-      int64_t i = 0;
-      if (ExactInt64(d, &i)) {
-        out->push_back('i');
-        out->append(std::to_string(i));
-      } else if (std::isnan(d)) {
-        out->push_back('N');
-      } else {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", d);
-        out->push_back('d');
-        out->append(buf);
-      }
-      break;
-    }
-    case ValueType::kString:
-      out->push_back('s');
-      out->append(std::to_string(v.AsString().size()));
-      out->push_back(':');
-      out->append(v.AsString());
-      break;
+namespace key_internal {
+
+struct StringSink {
+  std::string* out;
+  void Byte(char c) { out->push_back(c); }
+  void Bytes(const void* p, size_t n) {
+    out->append(static_cast<const char*>(p), n);
   }
-  out->push_back('|');
+};
+
+template <typename Sink>
+void EmitInt(Sink& s, int64_t v) {
+  s.Byte('i');
+  s.Bytes(&v, sizeof v);
 }
 
-inline std::string EncodeValues(const std::vector<Value>& values) {
-  std::string key;
-  for (const Value& v : values) AppendValueKey(v, &key);
-  return key;
+template <typename Sink>
+void EmitDouble(Sink& s, double d) {
+  int64_t i = 0;
+  if (ExactInt64(d, &i)) {
+    EmitInt(s, i);
+  } else if (std::isnan(d)) {
+    s.Byte('N');
+  } else {
+    s.Byte('d');
+    s.Bytes(&d, sizeof d);
+  }
+}
+
+template <typename Sink>
+void EmitString(Sink& s, const std::string& str) {
+  s.Byte('s');
+  uint32_t len = static_cast<uint32_t>(str.size());
+  s.Bytes(&len, sizeof len);
+  s.Bytes(str.data(), str.size());
+}
+
+// False (nothing emitted) on NULL.
+template <typename Sink>
+bool EmitValue(Sink& s, const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return false;
+    case ValueType::kInt:
+      EmitInt(s, v.AsInt());
+      return true;
+    case ValueType::kDouble:
+      EmitDouble(s, v.AsDouble());
+      return true;
+    case ValueType::kString:
+      EmitString(s, v.AsString());
+      return true;
+  }
+  return false;
+}
+
+// Batch row i of a gathered column; false (nothing emitted) on NULL.
+template <typename Sink>
+bool EmitColumnValue(Sink& s, const Column& c, int64_t i) {
+  if (c.IsNull(i)) return false;
+  size_t k = static_cast<size_t>(i);
+  switch (c.kind) {
+    case ColumnKind::kInt64:
+      EmitInt(s, c.i64[k]);
+      return true;
+    case ColumnKind::kDouble:
+      EmitDouble(s, c.f64[k]);
+      return true;
+    case ColumnKind::kString:
+      EmitString(s, *c.str[k]);
+      return true;
+    case ColumnKind::kMixed:
+      return EmitValue(s, *c.vals[k]);
+  }
+  return false;
+}
+
+}  // namespace key_internal
+
+// Grouping key of one value: NULL is a real key ('n').
+inline void AppendValueKey(const Value& v, std::string* out) {
+  key_internal::StringSink s{out};
+  if (!key_internal::EmitValue(s, v)) s.Byte('n');
 }
 
 // Encodes selected value columns and selected row-id columns of a tuple
@@ -82,8 +133,8 @@ inline void EncodeTupleKeyInto(const Tuple& t,
   for (int i : value_idx) AppendValueKey(t.values[i], key);
   key->push_back('#');
   for (int i : vid_idx) {
-    key->append(std::to_string(t.vids[i]));
-    key->push_back('|');
+    RowId id = t.vids[i];
+    key->append(reinterpret_cast<const char*>(&id), sizeof id);
   }
 }
 
@@ -93,6 +144,46 @@ inline std::string EncodeTupleKey(const Tuple& t,
   std::string key;
   EncodeTupleKeyInto(t, value_idx, vid_idx, &key);
   return key;
+}
+
+// Join key of batch row i over gathered key columns, appended to `out`.
+// Returns false -- with `out` in an unspecified partial state the caller
+// must clear -- when any component is NULL.
+inline bool AppendBatchKey(const std::vector<Column>& key_cols, int64_t i,
+                           std::string* out) {
+  key_internal::StringSink s{out};
+  for (const Column& c : key_cols) {
+    if (!key_internal::EmitColumnValue(s, c, i)) return false;
+  }
+  return true;
+}
+
+// HashKeyBytes of exactly the bytes AppendBatchKey would emit for row i,
+// computed without building the key. False on a NULL component.
+inline bool HashBatchKey(const std::vector<Column>& key_cols, int64_t i,
+                         uint64_t* out) {
+  KeyHash h;
+  for (const Column& c : key_cols) {
+    if (!key_internal::EmitColumnValue(h, c, i)) return false;
+  }
+  *out = h.h;
+  return true;
+}
+
+// Grouping key of batch row i: NULL components encode as 'n', and the
+// selected row-id columns follow a '#' -- byte-identical to
+// EncodeTupleKeyInto over the same row.
+inline void AppendBatchGroupKey(const std::vector<Column>& key_cols,
+                                const std::vector<std::vector<RowId>>& vids,
+                                int64_t i, std::string* out) {
+  key_internal::StringSink s{out};
+  for (const Column& c : key_cols) {
+    if (!key_internal::EmitColumnValue(s, c, i)) s.Byte('n');
+  }
+  s.Byte('#');
+  for (const std::vector<RowId>& v : vids) {
+    s.Bytes(&v[static_cast<size_t>(i)], sizeof(RowId));
+  }
 }
 
 }  // namespace gsopt::exec

@@ -1,18 +1,29 @@
-// Exec-internal: per-parallel-region error state shared by the
-// morsel-parallel kernels (parallel.cc, aggregate.cc). The pool itself
-// never sees Status; kernels own cancellation. A failing lane records its
-// Status and raises the cancel flag; other lanes observe it at morsel
-// granularity and drain their remaining ranges without work. After the
-// fan-in, First() reports the lowest-lane error so the surfaced Status is
-// deterministic for a given set of failures.
+// Exec-internal: the lane machinery every kernel shares. A kernel runs on
+// LanesFor() lanes -- the executor's when its input is large enough, else
+// one -- and ForRanges() hands it row ranges: morsels on the executor's
+// pool, or kBatchRows batches inline on the calling thread when serial. So
+// a serial kernel is the one-lane case of its parallel self, not a second
+// implementation.
+//
+// Lanes write private state (outputs, flags, counters) that is merged after
+// the fan-in; LaneOutputs lets lane 0 write straight into the result. The
+// pool itself never sees Status; kernels own cancellation through
+// LaneControl: a failing lane records its Status and raises the cancel
+// flag; other lanes observe it at range granularity and drain their
+// remaining ranges without work. After the fan-in, First() reports the
+// lowest-lane error so the surfaced Status is deterministic for a given
+// set of failures.
 #ifndef GSOPT_EXEC_LANE_CONTROL_H_
 #define GSOPT_EXEC_LANE_CONTROL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
 
 #include "base/status.h"
+#include "exec/eval.h"
+#include "relational/column_batch.h"
 
 namespace gsopt::exec::internal {
 
@@ -34,6 +45,59 @@ struct LaneControl {
   std::vector<Status> status;
   std::atomic<bool> cancel{false};
 };
+
+// Lanes for a kernel over `rows` input rows.
+inline int LanesFor(const ExecContext& ctx, int64_t rows) {
+  return ctx.Parallel(rows) ? ctx.executor->lanes() : 1;
+}
+
+// Probes the dispatch fault site when the kernel fans out.
+inline Status CheckDispatch(const ExecContext& ctx, int lanes,
+                            const char* stage) {
+  if (ctx.fault == nullptr || lanes <= 1) return Status::OK();
+  return ctx.fault->MaybeFail(FaultSite::kDispatch, stage);
+}
+
+// Runs body(lane, begin, end) over ranges covering [0, n): morsels on the
+// executor's pool when lanes > 1, else kBatchRows batches inline on lane 0.
+template <typename Body>
+void ForRanges(const ExecContext& ctx, int lanes, int64_t n, Body&& body) {
+  if (lanes > 1) {
+    ctx.executor->pool().ParallelFor(n, ctx.executor->morsel_rows(), body);
+    return;
+  }
+  for (int64_t begin = 0; begin < n; begin += kBatchRows) {
+    body(0, begin, std::min(n, begin + kBatchRows));
+  }
+}
+
+// Per-lane output relations: lane 0 is the result itself, the others are
+// private and Splice() appends them in lane order after the fan-in.
+class LaneOutputs {
+ public:
+  LaneOutputs(Relation* out, int lanes) : out_(out) {
+    for (int l = 1; l < lanes; ++l) {
+      rest_.emplace_back(out->schema(), out->vschema());
+    }
+  }
+  Relation& operator[](int lane) {
+    return lane == 0 ? *out_ : rest_[static_cast<size_t>(lane - 1)];
+  }
+  int lanes() const { return static_cast<int>(rest_.size()) + 1; }
+  void Splice() {
+    for (Relation& r : rest_) out_->AppendFrom(std::move(r));
+  }
+
+ private:
+  Relation* out_;
+  std::vector<Relation> rest_;
+};
+
+inline void MergeLaneStats(const std::vector<OperatorStats>& lanes,
+                           OperatorStats* into) {
+  if (into == nullptr) return;
+  for (const OperatorStats& s : lanes) into->MergeCountersFrom(s);
+}
 
 }  // namespace gsopt::exec::internal
 

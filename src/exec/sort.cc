@@ -515,7 +515,7 @@ StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
       for (const ScalarPtr& k : ks) {
         Value v = k->Eval(t, r.schema());
         // NULL never equi-matches under 3VL: drop the row from the merge
-        // entirely, exactly like EncodeKeys' skip on the hash path.
+        // entirely, exactly like the hash core's NULL-key skip.
         if (v.is_null()) return false;
         keys->push_back(std::move(v));
       }

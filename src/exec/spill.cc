@@ -1,8 +1,8 @@
 #include "exec/spill.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,8 +14,9 @@ namespace gsopt::exec::internal {
 
 namespace {
 
-// Per-entry overhead estimate for the partition-local build table
-// (unordered_map node + bucket-vector slot), excluding the key bytes.
+// Per-row overhead estimate for a build chunk's hash-table entry and key,
+// on top of the row itself (the block-chunked fallback charges a chunk
+// before it is encoded).
 constexpr uint64_t kTableEntryBytes = 64;
 
 void PutRaw(std::string* buf, const void* p, size_t n) {
@@ -203,6 +204,7 @@ Status ReadTupleRecord(SpillFile* f, Tuple* t, int64_t* orig) {
   return Status::OK();
 }
 
+
 namespace {
 
 // One materialized partition side: rows plus each row's original index in
@@ -218,104 +220,86 @@ struct JoinSpillState {
   const ExecContext& ctx;
   const SpillConfig& cfg;
   const HashPlan& plan;
-  Predicate residual;
   JoinCoreResult* res;
   // Bloom-filter bookkeeping, kept here (not on ctx.stats, which may be
   // null) and flushed once by SpillJoinCore. bloom_active records that at
-  // least one partitioning pass ran with a filter, so ProbePartition can
-  // attribute its find-misses to filter false positives.
+  // least one partitioning pass ran with a filter, so a partition's
+  // find-misses are attributable to filter false positives.
   bool bloom_active = false;
   uint64_t bloom_checks = 0;
   uint64_t bloom_rejects = 0;
   uint64_t bloom_false_positives = 0;
 };
 
-using BuildTable = std::unordered_map<std::string, std::vector<int64_t>>;
-
-// Probes every probe-side row of the partition against `table` (local
-// build indices into build.rows), emitting matches with globally-indexed
-// matched flags.
-// `full_table` says the table covers the partition's whole build side, so
-// a find-miss under an active filter is attributable to a filter false
-// positive; the block-chunked fallback passes false (a row can miss one
-// chunk's table and match another).
-Status ProbePartition(JoinSpillState& s, const BuildTable& table,
-                      const SpillSide& build, const Relation& probe_rel,
-                      const std::vector<int64_t>& probe_orig,
-                      bool full_table) {
-  OperatorStats* st = s.ctx.stats;
-  const Schema& out_schema = s.res->out.schema();
-  std::string key;
-  for (int64_t i = 0; i < probe_rel.NumRows(); ++i) {
-    GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-    if (!EncodeKeys(s.plan.a_keys, probe_rel.row(i), probe_rel.schema(),
-                    &key)) {
-      continue;
+// Joins one partition (or one build chunk of it) in memory with the
+// hash-join core, then maps its matched flags back to the operator's
+// input rows. Each partition run is serial and filter-free: the
+// partitioning pass already applied the filter.
+Status JoinPartition(JoinSpillState& s, const SpillSide& build,
+                     const SpillSide& probe, HashRun run, bool* mem_trip) {
+  ExecContext part_ctx = s.ctx;
+  part_ctx.stats = nullptr;
+  part_ctx.executor = nullptr;
+  part_ctx.bloom = BloomMode::kOff;
+  // Matches append straight onto the operator's output (same shape:
+  // probe columns, then build columns); only the flags are per partition.
+  JoinCoreResult part{std::move(s.res->out),
+                      std::vector<char>(probe.orig.size(), 0),
+                      std::vector<char>(build.orig.size(), 0)};
+  OperatorStats tally;
+  uint64_t misses = 0;
+  Status st = RunHashJoin(probe.rows, build.rows, s.plan, part_ctx, run,
+                          &part, &tally, mem_trip, &misses);
+  s.res->out = std::move(part.out);
+  GSOPT_RETURN_IF_ERROR(st);
+  // A chunk's table covers only part of the build side, so a row can miss
+  // one chunk and match another: only full tables count false positives.
+  if (s.bloom_active && run == HashRun::kPartition) {
+    s.bloom_false_positives += misses;
+  }
+  if (s.ctx.stats != nullptr) s.ctx.stats->MergeCountersFrom(tally);
+  for (size_t i = 0; i < part.a_matched.size(); ++i) {
+    if (part.a_matched[i]) {
+      s.res->a_matched[static_cast<size_t>(probe.orig[i])] = 1;
     }
-    if (st != nullptr) ++st->probe_rows;
-    auto it = table.find(key);
-    if (it == table.end()) {
-      // With a partitioning-pass filter active, every certain non-match
-      // was dropped before it reached disk; a miss here is a row the
-      // filter waved through wrongly.
-      if (s.bloom_active && full_table) ++s.bloom_false_positives;
-      continue;
-    }
-    for (int64_t j : it->second) {
-      GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-      Tuple t = Tuple::Concat(probe_rel.row(i), build.rows.row(j));
-      if (st != nullptr) ++st->residual_evals;
-      if (s.residual.Satisfied(t, out_schema)) {
-        s.res->a_matched[static_cast<size_t>(probe_orig[static_cast<size_t>(
-            i)])] = 1;
-        s.res->b_matched[static_cast<size_t>(
-            build.orig[static_cast<size_t>(j)])] = 1;
-        s.res->out.Add(std::move(t));
-        GSOPT_RETURN_IF_ERROR(s.ctx.ChargeRows(1, "join-spill"));
-      }
+  }
+  for (size_t j = 0; j < part.b_matched.size(); ++j) {
+    if (part.b_matched[j]) {
+      s.res->b_matched[static_cast<size_t>(build.orig[j])] = 1;
     }
   }
   return Status::OK();
 }
 
 // Terminal fallback for partitions that still overflow at max recursion
-// (identical-key skew): build the table over budget-sized chunks of the
-// build side, rescanning the probe side per chunk. Always terminates --
-// a chunk holds at least one row even if that row alone overflows the cap
-// (the engine's minimum working memory is one build row).
+// (identical-key skew): join budget-sized chunks of the build side, each
+// against the whole probe side. Always terminates -- a chunk holds at
+// least one row even if that row alone overflows the cap (the engine's
+// minimum working memory is one build row).
 Status BlockChunkedJoin(JoinSpillState& s, const SpillSide& build,
                         const SpillSide& probe) {
-  OperatorStats* st = s.ctx.stats;
   const int64_t n = build.rows.NumRows();
   int64_t start = 0;
-  std::string key;
   while (start < n) {
     OpMemory mem(s.ctx);
-    BuildTable table;
     int64_t j = start;
     for (; j < n; ++j) {
       GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-      if (!EncodeKeys(s.plan.b_keys, build.rows.row(j),
-                      build.rows.schema(), &key)) {
-        continue;
-      }
       Status cs = mem.Charge(ApproxTupleBytes(build.rows.row(j)) +
-                                 kTableEntryBytes + key.size(),
+                                 kTableEntryBytes,
                              "join-spill");
-      if (!cs.ok() && !table.empty()) break;
-      std::vector<int64_t>& bucket = table[key];
-      bucket.push_back(j);
-      if (st != nullptr) {
-        ++st->build_rows;
-        st->max_bucket = std::max<uint64_t>(st->max_bucket, bucket.size());
-      }
+      if (!cs.ok() && j > start) break;
     }
-    if (!table.empty()) {
-      GSOPT_RETURN_IF_ERROR(ProbePartition(s, table, build, probe.rows,
-                                           probe.orig, /*full_table=*/false));
+    SpillSide chunk(build.rows.schema(), build.rows.vschema());
+    for (int64_t k = start; k < j; ++k) {
+      chunk.rows.Add(build.rows.row(k));
+      chunk.orig.push_back(build.orig[static_cast<size_t>(k)]);
     }
-    if (st != nullptr) ++st->spill_chunks;
-    start = j > start ? j : start + 1;
+    bool trip = false;
+    GSOPT_RETURN_IF_ERROR(
+        JoinPartition(s, chunk, probe, HashRun::kChunk, &trip));
+    if (s.ctx.stats != nullptr) ++s.ctx.stats->spill_chunks;
+    start = j;
   }
   return Status::OK();
 }
@@ -329,43 +313,11 @@ Status PartitionAndProcess(JoinSpillState& s, const Relation& build_rel,
 // falls back to block chunking at max depth.
 Status ProcessPartition(JoinSpillState& s, const SpillSide& build,
                         const SpillSide& probe, int depth) {
-  OperatorStats* st = s.ctx.stats;
-  OpMemory mem(s.ctx);
-  BuildTable table;
-  bool fits = true;
-  uint64_t inserted = 0;
-  std::string key;
-  for (int64_t j = 0; j < build.rows.NumRows(); ++j) {
-    GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-    if (!EncodeKeys(s.plan.b_keys, build.rows.row(j), build.rows.schema(),
-                    &key)) {
-      continue;
-    }
-    Status cs = mem.Charge(ApproxTupleBytes(build.rows.row(j)) +
-                               kTableEntryBytes + key.size(),
-                           "join-spill");
-    if (!cs.ok()) {
-      fits = false;
-      break;
-    }
-    std::vector<int64_t>& bucket = table[key];
-    bucket.push_back(j);
-    ++inserted;
-    if (st != nullptr) {
-      st->max_bucket = std::max<uint64_t>(st->max_bucket, bucket.size());
-    }
-  }
-  if (fits) {
-    if (st != nullptr) st->build_rows += inserted;
-    return ProbePartition(s, table, build, probe.rows, probe.orig,
-                          /*full_table=*/true);
-  }
-  mem.Release();
-  table.clear();
-  if (depth >= s.cfg.max_recursion) {
-    return BlockChunkedJoin(s, build, probe);
-  }
-  if (st != nullptr) ++st->spill_recursions;
+  bool trip = false;
+  Status st = JoinPartition(s, build, probe, HashRun::kPartition, &trip);
+  if (st.ok() || !trip) return st;
+  if (depth >= s.cfg.max_recursion) return BlockChunkedJoin(s, build, probe);
+  if (s.ctx.stats != nullptr) ++s.ctx.stats->spill_recursions;
   return PartitionAndProcess(s, build.rows, build.orig.data(), probe.rows,
                              probe.orig.data(), depth);
 }
@@ -406,42 +358,50 @@ Status PartitionAndProcess(JoinSpillState& s, const Relation& build_rel,
     s.bloom_active = true;
   }
 
-  for (int64_t j = 0; j < build_rel.NumRows(); ++j) {
-    GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-    if (!EncodeKeys(s.plan.b_keys, build_rel.row(j), build_rel.schema(),
-                    &key)) {
-      // NULL equi-keys never match under 3VL; dropping them here mirrors
-      // the in-memory build (matched flags stay 0 for outer padding).
-      if (st != nullptr && depth == 0) ++st->null_key_skips;
-      continue;
-    }
-    if (bloom.enabled()) bloom.Insert(HashKeyBytes(key));
-    size_t p = SpillPartitionHash(key, depth) % static_cast<size_t>(parts);
-    GSOPT_RETURN_IF_ERROR(WriteTupleRecord(
-        &bfiles[p], build_rel.row(j), build_orig ? build_orig[j] : j,
-        &scratch));
-    ++bcounts[p];
-  }
-  for (int64_t i = 0; i < probe_rel.NumRows(); ++i) {
-    GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-    if (!EncodeKeys(s.plan.a_keys, probe_rel.row(i), probe_rel.schema(),
-                    &key)) {
-      if (st != nullptr && depth == 0) ++st->null_key_skips;
-      continue;
-    }
-    if (bloom.enabled()) {
-      ++s.bloom_checks;
-      if (!bloom.MayContain(HashKeyBytes(key))) {
-        ++s.bloom_rejects;
-        continue;
+  // Routes every row of one side to its partition file by the hash of the
+  // same key bytes the in-memory build uses. NULL equi-keys never match
+  // under 3VL; they are dropped here like the in-memory build drops them
+  // (matched flags stay 0 for outer padding). `build` selects the side's
+  // bloom role: insert on the build side, gate writes on the probe side.
+  auto route = [&](const Relation& rel, const std::vector<ScalarPtr>& keys,
+                   const int64_t* orig, bool build,
+                   std::vector<SpillFile>* files,
+                   std::vector<int64_t>* counts) -> Status {
+    KeyColumns kc(keys, rel);
+    for (int64_t begin = 0; begin < rel.NumRows(); begin += kBatchRows) {
+      const int64_t end = std::min(rel.NumRows(), begin + kBatchRows);
+      GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
+      kc.Gather(begin, end);
+      for (int64_t i = 0; i < end - begin; ++i) {
+        key.clear();
+        if (!AppendBatchKey(kc.cols(), i, &key)) {
+          if (st != nullptr && depth == 0) ++st->null_key_skips;
+          continue;
+        }
+        if (bloom.enabled()) {
+          if (build) {
+            bloom.Insert(HashKeyBytes(key));
+          } else {
+            ++s.bloom_checks;
+            if (!bloom.MayContain(HashKeyBytes(key))) {
+              ++s.bloom_rejects;
+              continue;
+            }
+          }
+        }
+        const int64_t row = begin + i;
+        size_t p = SpillPartitionHash(key, depth) % static_cast<size_t>(parts);
+        GSOPT_RETURN_IF_ERROR(WriteTupleRecord(
+            &(*files)[p], rel.row(row), orig ? orig[row] : row, &scratch));
+        ++(*counts)[p];
       }
     }
-    size_t p = SpillPartitionHash(key, depth) % static_cast<size_t>(parts);
-    GSOPT_RETURN_IF_ERROR(WriteTupleRecord(
-        &pfiles[p], probe_rel.row(i), probe_orig ? probe_orig[i] : i,
-        &scratch));
-    ++pcounts[p];
-  }
+    return Status::OK();
+  };
+  GSOPT_RETURN_IF_ERROR(
+      route(build_rel, s.plan.b_keys, build_orig, true, &bfiles, &bcounts));
+  GSOPT_RETURN_IF_ERROR(
+      route(probe_rel, s.plan.a_keys, probe_orig, false, &pfiles, &pcounts));
   // The filter's job ends with the partitioning pass; release its bytes
   // before the partitions are materialized and processed below.
   bloom = BloomFilter();
@@ -493,17 +453,13 @@ StatusOr<JoinCoreResult> SpillJoinCore(const Relation& a, const Relation& b,
                                        const ExecContext& ctx) {
   GSOPT_CHECK(plan.usable());
   GSOPT_CHECK(ctx.SpillEnabled());
-  JoinCoreResult res;
-  res.out = Relation(Schema::Concat(a.schema(), b.schema()),
-                     VirtualSchema::Concat(a.vschema(), b.vschema()));
-  res.a_matched.assign(static_cast<size_t>(a.NumRows()), 0);
-  res.b_matched.assign(static_cast<size_t>(b.NumRows()), 0);
+  JoinCoreResult res = EmptyJoinResult(a, b);
   OperatorStats* st = ctx.stats;
   if (st != nullptr) {
     st->hash_path = true;
     st->spilled = true;
   }
-  JoinSpillState state{ctx, *ctx.spill, plan, Predicate(plan.residual), &res};
+  JoinSpillState state{ctx, *ctx.spill, plan, &res};
   GSOPT_RETURN_IF_ERROR(
       PartitionAndProcess(state, b, nullptr, a, nullptr, 0));
   if (st != nullptr && state.bloom_active) {

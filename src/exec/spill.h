@@ -62,10 +62,10 @@ Status WriteTupleRecord(SpillFile* f, const Tuple& t, int64_t orig,
 // Reads one record; the tuple's value/vid counts come from the record.
 Status ReadTupleRecord(SpillFile* f, Tuple* t, int64_t* orig);
 
-// Out-of-core replacement for the in-memory JoinCore hash path. Requires
-// plan.usable() and ctx.SpillEnabled(); returns the same result shape as
-// JoinCore (output bag plus globally-indexed matched bitmaps). Builds over
-// `b`, probes with `a`, like the serial kernel.
+// Out-of-core replacement for the in-memory hash-join core. Requires
+// plan.usable() and ctx.SpillEnabled(); returns the same result shape
+// (output bag plus globally-indexed matched bitmaps). Builds over `b`,
+// probes with `a`, and joins each partition with RunHashJoin itself.
 StatusOr<JoinCoreResult> SpillJoinCore(const Relation& a, const Relation& b,
                                        const HashPlan& plan,
                                        const ExecContext& ctx);

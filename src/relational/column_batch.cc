@@ -201,42 +201,4 @@ void GatherVidsInto(const Relation& r, const std::vector<int>& vid_idx,
   }
 }
 
-ColumnBatch ColumnBatch::FromRows(const Relation& r, int64_t begin,
-                                  int64_t end) {
-  GSOPT_CHECK(begin >= 0 && begin <= end && end <= r.NumRows());
-  ColumnBatch b;
-  b.source = &r;
-  b.begin = begin;
-  b.end = end;
-  int ncols = r.schema().size();
-  b.columns.resize(static_cast<size_t>(ncols));
-  for (int c = 0; c < ncols; ++c) {
-    GatherColumnInto(r, c, begin, end, &b.columns[static_cast<size_t>(c)]);
-  }
-  std::vector<int> all_vids(r.vschema().size());
-  for (size_t k = 0; k < all_vids.size(); ++k) all_vids[k] = static_cast<int>(k);
-  GatherVidsInto(r, all_vids, begin, end, &b.vids);
-  b.row_index.resize(static_cast<size_t>(end - begin));
-  for (int64_t i = begin; i < end; ++i) {
-    b.row_index[static_cast<size_t>(i - begin)] = i;
-  }
-  return b;
-}
-
-Tuple ColumnBatch::MaterializeRow(int64_t i) const {
-  GSOPT_DCHECK(i >= 0 && i < NumRows());
-  Tuple t;
-  t.values.reserve(columns.size());
-  for (const Column& c : columns) t.values.push_back(ColumnValueAt(c, i));
-  t.vids.reserve(vids.size());
-  for (const std::vector<RowId>& v : vids) {
-    t.vids.push_back(v[static_cast<size_t>(i)]);
-  }
-  return t;
-}
-
-void ColumnBatch::AppendTo(Relation* out) const {
-  for (int64_t i = 0; i < NumRows(); ++i) out->Add(MaterializeRow(i));
-}
-
 }  // namespace gsopt

@@ -14,11 +14,9 @@
 // while batches over it are live. In exchange, gathering is one pass of
 // trivially-copyable stores per column -- cheap enough to do per operator.
 //
-// Row identity is never lost at the row<->batch boundary: ColumnBatch
-// keeps every virtual row-id column and the ORIGINAL row index of each
-// batch row, so generalized-selection resurrection, MGOJ compensation and
-// outer-join padding above a columnar kernel see exactly the globally-
-// indexed vids and matched bitmaps the tuple-at-a-time kernels produce.
+// Kernels never materialize rows from a batch: gathered columns only feed
+// filters and keys, and outputs copy or concatenate the source tuples
+// themselves, so row ids and original row indices pass through unchanged.
 #ifndef GSOPT_RELATIONAL_COLUMN_BATCH_H_
 #define GSOPT_RELATIONAL_COLUMN_BATCH_H_
 
@@ -99,30 +97,6 @@ void GatherColumnsInto(const Relation& r, const std::vector<int>& cols,
 void GatherVidsInto(const Relation& r, const std::vector<int>& vid_idx,
                     int64_t begin, int64_t end,
                     std::vector<std::vector<RowId>>* out);
-
-// A full batch: every value column, every vid column, and the original row
-// index of each batch row. This is the row->batch converter the columnar
-// kernels and tests share; kernels that only need a few columns gather
-// those directly instead.
-struct ColumnBatch {
-  const Relation* source = nullptr;
-  int64_t begin = 0;
-  int64_t end = 0;
-  std::vector<Column> columns;            // one per schema column
-  std::vector<std::vector<RowId>> vids;   // one per vschema entry
-  std::vector<int64_t> row_index;         // global row index per batch row
-
-  int64_t NumRows() const { return end - begin; }
-
-  static ColumnBatch FromRows(const Relation& r, int64_t begin, int64_t end);
-
-  // Batch->row converters. MaterializeRow rebuilds batch row i (0-based
-  // within the batch) with its values and vids; AppendTo appends every
-  // batch row onto `out` (same schema as the source), round-tripping the
-  // original row order.
-  Tuple MaterializeRow(int64_t i) const;
-  void AppendTo(Relation* out) const;
-};
 
 }  // namespace gsopt
 

@@ -487,7 +487,7 @@ void GsoptServer::ServeRequest(const ConnPtr& conn) {
   if (quota.max_memory != ResourceBudget::kUnlimited) {
     budget.WithMaxMemory(quota.max_memory);
   }
-  ExecOptions xo;
+  ExecuteOptions xo;
   xo.WithBudget(&budget);
 
   StatusOr<QueryResult> result =

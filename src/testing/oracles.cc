@@ -103,33 +103,36 @@ class OracleRunner {
 
  private:
   // Executes under a fresh row budget. kResourceExhausted surfaces to the
-  // caller (which skips the candidate); other errors propagate. Batch mode
-  // is pinned OFF: the reference tuple kernels are the ground truth every
-  // oracle compares against, and the columnar oracle alone turns the batch
-  // paths on (otherwise kAuto would let the two kernel families silently
-  // validate each other on larger inputs). Bloom filtering is pinned OFF
-  // for the same reason: the bloom oracle alone turns it on, against a
-  // ground truth that never consulted a filter. The join strategy is
-  // pinned to kHashOnly likewise: the merge oracle alone forces the
-  // sort-merge paths, against a ground truth that never ran them.
-  StatusOr<Relation> Exec(const NodePtr& n, exec::Executor* executor = nullptr) {
+  // caller (which skips the candidate); other errors propagate. The
+  // baseline runs the reference evaluator (BatchMode::kOff: serial,
+  // row-at-a-time, every join as nested loops) -- the ground truth every
+  // oracle compares against -- while checked candidates run the optimized
+  // kernels (the hash-join core, batch selection and aggregation), so every
+  // oracle differential-tests them too. Bloom filtering is pinned OFF: the
+  // bloom oracle alone turns it on, against a ground truth that never
+  // consulted a filter. The join strategy is pinned to kHashOnly likewise:
+  // the merge oracle alone forces the sort-merge paths.
+  StatusOr<Relation> Exec(const NodePtr& n,
+                          exec::BatchMode batch = exec::BatchMode::kOff,
+                          exec::Executor* executor = nullptr) {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     ExecuteOptions eo;
     eo.budget = &budget;
     eo.executor = executor;
-    eo.batch = exec::BatchMode::kOff;
+    eo.batch = batch;
     eo.bloom = exec::BloomMode::kOff;
     eo.join = exec::JoinStrategy::kHashOnly;
     return Execute(n, catalog_, eo);
   }
 
-  // Executes a candidate whose result flows into a comparison: applies the
-  // fault-injection hook (when configured) so harness self-tests can fake
-  // a wrong answer on every checked path.
+  // Executes a candidate whose result flows into a comparison, on the
+  // optimized kernels: applies the fault-injection hook (when configured)
+  // so harness self-tests can fake a wrong answer on every checked path.
   StatusOr<Relation> ExecChecked(const NodePtr& n,
                                  exec::Executor* executor = nullptr) {
-    GSOPT_ASSIGN_OR_RETURN(Relation r, Exec(n, executor));
+    GSOPT_ASSIGN_OR_RETURN(Relation r,
+                           Exec(n, exec::BatchMode::kAuto, executor));
     if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
     return r;
   }
@@ -432,7 +435,7 @@ void OracleRunner::RunPlanCache() {
 
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    auto got = session.Run(wrapped, ExecOptions{}.WithBudget(&budget));
+    auto got = session.Run(wrapped, ExecuteOptions{}.WithBudget(&budget));
     if (!got.ok()) {
       if (Skipped(got.status())) return;
       Fail(OracleKind::kPlanCache,
@@ -483,7 +486,6 @@ void OracleRunner::RunColumnar() {
     eo.executor = executor;
     eo.spill = spill;
     eo.fault = fault;
-    eo.batch = exec::BatchMode::kForce;
     // Filter-free, so a divergence is attributable to the batch kernels
     // alone (the bloom oracle owns the filtered trials).
     eo.bloom = exec::BloomMode::kOff;
@@ -502,7 +504,7 @@ void OracleRunner::RunColumnar() {
     ++outcome_.plans_checked;
     if (!Relation::BagEquals(baseline_, *got)) {
       Fail(OracleKind::kColumnar,
-           label + " diverges from the tuple-at-a-time result");
+           label + " diverges from the reference result");
     }
   };
 
@@ -610,8 +612,7 @@ void OracleRunner::RunBloom() {
   // Forced-filter execution across every hash-join path. The baseline
   // pinned BloomMode::kOff, so any divergence here is the filter's fault:
   // a filter may only ever skip provably match-free work.
-  auto exec_forced = [&](exec::BatchMode batch, exec::Executor* executor,
-                         ResourceBudget* budget,
+  auto exec_forced = [&](exec::Executor* executor, ResourceBudget* budget,
                          const exec::SpillConfig* spill,
                          FaultInjector* fault) -> StatusOr<Relation> {
     ExecuteOptions eo;
@@ -619,7 +620,6 @@ void OracleRunner::RunBloom() {
     eo.executor = executor;
     eo.spill = spill;
     eo.fault = fault;
-    eo.batch = batch;
     eo.bloom = exec::BloomMode::kForce;
     GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(query_, catalog_, eo));
     if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
@@ -639,42 +639,30 @@ void OracleRunner::RunBloom() {
     }
   };
 
-  // Trial 1: forced filter on the serial tuple-at-a-time kernels.
-  {
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(exec::BatchMode::kOff, nullptr, &budget, nullptr,
-                          nullptr),
-              "bloom (serial)");
-    if (outcome_.failed) return;
-  }
-
-  // Trial 2: forced filter on the columnar batch kernels (the streaming
+  // Trial 1: forced filter on the serial hash-join core (the streaming
   // probe-hash must agree byte-for-byte with the materialized encoding).
   {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(exec::BatchMode::kForce, nullptr, &budget, nullptr,
-                          nullptr),
-              "bloom (columnar)");
+    check_bag(exec_forced(nullptr, &budget, nullptr, nullptr),
+              "bloom (serial)");
     if (outcome_.failed) return;
   }
 
-  // Trial 3: forced filter on the morsel-parallel paths (per-lane filters
-  // OR-merged between the build and probe passes).
+  // Trial 2: forced filter on the morsel-parallel core (one filter over
+  // every lane's build entries, probed from every lane).
   {
     exec::Executor executor(4);
     executor.set_min_parallel_rows(1);
     executor.set_morsel_rows(7);
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(exec::BatchMode::kAuto, &executor, &budget, nullptr,
-                          nullptr),
+    check_bag(exec_forced(&executor, &budget, nullptr, nullptr),
               "bloom (parallel)");
     if (outcome_.failed) return;
   }
 
-  // Trial 4: memory-starved with spilling: the filter gates probe-side
+  // Trial 3: memory-starved with spilling: the filter gates probe-side
   // partition writes, and its own allocation failing under the squeeze
   // must leave a correct (filter-free) out-of-core join.
   {
@@ -683,8 +671,7 @@ void OracleRunner::RunBloom() {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     budget.WithMaxMemory(opt_.chaos_memory_bytes);
-    auto got = exec_forced(exec::BatchMode::kAuto, nullptr, &budget, &spill,
-                           nullptr);
+    auto got = exec_forced(nullptr, &budget, &spill, nullptr);
     if (budget.memory_charged() != 0) {
       Fail(OracleKind::kBloom,
            "bloom (spilling) left " + std::to_string(budget.memory_charged()) +
@@ -721,8 +708,7 @@ void OracleRunner::RunBloom() {
     spill.enabled = true;
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    auto got = exec_forced(exec::BatchMode::kAuto, nullptr, &budget, &spill,
-                           &fault);
+    auto got = exec_forced(nullptr, &budget, &spill, &fault);
     if (budget.memory_charged() != 0) {
       Fail(OracleKind::kBloom,
            "bloom fault seed " + std::to_string(seed) + " left " +
@@ -792,7 +778,8 @@ void OracleRunner::RunMergeJoin() {
     }
   };
 
-  // Trial 1: forced merge on the serial tuple-at-a-time kernels.
+  // Trial 1: forced merge with every other operator on the reference
+  // evaluator's row-at-a-time kernels.
   {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
@@ -807,7 +794,7 @@ void OracleRunner::RunMergeJoin() {
   {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(exec::BatchMode::kForce, nullptr, &budget, nullptr,
+    check_bag(exec_forced(exec::BatchMode::kAuto, nullptr, &budget, nullptr,
                           nullptr),
               "merge (columnar)");
     if (outcome_.failed) return;
@@ -1120,7 +1107,7 @@ void OracleRunner::RunChaos() {
     ResourceBudget b1;
     b1.WithMaxRows(opt_.max_rows_per_exec);
     auto poisoned =
-        session.Run(query_, ExecOptions{}.WithBudget(&b1).WithFault(&fault));
+        session.Run(query_, ExecuteOptions{}.WithBudget(&b1).WithFault(&fault));
     ++outcome_.chaos_trials;
     outcome_.chaos_faults += fault.fired_total();
     // A plan with no kernel work never probes the budget site and may
@@ -1128,7 +1115,7 @@ void OracleRunner::RunChaos() {
     if (!poisoned.ok()) {
       ResourceBudget b2;
       b2.WithMaxRows(opt_.max_rows_per_exec);
-      auto clean = session.Run(query_, ExecOptions{}.WithBudget(&b2));
+      auto clean = session.Run(query_, ExecuteOptions{}.WithBudget(&b2));
       if (!clean.ok()) {
         if (!Skipped(clean.status())) {
           Fail(OracleKind::kChaos,

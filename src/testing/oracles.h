@@ -1,6 +1,8 @@
 // Composable correctness oracles for the metamorphic fuzz harness. Each
 // oracle compares some transformation of a query against its syntactic
-// (as-written, serial) execution, which is the repo's ground truth:
+// (as-written) execution on the reference evaluator (BatchMode::kOff:
+// serial, row-at-a-time, nested-loop joins), which is the repo's ground
+// truth; the transformed side runs the optimized kernels:
 //
 //  * plan space   -- every enumerated association-tree plan bag-equals the
 //                    syntactic result (the paper's Theorem 1 claim);
@@ -8,12 +10,11 @@
 //                    lane count;
 //  * degradation  -- every fallback-ladder rung (generalized, baseline,
 //                    binary-only, syntactic) still answers correctly;
-//  * columnar     -- forcing the batch (columnar) kernel paths -- serial,
-//                    parallel, spilling, faulted -- reproduces the
-//                    tuple-at-a-time result;
+//  * columnar     -- forcing the batch kernel paths -- serial, parallel,
+//                    spilling, faulted -- reproduces the reference result;
 //  * bloom        -- forcing the bloom-filter sideways-information-passing
-//                    pass (BloomMode::kForce) on every hash-join path --
-//                    serial, columnar, parallel, spilled, faulted --
+//                    pass (BloomMode::kForce) on the hash-join core --
+//                    serial, parallel, spilled, faulted --
 //                    reproduces the filter-free result: a filter may only
 //                    ever skip work, never change an answer;
 //  * merge join   -- forcing every equi-join onto the sort-merge path and
@@ -81,18 +82,17 @@ struct OracleOptions {
   bool run_tlp = true;
   bool run_round_trip = true;
   bool run_plan_cache = true;
-  // Columnar-vs-tuple differential: re-executes the query with
-  // BatchMode::kForce -- serial, morsel-parallel, memory-starved (the
-  // batch kernels' spill degradation), and under seeded fault injection --
-  // and holds every trial to the tuple-at-a-time baseline's bag (or, for
-  // the faulted trials, to a clean typed failure). The baseline itself
-  // pins BatchMode::kOff, so the two kernel families never silently
-  // validate each other.
+  // Optimized-vs-reference differential: re-executes the query on the
+  // optimized kernels -- serial, morsel-parallel, memory-starved (the
+  // hash-join core's spill degradation), and under seeded fault injection
+  // -- and holds every trial to the reference baseline's bag (or, for the
+  // faulted trials, to a clean typed failure). The baseline itself pins
+  // BatchMode::kOff, so the optimized kernels never validate themselves.
   bool run_columnar = true;
   // Bloom-on-vs-off differential: re-executes the query with
-  // BloomMode::kForce on every hash-join execution path (serial
-  // tuple-at-a-time, columnar, morsel-parallel, memory-starved/spilled,
-  // and under seeded fault injection, where a failed filter allocation
+  // BloomMode::kForce on every lane count of the hash-join core (serial,
+  // morsel-parallel, memory-starved/spilled, and under seeded fault
+  // injection, where a failed filter allocation
   // must degrade to a filter-free join, never a wrong answer) and holds
   // every trial to the filter-free baseline's bag. The baseline itself
   // pins BloomMode::kOff, so a filter bug cannot validate itself.
@@ -100,7 +100,7 @@ struct OracleOptions {
   // Merge-vs-hash differential: re-executes the query with
   // JoinStrategy::kMergeOnly, forcing every equi-join onto the sort-merge
   // path (and every aggregation onto sort-based grouping) -- serial
-  // tuple-at-a-time, columnar, morsel-parallel, memory-starved/spilled,
+  // reference, columnar, morsel-parallel, memory-starved/spilled,
   // and under seeded fault injection -- and holds every trial to the
   // hash-path baseline's bag. The baseline itself pins
   // JoinStrategy::kHashOnly, so the two join families never silently

@@ -445,7 +445,7 @@ TEST(SessionTest, BudgetGovernsCachedExecutionToo) {
   // A hit skips enumeration but its execution still honors the budget.
   ResourceBudget tiny;
   tiny.WithMaxRows(1);
-  auto served = session.Run(q, ExecOptions{}.WithBudget(&tiny));
+  auto served = session.Run(q, ExecuteOptions{}.WithBudget(&tiny));
   ASSERT_FALSE(served.ok());
   EXPECT_EQ(served.status().code(), StatusCode::kResourceExhausted);
 }

@@ -49,15 +49,17 @@ TEST(ExecPolicy, MergePointersOverrideWhenNonNull) {
 
 TEST(ExecPolicy, MergeModeEnumsOverrideWhenNotAuto) {
   ExecPolicy base;
-  base.batch = exec::BatchMode::kForce;
+  base.bloom = exec::BloomMode::kForce;
   base.join = exec::JoinStrategy::kHashOnly;
 
   ExecPolicy call;
-  EXPECT_EQ(MergeExecPolicy(base, call).batch, exec::BatchMode::kForce)
+  EXPECT_EQ(MergeExecPolicy(base, call).bloom, exec::BloomMode::kForce)
       << "kAuto defers to the layer below";
 
+  call.bloom = exec::BloomMode::kOff;
   call.batch = exec::BatchMode::kOff;
   ExecPolicy merged = MergeExecPolicy(base, call);
+  EXPECT_EQ(merged.bloom, exec::BloomMode::kOff);
   EXPECT_EQ(merged.batch, exec::BatchMode::kOff);
   EXPECT_EQ(merged.join, exec::JoinStrategy::kHashOnly)
       << "untouched enums keep the session default";
@@ -106,8 +108,6 @@ TEST(QueryResult, CarriesRowsPlanAndDisposition) {
   EXPECT_FALSE(r1.value().cache_hit) << "first serve optimizes";
   EXPECT_EQ(r1.value().transient_retries, 0);
   EXPECT_EQ(r1.value().stats, nullptr) << "stats are opt-in";
-  // The compatibility accessor aliases the rows field.
-  EXPECT_EQ(&r1.value().relation(), &r1.value().rows);
 
   auto r2 = session.Query("SELECT * FROM r1 WHERE r1.a = 5");
   ASSERT_TRUE(r2.ok());

@@ -3,9 +3,9 @@
 // negative membership answer is definitive (no false negatives ever), a
 // NULL key is never inserted or checked, and turning the filter on
 // (BloomMode::kForce) must reproduce the filter-free result bag on every
-// join flavor and every execution path -- serial tuple-at-a-time,
-// columnar, morsel-parallel, and spilled -- including when the filter's
-// own allocation fails (degrade to filter-free, never a wrong answer).
+// join flavor and every lane count of the hash-join core -- serial,
+// morsel-parallel, and spilled -- including when the filter's own
+// allocation fails (degrade to filter-free, never a wrong answer).
 #include "exec/bloom.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@ namespace gsopt {
 namespace {
 
 using exec::AntiJoin;
-using exec::BatchMode;
 using exec::BloomEligible;
 using exec::BloomFilter;
 using exec::BloomMode;
@@ -98,27 +97,6 @@ TEST(BloomFilterTest, BytesForIsMonotoneAndCapped) {
   EXPECT_EQ(BloomFilter::BytesFor(int64_t{1} << 40), cap);
 }
 
-TEST(BloomFilterTest, MergeFromOrsTwoLaneFilters) {
-  Rng rng(9);
-  BloomFilter a, b;
-  a.Init(2000);
-  b.Init(2000);
-  std::vector<uint64_t> ha, hb;
-  for (int i = 0; i < 1000; ++i) {
-    uint64_t h = rng.Next64();
-    ha.push_back(h);
-    a.Insert(h);
-  }
-  for (int i = 0; i < 1000; ++i) {
-    uint64_t h = rng.Next64();
-    hb.push_back(h);
-    b.Insert(h);
-  }
-  a.MergeFrom(b);
-  for (uint64_t h : ha) EXPECT_TRUE(a.MayContain(h));
-  for (uint64_t h : hb) EXPECT_TRUE(a.MayContain(h));
-}
-
 TEST(BloomEligibleTest, ModesAndAutoThresholds) {
   EXPECT_FALSE(BloomEligible(BloomMode::kOff, 100, 1 << 20));
   EXPECT_TRUE(BloomEligible(BloomMode::kForce, 1, 1));
@@ -155,20 +133,12 @@ ExecContext FilterOff() {
   return ctx;
 }
 
-// The four execution-path contexts under forced filtering. The spilled
-// variant needs per-call budget/config storage, so paths that require
-// state take it from the caller.
+// The serial hash-join core under forced filtering. The parallel and
+// spilled variants need per-call executor/budget/config storage, so they
+// are built where they run.
 ExecContext ForcedSerial() {
   ExecContext ctx;
   ctx.bloom = BloomMode::kForce;
-  ctx.batch = BatchMode::kOff;
-  return ctx;
-}
-
-ExecContext ForcedColumnar() {
-  ExecContext ctx;
-  ctx.bloom = BloomMode::kForce;
-  ctx.batch = BatchMode::kForce;
   return ctx;
 }
 
@@ -181,11 +151,6 @@ void CheckAllPathsMatchFilterFree(Op&& op, const char* label) {
   ASSERT_TRUE(serial.ok()) << label << ": " << serial.status().ToString();
   EXPECT_TRUE(Relation::BagEquals(*reference, *serial))
       << label << " (serial) diverges";
-
-  auto columnar = op(ForcedColumnar());
-  ASSERT_TRUE(columnar.ok()) << label << ": " << columnar.status().ToString();
-  EXPECT_TRUE(Relation::BagEquals(*reference, *columnar))
-      << label << " (columnar) diverges";
 
   {
     Executor executor(4);
@@ -255,10 +220,9 @@ TEST(BloomJoinTest, AllFlavorsAllPathsMatchFilterFree) {
 
 TEST(BloomJoinTest, UnifiedKeyClassesSurviveFiltering) {
   // Int/double key unification (5 == 5.0), the single NaN class, and the
-  // -0.0/+0.0 fold all flow through two independent hash computations on
-  // the columnar path (materialized build key vs. streaming probe hash);
-  // any byte-level disagreement between them would show up here as a
-  // dropped match.
+  // -0.0/+0.0 fold all flow through two independent hash computations
+  // (materialized build key vs. streaming probe hash); any byte-level
+  // disagreement between them would show up here as a dropped match.
   Relation a = MakeRelation(
       "ra", {"a", "b"},
       {{I(5), I(1)},
@@ -305,15 +269,6 @@ TEST(BloomJoinTest, StatsCountChecksRejectsAndFalsePositives) {
   EXPECT_GT(st.bloom_checks, 0u);
   EXPECT_GT(st.bloom_rejects, 0u);
   EXPECT_LE(st.bloom_false_positives, st.bloom_checks - st.bloom_rejects);
-
-  // Same shape through the columnar kernels.
-  OperatorStats st2;
-  ExecContext ctx2 = ForcedColumnar();
-  ctx2.stats = &st2;
-  ASSERT_TRUE(InnerJoin(a, b, EqA(), ctx2).ok());
-  EXPECT_TRUE(st2.bloom);
-  EXPECT_EQ(st2.bloom_checks, st.bloom_checks);
-  EXPECT_EQ(st2.bloom_rejects, st.bloom_rejects);
 }
 
 TEST(BloomJoinTest, OffModeNeverBuildsAFilter) {
@@ -332,7 +287,7 @@ TEST(BloomJoinTest, FailedFilterAllocationDegradesToFilterFree) {
   Relation b = RandomRel("rb", 60, 42, 10);
   Relation reference = *InnerJoin(a, b, EqA(), FilterOff());
 
-  // The filter's reservation is the serial join's first kAlloc probe;
+  // The filter's reservation is the join's first kAlloc probe;
   // max_faults=1 fires exactly there and nowhere else. The join must run
   // to a correct answer with the filter silently disabled.
   FaultInjector::Options fo;
@@ -349,17 +304,6 @@ TEST(BloomJoinTest, FailedFilterAllocationDegradesToFilterFree) {
   EXPECT_EQ(fault.fired_total(), 1u);
   EXPECT_FALSE(st.bloom);
   EXPECT_TRUE(Relation::BagEquals(reference, *got));
-
-  // Same degrade on the columnar path.
-  FaultInjector fault2(fo);
-  OperatorStats st2;
-  ExecContext ctx2 = ForcedColumnar();
-  ctx2.fault = &fault2;
-  ctx2.stats = &st2;
-  auto got2 = InnerJoin(a, b, EqA(), ctx2);
-  ASSERT_TRUE(got2.ok()) << got2.status().ToString();
-  EXPECT_FALSE(st2.bloom);
-  EXPECT_TRUE(Relation::BagEquals(reference, *got2));
 }
 
 TEST(BloomSpillTest, FilterCutsProbeBytesWrittenToDisk) {
@@ -429,38 +373,35 @@ TEST(BloomJoinTest, AutoModeDisarmsOnHighMatchRates) {
   Relation a = RandomRel("ra", 8192, 71, 100, 0.0);
   Relation b = RandomRel("rb", 200, 72, 100, 0.0);
 
-  auto run = [&](BloomMode bloom, BatchMode batch, OperatorStats* st) {
+  auto run = [&](BloomMode bloom, OperatorStats* st) {
     ExecContext ctx;
     ctx.bloom = bloom;
-    ctx.batch = batch;
     ctx.stats = st;
     return InnerJoin(a, b, EqA(), ctx);
   };
 
   OperatorStats off_st;
-  auto reference = run(BloomMode::kOff, BatchMode::kOff, &off_st);
+  auto reference = run(BloomMode::kOff, &off_st);
   ASSERT_TRUE(reference.ok());
 
-  for (BatchMode batch : {BatchMode::kOff, BatchMode::kForce}) {
-    OperatorStats st;
-    auto result = run(BloomMode::kAuto, batch, &st);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(Relation::BagEquals(*reference, *result));
-    EXPECT_TRUE(st.bloom);
-    EXPECT_GE(st.bloom_checks, exec::kBloomCalibrateChecks);
-    EXPECT_LT(st.bloom_checks, st.probe_rows)
-        << "filter kept checking after calibration said it cannot win";
+  OperatorStats st;
+  auto result = run(BloomMode::kAuto, &st);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(Relation::BagEquals(*reference, *result));
+  EXPECT_TRUE(st.bloom);
+  EXPECT_GE(st.bloom_checks, exec::kBloomCalibrateChecks);
+  EXPECT_LT(st.bloom_checks, st.probe_rows)
+      << "filter kept checking after calibration said it cannot win";
 
-    OperatorStats forced;
-    ASSERT_TRUE(run(BloomMode::kForce, batch, &forced).ok());
-    EXPECT_EQ(forced.bloom_checks, forced.probe_rows);
-  }
+  OperatorStats forced;
+  ASSERT_TRUE(run(BloomMode::kForce, &forced).ok());
+  EXPECT_EQ(forced.bloom_checks, forced.probe_rows);
 }
 
 TEST(BloomJoinTest, ParallelAutoNeedsTheLargerProbeFloor) {
   // 4096 probe rows clear the serial kAuto floor but not the parallel
-  // one: the morsel path pays (lanes + 1) filter builds and a merge, so
-  // kAuto keeps it filter-free until kMinBloomProbeRowsParallel.
+  // one: in-flight morsels already hide lookup latency, so kAuto keeps
+  // the morsel path filter-free until kMinBloomProbeRowsParallel.
   Relation a = RandomRel("ra", 4096, 81, 4000, 0.0);
   Relation b = RandomRel("rb", 200, 82, 100, 0.0);
   Executor executor(4);

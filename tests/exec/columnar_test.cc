@@ -1,11 +1,13 @@
-// Columnar-vs-tuple differential suite for the batch kernel paths
-// (exec/columnar.cc): forcing BatchMode::kForce must reproduce the
-// tuple-at-a-time reference kernels (BatchMode::kOff) on every shape --
-// selection (exact row order), hash joins of every flavor (bag equality),
-// hash aggregation, and the parallel twins -- across batch-boundary sizes,
-// NULL-heavy data, mixed-type columns, fallback atoms, and the memory-cap
-// spill degradation. Also unit-tests the ColumnBatch gather/materialize
-// round trip and the compiled-filter / batch-key building blocks directly.
+// Optimized-vs-reference differential suite for the batch kernel paths:
+// the optimized kernels (BatchMode::kAuto) must reproduce the reference
+// evaluator
+// (BatchMode::kOff: row-at-a-time selection and aggregation, nested-loop
+// joins) on every shape -- selection (exact row order), hash joins of
+// every flavor (bag equality), hash aggregation, and the parallel twins --
+// across batch-boundary sizes, NULL-heavy data, mixed-type columns,
+// fallback atoms, arithmetic join keys, and the memory-cap spill
+// degradation. Also unit-tests the column gather and the compiled filter
+// directly.
 #include "exec/columnar.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "exec/aggregate.h"
 #include "exec/eval.h"
 #include "exec/executor.h"
+#include "exec/keys.h"
 #include "relational/column_batch.h"
 #include "relational/datagen.h"
 
@@ -49,11 +52,7 @@ Value D(double v) { return Value::Double(v); }
 Value S(std::string v) { return Value::String(std::move(v)); }
 Value N() { return Value::Null(); }
 
-ExecContext Forced() {
-  ExecContext ctx;
-  ctx.batch = BatchMode::kForce;
-  return ctx;
-}
+ExecContext Optimized() { return ExecContext(); }
 
 ExecContext Reference() {
   ExecContext ctx;
@@ -72,30 +71,8 @@ Relation RandomRel(const std::string& name, int rows, uint64_t seed,
 }
 
 // ---------------------------------------------------------------------------
-// ColumnBatch: gather / materialize round trip.
+// Column gathers: per-batch kind detection.
 // ---------------------------------------------------------------------------
-
-TEST(ColumnBatchTest, FromRowsRoundTripsValuesAndVids) {
-  Relation r = MakeRelation("r", {"x", "y"},
-                            {{I(1), D(1.5)},
-                             {N(), S("hi")},
-                             {I(3), N()},
-                             {D(4.25), I(-7)}});
-  ColumnBatch batch = ColumnBatch::FromRows(r, 0, r.NumRows());
-  ASSERT_EQ(batch.NumRows(), r.NumRows());
-  for (int64_t i = 0; i < r.NumRows(); ++i) {
-    Tuple t = batch.MaterializeRow(i);
-    ASSERT_EQ(t.values.size(), r.row(i).values.size());
-    for (size_t c = 0; c < t.values.size(); ++c) {
-      EXPECT_TRUE(Value::IdentityEquals(t.values[c], r.row(i).values[c]))
-          << "row " << i << " col " << c;
-    }
-    EXPECT_EQ(t.vids, r.row(i).vids);
-  }
-  Relation out(r.schema(), r.vschema());
-  batch.AppendTo(&out);
-  EXPECT_TRUE(Relation::BagEquals(r, out));
-}
 
 TEST(ColumnBatchTest, KindDetectionPerBatch) {
   Relation r = MakeRelation("r", {"i", "d", "s", "m", "n"},
@@ -124,7 +101,7 @@ TEST(ColumnBatchTest, KindDetectionPerBatch) {
 
 void ExpectSelectExactlyMatches(const Relation& r, const Predicate& p) {
   StatusOr<Relation> ref = Select(r, p, Reference());
-  StatusOr<Relation> col = Select(r, p, Forced());
+  StatusOr<Relation> col = Select(r, p, Optimized());
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(col.ok());
   ASSERT_EQ(ref->NumRows(), col->NumRows()) << p.ToString();
@@ -200,21 +177,22 @@ TEST(ColumnarSelectTest, MixedTypeColumnsMatchReference) {
                                                         S("x"))));
 }
 
-TEST(ColumnarSelectTest, AutoThresholdUsesColumnarPathAndRecordsStats) {
-  Relation big = RandomRel("ra", 500, 3);
+TEST(ColumnarSelectTest, OnlyTheReferenceRunsRowAtATime) {
   Predicate p(MakeConstAtom("ra", "a", CmpOp::kGe, I(2)));
-  OperatorStats st;
-  ExecContext ctx;
-  ctx.stats = &st;
-  ASSERT_TRUE(Select(big, p, ctx).ok());
-  EXPECT_TRUE(st.columnar);
-  EXPECT_GT(st.batches, 0u);
-  // Below the kAuto threshold the reference kernel runs.
-  Relation small = RandomRel("ra", 16, 4);
-  OperatorStats st2;
-  ctx.stats = &st2;
-  ASSERT_TRUE(Select(small, p, ctx).ok());
-  EXPECT_FALSE(st2.columnar);
+  for (int rows : {16, 500}) {
+    Relation r = RandomRel("ra", rows, 3);
+    OperatorStats st;
+    ExecContext ctx;
+    ctx.stats = &st;
+    ASSERT_TRUE(Select(r, p, ctx).ok());
+    EXPECT_TRUE(st.columnar) << rows << " rows";
+    EXPECT_GT(st.batches, 0u);
+    OperatorStats ref_st;
+    ExecContext ref = Reference();
+    ref.stats = &ref_st;
+    ASSERT_TRUE(Select(r, p, ref).ok());
+    EXPECT_FALSE(ref_st.columnar);
+  }
 }
 
 TEST(ApplyFilterTest, RefinesAcrossAtomsInAscendingOrder) {
@@ -231,7 +209,7 @@ TEST(ApplyFilterTest, RefinesAcrossAtomsInAscendingOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Joins: kForce vs kOff bag equality on every flavor.
+// Joins: optimized vs reference bag equality on every flavor.
 // ---------------------------------------------------------------------------
 
 Predicate EqA() { return Predicate(MakeAtom("ra", "a", CmpOp::kEq, "rb", "a")); }
@@ -247,17 +225,17 @@ TEST(ColumnarJoinTest, AllFlavorsMatchReference) {
     Relation b = RandomRel("rb", 70, seed + 50);
     for (const Predicate& p : {EqA(), EqAWithResidual()}) {
       EXPECT_TRUE(Relation::BagEquals(*InnerJoin(a, b, p, Reference()),
-                                      *InnerJoin(a, b, p, Forced())));
+                                      *InnerJoin(a, b, p, Optimized())));
       EXPECT_TRUE(Relation::BagEquals(*LeftOuterJoin(a, b, p, Reference()),
-                                      *LeftOuterJoin(a, b, p, Forced())));
+                                      *LeftOuterJoin(a, b, p, Optimized())));
       EXPECT_TRUE(Relation::BagEquals(*RightOuterJoin(a, b, p, Reference()),
-                                      *RightOuterJoin(a, b, p, Forced())));
+                                      *RightOuterJoin(a, b, p, Optimized())));
       EXPECT_TRUE(Relation::BagEquals(*FullOuterJoin(a, b, p, Reference()),
-                                      *FullOuterJoin(a, b, p, Forced())));
+                                      *FullOuterJoin(a, b, p, Optimized())));
       EXPECT_TRUE(Relation::BagEquals(*SemiJoin(a, b, p, Reference()),
-                                      *SemiJoin(a, b, p, Forced())));
+                                      *SemiJoin(a, b, p, Optimized())));
       EXPECT_TRUE(Relation::BagEquals(*AntiJoin(a, b, p, Reference()),
-                                      *AntiJoin(a, b, p, Forced())));
+                                      *AntiJoin(a, b, p, Optimized())));
     }
   }
 }
@@ -267,14 +245,14 @@ TEST(ColumnarJoinTest, BatchBoundarySizesMatchReference) {
     Relation a = RandomRel("ra", rows, 31 + rows, /*domain=*/16);
     Relation b = RandomRel("rb", rows, 77 + rows, /*domain=*/16);
     EXPECT_TRUE(Relation::BagEquals(*InnerJoin(a, b, EqA(), Reference()),
-                                    *InnerJoin(a, b, EqA(), Forced())))
+                                    *InnerJoin(a, b, EqA(), Optimized())))
         << rows << " rows";
   }
 }
 
 TEST(ColumnarJoinTest, MultiColumnAndMixedTypeKeysMatchReference) {
   // Keys spanning two columns with cross-type int/double values: the
-  // binary batch encoding must induce the same partition as the text path.
+  // binary key encoding must induce the same partition as comparison.
   Relation a = MakeRelation("ra", {"a", "b"},
                             {{I(1), I(2)},
                              {D(1.0), I(2)},
@@ -291,14 +269,15 @@ TEST(ColumnarJoinTest, MultiColumnAndMixedTypeKeysMatchReference) {
   Predicate p = Predicate::And(
       EqA(), Predicate(MakeAtom("ra", "b", CmpOp::kEq, "rb", "b")));
   EXPECT_TRUE(Relation::BagEquals(*InnerJoin(a, b, p, Reference()),
-                                  *InnerJoin(a, b, p, Forced())));
+                                  *InnerJoin(a, b, p, Optimized())));
   EXPECT_TRUE(Relation::BagEquals(*FullOuterJoin(a, b, p, Reference()),
-                                  *FullOuterJoin(a, b, p, Forced())));
+                                  *FullOuterJoin(a, b, p, Optimized())));
 }
 
-TEST(ColumnarJoinTest, ArithmeticKeyStaysOnReferencePath) {
-  // a.a + 1 = b.a separates as an equi-key but is not a plain column, so
-  // the columnar join must decline and results still agree.
+TEST(ColumnarJoinTest, ArithmeticKeyRunsOnTheHashCore) {
+  // a.a + 1 = b.a separates as an equi-key that is not a plain column: the
+  // key term is evaluated into a gathered column, so the join still runs
+  // on the hash core and agrees with nested loops.
   Relation a = RandomRel("ra", 200, 5, /*domain=*/8, /*null_fraction=*/0.1);
   Relation b = RandomRel("rb", 200, 6, /*domain=*/8, /*null_fraction=*/0.1);
   Predicate p;
@@ -307,11 +286,19 @@ TEST(ColumnarJoinTest, ArithmeticKeyStaysOnReferencePath) {
                                Scalar::Const(I(1))),
                  CmpOp::kEq, Scalar::Column("rb", "a")});
   OperatorStats st;
-  ExecContext ctx = Forced();
+  ExecContext ctx = Optimized();
   ctx.stats = &st;
   StatusOr<Relation> forced = InnerJoin(a, b, p, ctx);
   ASSERT_TRUE(forced.ok());
-  EXPECT_TRUE(Relation::BagEquals(*InnerJoin(a, b, p, Reference()), *forced));
+  EXPECT_TRUE(st.hash_path);
+  // The reference evaluator runs the same join as nested loops.
+  OperatorStats ref_st;
+  ExecContext ref = Reference();
+  ref.stats = &ref_st;
+  StatusOr<Relation> reference = InnerJoin(a, b, p, ref);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_FALSE(ref_st.hash_path);
+  EXPECT_TRUE(Relation::BagEquals(*reference, *forced));
 }
 
 TEST(ColumnarJoinTest, SpillUnderMemoryCapMatchesUncapped) {
@@ -322,7 +309,7 @@ TEST(ColumnarJoinTest, SpillUnderMemoryCapMatchesUncapped) {
   budget.WithMaxMemory(4 * 1024);
   SpillConfig spill;
   spill.enabled = true;
-  ExecContext ctx = Forced();
+  ExecContext ctx = Optimized();
   ctx.budget = &budget;
   ctx.spill = &spill;
   OperatorStats st;
@@ -339,7 +326,7 @@ TEST(ColumnarJoinTest, MemoryCapWithoutSpillFailsCleanly) {
   Relation b = RandomRel("rb", 300, 32, /*domain=*/4);
   ResourceBudget budget;
   budget.WithMaxMemory(512);
-  ExecContext ctx = Forced();
+  ExecContext ctx = Optimized();
   ctx.budget = &budget;
   StatusOr<Relation> r = InnerJoin(a, b, EqA(), ctx);
   ASSERT_FALSE(r.ok());
@@ -350,7 +337,7 @@ TEST(ColumnarJoinTest, MemoryCapWithoutSpillFailsCleanly) {
 // ---------------------------------------------------------------------------
 // Special double keys (the key-canonicalization regression suite): hash
 // equality must agree with comparison equality for -0.0 / +0.0, NaN, and
-// int-valued doubles, on both the tuple and columnar paths.
+// int-valued doubles.
 // ---------------------------------------------------------------------------
 
 TEST(SpecialDoubleKeyTest, HashJoinMatchesNestedLoopOnSignedZeroAndNaN) {
@@ -370,17 +357,14 @@ TEST(SpecialDoubleKeyTest, HashJoinMatchesNestedLoopOnSignedZeroAndNaN) {
                              {D(nan), I(13)},
                              {D(9007199254740992.0), I(14)},
                              {D(5.0), I(15)}});
-  // Same equality phrased so no equi-conjunct separates: forces the
-  // nested-loop path, whose Value::Compare is the semantic ground truth.
-  Predicate nested;
-  nested.AddAtom(MakeAtom("ra", "a", CmpOp::kLe, "rb", "a"));
-  nested.AddAtom(MakeAtom("ra", "a", CmpOp::kGe, "rb", "a"));
-  Relation nl = *InnerJoin(a, b, nested, Reference());
+  // The reference evaluator runs nested loops, whose Value::Compare is the
+  // semantic ground truth.
+  Relation nl = *InnerJoin(a, b, EqA(), Reference());
   // -0.0, +0.0 and the int 0 all match each other (3x3) plus NaN pairs
   // (2x1) plus 5 = 5.0: the canonicalized key encoding must reproduce
-  // exactly this bag on the hash paths.
-  EXPECT_TRUE(Relation::BagEquals(nl, *InnerJoin(a, b, EqA(), Reference())));
-  EXPECT_TRUE(Relation::BagEquals(nl, *InnerJoin(a, b, EqA(), Forced())));
+  // exactly this bag on the hash core.
+  EXPECT_TRUE(Relation::BagEquals(nl, *InnerJoin(a, b, EqA(), Optimized())));
+  EXPECT_TRUE(Relation::BagEquals(nl, *InnerJoin(a, b, EqA())));
 }
 
 TEST(SpecialDoubleKeyTest, ValueHashAgreesWithEquality) {
@@ -394,6 +378,39 @@ TEST(SpecialDoubleKeyTest, ValueHashAgreesWithEquality) {
   // NaN sorts after every non-NaN and never equals one.
   EXPECT_GT(Value::Compare(D(nan), D(1e308)), 0);
   EXPECT_NE(Value::Compare(D(nan), I(0)), 0);
+}
+
+TEST(KeyEncodingTest, BatchKeysMatchTheTupleEncoding) {
+  // One encoding, two emitters: the streaming hash must hash exactly the
+  // bytes AppendBatchKey builds, and batch group keys must be the bytes
+  // EncodeTupleKeyInto builds for the same row -- across every column
+  // kind, NULLs, NaN payloads, signed zero and integral doubles.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Relation r = MakeRelation("r", {"i", "d", "s", "m"},
+                            {{I(7), D(0.5), S("ab"), I(1)},
+                             {N(), D(-0.0), S(""), D(1.0)},
+                             {I(-3), D(nan), N(), S("1")},
+                             {I(9007199254740993), D(4.0), S("x"), N()}});
+  std::vector<int> cols = {0, 1, 2, 3};
+  std::vector<Column> gathered;
+  GatherColumnsInto(r, cols, 0, r.NumRows(), &gathered);
+  std::vector<std::vector<RowId>> vids;
+  GatherVidsInto(r, {0}, 0, r.NumRows(), &vids);
+  for (int64_t i = 0; i < r.NumRows(); ++i) {
+    std::string key;
+    uint64_t h = 0;
+    bool has_key = exec::AppendBatchKey(gathered, i, &key);
+    EXPECT_EQ(exec::HashBatchKey(gathered, i, &h), has_key) << "row " << i;
+    if (has_key) EXPECT_EQ(h, exec::HashKeyBytes(key)) << "row " << i;
+    std::string group;
+    exec::AppendBatchGroupKey(gathered, vids, i, &group);
+    EXPECT_EQ(group, exec::EncodeTupleKey(r.row(i), cols, {0})) << "row " << i;
+  }
+  // Key classes: 1 == 1.0 and -0.0 == 0, but a string never equals a number.
+  EXPECT_EQ(exec::EncodeTupleKey(r.row(0), {3}, {}),
+            exec::EncodeTupleKey(r.row(1), {3}, {}));
+  EXPECT_NE(exec::EncodeTupleKey(r.row(0), {3}, {}),
+            exec::EncodeTupleKey(r.row(2), {3}, {}));
 }
 
 // ---------------------------------------------------------------------------
@@ -422,7 +439,7 @@ TEST(ColumnarAggTest, GroupByMatchesReference) {
     spec.aggs.push_back(Agg(AggFunc::kAvg, Scalar::Column("ra", "b"), "m"));
     spec.aggs.push_back(Agg(AggFunc::kCount, Scalar::Column("ra", "b"), "c"));
     OperatorStats st;
-    ExecContext forced = Forced();
+    ExecContext forced = Optimized();
     forced.stats = &st;
     StatusOr<Relation> ref = GeneralizedProjection(r, spec, Reference());
     StatusOr<Relation> col = GeneralizedProjection(r, spec, forced);
@@ -433,21 +450,21 @@ TEST(ColumnarAggTest, GroupByMatchesReference) {
   }
 }
 
-TEST(ColumnarAggTest, DistinctAggFallsBackAndMatches) {
+TEST(ColumnarAggTest, DistinctAggRunsOnTheBatchFeedAndMatches) {
   Relation r = RandomRel("ra", 200, 9);
   GroupBySpec spec;
   spec.group_cols = {Attribute{"ra", "a"}};
   spec.aggs.push_back(
       Agg(AggFunc::kCount, Scalar::Column("ra", "b"), "dc", /*distinct=*/true));
   OperatorStats st;
-  ExecContext forced = Forced();
+  ExecContext forced = Optimized();
   forced.stats = &st;
   StatusOr<Relation> ref = GeneralizedProjection(r, spec, Reference());
   StatusOr<Relation> col = GeneralizedProjection(r, spec, forced);
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(col.ok());
   EXPECT_TRUE(Relation::BagEquals(*ref, *col));
-  EXPECT_FALSE(st.columnar);  // DISTINCT pins the reference path
+  EXPECT_TRUE(st.columnar);  // DISTINCT only pins the feed to one lane
 }
 
 TEST(ColumnarAggTest, GroupKeyNullsAndVidsMatchReference) {
@@ -459,7 +476,7 @@ TEST(ColumnarAggTest, GroupKeyNullsAndVidsMatchReference) {
   spec.group_vid_rels = {"ra"};
   spec.aggs.push_back(Agg(AggFunc::kCountStar, nullptr, "n"));
   StatusOr<Relation> ref = GeneralizedProjection(r, spec, Reference());
-  StatusOr<Relation> col = GeneralizedProjection(r, spec, Forced());
+  StatusOr<Relation> col = GeneralizedProjection(r, spec, Optimized());
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(col.ok());
   EXPECT_TRUE(Relation::BagEquals(*ref, *col));
@@ -483,7 +500,7 @@ TEST(ColumnarParallelTest, SelectAndJoinMatchSerialReference) {
   for (uint64_t seed = 0; seed < 5; ++seed) {
     Relation a = RandomRel("ra", 211, seed);
     Relation b = RandomRel("rb", 163, seed + 40);
-    ExecContext par = Forced();
+    ExecContext par = Optimized();
     par.executor = TestExecutor();
     Predicate sel(MakeAtom("ra", "a", CmpOp::kLt, "ra", "b"));
     EXPECT_TRUE(Relation::BagEquals(*Select(a, sel, Reference()),

@@ -1,5 +1,5 @@
 // Outer-join NULL equi-key semantics: a NULL join key never equi-matches
-// (3VL), so the hash path's EncodeKeys skips the row -- but on the
+// (3VL), so the hash core's key encoding skips the row -- but on the
 // preserved side of an outer join the same row must still come back
 // null-padded. The hash fast path and the nested-loop fallback must agree
 // on this, which the property test pins down by running each predicate in

@@ -1,6 +1,6 @@
 // Serial-vs-parallel bag-equality property suite: for every operator
 // kernel, executing with a multi-lane Executor must produce the same bag
-// of tuples as the serial reference kernels, on randomized null-heavy
+// of tuples as the serial (one-lane) kernels, on randomized null-heavy
 // inputs. Covers both join paths (partitioned hash and nested loops),
 // outer-join null-padding, generalized-selection resurrection of preserved
 // groups, and parallel hash aggregation. The executor's thresholds are

@@ -5,8 +5,9 @@
 // plan-cache / columnar oracles on each (the plan-cache oracle runs every
 // case through a gsopt::Session, validating that cached parameterized
 // templates re-instantiate to exactly what literal re-optimization
-// produces; the columnar oracle forces the batch kernel paths -- serial,
-// parallel, spilling, faulted -- against the tuple-at-a-time baseline; the
+// produces; the columnar oracle runs the batch kernel paths -- serial,
+// parallel, spilling, faulted -- against the reference-evaluator baseline
+// (BatchMode::kOff: row-at-a-time, nested-loop joins); the
 // merge oracle forces JoinStrategy::kMergeOnly across the same paths
 // against a hash-pinned baseline; the order oracle re-checks ORDER BY
 // queries through the order-aware optimizer and forced-merge execution);
