@@ -114,10 +114,10 @@ struct JoinWorkload {
   const Relation& r2() const { return *cat.Find("r2"); }
 };
 
-void RunJoin(benchmark::State& state, exec::JoinStrategy js) {
+void RunJoin(benchmark::State& state, bool merge) {
   JoinWorkload w(state.range(0));
   exec::ExecContext ctx;
-  ctx.join = js;
+  ctx.merge_hint = merge;
   int64_t rows = 0;
   for (auto _ : state) {
     auto r = exec::InnerJoin(w.r1(), w.r2(), w.eq, ctx);
@@ -129,24 +129,22 @@ void RunJoin(benchmark::State& state, exec::JoinStrategy js) {
 }
 
 void BM_HashJoinPresorted(benchmark::State& state) {
-  RunJoin(state, exec::JoinStrategy::kHashOnly);
+  RunJoin(state, /*merge=*/false);
 }
 
 void BM_MergeJoinPresorted(benchmark::State& state) {
-  RunJoin(state, exec::JoinStrategy::kMergeOnly);
+  RunJoin(state, /*merge=*/true);
 }
 
 // --- the headline: ORDER BY discharged by the merge join's order ------
 
-// Hash side: the same ordered query executed with the merge hint ignored,
-// so the kSort enforcer re-sorts the join output.
+// Hash side: the same ordered query executed as written -- no merge hint,
+// so a hash join feeds the kSort enforcer, which re-sorts its output.
 void BM_OrderByHashThenSort(benchmark::State& state) {
   JoinWorkload w(state.range(0));
-  ExecuteOptions xo;
-  xo.WithJoinStrategy(exec::JoinStrategy::kHashOnly);
   int64_t rows = 0;
   for (auto _ : state) {
-    auto r = Execute(w.ordered_query, w.cat, xo);
+    auto r = Execute(w.ordered_query, w.cat);
     rows = r.ok() ? r->NumRows() : -1;
     benchmark::DoNotOptimize(rows);
   }

@@ -108,9 +108,9 @@ StatusOr<Relation> ExecuteNode(const NodePtr& node, const Catalog& catalog,
   if (options.budget != nullptr) {
     GSOPT_RETURN_IF_ERROR(options.budget->CheckDeadlineNow("execute"));
   }
-  exec::ExecContext ctx{options.budget,  stats,         options.executor,
-                        options.fault,   options.spill, options.batch,
-                        options.bloom,   options.join,  node->merge_join()};
+  exec::ExecContext ctx{options.budget, stats,         options.executor,
+                        options.fault,  options.spill, options.batch,
+                        options.bloom,  node->merge_join()};
   Clock::time_point start;
   if (stats != nullptr) {
     stats->op = StatsLabel(*node);

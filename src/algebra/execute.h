@@ -48,26 +48,6 @@ struct ExecPolicy {
   // joins and aggregations that trip the memory cap degrade to the
   // out-of-core partitioned path instead of failing; see exec/eval.h.
   const exec::SpillConfig* spill = nullptr;
-  // Kernel policy (exec/eval.h BatchMode). kAuto -- the default -- runs
-  // the optimized batch kernels; kOff runs the reference evaluator
-  // (serial, row-at-a-time, nested-loop joins: a testing mode). Results
-  // are bag-equal across modes (the optimized-vs-reference oracle enforces
-  // this); only row order may differ.
-  exec::BatchMode batch = exec::BatchMode::kAuto;
-  // Bloom-filter sideways-information-passing policy (exec/bloom.h
-  // BloomMode). kAuto -- the default -- builds a build-side filter for
-  // joins whose build/probe cardinality ratio makes early probe rejection
-  // profitable; kOff pins every join filter-free (the differential
-  // baseline); kForce always filters. Results are bag-equal across modes
-  // (the bloom-vs-off oracle enforces this).
-  exec::BloomMode bloom = exec::BloomMode::kAuto;
-  // Physical join-strategy policy (exec/eval.h JoinStrategy). kAuto -- the
-  // default -- follows the per-node merge hints the order-aware optimizer
-  // stamps (hash when unhinted); kHashOnly pins the hash/nested-loop paths
-  // (the differential baseline); kMergeOnly forces sort-merge joins and
-  // sort-based aggregation everywhere. Results are bag-equal across modes
-  // (the merge-vs-hash oracle enforces this); only row order may differ.
-  exec::JoinStrategy join = exec::JoinStrategy::kAuto;
   // Serving-layer knob: when true, Session allocates an OperatorStats tree
   // inside the QueryResult it returns, so callers get per-operator actuals
   // without threading a stats pointer side channel. The low-level
@@ -76,21 +56,13 @@ struct ExecPolicy {
 };
 
 // The one place per-call overrides meet per-session defaults. Pointer
-// fields override when non-null; mode enums override when not kAuto (kAuto
-// means "defer to the layer below", so a call that leaves a mode at its
-// default inherits the session's choice -- to force the automatic
-// behaviour against a pinned session default, pass the pinned mode's
-// opposite explicitly); collect_stats is sticky (either layer can turn it
-// on). Replaces the ad-hoc field-by-field logic Session::MergedExec used
-// to carry -- and which silently dropped per-call batch/bloom/join.
+// fields override when non-null; collect_stats is sticky (either layer can
+// turn it on).
 inline ExecPolicy MergeExecPolicy(ExecPolicy base, const ExecPolicy& call) {
   if (call.budget != nullptr) base.budget = call.budget;
   if (call.executor != nullptr) base.executor = call.executor;
   if (call.fault != nullptr) base.fault = call.fault;
   if (call.spill != nullptr) base.spill = call.spill;
-  if (call.batch != exec::BatchMode::kAuto) base.batch = call.batch;
-  if (call.bloom != exec::BloomMode::kAuto) base.bloom = call.bloom;
-  if (call.join != exec::JoinStrategy::kAuto) base.join = call.join;
   base.collect_stats = base.collect_stats || call.collect_stats;
   return base;
 }
@@ -118,18 +90,6 @@ struct ExecPolicyBuilder {
     self().policy().spill = s;
     return self();
   }
-  Derived& WithBatchMode(exec::BatchMode m) {
-    self().policy().batch = m;
-    return self();
-  }
-  Derived& WithBloomMode(exec::BloomMode m) {
-    self().policy().bloom = m;
-    return self();
-  }
-  Derived& WithJoinStrategy(exec::JoinStrategy s) {
-    self().policy().join = s;
-    return self();
-  }
   Derived& WithCollectStats(bool b = true) {
     self().policy().collect_stats = b;
     return self();
@@ -141,13 +101,28 @@ struct ExecPolicyBuilder {
 
 // Interpreter options: the shared execution policy (inherited, so
 // `options.budget` etc. keep reading naturally at kernel call sites) plus
-// the interpreter-only stats side channel.
+// the interpreter-only knobs: the stats side channel and the two kernel
+// modes the differential tests, fuzz oracles and benches pin. Session
+// reads only the policy half, so serving always runs the optimized
+// kernels with automatic bloom filtering.
 struct ExecuteOptions : ExecPolicy, ExecPolicyBuilder<ExecuteOptions> {
   // Optional stats collection root (not owned). When set, Execute fills it
   // for the plan's root operator and appends one child per plan child.
   // Serving-layer callers should prefer ExecPolicy::collect_stats, which
   // returns an owned tree inside the QueryResult.
   exec::OperatorStats* stats = nullptr;
+  // Kernel policy (exec/eval.h BatchMode). kAuto -- the default -- runs
+  // the optimized batch kernels; kOff runs the reference evaluator
+  // (serial, row-at-a-time, nested-loop joins: a testing mode). Results
+  // are bag-equal across modes (the optimized-vs-reference oracle enforces
+  // this); only row order may differ.
+  exec::BatchMode batch = exec::BatchMode::kAuto;
+  // Bloom-filter sideways-information-passing policy (exec/bloom.h
+  // BloomMode). kAuto -- the default -- builds a build-side filter for
+  // joins whose build/probe cardinality ratio makes early probe rejection
+  // profitable; kOff pins every join filter-free; kForce always filters.
+  // Results are bag-equal across modes (the bloom oracle enforces this).
+  exec::BloomMode bloom = exec::BloomMode::kAuto;
 
   ExecPolicy& policy() { return *this; }
   const ExecPolicy& policy() const { return *this; }

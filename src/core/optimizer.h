@@ -64,13 +64,12 @@ struct OptimizeOptions {
   // When the budget is exhausted mid-search, descend the fallback ladder
   // instead of failing. Disable to surface Status(kResourceExhausted).
   bool fallback = true;
-  // The winning plan will execute serially with merge hints honored
-  // (JoinStrategy kAuto or kMergeOnly), so the order-aware pass may remove
-  // kSort enforcers whose order the subtree already delivers. MUST be
-  // false when the plan may run on a parallel executor (morsel kernels do
-  // not preserve row order) or with JoinStrategy::kHashOnly (the merge
-  // hint is ignored and hash order comes out). Merge-hint stamping on
-  // presorted inputs happens regardless of this flag.
+  // The winning plan will execute serially, so the order-aware pass may
+  // remove kSort enforcers whose order the subtree already delivers (the
+  // interpreter always honors the merge hints it stamps). MUST be false
+  // when the plan may run on a parallel executor: morsel kernels do not
+  // preserve row order. Session clears it for a multi-lane executor.
+  // Merge-hint stamping on presorted inputs happens regardless.
   bool assume_ordered_exec = true;
 
   // Fluent builder (the serving API spells options this way; see

@@ -68,11 +68,10 @@ Session::Session(const Catalog& catalog, SessionOptions options)
       options_(std::move(options)),
       cache_(options_.plan_cache_capacity, options_.plan_cache_shards) {
   // The order-aware pass may only remove ORDER BY enforcers when the plans
-  // this session serves will execute in row order with merge hints
-  // honored: serial kernels (parallel morsels permute rows) and a join
-  // strategy that takes the merge path (kHashOnly ignores the hint).
-  if ((options_.exec.executor != nullptr && options_.exec.executor->lanes() > 1) ||
-      options_.exec.join == exec::JoinStrategy::kHashOnly) {
+  // this session serves will execute in row order: serial kernels
+  // (parallel morsels permute rows).
+  const exec::Executor* executor = options_.exec.executor;
+  if (executor != nullptr && executor->lanes() > 1) {
     options_.optimize.assume_ordered_exec = false;
   }
 }

@@ -79,8 +79,9 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   // sharing a cache but differing in knobs never serve each other's plans.
   OptimizeOptions optimize;
   // Default execution policy applied to every call; per-call ExecuteOptions
-  // override via MergeExecPolicy (pointers when non-null, mode enums when
-  // not kAuto). The With* execution setters come from the shared
+  // override via MergeExecPolicy (pointers when non-null). The plan's
+  // merge hints pick each join's physical path, and serving always runs
+  // the optimized kernels. The With* execution setters come from the shared
   // ExecPolicyBuilder mixin (algebra/execute.h), so SessionOptions and
   // ExecuteOptions no longer each re-declare the chain.
   ExecPolicy exec;

@@ -263,111 +263,26 @@ Status FeedRows(const Relation& r, const ResolvedGP& rs,
   return Status::OK();
 }
 
-// Emits the output row of one finished group. `ordinal` threads the
-// synthetic group row id across calls, so spilled partitions and the
-// sorted feed emit globally unique ids exactly like a single in-memory
-// map would.
-Status EmitGroupRow(const ResolvedGP& rs, const Group& g,
-                    const ExecContext& ctx, RowId* ordinal, Relation* out) {
-  const GroupBySpec& spec = *rs.spec;
-  Tuple t;
-  t.values.reserve(static_cast<size_t>(rs.out_schema.size()));
-  for (int i : rs.gcol_idx) t.values.push_back(g.representative.values[i]);
-  for (size_t k = 0; k < spec.aggs.size(); ++k) {
-    t.values.push_back(g.accs[k].Result(spec.aggs[k]));
-  }
-  t.vids.reserve(static_cast<size_t>(rs.out_vschema.size()));
-  for (int i : rs.gvid_idx) t.vids.push_back(g.representative.vids[i]);
-  if (rs.synthetic_vid) t.vids.push_back((*ordinal)++);
-  out->Add(std::move(t));
-  return ctx.ChargeRows(1, "group-by");
-}
-
-// Emits one output row per group in first-seen order.
+// Emits one output row per group in first-seen order. `ordinal` threads
+// the synthetic group row id across calls, so spilled partitions emit
+// globally unique ids exactly like a single in-memory map would.
 Status EmitGroups(const ResolvedGP& rs, const GroupMap& gm,
                   const ExecContext& ctx, RowId* ordinal, Relation* out) {
-  for (const std::string& key : gm.order) {
-    GSOPT_RETURN_IF_ERROR(
-        EmitGroupRow(rs, gm.groups.at(key), ctx, ordinal, out));
-  }
-  return Status::OK();
-}
-
-// Sort-based feed (ctx.SortedAggregation(), i.e. JoinStrategy::kMergeOnly):
-// stable-sorts a row-index permutation by encoded group key and streams
-// key-equal blocks, so only ONE group's accumulator state is live at a
-// time instead of a whole hash map. The key bytes define the identical
-// equality partition as the hash feed (EncodeTupleKeyInto), and stability
-// makes each block's first row the group's first-seen row, so
-// representatives agree with the hash path; only emit order and synthetic
-// ordinals differ, which is bag-equal. A memory trip (the key buffer, or
-// one group's DISTINCT dedup set) reports *mem_trip for the caller's
-// out-of-core degradation.
-Status SortedFeedEmit(const Relation& r, const ResolvedGP& rs,
-                      const ExecContext& ctx, RowId* ordinal, Relation* out,
-                      bool* mem_trip) {
   const GroupBySpec& spec = *rs.spec;
-  exec::OpMemory key_mem(ctx);
-  std::vector<std::string> keys(static_cast<size_t>(r.NumRows()));
-  std::vector<int64_t> order;
-  order.reserve(static_cast<size_t>(r.NumRows()));
-  for (int64_t i = 0; i < r.NumRows(); ++i) {
-    GSOPT_RETURN_IF_ERROR(ctx.Tick("group-by-sort"));
-    EncodeTupleKeyInto(r.row(i), rs.gcol_idx, rs.gvid_idx,
-                       &keys[static_cast<size_t>(i)]);
-    Status cs = key_mem.Charge(keys[static_cast<size_t>(i)].size() + 40,
-                               "group-by-sort");
-    if (!cs.ok()) {
-      *mem_trip = true;
-      return cs;
+  for (const std::string& key : gm.order) {
+    const Group& g = gm.groups.at(key);
+    Tuple t;
+    t.values.reserve(static_cast<size_t>(rs.out_schema.size()));
+    for (int i : rs.gcol_idx) t.values.push_back(g.representative.values[i]);
+    for (size_t k = 0; k < spec.aggs.size(); ++k) {
+      t.values.push_back(g.accs[k].Result(spec.aggs[k]));
     }
-    order.push_back(i);
+    t.vids.reserve(static_cast<size_t>(rs.out_vschema.size()));
+    for (int i : rs.gvid_idx) t.vids.push_back(g.representative.vids[i]);
+    if (rs.synthetic_vid) t.vids.push_back((*ordinal)++);
+    out->Add(std::move(t));
+    GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "group-by"));
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [&keys](int64_t a, int64_t b) {
-                     return keys[static_cast<size_t>(a)] <
-                            keys[static_cast<size_t>(b)];
-                   });
-  if (ctx.stats != nullptr) {
-    ctx.stats->sort_rows += static_cast<uint64_t>(r.NumRows());
-  }
-  exec::OpMemory group_mem(ctx);
-  Group g;
-  bool open = false;
-  const std::string* cur_key = nullptr;
-  for (int64_t i : order) {
-    GSOPT_RETURN_IF_ERROR(ctx.Tick("group-by-sort"));
-    const std::string& key = keys[static_cast<size_t>(i)];
-    const Tuple& t = r.row(i);
-    if (!open || key != *cur_key) {
-      if (open) {
-        GSOPT_RETURN_IF_ERROR(EmitGroupRow(rs, g, ctx, ordinal, out));
-        group_mem.Release();
-      }
-      Status cs = group_mem.Charge(
-          internal::ApproxTupleBytes(t) +
-              spec.aggs.size() * sizeof(Accumulator) + 96,
-          "group-by-sort");
-      if (!cs.ok()) {
-        *mem_trip = true;
-        return cs;
-      }
-      g = Group();
-      g.representative = t;
-      g.accs.resize(spec.aggs.size());
-      cur_key = &key;
-      open = true;
-    }
-    uint64_t retained = FeedRow(rs, r, t, &g);
-    if (retained > 0) {
-      Status cs = group_mem.Charge(retained, "group-by-sort");
-      if (!cs.ok()) {
-        *mem_trip = true;
-        return cs;
-      }
-    }
-  }
-  if (open) GSOPT_RETURN_IF_ERROR(EmitGroupRow(rs, g, ctx, ordinal, out));
   return Status::OK();
 }
 
@@ -641,44 +556,25 @@ StatusOr<Relation> GeneralizedProjection(const Relation& r,
     return SpillAggPartition(r, rs, ctx, 0, &ordinal, &out);
   };
 
-  // Sort-based feed: kMergeOnly pins the whole sort-based stack for the
-  // merge-vs-hash oracle, so aggregation streams key-sorted blocks instead
-  // of building a hash map (even when the parallel path would be eligible;
-  // this is a differential-testing mode, not a performance choice). A
-  // memory trip degrades to the same out-of-core hash partitioning as the
-  // other feeds -- output and ordinals restart from scratch, exactly like
-  // spill_all after a FeedRows trip.
-  if (ctx.SortedAggregation()) {
-    bool trip = false;
-    Status s = SortedFeedEmit(r, rs, ctx, &ordinal, &out, &trip);
-    if (!s.ok()) {
-      if (!trip || !ctx.SpillEnabled()) return s;
-      out = Relation(out_schema, out_vschema);
-      ordinal = 0;
-      GSOPT_RETURN_IF_ERROR(spill_all());
-    }
+  // Hash grouping: the reference evaluator's row feed under kOff, the
+  // batch hash feed (serial or parallel) otherwise. Both discover groups in
+  // row order when serial, so representatives, emit order and synthetic
+  // ordinals agree. A memory trip degrades to the same out-of-core path
+  // either way (spill_all re-aggregates from scratch).
+  GroupMap gm;
+  std::vector<OpMemory> mem;
+  mem.emplace_back(ctx);
+  bool trip = false;
+  Status s = ctx.Reference() ? FeedRows(r, rs, ctx, &mem[0], &gm, &trip)
+                             : HashFeed(r, rs, ctx, &mem, &gm, &trip);
+  if (s.ok()) {
+    GSOPT_RETURN_IF_ERROR(EmitGroups(rs, gm, ctx, &ordinal, &out));
+  } else if (trip && ctx.SpillEnabled()) {
+    mem.clear();
+    gm = GroupMap();
+    GSOPT_RETURN_IF_ERROR(spill_all());
   } else {
-    // Hash grouping: the reference evaluator's row feed under kOff, the
-    // batch hash feed (serial or parallel) otherwise. Both discover groups
-    // in row order when serial, so representatives, emit order and
-    // synthetic ordinals agree. A memory trip degrades to the same
-    // out-of-core path either way (spill_all re-aggregates from scratch).
-    GroupMap gm;
-    std::vector<OpMemory> mem;
-    mem.emplace_back(ctx);
-    bool trip = false;
-    Status s = ctx.Reference()
-                   ? FeedRows(r, rs, ctx, &mem[0], &gm, &trip)
-                   : HashFeed(r, rs, ctx, &mem, &gm, &trip);
-    if (s.ok()) {
-      GSOPT_RETURN_IF_ERROR(EmitGroups(rs, gm, ctx, &ordinal, &out));
-    } else if (trip && ctx.SpillEnabled()) {
-      mem.clear();
-      gm = GroupMap();
-      GSOPT_RETURN_IF_ERROR(spill_all());
-    } else {
-      return s;
-    }
+    return s;
   }
 
   if (ctx.stats != nullptr) {

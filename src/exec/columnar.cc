@@ -65,6 +65,34 @@ void RefineSel(bool* dense, int64_t n, std::vector<int32_t>* sel, Keep keep) {
   }
 }
 
+// Exact three-way comparisons of numeric cells when at least one side is
+// a double (the branchless paths handle int64 against int64), by
+// Value::Compare's rule: an int64 against a double goes through
+// CompareIntDouble, never a rounding cast, so the batch filter keeps the
+// row path's equality partition. Row i of `a` against row i of `b`:
+int CompareNumCells(const Column& a, const Column& b, int64_t i) {
+  size_t x = static_cast<size_t>(i);
+  if (a.kind == ColumnKind::kInt64) {
+    return CompareIntDouble(a.i64[x], b.f64[x]);
+  }
+  if (b.kind == ColumnKind::kInt64) {
+    return -CompareIntDouble(b.i64[x], a.f64[x]);
+  }
+  return CompareDoubles(a.f64[x], b.f64[x]);
+}
+
+// ...and row i of `c` against the numeric constant `k`.
+int CompareNumCell(const Column& c, int64_t i, const Value& k) {
+  size_t x = static_cast<size_t>(i);
+  if (c.kind == ColumnKind::kInt64) {
+    return CompareIntDouble(c.i64[x], k.AsDouble());
+  }
+  if (k.type() == ValueType::kInt) {
+    return -CompareIntDouble(k.AsInt(), c.f64[x]);
+  }
+  return CompareDoubles(c.f64[x], k.AsDouble());
+}
+
 // Hoists the operator dispatch out of the row loop: one tight loop per
 // (shape, op) pair, with only the null test and the three-way compare
 // inside. `cmp3` is only called on non-null rows.
@@ -150,9 +178,8 @@ void ApplyColCol(const CAtom& ca, const std::vector<Column>& cols, bool* dense,
         break;
     }
   } else if (IsNumericKind(a.kind) && IsNumericKind(b.kind)) {
-    RefineCompare(ca.op, dense, n, sel, is_null, [&](int64_t i) {
-      return CompareDoubles(a.NumAt(i), b.NumAt(i));
-    });
+    RefineCompare(ca.op, dense, n, sel, is_null,
+                  [&](int64_t i) { return CompareNumCells(a, b, i); });
   } else if (a.kind == ColumnKind::kString && b.kind == ColumnKind::kString) {
     RefineCompare(ca.op, dense, n, sel, is_null, [&](int64_t i) {
       int c = a.str[static_cast<size_t>(i)]->compare(
@@ -212,10 +239,8 @@ void ApplyColConst(const CAtom& ca, const std::vector<Column>& cols,
         break;
     }
   } else if (IsNumericKind(c.kind) && k.IsNumeric()) {
-    double kv = k.AsDouble();
-    RefineCompare(ca.op, dense, n, sel, is_null, [&](int64_t i) {
-      return CompareDoubles(c.NumAt(i), kv);
-    });
+    RefineCompare(ca.op, dense, n, sel, is_null,
+                  [&](int64_t i) { return CompareNumCell(c, i, k); });
   } else if (c.kind == ColumnKind::kString && k.type() == ValueType::kString) {
     const std::string& ks = k.AsString();
     RefineCompare(ca.op, dense, n, sel, is_null, [&](int64_t i) {

@@ -34,16 +34,16 @@ namespace {
 
 StatusOr<JoinCoreResult> JoinCore(const Relation& a, const Relation& b,
                                   const Predicate& p, const ExecContext& ctx) {
-  // Forced or hinted sort-merge first (it runs the same NULL-key and
-  // key-class semantics as the hash core); then the hash core for any
+  // The plan's sort-merge hint first (it runs the same NULL-key semantics
+  // and equality partition as the hash core); then the hash core for any
   // separable equi-conjunct; nested loops for everything else and for the
   // reference evaluator (BatchMode::kOff).
   HashPlan plan = MakeHashPlan(p, a.schema(), b.schema());
   StatusOr<JoinCoreResult> res =
-      !plan.usable()       ? NestedLoopJoinCore(a, b, p, ctx)
-      : ctx.MergeJoin()    ? MergeJoinCore(a, b, plan, ctx)
-      : ctx.Reference()    ? NestedLoopJoinCore(a, b, p, ctx)
-                           : HashJoinCore(a, b, plan, ctx);
+      !plan.usable()     ? NestedLoopJoinCore(a, b, p, ctx)
+      : ctx.merge_hint   ? MergeJoinCore(a, b, plan, ctx)
+      : ctx.Reference()  ? NestedLoopJoinCore(a, b, p, ctx)
+                         : HashJoinCore(a, b, plan, ctx);
   if (res.ok() && ctx.stats != nullptr) {
     ctx.stats->rows_in += static_cast<uint64_t>(a.NumRows()) +
                           static_cast<uint64_t>(b.NumRows());
@@ -393,8 +393,8 @@ StatusOr<Relation> GeneralizedSelection(
   // The internal selection pass shares the budget and executor but not the
   // stats node: GS accounts for its own input/output exactly once and
   // counts the pass's predicate evaluations itself.
-  ExecContext select_ctx{ctx.budget, nullptr,   ctx.executor, ctx.fault,
-                         ctx.spill,  ctx.batch, ctx.bloom,    ctx.join};
+  ExecContext select_ctx = ctx;
+  select_ctx.stats = nullptr;
   GSOPT_ASSIGN_OR_RETURN(Relation selected, Select(r, p, select_ctx));
   RecordIn(ctx, static_cast<uint64_t>(r.NumRows()));
   if (ctx.stats != nullptr) {

@@ -63,15 +63,6 @@ struct SpillConfig {
 // not a serving one.
 enum class BatchMode : uint8_t { kAuto = 0, kOff = 1 };
 
-// Physical join-strategy policy. kAuto follows the per-node hints the
-// order-aware optimizer pass stamps on join nodes (hash when unhinted);
-// kHashOnly pins every join to the hash/nested-loop paths (the
-// differential-testing baseline); kMergeOnly forces the sort-merge path on
-// every join with usable equi-keys -- and routes aggregation through the
-// sort-based feed -- so the merge-vs-hash oracle can exercise the whole
-// sort-based stack on any query.
-enum class JoinStrategy : uint8_t { kAuto = 0, kHashOnly = 1, kMergeOnly = 2 };
-
 // Per-invocation execution context threaded into every kernel. Default
 // constructed it is a no-op (unlimited budget, no stats), so direct kernel
 // calls in tests and benches stay terse.
@@ -100,11 +91,13 @@ struct ExecContext {
   // cardinality ratio; kOff pins every join filter-free; kForce always
   // builds the filter when a hash path runs.
   BloomMode bloom = BloomMode::kAuto;
-  // Physical join-strategy policy (see JoinStrategy above).
-  JoinStrategy join = JoinStrategy::kAuto;
-  // Per-node hint from the plan: the order-aware optimizer marks join
-  // nodes whose sort-merge execution pays for itself (interesting orders);
-  // the interpreter copies the mark here. Only consulted under kAuto.
+  // Per-node physical choice from the plan: the order-aware optimizer
+  // marks join nodes whose sort-merge execution pays for itself
+  // (interesting orders) and the interpreter copies the mark here. When
+  // set, a join with usable equi-keys takes the sort-merge path
+  // (exec/sort.cc MergeJoinCore) instead of the hash or nested-loop paths
+  // -- under the reference evaluator too, so a stamped tree can exercise
+  // the merge core with every other operator row-at-a-time.
   bool merge_hint = false;
 
   Status ChargeRows(uint64_t n, const char* stage) const {
@@ -133,16 +126,6 @@ struct ExecContext {
   bool Bloom(int64_t build_rows, int64_t probe_rows) const {
     return BloomEligible(bloom, build_rows, probe_rows);
   }
-  // True when a join with usable equi-keys should take the sort-merge
-  // path (exec/sort.cc MergeJoinCore) instead of the hash paths.
-  bool MergeJoin() const {
-    if (join == JoinStrategy::kMergeOnly) return true;
-    if (join == JoinStrategy::kHashOnly) return false;
-    return merge_hint;
-  }
-  // True when aggregation should take the sort-based feed: kMergeOnly
-  // pins the whole sort-based stack for differential testing.
-  bool SortedAggregation() const { return join == JoinStrategy::kMergeOnly; }
 };
 
 // MemoryReservation bound to an ExecContext: charges probe the alloc fault

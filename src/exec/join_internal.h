@@ -167,8 +167,8 @@ inline Tuple PadGroupTuple(const Tuple& src, const GroupIndex& gi,
 }
 
 // Sort-merge twin of the hash JoinCore (exec/sort.cc): sorts both sides by
-// their equi-key values (key-class comparator, so the equality partition
-// is exactly the hash path's) and merges equal-key blocks, evaluating
+// their equi-key values (CompareValuesTotal, whose equality partition is
+// exactly the hash path's key bytes) and merges equal-key blocks, evaluating
 // residual conjuncts per candidate pair. Rows with a NULL key never match,
 // as on the hash path. Requires plan.usable(). Matched inner rows
 // are emitted in ascending key order, which is what lets the order-aware

@@ -2,13 +2,13 @@
 // (serial, parallel, spilled), grouping feed, DISTINCT dedup set,
 // duplicate elimination and generalized-selection difference keys on these
 // bytes, so they all share one equality partition -- the one
-// Value::IdentityEquals defines -- and the sort-merge path's key-class
-// comparator refines its total order with the same bytes.
+// Value::IdentityEquals and the sort-merge path's CompareValuesTotal
+// define.
 //
 // Per value, fixed-width binary:
-//   'i' + 8B native-endian int64 -- ints, and doubles that are exactly an
-//         int64 within the 2^53 exact range (1 == 1.0 across types; -0.0
-//         folds to 0, so -0.0 == +0.0);
+//   'i' + 8B native-endian int64 -- ints, and doubles exactly equal to an
+//         int64 (ExactInt64: 1 == 1.0 and 2^54 == 2^54.0 across types;
+//         -0.0 folds to 0, so -0.0 == +0.0);
 //   'N'                          -- every NaN payload (NaN = NaN is TRUE);
 //   'd' + 8B raw double bits     -- every other double;
 //   's' + u32 length + bytes     -- strings;

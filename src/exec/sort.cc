@@ -1,7 +1,6 @@
 #include "exec/sort.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <utility>
 
@@ -24,23 +23,6 @@ using internal::WriteTupleRecord;
 // an extra pass (merge kMergeFanIn runs into one, repeat), so the final
 // streaming merge holds a bounded number of head tuples.
 constexpr size_t kMergeFanIn = 8;
-
-// Exact comparison of an int64 against a double. Routing the int through
-// a double cast (as SQL comparison does) is fine for 3VL predicates but is
-// NOT a strict weak ordering past 2^53: int(2^53+1) casts to 2^53, making
-// it "equal" to double(2^53) while int-int comparison orders it after
-// int(2^53) -- an intransitivity std::sort may turn into UB. The sort path
-// therefore compares exactly: NaN stays greatest (CompareDoubles rule).
-int CompareIntDouble(int64_t i, double d) {
-  if (std::isnan(d)) return -1;
-  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63
-  if (d >= kTwo63) return -1;
-  if (d < -kTwo63) return 1;
-  double fd = std::floor(d);
-  int64_t di = static_cast<int64_t>(fd);  // |fd| <= 2^63 - 1 after guards
-  if (i != di) return i < di ? -1 : 1;
-  return d > fd ? -1 : 0;  // equal integer part: a fraction makes d larger
-}
 
 }  // namespace
 
@@ -69,31 +51,8 @@ int CompareValuesTotal(const Value& a, const Value& b) {
   int ra = rank(a), rb = rank(b);
   if (ra != rb) return ra < rb ? -1 : 1;
   if (ra == 0) return 0;  // NULL == NULL, lowest
-  if (ra == 1) {
-    bool ai = a.type() == ValueType::kInt, bi = b.type() == ValueType::kInt;
-    if (ai && bi) {
-      int64_t x = a.AsInt(), y = b.AsInt();
-      return x < y ? -1 : (x > y ? 1 : 0);
-    }
-    if (ai) return CompareIntDouble(a.AsInt(), b.AsDouble());
-    if (bi) return -CompareIntDouble(b.AsInt(), a.AsDouble());
-    return CompareDoubles(a.AsDouble(), b.AsDouble());
-  }
+  if (ra == 1) return *Value::Compare(a, b);  // exact across int/double
   int c = a.AsString().compare(b.AsString());
-  return c < 0 ? -1 : (c > 0 ? 1 : 0);
-}
-
-int CompareValuesKeyClass(const Value& a, const Value& b) {
-  int c = CompareValuesTotal(a, b);
-  if (c != 0) return c;
-  // Equal by value. The hash paths' key classes are finer in one corner:
-  // an int64 and a double that agree numerically past the 2^53 exact range
-  // encode to distinct keys. Order such pairs by their encodings so the
-  // merge join's equality partition is exactly AppendValueKey's.
-  std::string ka, kb;
-  AppendValueKey(a, &ka);
-  AppendValueKey(b, &kb);
-  c = ka.compare(kb);
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
@@ -114,13 +73,11 @@ using KeyFn = std::function<bool(const Tuple&, std::vector<Value>*)>;
 
 struct KeyCmp {
   const std::vector<char>* desc = nullptr;  // null = all ascending
-  bool key_class = false;
 
   int Compare(const std::vector<Value>& a, const std::vector<Value>& b) const {
     size_t n = std::min(a.size(), b.size());
     for (size_t k = 0; k < n; ++k) {
-      int c = key_class ? CompareValuesKeyClass(a[k], b[k])
-                        : CompareValuesTotal(a[k], b[k]);
+      int c = CompareValuesTotal(a[k], b[k]);
       if (desc != nullptr && (*desc)[k]) c = -c;
       if (c != 0) return c;
     }
@@ -440,7 +397,7 @@ StatusOr<Relation> Sort(const Relation& r, const SortSpec& spec,
     for (int i : idx) keys->push_back(t.values[i]);
     return true;
   };
-  KeyCmp cmp{&desc, /*key_class=*/false};
+  KeyCmp cmp{&desc};
   SortedStream stream(r, key_fn, cmp, ctx, "sort");
   GSOPT_RETURN_IF_ERROR(stream.Init());
 
@@ -522,7 +479,7 @@ StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
       return true;
     };
   };
-  KeyCmp cmp{nullptr, /*key_class=*/true};
+  KeyCmp cmp;  // all ascending
   SortedStream sa(a, side_key_fn(a, plan.a_keys), cmp, ctx, "merge-join");
   SortedStream sb(b, side_key_fn(b, plan.b_keys), cmp, ctx, "merge-join");
   GSOPT_RETURN_IF_ERROR(sa.Init());

@@ -12,9 +12,9 @@
 // Ordering contract (documented here, asserted by CheckSorted and the
 // order-correctness oracle):
 //   * NULL is the LOWEST value: NULLs first under ASC, last under DESC.
-//   * Numerics order by value with int/double unified (1 < 1.5 < 2 across
-//     types); NaN equals NaN and is greater than every non-NaN number
-//     (the CompareDoubles rule).
+//   * Numerics order by exact value with int/double unified (1 < 1.5 < 2
+//     across types, Value::Compare); NaN equals NaN and is greater than
+//     every non-NaN number (the CompareDoubles rule).
 //   * Strings order bytewise; every number orders before every string.
 //   * The sort is stable: rows equal on every key keep their input order.
 #ifndef GSOPT_EXEC_SORT_H_
@@ -47,15 +47,9 @@ using SortSpec = std::vector<SortKey>;
 std::string SortSpecToString(const SortSpec& spec);
 
 // Total order over values per the ordering contract above: <0, 0, >0.
+// Its equality classes are exactly the hash paths' key classes (exec/keys.h
+// AppendValueKey), so the merge join groups rows as the hash join does.
 int CompareValuesTotal(const Value& a, const Value& b);
-
-// CompareValuesTotal refined so its equality classes are EXACTLY the hash
-// paths' key classes (exec/keys.h AppendValueKey): values that compare
-// equal by magnitude but encode to distinct keys (an int64 and a non-exact
-// double past 2^53) are ordered by their encodings instead of merged. The
-// merge join must group by this comparator to stay bag-equal to the hash
-// join on every input.
-int CompareValuesKeyClass(const Value& a, const Value& b);
 
 // Stable external merge sort of `r` by `spec`. Fallible: a key naming an
 // attribute the input does not carry returns kInvalidArgument; a memory

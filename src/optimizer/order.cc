@@ -188,9 +188,8 @@ bool OutputSatisfiesOrder(const NodePtr& node, const exec::SortSpec& req,
     }
     case OpKind::kInnerJoin: {
       // A merge-stamped INNER join streams non-decreasing by its left key
-      // list (CompareValuesKeyClass refines the total order, so ASC
-      // holds). Outer flavors pad unmatched rows at the end and claim
-      // nothing.
+      // list under CompareValuesTotal, so ASC holds. Outer flavors pad
+      // unmatched rows at the end and claim nothing.
       if (!node->merge_join()) return false;
       return ReqIsLeftKeyPrefix(req, EquiKeys(node));
     }
@@ -208,6 +207,13 @@ NodePtr ApplyOrderAwarePass(const NodePtr& root, const Statistics& stats,
       Rewrite(root, {}, stats, assume_ordered_exec,
               counters != nullptr ? counters : &local);
   return out;
+}
+
+NodePtr StampMergeJoins(const NodePtr& root) {
+  if (root == nullptr || root->kind() == OpKind::kLeaf) return root;
+  NodePtr out = WithChildren(root, StampMergeJoins(root->left()),
+                             StampMergeJoins(root->right()));
+  return IsBinary(out->kind()) ? Node::WithMergeJoin(out) : out;
 }
 
 }  // namespace gsopt

@@ -10,10 +10,10 @@
 // requirements flow top-down from kSort enforcers.
 //
 // Enforcer removal is sound only when the plan will actually execute in
-// row order with merge hints honored: serial interpretation (parallel
-// morsel kernels do not preserve row order) and a JoinStrategy of kAuto or
-// kMergeOnly (kHashOnly ignores the hint and emits hash order). Callers
-// gate this with OptimizeOptions::assume_ordered_exec.
+// row order: serial interpretation (parallel morsel kernels do not
+// preserve row order; the interpreter always honors merge hints). Callers
+// gate this with OptimizeOptions::assume_ordered_exec, which only a
+// parallel executor clears.
 #ifndef GSOPT_OPTIMIZER_ORDER_H_
 #define GSOPT_OPTIMIZER_ORDER_H_
 
@@ -39,6 +39,12 @@ bool OutputSatisfiesOrder(const NodePtr& node, const exec::SortSpec& req,
 NodePtr ApplyOrderAwarePass(const NodePtr& root, const Statistics& stats,
                             bool assume_ordered_exec,
                             OrderPassCounters* counters);
+
+// Copy of `root` with the sort-merge hint stamped on every binary node:
+// forced-merge execution, which the merge and order oracles run against
+// the reference result. A stamped join without usable equi-keys still
+// runs nested loops.
+NodePtr StampMergeJoins(const NodePtr& root);
 
 }  // namespace gsopt
 

@@ -56,12 +56,6 @@ struct Column {
   bool IsNull(int64_t i) const {
     return nulls[static_cast<size_t>(i)] != 0;
   }
-  // Numeric value as double (kInt64 / kDouble columns only).
-  double NumAt(int64_t i) const {
-    return kind == ColumnKind::kInt64
-               ? static_cast<double>(i64[static_cast<size_t>(i)])
-               : f64[static_cast<size_t>(i)];
-  }
   void Clear() {
     kind = ColumnKind::kInt64;
     has_nulls = false;

@@ -10,10 +10,13 @@ namespace gsopt {
 std::optional<int> Value::Compare(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return std::nullopt;
   if (a.IsNumeric() && b.IsNumeric()) {
-    if (a.type() == ValueType::kInt && b.type() == ValueType::kInt) {
+    bool ai = a.type() == ValueType::kInt, bi = b.type() == ValueType::kInt;
+    if (ai && bi) {
       int64_t x = a.AsInt(), y = b.AsInt();
       return x < y ? -1 : (x > y ? 1 : 0);
     }
+    if (ai) return CompareIntDouble(a.AsInt(), b.AsDouble());
+    if (bi) return -CompareIntDouble(b.AsInt(), a.AsDouble());
     return CompareDoubles(a.AsDouble(), b.AsDouble());
   }
   if (a.type() == ValueType::kString && b.type() == ValueType::kString) {
@@ -57,12 +60,11 @@ size_t Value::Hash() const {
     case ValueType::kNull:
       return 0x9E3779B9u;
     case ValueType::kInt:
+      return std::hash<int64_t>()(AsInt());
     case ValueType::kDouble: {
-      // Hash numerics through their double value so 1 and 1.0 collide,
-      // matching IdentityEquals' numeric coercion. ExactInt64 guards the
-      // int64 cast: the old unconditional `static_cast<int64_t>(d)` was UB
-      // for NaN and for magnitudes at or past 2^63 (an INT64_MAX value
-      // rounds up to exactly 2^63 as a double, which does not fit back).
+      // A double equal to an int64 hashes as that int, so 1 and 1.0
+      // collide, matching IdentityEquals. ExactInt64 guards the int64 cast
+      // (casting NaN or a magnitude past 2^63 is UB).
       double d = AsDouble();
       int64_t i = 0;
       if (ExactInt64(d, &i)) return std::hash<int64_t>()(i);

@@ -1,6 +1,9 @@
 // SQL value kernel: typed values (NULL / INT64 / DOUBLE / STRING) with
-// three-valued-logic comparison semantics. Comparison between numerics
-// coerces INT64 -> DOUBLE, mirroring SQL numeric comparison.
+// three-valued-logic comparison semantics. Numerics compare by exact value
+// across INT64 and DOUBLE (CompareIntDouble): no int64 is ever rounded
+// through a double, so predicates, IdentityEquals / IdentityLess, the sort
+// order and the executor's key bytes (exec/keys.h) share one equality
+// partition.
 #ifndef GSOPT_RELATIONAL_VALUE_H_
 #define GSOPT_RELATIONAL_VALUE_H_
 
@@ -30,16 +33,31 @@ inline int CompareDoubles(double x, double y) {
   return nx ? 1 : -1;
 }
 
-// True (setting *out) iff `d` is finite, integral and exactly representable
-// as an int64 within +/-2^53, the range where double<->int64 round-trips
-// are exact. -0.0 normalizes to 0 here, which is what makes the key
-// encodings collapse -0.0 and +0.0 into one equality class. Shared by
-// Value::Hash, the canonical key encodings (exec/keys.h) and the columnar
-// batch key encoder; the range guard also keeps the int64 cast defined
-// (casting NaN or an out-of-range double is UB).
+// Exact comparison of an int64 against a double: <0, 0, >0. Never routes
+// the int through a double cast, which rounds past 2^53 (int(2^53+1) would
+// equal double(2^53) while int-int comparison orders it after int(2^53),
+// an intransitivity that breaks sorting and splits the key classes). NaN
+// is greater than every int (the CompareDoubles rule).
+inline int CompareIntDouble(int64_t i, double d) {
+  if (std::isnan(d)) return -1;
+  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63
+  if (d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  double fd = std::floor(d);
+  int64_t di = static_cast<int64_t>(fd);  // |fd| <= 2^63 after the guards
+  if (i != di) return i < di ? -1 : 1;
+  return d > fd ? -1 : 0;  // equal integer part: a fraction makes d larger
+}
+
+// True (setting *out) iff `d` is integral and exactly equal to an int64
+// (anywhere in [-2^63, 2^63)), i.e. iff CompareIntDouble(*out, d) == 0.
+// -0.0 normalizes to 0, which is what makes the key encodings collapse
+// -0.0 and +0.0 into one equality class. Shared by Value::Hash and the
+// canonical key encodings (exec/keys.h); the range guard also keeps the
+// int64 cast defined (casting NaN or an out-of-range double is UB).
 inline bool ExactInt64(double d, int64_t* out) {
-  constexpr double kMaxExactInt = 9007199254740992.0;  // 2^53
-  if (!(d >= -kMaxExactInt && d <= kMaxExactInt)) return false;  // also NaN
+  constexpr double kTwo63 = 9223372036854775808.0;  // 2^63
+  if (!(d >= -kTwo63 && d < kTwo63)) return false;  // also NaN
   int64_t i = static_cast<int64_t>(d);
   if (static_cast<double>(i) != d) return false;
   *out = i;
@@ -86,7 +104,9 @@ class Value {
   static std::optional<int> Compare(const Value& a, const Value& b);
 
   // Deep equality treating NULL == NULL (used by grouping, duplicate
-  // elimination and result comparison; NOT by predicates).
+  // elimination and result comparison; NOT by predicates). Numerics are
+  // equal iff Compare says so, which is exactly when their key bytes
+  // (exec/keys.h) are equal.
   static bool IdentityEquals(const Value& a, const Value& b);
 
   // Total order treating NULL as lowest (used to canonicalize relations in

@@ -14,6 +14,7 @@
 #include "core/session.h"
 #include "exec/executor.h"
 #include "exec/sort.h"
+#include "optimizer/order.h"
 #include "sql/binder.h"
 #include "testing/sql_emit.h"
 
@@ -105,13 +106,12 @@ class OracleRunner {
   // Executes under a fresh row budget. kResourceExhausted surfaces to the
   // caller (which skips the candidate); other errors propagate. The
   // baseline runs the reference evaluator (BatchMode::kOff: serial,
-  // row-at-a-time, every join as nested loops) -- the ground truth every
-  // oracle compares against -- while checked candidates run the optimized
-  // kernels (the hash-join core, batch selection and aggregation), so every
-  // oracle differential-tests them too. Bloom filtering is pinned OFF: the
-  // bloom oracle alone turns it on, against a ground truth that never
-  // consulted a filter. The join strategy is pinned to kHashOnly likewise:
-  // the merge oracle alone forces the sort-merge paths.
+  // row-at-a-time, every join as nested loops over the as-written tree,
+  // which carries no merge hint) -- the ground truth every oracle compares
+  // against -- while checked candidates run the optimized kernels (the
+  // hash-join core, batch selection and aggregation, bloom filters and
+  // whatever merge joins the plan picked), so every oracle
+  // differential-tests them too.
   StatusOr<Relation> Exec(const NodePtr& n,
                           exec::BatchMode batch = exec::BatchMode::kOff,
                           exec::Executor* executor = nullptr) {
@@ -121,8 +121,6 @@ class OracleRunner {
     eo.budget = &budget;
     eo.executor = executor;
     eo.batch = batch;
-    eo.bloom = exec::BloomMode::kOff;
-    eo.join = exec::JoinStrategy::kHashOnly;
     return Execute(n, catalog_, eo);
   }
 
@@ -158,9 +156,9 @@ class OracleRunner {
   void RunTlp();
   void RunRoundTrip();
   void RunPlanCache();
-  void RunColumnar();
-  void RunBloom();
-  void RunMergeJoin();
+  void RunForcedPaths(OracleKind kind, const std::string& label,
+                      const NodePtr& tree, exec::BloomMode bloom,
+                      bool merge_stamped);
   void RunOrder();
   void RunChaos();
 
@@ -473,278 +471,21 @@ void OracleRunner::RunPlanCache() {
   }
 }
 
-void OracleRunner::RunColumnar() {
+// The forced-path battery behind the columnar, bloom and merge oracles:
+// re-executes `tree` with `bloom` on the optimized kernels -- serial,
+// morsel-parallel, memory-starved with spilling, and under two seeded
+// fault injections -- and holds every trial to the reference baseline's
+// bag (a faulted trial may instead end in a clean typed error), with the
+// memory ledger unwound after every spilling or faulted trial. A
+// `merge_stamped` tree (StampMergeJoins) gets a first trial with every
+// operator except its joins on the reference evaluator's row kernels, and
+// one more legitimate out in the spilling trial.
+void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
+                                  const NodePtr& tree, exec::BloomMode bloom,
+                                  bool merge_stamped) {
   ++outcome_.oracles_run;
 
-  // Forced-batch execution with optional executor / spill / fault wiring;
-  // results flow into comparisons, so the self-test mutation hook applies.
-  auto exec_forced = [&](exec::Executor* executor, ResourceBudget* budget,
-                         const exec::SpillConfig* spill,
-                         FaultInjector* fault) -> StatusOr<Relation> {
-    ExecuteOptions eo;
-    eo.budget = budget;
-    eo.executor = executor;
-    eo.spill = spill;
-    eo.fault = fault;
-    // Filter-free, so a divergence is attributable to the batch kernels
-    // alone (the bloom oracle owns the filtered trials).
-    eo.bloom = exec::BloomMode::kOff;
-    GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(query_, catalog_, eo));
-    if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
-    return r;
-  };
-  auto check_bag = [&](const StatusOr<Relation>& got,
-                       const std::string& label) {
-    if (!got.ok()) {
-      if (Skipped(got.status())) return;
-      Fail(OracleKind::kColumnar,
-           label + " failed: " + got.status().ToString());
-      return;
-    }
-    ++outcome_.plans_checked;
-    if (!Relation::BagEquals(baseline_, *got)) {
-      Fail(OracleKind::kColumnar,
-           label + " diverges from the reference result");
-    }
-  };
-
-  // Trial 1: forced batch kernels, serial.
-  {
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(nullptr, &budget, nullptr, nullptr),
-              "columnar (serial)");
-    if (outcome_.failed) return;
-  }
-
-  // Trial 2: forced batch kernels on the morsel-parallel paths, with the
-  // thresholds forced down so fuzz-sized inputs actually fan out.
-  {
-    exec::Executor executor(4);
-    executor.set_min_parallel_rows(1);
-    executor.set_morsel_rows(7);
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(&executor, &budget, nullptr, nullptr),
-              "columnar (parallel)");
-    if (outcome_.failed) return;
-  }
-
-  // Trial 3: memory-starved forced batch with spilling enabled: the batch
-  // kernels must take the same out-of-core degradation as the reference
-  // path and still tile the baseline -- with the memory ledger unwound.
-  {
-    exec::SpillConfig spill;
-    spill.enabled = true;
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    budget.WithMaxMemory(opt_.chaos_memory_bytes);
-    auto got = exec_forced(nullptr, &budget, &spill, nullptr);
-    if (budget.memory_charged() != 0) {
-      Fail(OracleKind::kColumnar,
-           "columnar (spilling) left " +
-               std::to_string(budget.memory_charged()) +
-               " byte(s) charged to the memory ledger");
-      return;
-    }
-    if (!got.ok()) {
-      // Same irreducible-state escape as the chaos oracle's spill trial.
-      if (got.status().code() != StatusCode::kResourceExhausted ||
-          got.status().message().find("memory cap") != std::string::npos) {
-        Fail(OracleKind::kColumnar,
-             "columnar (spilling) failed: " + got.status().ToString());
-      } else {
-        ++outcome_.plans_skipped;
-      }
-      if (outcome_.failed) return;
-    } else {
-      check_bag(got, "columnar (spilling)");
-      if (outcome_.failed) return;
-    }
-  }
-
-  // Faulted trials: forced batch under deterministic injection. Contract
-  // as in chaos: a bag-correct success or a clean typed failure.
-  for (int trial = 0; trial < 2; ++trial) {
-    const uint64_t seed = static_cast<uint64_t>(
-        rng_->Uniform(0, std::numeric_limits<int64_t>::max() - 1));
-    FaultInjector::Options fo;
-    fo.seed = seed;
-    fo.period = opt_.chaos_fault_period;
-    FaultInjector fault(fo);
-    exec::SpillConfig spill;
-    spill.enabled = true;
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    auto got = exec_forced(nullptr, &budget, &spill, &fault);
-    if (budget.memory_charged() != 0) {
-      Fail(OracleKind::kColumnar,
-           "columnar fault seed " + std::to_string(seed) + " left " +
-               std::to_string(budget.memory_charged()) +
-               " byte(s) charged to the memory ledger");
-      return;
-    }
-    if (!got.ok()) {
-      const StatusCode code = got.status().code();
-      if (code == StatusCode::kResourceExhausted ||
-          code == StatusCode::kUnavailable) {
-        continue;  // clean typed failure: the contract holds
-      }
-      Fail(OracleKind::kColumnar,
-           "columnar fault seed " + std::to_string(seed) +
-               " produced an unexpected error class: " +
-               got.status().ToString());
-      return;
-    }
-    ++outcome_.plans_checked;
-    if (!Relation::BagEquals(baseline_, *got)) {
-      Fail(OracleKind::kColumnar,
-           "columnar fault seed " + std::to_string(seed) +
-               " returned success with an incorrect bag");
-      return;
-    }
-  }
-}
-
-void OracleRunner::RunBloom() {
-  ++outcome_.oracles_run;
-
-  // Forced-filter execution across every hash-join path. The baseline
-  // pinned BloomMode::kOff, so any divergence here is the filter's fault:
-  // a filter may only ever skip provably match-free work.
-  auto exec_forced = [&](exec::Executor* executor, ResourceBudget* budget,
-                         const exec::SpillConfig* spill,
-                         FaultInjector* fault) -> StatusOr<Relation> {
-    ExecuteOptions eo;
-    eo.budget = budget;
-    eo.executor = executor;
-    eo.spill = spill;
-    eo.fault = fault;
-    eo.bloom = exec::BloomMode::kForce;
-    GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(query_, catalog_, eo));
-    if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
-    return r;
-  };
-  auto check_bag = [&](const StatusOr<Relation>& got,
-                       const std::string& label) {
-    if (!got.ok()) {
-      if (Skipped(got.status())) return;
-      Fail(OracleKind::kBloom, label + " failed: " + got.status().ToString());
-      return;
-    }
-    ++outcome_.plans_checked;
-    if (!Relation::BagEquals(baseline_, *got)) {
-      Fail(OracleKind::kBloom,
-           label + " diverges from the filter-free result");
-    }
-  };
-
-  // Trial 1: forced filter on the serial hash-join core (the streaming
-  // probe-hash must agree byte-for-byte with the materialized encoding).
-  {
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(nullptr, &budget, nullptr, nullptr),
-              "bloom (serial)");
-    if (outcome_.failed) return;
-  }
-
-  // Trial 2: forced filter on the morsel-parallel core (one filter over
-  // every lane's build entries, probed from every lane).
-  {
-    exec::Executor executor(4);
-    executor.set_min_parallel_rows(1);
-    executor.set_morsel_rows(7);
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(&executor, &budget, nullptr, nullptr),
-              "bloom (parallel)");
-    if (outcome_.failed) return;
-  }
-
-  // Trial 3: memory-starved with spilling: the filter gates probe-side
-  // partition writes, and its own allocation failing under the squeeze
-  // must leave a correct (filter-free) out-of-core join.
-  {
-    exec::SpillConfig spill;
-    spill.enabled = true;
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    budget.WithMaxMemory(opt_.chaos_memory_bytes);
-    auto got = exec_forced(nullptr, &budget, &spill, nullptr);
-    if (budget.memory_charged() != 0) {
-      Fail(OracleKind::kBloom,
-           "bloom (spilling) left " + std::to_string(budget.memory_charged()) +
-               " byte(s) charged to the memory ledger");
-      return;
-    }
-    if (!got.ok()) {
-      // Same irreducible-state escape as the columnar oracle's spill trial.
-      if (got.status().code() != StatusCode::kResourceExhausted ||
-          got.status().message().find("memory cap") != std::string::npos) {
-        Fail(OracleKind::kBloom,
-             "bloom (spilling) failed: " + got.status().ToString());
-      } else {
-        ++outcome_.plans_skipped;
-      }
-      if (outcome_.failed) return;
-    } else {
-      check_bag(got, "bloom (spilling)");
-      if (outcome_.failed) return;
-    }
-  }
-
-  // Faulted trials: a fault that lands on the filter's allocation charge
-  // must degrade to a filter-free join -- success means a correct bag,
-  // failure means a clean typed error. Never a wrong answer.
-  for (int trial = 0; trial < 2; ++trial) {
-    const uint64_t seed = static_cast<uint64_t>(
-        rng_->Uniform(0, std::numeric_limits<int64_t>::max() - 1));
-    FaultInjector::Options fo;
-    fo.seed = seed;
-    fo.period = opt_.chaos_fault_period;
-    FaultInjector fault(fo);
-    exec::SpillConfig spill;
-    spill.enabled = true;
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    auto got = exec_forced(nullptr, &budget, &spill, &fault);
-    if (budget.memory_charged() != 0) {
-      Fail(OracleKind::kBloom,
-           "bloom fault seed " + std::to_string(seed) + " left " +
-               std::to_string(budget.memory_charged()) +
-               " byte(s) charged to the memory ledger");
-      return;
-    }
-    if (!got.ok()) {
-      const StatusCode code = got.status().code();
-      if (code == StatusCode::kResourceExhausted ||
-          code == StatusCode::kUnavailable) {
-        continue;  // clean typed failure: the contract holds
-      }
-      Fail(OracleKind::kBloom,
-           "bloom fault seed " + std::to_string(seed) +
-               " produced an unexpected error class: " +
-               got.status().ToString());
-      return;
-    }
-    ++outcome_.plans_checked;
-    if (!Relation::BagEquals(baseline_, *got)) {
-      Fail(OracleKind::kBloom,
-           "bloom fault seed " + std::to_string(seed) +
-               " returned success with an incorrect bag");
-      return;
-    }
-  }
-}
-
-void OracleRunner::RunMergeJoin() {
-  ++outcome_.oracles_run;
-
-  // Forced sort-merge execution across every path. The baseline pinned
-  // JoinStrategy::kHashOnly, so any divergence here is the merge family's
-  // fault: merge join and sorted aggregation must reproduce the hash
-  // paths' NULL-key and key-class semantics exactly.
+  // Results flow into comparisons, so the self-test mutation hook applies.
   auto exec_forced = [&](exec::BatchMode batch, exec::Executor* executor,
                          ResourceBudget* budget,
                          const exec::SpillConfig* spill,
@@ -755,53 +496,55 @@ void OracleRunner::RunMergeJoin() {
     eo.spill = spill;
     eo.fault = fault;
     eo.batch = batch;
-    // Filter-free, so a divergence is attributable to the merge paths
-    // alone (the bloom oracle owns the filtered trials).
-    eo.bloom = exec::BloomMode::kOff;
-    eo.join = exec::JoinStrategy::kMergeOnly;
-    GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(query_, catalog_, eo));
+    eo.bloom = bloom;
+    GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(tree, catalog_, eo));
     if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
     return r;
   };
   auto check_bag = [&](const StatusOr<Relation>& got,
-                       const std::string& label) {
+                       const std::string& trial) {
     if (!got.ok()) {
       if (Skipped(got.status())) return;
-      Fail(OracleKind::kMergeJoin,
-           label + " failed: " + got.status().ToString());
+      Fail(kind, trial + " failed: " + got.status().ToString());
       return;
     }
     ++outcome_.plans_checked;
     if (!Relation::BagEquals(baseline_, *got)) {
-      Fail(OracleKind::kMergeJoin,
-           label + " diverges from the hash-path result");
+      Fail(kind, trial + " diverges from the reference result");
     }
   };
+  auto ledger_clean = [&](const ResourceBudget& budget,
+                          const std::string& trial) {
+    if (budget.memory_charged() == 0) return true;
+    Fail(kind, trial + " left " + std::to_string(budget.memory_charged()) +
+                   " byte(s) charged to the memory ledger");
+    return false;
+  };
 
-  // Trial 1: forced merge with every other operator on the reference
-  // evaluator's row-at-a-time kernels.
-  {
+  // Reference rows: the merge core under row-at-a-time selection,
+  // projection and grouping.
+  if (merge_stamped) {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     check_bag(exec_forced(exec::BatchMode::kOff, nullptr, &budget, nullptr,
                           nullptr),
-              "merge (serial)");
+              label + " (reference rows)");
     if (outcome_.failed) return;
   }
 
-  // Trial 2: forced merge with the columnar batch kernels active for every
-  // non-join operator (the join dispatch gives merge priority).
+  // Serial optimized kernels.
   {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     check_bag(exec_forced(exec::BatchMode::kAuto, nullptr, &budget, nullptr,
                           nullptr),
-              "merge (columnar)");
+              label + " (serial)");
     if (outcome_.failed) return;
   }
 
-  // Trial 3: forced merge with the morsel-parallel executor attached (scan
-  // and selection morsels fan out; each join still runs the merge core).
+  // The morsel-parallel paths, with the thresholds forced down so
+  // fuzz-sized inputs actually fan out (one bloom filter over every lane's
+  // build entries; a merge join still runs its one core under the lanes).
   {
     exec::Executor executor(4);
     executor.set_min_parallel_rows(1);
@@ -810,13 +553,14 @@ void OracleRunner::RunMergeJoin() {
     budget.WithMaxRows(opt_.max_rows_per_exec);
     check_bag(exec_forced(exec::BatchMode::kAuto, &executor, &budget, nullptr,
                           nullptr),
-              "merge (parallel)");
+              label + " (parallel)");
     if (outcome_.failed) return;
   }
 
-  // Trial 4: memory-starved with spilling: the external sort underneath
-  // the merge must degrade to run files and still tile the baseline --
-  // with the memory ledger unwound.
+  // Memory-starved with spilling: hash joins, aggregation and the external
+  // sort under a merge join must degrade out of core and still tile the
+  // baseline, and a bloom filter whose allocation fails under the squeeze
+  // must leave a correct filter-free join.
   {
     exec::SpillConfig spill;
     spill.enabled = true;
@@ -825,45 +569,40 @@ void OracleRunner::RunMergeJoin() {
     budget.WithMaxMemory(opt_.chaos_memory_bytes);
     auto got = exec_forced(exec::BatchMode::kAuto, nullptr, &budget, &spill,
                            nullptr);
-    if (budget.memory_charged() != 0) {
-      Fail(OracleKind::kMergeJoin,
-           "merge (spilling) left " + std::to_string(budget.memory_charged()) +
-               " byte(s) charged to the memory ledger");
-      return;
-    }
-    if (!got.ok()) {
-      // Two legitimate outs. Row caps / deadlines (kResourceExhausted
-      // without "memory cap") skip as everywhere else. And the merge
-      // join's own block staging has no degradation below it by design:
-      // a single key-equal block bigger than the whole cap reports
-      // "merge-join: memory cap exceeded" -- the documented irreducible
-      // case (intermediate joins concentrate duplicate keys well past the
-      // base-table sizes), analogous to the chaos oracle's DISTINCT dedup
-      // set. Any OTHER memory-cap report still fails: the external sort
-      // underneath must spill, not trip.
-      const bool typed_skip =
-          got.status().code() == StatusCode::kResourceExhausted &&
-          got.status().message().find("memory cap") == std::string::npos;
-      const bool irreducible_block =
-          got.status().code() == StatusCode::kResourceExhausted &&
-          got.status().message().find("merge-join: memory cap") !=
-              std::string::npos;
-      if (typed_skip || irreducible_block) {
-        ++outcome_.plans_skipped;
-      } else {
-        Fail(OracleKind::kMergeJoin,
-             "merge (spilling) failed: " + got.status().ToString());
-      }
+    const std::string trial = label + " (spilling)";
+    if (!ledger_clean(budget, trial)) return;
+    if (got.ok()) {
+      check_bag(got, trial);
       if (outcome_.failed) return;
     } else {
-      check_bag(got, "merge (spilling)");
-      if (outcome_.failed) return;
+      // Row caps / deadlines (kResourceExhausted without "memory cap")
+      // skip as everywhere else. On a merge-stamped tree, so does the
+      // merge join's own block staging, which has no degradation below
+      // it by design: a single key-equal block bigger than the whole cap
+      // reports "merge-join: memory cap exceeded" -- the documented
+      // irreducible case (intermediate joins concentrate duplicate keys
+      // well past the base-table sizes), analogous to the chaos oracle's
+      // DISTINCT dedup set. Any OTHER memory-cap report fails: spilling
+      // must engage, not trip.
+      const Status& st = got.status();
+      const bool exhausted = st.code() == StatusCode::kResourceExhausted;
+      const bool typed_skip =
+          exhausted && st.message().find("memory cap") == std::string::npos;
+      const bool irreducible_block =
+          merge_stamped && exhausted &&
+          st.message().find("merge-join: memory cap") != std::string::npos;
+      if (!typed_skip && !irreducible_block) {
+        Fail(kind, trial + " failed: " + st.ToString());
+        return;
+      }
+      ++outcome_.plans_skipped;
     }
   }
 
-  // Faulted trials: injected run-file write failures and alloc faults must
-  // surface as clean typed errors or a correct bag -- never a wrong answer
-  // quietly sorted into plausibility.
+  // Faulted trials, contract as in chaos: a bag-correct success or a clean
+  // typed failure -- a fault landing on a filter's allocation degrades to
+  // a filter-free join, an injected run-file write failure to a typed
+  // error; never a wrong answer.
   for (int trial = 0; trial < 2; ++trial) {
     const uint64_t seed = static_cast<uint64_t>(
         rng_->Uniform(0, std::numeric_limits<int64_t>::max() - 1));
@@ -877,30 +616,21 @@ void OracleRunner::RunMergeJoin() {
     budget.WithMaxRows(opt_.max_rows_per_exec);
     auto got = exec_forced(exec::BatchMode::kAuto, nullptr, &budget, &spill,
                            &fault);
-    if (budget.memory_charged() != 0) {
-      Fail(OracleKind::kMergeJoin,
-           "merge fault seed " + std::to_string(seed) + " left " +
-               std::to_string(budget.memory_charged()) +
-               " byte(s) charged to the memory ledger");
-      return;
-    }
+    const std::string name = label + " fault seed " + std::to_string(seed);
+    if (!ledger_clean(budget, name)) return;
     if (!got.ok()) {
       const StatusCode code = got.status().code();
       if (code == StatusCode::kResourceExhausted ||
           code == StatusCode::kUnavailable) {
         continue;  // clean typed failure: the contract holds
       }
-      Fail(OracleKind::kMergeJoin,
-           "merge fault seed " + std::to_string(seed) +
-               " produced an unexpected error class: " +
-               got.status().ToString());
+      Fail(kind, name + " produced an unexpected error class: " +
+                     got.status().ToString());
       return;
     }
     ++outcome_.plans_checked;
     if (!Relation::BagEquals(baseline_, *got)) {
-      Fail(OracleKind::kMergeJoin,
-           "merge fault seed " + std::to_string(seed) +
-               " returned success with an incorrect bag");
+      Fail(kind, name + " returned success with an incorrect bag");
       return;
     }
   }
@@ -912,15 +642,14 @@ void OracleRunner::RunOrder() {
   if (!RootSortContract(query_, &spec)) return;
   ++outcome_.oracles_run;
 
-  auto exec_with = [&](const NodePtr& n,
-                       exec::JoinStrategy join) -> StatusOr<Relation> {
+  // Reference row kernels, so the trial's row order is the plan's own:
+  // merge-stamped joins still run the merge core.
+  auto exec_ref = [&](const NodePtr& n) -> StatusOr<Relation> {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     ExecuteOptions eo;
     eo.budget = &budget;
     eo.batch = exec::BatchMode::kOff;
-    eo.bloom = exec::BloomMode::kOff;
-    eo.join = join;
     GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(n, catalog_, eo));
     if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
     return r;
@@ -944,8 +673,8 @@ void OracleRunner::RunOrder() {
     }
   };
 
-  // Trial 0: the baseline itself (syntactic tree, hash joins, the sort
-  // enforcer intact) must satisfy its own ORDER BY.
+  // Trial 0: the baseline itself (syntactic tree, nested-loop joins, the
+  // sort enforcer intact) must satisfy its own ORDER BY.
   {
     Status s = exec::CheckSorted(baseline_, spec);
     if (!s.ok()) {
@@ -969,16 +698,13 @@ void OracleRunner::RunOrder() {
            "optimization failed: " + result.status().ToString());
       return;
     }
-    check_ordered(exec_with(result->best.expr, exec::JoinStrategy::kAuto),
-                  "optimized plan");
+    check_ordered(exec_ref(result->best.expr), "optimized plan");
     if (outcome_.failed) return;
   }
 
-  // Trial 2: the as-written tree under forced merge execution -- sorted
-  // aggregation and merge joins below the intact enforcer must not
-  // disturb the final order.
-  check_ordered(exec_with(query_, exec::JoinStrategy::kMergeOnly),
-                "forced-merge execution");
+  // Trial 2: the as-written tree with every join merge-stamped -- merge
+  // joins below the intact enforcer must not disturb the final order.
+  check_ordered(exec_ref(StampMergeJoins(query_)), "forced-merge execution");
 }
 
 void OracleRunner::RunChaos() {
@@ -1152,9 +878,18 @@ StatusOr<OracleOutcome> OracleRunner::Run() {
   if (opt_.run_tlp && !outcome_.failed) RunTlp();
   if (opt_.run_round_trip && !outcome_.failed) RunRoundTrip();
   if (opt_.run_plan_cache && !outcome_.failed) RunPlanCache();
-  if (opt_.run_columnar && !outcome_.failed) RunColumnar();
-  if (opt_.run_bloom && !outcome_.failed) RunBloom();
-  if (opt_.run_merge && !outcome_.failed) RunMergeJoin();
+  if (opt_.run_columnar && !outcome_.failed) {
+    RunForcedPaths(OracleKind::kColumnar, "columnar", query_,
+                   exec::BloomMode::kOff, /*merge_stamped=*/false);
+  }
+  if (opt_.run_bloom && !outcome_.failed) {
+    RunForcedPaths(OracleKind::kBloom, "bloom", query_,
+                   exec::BloomMode::kForce, /*merge_stamped=*/false);
+  }
+  if (opt_.run_merge && !outcome_.failed) {
+    RunForcedPaths(OracleKind::kMergeJoin, "merge", StampMergeJoins(query_),
+                   exec::BloomMode::kOff, /*merge_stamped=*/true);
+  }
   if (opt_.run_order && !outcome_.failed) RunOrder();
   if (opt_.run_chaos && !outcome_.failed) RunChaos();
   return outcome_;

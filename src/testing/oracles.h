@@ -10,20 +10,19 @@
 //                    lane count;
 //  * degradation  -- every fallback-ladder rung (generalized, baseline,
 //                    binary-only, syntactic) still answers correctly;
-//  * columnar     -- forcing the batch kernel paths -- serial, parallel,
-//                    spilling, faulted -- reproduces the reference result;
-//  * bloom        -- forcing the bloom-filter sideways-information-passing
-//                    pass (BloomMode::kForce) on the hash-join core --
-//                    serial, parallel, spilled, faulted --
-//                    reproduces the filter-free result: a filter may only
-//                    ever skip work, never change an answer;
-//  * merge join   -- forcing every equi-join onto the sort-merge path and
-//                    every aggregation onto sort-based grouping
-//                    (JoinStrategy::kMergeOnly) -- serial, columnar,
-//                    parallel, spilled, faulted -- reproduces the
-//                    hash-path result (the baseline pins kHashOnly);
+//  * columnar     -- the optimized kernels -- serial, parallel, spilling,
+//                    faulted -- reproduce the reference result;
+//  * bloom        -- the same battery with the bloom-filter sideways-
+//                    information-passing pass forced on (BloomMode::kForce):
+//                    a filter may only ever skip work, never change an
+//                    answer;
+//  * merge join   -- the same battery, plus a reference-row-kernel trial,
+//                    over the query with every join stamped for sort-merge
+//                    (StampMergeJoins): the merge core must reproduce the
+//                    reference nested loops' NULL-key and equality
+//                    semantics exactly;
 //  * order        -- for ORDER BY queries, the order-aware optimizer's
-//                    output and the forced-merge execution both still
+//                    output and the merge-stamped query both still
 //                    satisfy the sort spec and bag-equal the baseline;
 //  * TLP          -- partitioning any visible column c by `c <= k`,
 //                    `c > k`, `c IS NULL` and unioning the three optimized
@@ -82,35 +81,27 @@ struct OracleOptions {
   bool run_tlp = true;
   bool run_round_trip = true;
   bool run_plan_cache = true;
-  // Optimized-vs-reference differential: re-executes the query on the
-  // optimized kernels -- serial, morsel-parallel, memory-starved (the
-  // hash-join core's spill degradation), and under seeded fault injection
-  // -- and holds every trial to the reference baseline's bag (or, for the
-  // faulted trials, to a clean typed failure). The baseline itself pins
-  // BatchMode::kOff, so the optimized kernels never validate themselves.
+  // The forced-path battery (oracles.cc RunForcedPaths), run three ways.
+  // Each re-executes the query on the optimized kernels -- serial,
+  // morsel-parallel, memory-starved with spilling, and under seeded fault
+  // injection, where a faulted trial may also end in a clean typed error
+  // -- and holds every trial to the reference baseline's bag. The baseline
+  // runs BatchMode::kOff (nested loops, no filter, no merge), so no
+  // optimized path ever validates itself.
+  //
+  // Optimized-vs-reference: the battery as is, filter-free.
   bool run_columnar = true;
-  // Bloom-on-vs-off differential: re-executes the query with
-  // BloomMode::kForce on every lane count of the hash-join core (serial,
-  // morsel-parallel, memory-starved/spilled, and under seeded fault
-  // injection, where a failed filter allocation
-  // must degrade to a filter-free join, never a wrong answer) and holds
-  // every trial to the filter-free baseline's bag. The baseline itself
-  // pins BloomMode::kOff, so a filter bug cannot validate itself.
+  // Bloom-on-vs-off: the battery with BloomMode::kForce on every lane
+  // count of the hash-join core; a failed filter allocation must degrade
+  // to a filter-free join, never a wrong answer.
   bool run_bloom = true;
-  // Merge-vs-hash differential: re-executes the query with
-  // JoinStrategy::kMergeOnly, forcing every equi-join onto the sort-merge
-  // path (and every aggregation onto sort-based grouping) -- serial
-  // reference, columnar, morsel-parallel, memory-starved/spilled,
-  // and under seeded fault injection -- and holds every trial to the
-  // hash-path baseline's bag. The baseline itself pins
-  // JoinStrategy::kHashOnly, so the two join families never silently
-  // validate each other (identical NULL-key and key-class semantics are
-  // exactly what this oracle exists to prove).
+  // Merge-vs-reference: the battery over the query with every join
+  // stamped for sort-merge, plus a trial on the reference row kernels.
   bool run_merge = true;
   // Order-correctness oracle: for queries whose result carries an ORDER BY
   // (a root kSort, possibly under the final projection), re-runs the query
   // through the order-aware optimizer (interesting orders, merge-join
-  // stamping, enforcer removal) and through forced-merge execution, and
+  // stamping, enforcer removal) and with every join merge-stamped, and
   // asserts that each trial's output still satisfies the sort spec
   // (exec::CheckSorted) *and* bag-equals the baseline. This is the oracle
   // that catches an enforcer removed on the promise of an order nobody

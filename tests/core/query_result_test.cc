@@ -47,24 +47,6 @@ TEST(ExecPolicy, MergePointersOverrideWhenNonNull) {
   EXPECT_EQ(merged.budget, &call_budget) << "per-call pointer must win";
 }
 
-TEST(ExecPolicy, MergeModeEnumsOverrideWhenNotAuto) {
-  ExecPolicy base;
-  base.bloom = exec::BloomMode::kForce;
-  base.join = exec::JoinStrategy::kHashOnly;
-
-  ExecPolicy call;
-  EXPECT_EQ(MergeExecPolicy(base, call).bloom, exec::BloomMode::kForce)
-      << "kAuto defers to the layer below";
-
-  call.bloom = exec::BloomMode::kOff;
-  call.batch = exec::BatchMode::kOff;
-  ExecPolicy merged = MergeExecPolicy(base, call);
-  EXPECT_EQ(merged.bloom, exec::BloomMode::kOff);
-  EXPECT_EQ(merged.batch, exec::BatchMode::kOff);
-  EXPECT_EQ(merged.join, exec::JoinStrategy::kHashOnly)
-      << "untouched enums keep the session default";
-}
-
 TEST(ExecPolicy, CollectStatsIsStickyOr) {
   ExecPolicy base;
   base.collect_stats = true;
@@ -78,16 +60,16 @@ TEST(ExecPolicy, CollectStatsIsStickyOr) {
 // chain, writing through to their embedded policy.
 TEST(ExecPolicy, BuilderMixinCoversBothOptionStructs) {
   ResourceBudget budget;
+  exec::SpillConfig spill;
   ExecuteOptions xo;
-  xo.WithBudget(&budget).WithBatchMode(exec::BatchMode::kOff)
-      .WithCollectStats();
+  xo.WithBudget(&budget).WithSpill(&spill).WithCollectStats();
   EXPECT_EQ(xo.budget, &budget);
-  EXPECT_EQ(xo.batch, exec::BatchMode::kOff);
+  EXPECT_EQ(xo.spill, &spill);
   EXPECT_TRUE(xo.collect_stats);
 
   SessionOptions so;
-  so.WithBloomMode(exec::BloomMode::kOff).WithCollectStats();
-  EXPECT_EQ(so.exec.bloom, exec::BloomMode::kOff);
+  so.WithSpill(&spill).WithCollectStats();
+  EXPECT_EQ(so.exec.spill, &spill);
   EXPECT_TRUE(so.exec.collect_stats);
   // SessionOptions::WithBudget covers BOTH halves: optimization and
   // execution share one budget.

@@ -114,6 +114,29 @@ TEST(GeneralizedProjectionTest, NullGroupKeysFormOneGroup) {
   EXPECT_EQ(g.row(0).values[1].AsInt(), 2);
 }
 
+TEST(GeneralizedProjectionTest, ExactlyEqualIntAndDoubleFormOneGroup) {
+  // int 2^54 and double 2^54 are equal (IdentityEquals), so they group
+  // together on both the optimized and the reference feed; int 2^53+1
+  // stays apart from the double 2^53 it would round to.
+  const int64_t two53 = int64_t{1} << 53;
+  Relation r = MakeRelation(
+      "s", {"k", "v"},
+      {{I(2 * two53), I(1)},
+       {Value::Double(static_cast<double>(2 * two53)), I(2)},
+       {I(two53 + 1), I(3)},
+       {Value::Double(static_cast<double>(two53)), I(4)}});
+  exec::ExecContext reference;
+  reference.batch = exec::BatchMode::kOff;
+  for (const exec::ExecContext& ctx : {exec::ExecContext{}, reference}) {
+    Relation g = *GeneralizedProjection(r, ByK(Agg(AggFunc::kCountStar)), ctx);
+    EXPECT_EQ(g.NumRows(), 3);
+    for (const Tuple& t : g.rows()) {
+      int64_t want = Value::IdentityEquals(t.values[0], I(2 * two53)) ? 2 : 1;
+      EXPECT_EQ(t.values[1].AsInt(), want) << t.values[0].ToString();
+    }
+  }
+}
+
 TEST(GeneralizedProjectionTest, NoAggregatesIsSelectDistinct) {
   Relation r = MakeRelation("s", {"k", "v"},
                             {{I(1), I(9)}, {I(1), I(8)}, {I(2), I(7)}});

@@ -175,6 +175,32 @@ TEST(ColumnarSelectTest, MixedTypeColumnsMatchReference) {
                                                    "ra", "b")));
   ExpectSelectExactlyMatches(r, Predicate(MakeConstAtom("ra", "a", CmpOp::kEq,
                                                         S("x"))));
+
+  // Typed int64 against double columns past 2^53 compare exactly:
+  // int(2^53+1) equals neither double(2^53) nor the constant 2^53.0.
+  const int64_t two53 = int64_t{1} << 53;
+  const double d53 = static_cast<double>(two53);
+  Relation typed = MakeRelation("ra", {"a", "b"},
+                                {{I(two53), D(d53)},
+                                 {I(two53 + 1), D(d53)},
+                                 {I(2 * two53), D(2 * d53)},
+                                 {I(3), D(2.5)}});
+  Predicate eq(MakeAtom("ra", "a", CmpOp::kEq, "ra", "b"));
+  EXPECT_EQ(Select(typed, eq, Optimized())->NumRows(), 2);
+  ExpectSelectExactlyMatches(typed, eq);
+  for (CmpOp op : {CmpOp::kLt, CmpOp::kGt, CmpOp::kNe}) {
+    ExpectSelectExactlyMatches(typed,
+                               Predicate(MakeAtom("ra", "b", op, "ra", "a")));
+    ExpectSelectExactlyMatches(typed,
+                               Predicate(MakeConstAtom("ra", "a", op, D(d53))));
+    ExpectSelectExactlyMatches(
+        typed, Predicate(MakeConstAtom("ra", "b", op, I(two53 + 1))));
+  }
+  EXPECT_EQ(Select(typed, Predicate(MakeConstAtom("ra", "a", CmpOp::kEq,
+                                                  D(d53))),
+                   Optimized())
+                ->NumRows(),
+            1);
 }
 
 TEST(ColumnarSelectTest, OnlyTheReferenceRunsRowAtATime) {

@@ -2,15 +2,16 @@
 // full query class. Generates seeded random (query, data) cases -- GROUP
 // BY views, aggregated-column predicates, outer joins, nulls -- and checks
 // the plan-space / executor / degradation / TLP / SQL-round-trip /
-// plan-cache / columnar oracles on each (the plan-cache oracle runs every
-// case through a gsopt::Session, validating that cached parameterized
-// templates re-instantiate to exactly what literal re-optimization
-// produces; the columnar oracle runs the batch kernel paths -- serial,
-// parallel, spilling, faulted -- against the reference-evaluator baseline
-// (BatchMode::kOff: row-at-a-time, nested-loop joins); the
-// merge oracle forces JoinStrategy::kMergeOnly across the same paths
-// against a hash-pinned baseline; the order oracle re-checks ORDER BY
-// queries through the order-aware optimizer and forced-merge execution);
+// plan-cache / columnar / bloom / merge / order oracles on each (the
+// plan-cache oracle runs every case through a gsopt::Session, validating
+// that cached parameterized templates re-instantiate to exactly what
+// literal re-optimization produces; the columnar, bloom and merge oracles
+// run one forced-path battery -- serial, parallel, spilling, faulted --
+// against the reference-evaluator baseline (BatchMode::kOff: row-at-a-time,
+// nested-loop joins), filter-free, with bloom filters forced on, and over
+// the query with every join stamped for sort-merge; the order oracle
+// re-checks ORDER BY queries through the order-aware optimizer and the
+// merge-stamped query);
 // failures are delta-debugged to minimal reproducers and written as
 // self-contained .sql + CSV artifacts.
 //
@@ -57,9 +58,9 @@ int Usage() {
       "  --max-plans=N         plan-space cap per case (default 64)\n"
       "  --view-prob=P         GROUP BY view probability (default 0.5)\n"
       "  --inject-fault        mutate every checked result (self-test)\n"
-      "  --no-columnar         skip the columnar-vs-tuple oracle\n"
+      "  --no-columnar         skip the optimized-vs-reference oracle\n"
       "  --no-bloom            skip the bloom-filter-on-vs-off oracle\n"
-      "  --no-merge            skip the merge-vs-hash join oracle\n"
+      "  --no-merge            skip the merge-join-vs-reference oracle\n"
       "  --no-order            skip the ORDER BY correctness oracle\n"
       "  --order-by-prob=P     root ORDER BY probability (default 0.35)\n"
       "  --chaos               run the chaos oracle (spill + fault injection)\n"
