@@ -226,6 +226,82 @@ bool CrossGs(Wrapper* w, OpKind op, SideRole role, const QualSet& p_side_refs,
   return true;
 }
 
+// Sinks selection conjuncts as deep into `n` as the local rules allow,
+// so a filter runs before the joins above it instead of after all of
+// them. Each step is the identity sigma_p(A op B) = sigma_p(A) op B, which
+// holds whatever p's null tolerance when A is an inner join's input or an
+// outer join's preserved input:
+//   * a nested Select merges its conjuncts into the ones being pushed;
+//   * inner join: a conjunct over one child's output enters that child; a
+//     conjunct spanning both is ANDed into the join predicate (a hyperedge
+//     atom the enumerator places);
+//   * LOJ / ROJ: only into the preserved child;
+//   * everything else (FOJ, GroupBy, Project, GS, MGOJ, semi/anti, Sort)
+//     stops the push, as do constant-only conjuncts.
+// Containment is tested against output qualifiers (NodeQuals), so a
+// conjunct on a view's aggregate never sinks below its view. A conjunct
+// that cannot move below `n` is appended to `*stuck`; the caller keeps it
+// at its own level. SimplifyOuterJoins is what lets null-intolerant WHERE
+// conjuncts reach their leaves: it has already turned every LOJ whose
+// padded side they reject into an inner join.
+NodePtr SinkConjuncts(const NodePtr& n, std::vector<Atom> atoms,
+                      const Catalog& catalog, std::vector<Atom>* stuck) {
+  std::vector<Atom> movable;
+  for (Atom& a : atoms) {
+    (a.RelNames().empty() ? *stuck : movable).push_back(std::move(a));
+  }
+  if (movable.empty()) return n;
+  switch (n->kind()) {
+    case OpKind::kLeaf:
+      return Node::Select(n, Predicate(std::move(movable)));
+    case OpKind::kSelect: {
+      std::vector<Atom> all = n->pred().atoms();
+      all.insert(all.end(), movable.begin(), movable.end());
+      if (n->left()->kind() == OpKind::kLeaf) {
+        return Node::Select(n->left(), Predicate(std::move(all)));
+      }
+      std::vector<Atom> here;
+      NodePtr child = SinkConjuncts(n->left(), std::move(all), catalog, &here);
+      return here.empty() ? child : Node::Select(child, Predicate(here));
+    }
+    case OpKind::kInnerJoin:
+    case OpKind::kLeftOuterJoin:
+    case OpKind::kRightOuterJoin: {
+      const bool into_left = n->kind() != OpKind::kRightOuterJoin;
+      const bool into_right = n->kind() != OpKind::kLeftOuterJoin;
+      QualSet lq = NodeQuals(n->left(), catalog);
+      QualSet rq = NodeQuals(n->right(), catalog);
+      QualSet both = lq;
+      both.insert(rq.begin(), rq.end());
+      std::vector<Atom> to_left, to_right;
+      Predicate pred = n->pred();
+      for (Atom& a : movable) {
+        QualSet q = AtomQuals(a);
+        if (into_left && SubsetOf(q, lq)) {
+          to_left.push_back(std::move(a));
+        } else if (into_right && SubsetOf(q, rq)) {
+          to_right.push_back(std::move(a));
+        } else if (n->kind() == OpKind::kInnerJoin && SubsetOf(q, both)) {
+          pred.AddAtom(std::move(a));
+        } else {
+          stuck->push_back(std::move(a));
+        }
+      }
+      NodePtr l = SinkConjuncts(n->left(), std::move(to_left), catalog, stuck);
+      NodePtr r =
+          SinkConjuncts(n->right(), std::move(to_right), catalog, stuck);
+      if (l == n->left() && r == n->right() &&
+          pred.NumAtoms() == n->pred().NumAtoms()) {
+        return n;
+      }
+      return Node::Binary(n->kind(), l, r, std::move(pred));
+    }
+    default:
+      stuck->insert(stuck->end(), movable.begin(), movable.end());
+      return n;
+  }
+}
+
 struct NormalizeContext {
   const Catalog& catalog;
   int next_aux = 0;
@@ -392,16 +468,21 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
       return out;
     case OpKind::kSelect: {
       // A filter directly on a base relation stays with the leaf (the
-      // enumerator reorders the filtered unit); anything else hoists.
+      // enumerator reorders the filtered unit). Any other filter first
+      // sinks its conjuncts; only those that cannot move hoist.
       if (node->left()->kind() == OpKind::kLeaf) {
         out.tree = node;
         out.tree_quals = {node->left()->table()};
         return out;
       }
-      GSOPT_ASSIGN_OR_RETURN(Side child, Normalize(node->left(), ctx));
+      std::vector<Atom> rest;
+      NodePtr sunk = SinkConjuncts(node->left(), node->pred().atoms(),
+                                   ctx->catalog, &rest);
+      GSOPT_ASSIGN_OR_RETURN(Side child, Normalize(sunk, ctx));
+      if (rest.empty()) return child;
       Wrapper w;
       w.kind = Wrapper::Kind::kGeneralizedSelection;
-      w.pred = node->pred();
+      w.pred = Predicate(std::move(rest));
       child.wrappers.push_back(std::move(w));
       return child;
     }

@@ -5,8 +5,12 @@
 //   * predicates that reference aggregation outputs are split off the
 //     binary operators and deferred into generalized selections above the
 //     pulled-up aggregation;
-//   * plain selections and previously created generalized selections are
-//     hoisted with operator-specific preserved-group adjustments.
+//   * plain selections are pushed first: each conjunct sinks into an
+//     inner join's child (or, spanning both, into its predicate) and into
+//     an outer join's preserved child, as deep as those rules reach;
+//   * the conjuncts that cannot move, and previously created generalized
+//     selections, are hoisted with operator-specific preserved-group
+//     adjustments.
 //
 // The result is a pure join/outer-join tree (reorderable by the
 // enumerator) plus an ordered stack of unary "wrappers" to re-apply above

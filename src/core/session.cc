@@ -23,12 +23,16 @@ StatusOr<QueryResult> PreparedStatement::Execute(std::vector<Value> params,
   ExecuteOptions merged = session_->MergedExec(exec);
   // Statistics may have moved since Prepare (or the last Execute); the
   // epoch check re-acquires through the cache so a stale template is
-  // re-optimized at most once per epoch, not per call. A fresh-epoch
-  // execute is a template reuse: no plan search happens on this call.
+  // re-optimized at most once per epoch, not per call. The current epoch
+  // is read through RefreshOptimizer, which notices a catalog write by
+  // itself. A fresh-epoch execute is a template reuse: no plan search
+  // happens on this call.
   bool hit = true;
   bool deferred = false;
   OptimizerCounters traffic;
-  if (epoch_ != session_->epoch()) {
+  uint64_t current = 0;
+  session_->RefreshOptimizer(&current);
+  if (epoch_ != current) {
     uint64_t epoch = 0;
     GSOPT_ASSIGN_OR_RETURN(
         plan_, session_->AcquirePlan(pq_, merged.budget, &epoch, &hit,

@@ -131,6 +131,52 @@ NodePtr MaybeOrderBy(NodePtr root, const std::vector<Attribute>& candidates,
   return Node::Sort(std::move(root), std::move(spec));
 }
 
+// With probability options.where_prob, wraps `root` in a WHERE selection
+// of one or two conjuncts over `candidates`: column vs constant (drawn
+// from the fuzz data domain), IS [NOT] NULL, or column vs a column of
+// another relation. The selection goes directly above the join tree, which
+// is the binder's shape for a WHERE clause over a JOIN chain.
+NodePtr MaybeWhere(NodePtr root, const std::vector<Attribute>& candidates,
+                   const RandomQueryOptions& options, Rng* rng,
+                   RandomQueryFeatures* features) {
+  if (options.where_prob <= 0.0 || candidates.empty() ||
+      !rng->Bernoulli(options.where_prob)) {
+    return root;
+  }
+  auto pick = [&](const std::vector<Attribute>& from) -> const Attribute& {
+    return from[static_cast<size_t>(
+        rng->Uniform(0, static_cast<int64_t>(from.size()) - 1))];
+  };
+  Predicate pred;
+  const int want = rng->Bernoulli(0.4) ? 2 : 1;
+  for (int k = 0; k < want; ++k) {
+    const Attribute& col = pick(candidates);
+    double kind = rng->NextDouble();
+    if (kind < 0.25) {
+      pred.AddAtom(MakeIsNullAtom(col.rel, col.name, rng->Bernoulli(0.5)));
+      continue;
+    }
+    if (kind < 0.5) {
+      std::vector<Attribute> others;
+      for (const Attribute& a : candidates) {
+        if (a.rel != col.rel) others.push_back(a);
+      }
+      if (!others.empty()) {
+        const Attribute& other = pick(others);
+        pred.AddAtom(MakeAtom(col.rel, col.name, RandomCmpOp(rng), other.rel,
+                              other.name));
+        continue;
+      }
+    }
+    CmpOp ops[] = {CmpOp::kEq, CmpOp::kLe, CmpOp::kLt, CmpOp::kGe, CmpOp::kNe};
+    CmpOp op = ops[rng->Uniform(0, 4)];
+    pred.AddAtom(
+        MakeConstAtom(col.rel, col.name, op, Value::Int(rng->Uniform(0, 5))));
+  }
+  if (features != nullptr) features->has_where = true;
+  return Node::Select(std::move(root), std::move(pred));
+}
+
 }  // namespace
 
 NodePtr MakeRandomQuery(const RandomQueryOptions& options, Rng* rng,
@@ -150,6 +196,7 @@ NodePtr MakeRandomQuery(const RandomQueryOptions& options, Rng* rng,
       candidates.push_back(Attribute{"r" + std::to_string(i), ColName(c)});
     }
   }
+  root = MaybeWhere(std::move(root), candidates, options, rng, features);
   return MaybeOrderBy(std::move(root), candidates, options, rng, features);
 }
 
@@ -276,6 +323,7 @@ NodePtr MakeGeneralRandomQuery(const RandomQueryOptions& options, Rng* rng,
   }
   std::vector<Attribute> candidates;
   for (const VisibleCol& vc : visible) candidates.push_back(vc.attr);
+  acc = MaybeWhere(std::move(acc), candidates, options, rng, features);
   return MaybeOrderBy(std::move(acc), candidates, options, rng, features);
 }
 

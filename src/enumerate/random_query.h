@@ -52,6 +52,14 @@ struct RandomQueryOptions {
   // directions; in the view case the aggregate output column is a
   // candidate key.
   double order_by_prob = 0.0;
+
+  // --- WHERE extensions (a root selection) ---
+  // Probability the query is wrapped, below the optional ORDER BY, in a
+  // selection of one or two conjuncts over visible columns (in the view
+  // case the aggregate output is a candidate): column vs constant,
+  // IS [NOT] NULL, or column vs column across relations. At zero nothing
+  // is drawn, so the Rng stream matches generation without WHERE.
+  double where_prob = 0.0;
 };
 
 // What one generated query actually contains; the fuzz driver aggregates
@@ -65,12 +73,15 @@ struct RandomQueryFeatures {
   bool has_outer_join = false;    // at least one LOJ/ROJ/FOJ
   bool has_order_by = false;      // a root ORDER BY (kSort) is present
   bool has_desc_key = false;      // ...with at least one DESC key
+  bool has_where = false;         // a root WHERE selection is present
   int num_rels = 0;
 };
 
 // Builds a random join/outer-join tree over leaves r1..r<num_rels>. Every
 // operator's predicate references at least one relation from each side (so
-// the hypergraph is connected and well-formed). `features`, when non-null,
+// the hypergraph is connected and well-formed). With options.where_prob
+// the tree is filtered by a root WHERE, with options.order_by_prob sorted
+// by a root ORDER BY above it. `features`, when non-null,
 // reports what was generated.
 NodePtr MakeRandomQuery(const RandomQueryOptions& options, Rng* rng,
                         RandomQueryFeatures* features = nullptr);

@@ -181,7 +181,10 @@ StatusOr<BoundTable> Binder::BindFromWhere(const SqlQuery& q) {
 
   // Distribute the WHERE conjuncts: single-item atoms become selections on
   // that item; cross-item atoms become join predicates at the first
-  // combination where both sides are available.
+  // combination where both sides are available. A single FROM item (an
+  // explicit JOIN chain) therefore gets the whole WHERE as one selection
+  // on top; NormalizeForReordering later sinks each conjunct as deep into
+  // the chain as the outer joins allow.
   std::vector<const SqlComparison*> pending;
   for (const SqlComparison& c : q.where) pending.push_back(&c);
 

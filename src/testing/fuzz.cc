@@ -26,6 +26,10 @@ FuzzOptions FuzzOptions::Default() {
   // oracle and the sort enforcer's interaction with every other oracle
   // (TLP wrapping, plan caching, round trips) get steady coverage.
   opt.query.order_by_prob = 0.35;
+  // Half the cases carry a root WHERE, so every oracle polices the
+  // normalizer's conjunct push-down (preserved vs null-supplied sides,
+  // filters above views, IS [NOT] NULL) on generated filters.
+  opt.query.where_prob = 0.5;
   return opt;
 }
 
@@ -62,12 +66,13 @@ std::string FuzzStats::Summary() const {
       buf, sizeof(buf),
       "fuzz: %d cases, %d failures, %d skipped | coverage: view %.1f%%, "
       "agg-pred %.1f%%, distinct %.1f%%, dup-pair %.1f%%, complex-pred "
-      "%.1f%%, outer-join %.1f%%, order-by %.1f%% | %zu plans checked, "
-      "%zu skipped | %.1fs (%.1f cases/s)",
+      "%.1f%%, outer-join %.1f%%, order-by %.1f%%, where %.1f%% | %zu plans "
+      "checked, %zu skipped | %.1fs (%.1f cases/s)",
       cases, failures, skipped, Pct(with_view), Pct(with_agg_pred),
       Pct(with_distinct), Pct(with_dup_pair), Pct(with_complex_pred),
-      Pct(with_outer_join), Pct(with_order_by), plans_checked, plans_skipped,
-      seconds, seconds > 0 ? cases / seconds : 0.0);
+      Pct(with_outer_join), Pct(with_order_by), Pct(with_where),
+      plans_checked, plans_skipped, seconds,
+      seconds > 0 ? cases / seconds : 0.0);
   std::string out = buf;
   if (chaos_trials > 0) {
     std::snprintf(buf, sizeof(buf),
@@ -106,6 +111,7 @@ StatusOr<FuzzStats> RunFuzz(uint64_t seed_start, int num_seeds,
     if (fc.features.has_complex_pred) ++stats.with_complex_pred;
     if (fc.features.has_outer_join) ++stats.with_outer_join;
     if (fc.features.has_order_by) ++stats.with_order_by;
+    if (fc.features.has_where) ++stats.with_where;
 
     Rng oracle_rng(seed ^ 0xfeedface12345678ULL);
     GSOPT_ASSIGN_OR_RETURN(

@@ -72,7 +72,7 @@ struct FuzzStats {
   size_t chaos_spills = 0;
 
   // Feature coverage (the acceptance gate: >=30% views, >=20% aggregated-
-  // column predicates).
+  // column predicates, >=30% WHERE filters).
   int with_view = 0;
   int with_agg_pred = 0;
   int with_distinct = 0;
@@ -80,6 +80,7 @@ struct FuzzStats {
   int with_complex_pred = 0;
   int with_outer_join = 0;
   int with_order_by = 0;
+  int with_where = 0;
 
   double seconds = 0.0;
   std::vector<std::string> failure_dirs;  // artifacts written this run

@@ -131,6 +131,30 @@ class Emitter {
 
   StatusOr<Rendered> Render(const NodePtr& n);
 
+  StatusOr<std::string> RenderPredicate(const Predicate& p,
+                                        const Rendered& scope) const {
+    if (p.IsTrue()) return std::string("1 = 1");
+    std::string out;
+    for (const Atom& a : p.atoms()) {
+      if (!out.empty()) out += " AND ";
+      GSOPT_ASSIGN_OR_RETURN(std::string lhs, RenderScalar(a.lhs, scope));
+      switch (a.kind) {
+        case Atom::Kind::kCompare: {
+          GSOPT_ASSIGN_OR_RETURN(std::string rhs, RenderScalar(a.rhs, scope));
+          out += lhs + " " + CmpText(a.op) + " " + rhs;
+          break;
+        }
+        case Atom::Kind::kIsNull:
+          out += lhs + " IS NULL";
+          break;
+        case Atom::Kind::kIsNotNull:
+          out += lhs + " IS NOT NULL";
+          break;
+      }
+    }
+    return out;
+  }
+
  private:
   StatusOr<std::string> Lookup(const Rendered& scope, const std::string& rel,
                                const std::string& name) const {
@@ -157,30 +181,6 @@ class Emitter {
         return "$" + std::to_string(s->param_slot() + 1);
     }
     return Status::Internal("unhandled scalar kind");
-  }
-
-  StatusOr<std::string> RenderPredicate(const Predicate& p,
-                                        const Rendered& scope) const {
-    if (p.IsTrue()) return std::string("1 = 1");
-    std::string out;
-    for (const Atom& a : p.atoms()) {
-      if (!out.empty()) out += " AND ";
-      GSOPT_ASSIGN_OR_RETURN(std::string lhs, RenderScalar(a.lhs, scope));
-      switch (a.kind) {
-        case Atom::Kind::kCompare: {
-          GSOPT_ASSIGN_OR_RETURN(std::string rhs, RenderScalar(a.rhs, scope));
-          out += lhs + " " + CmpText(a.op) + " " + rhs;
-          break;
-        }
-        case Atom::Kind::kIsNull:
-          out += lhs + " IS NULL";
-          break;
-        case Atom::Kind::kIsNotNull:
-          out += lhs + " IS NOT NULL";
-          break;
-      }
-    }
-    return out;
   }
 
   std::string FreshAlias(const std::string& stem) {
@@ -361,11 +361,16 @@ StatusOr<EmittedQuery> EmitSql(const NodePtr& tree, const Catalog& catalog) {
   // `reference` applies the identical rename to the input tree. A root
   // kSort (optionally under the projection -- the binder's ORDER BY shape)
   // is peeled off here and re-rendered as the outermost ORDER BY clause.
+  // A selection directly below it becomes the statement's own WHERE
+  // clause, so the round trip re-binds through the binder's top-level
+  // WHERE shape (one selection over the whole FROM item).
   NodePtr proj = tree->kind() == OpKind::kProject ? tree : nullptr;
   NodePtr below = proj != nullptr ? proj->left() : tree;
   NodePtr sort = below->kind() == OpKind::kSort ? below : nullptr;
   NodePtr body = sort != nullptr ? sort->left() : below;
-  GSOPT_ASSIGN_OR_RETURN(Rendered r, emitter.Render(body));
+  NodePtr where = body->kind() == OpKind::kSelect ? body : nullptr;
+  NodePtr from = where != nullptr ? where->left() : body;
+  GSOPT_ASSIGN_OR_RETURN(Rendered r, emitter.Render(from));
 
   std::vector<std::pair<Attribute, std::string>> selected;
   if (proj != nullptr) {
@@ -406,6 +411,11 @@ StatusOr<EmittedQuery> EmitSql(const NodePtr& tree, const Catalog& catalog) {
 
   EmittedQuery out;
   out.sql = "SELECT " + items + " FROM " + r.sql;
+  if (where != nullptr) {
+    GSOPT_ASSIGN_OR_RETURN(std::string pred,
+                           emitter.RenderPredicate(where->pred(), r));
+    out.sql += " WHERE " + pred;
+  }
   if (sort != nullptr) {
     std::string clause;
     for (const exec::SortKey& k : sort->sort_spec()) {

@@ -1,7 +1,8 @@
 // SQL-text emitter: renders a logical algebra tree back into the SQL
 // subset understood by sql/lexer+parser+binder, so every generated query
 // can round-trip through the whole front end. GROUP BY nodes become aliased
-// view subqueries (the binder re-merges them), selections become
+// view subqueries (the binder re-merges them), a root selection becomes
+// the statement's WHERE clause, other selections become
 // `(SELECT * FROM ... WHERE p) AS sK` wrappers (the binder's star path
 // preserves the underlying qualifiers), joins render structurally. The
 // emitted text's top-level SELECT aliases every output column o0..oN under

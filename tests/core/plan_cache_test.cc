@@ -160,6 +160,40 @@ TEST(PlanCacheTest, CatalogMutationBumpsEpochAndInvalidates) {
   EXPECT_TRUE(again->cache_hit);
 }
 
+TEST(PlanCacheTest, PreparedExecuteNoticesCatalogWriteByItself) {
+  // Regression: Execute used to compare its epoch against the session's
+  // last-seen epoch, which only plan acquisition or optimizer() refreshed,
+  // so a prepared statement kept serving a template costed under the old
+  // statistics. Nothing but Execute runs between the write and the check.
+  Catalog cat = MakeCatalog(79, 3);
+  Session session(cat);
+  auto stmt = session.Prepare(
+      "SELECT * FROM r1 JOIN r2 ON r1.a = r2.a WHERE r1.b <= $1");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto before = stmt->Execute({Value::Int(3)});
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_TRUE(before->cache_hit);  // the template Prepare acquired
+  const uint64_t epoch_before = session.epoch();
+
+  ASSERT_TRUE(
+      cat.Insert("r1", {Value::Int(1), Value::Int(2), Value::Int(3)}).ok());
+  auto after = stmt->Execute({Value::Int(3)});
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_FALSE(after->cache_hit);  // re-acquired, re-optimized
+  EXPECT_GT(session.epoch(), epoch_before);
+  EXPECT_EQ(session.cache_stats().invalidations, 1u);
+  auto expect = sql::ParseAndBind(
+      "SELECT * FROM r1 JOIN r2 ON r1.a = r2.a WHERE r1.b <= 3", cat);
+  ASSERT_TRUE(expect.ok());
+  auto rows = Execute(*expect, cat);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(Relation::BagEquals(*rows, after->rows));
+  // The re-acquired template is current: the next call reuses it.
+  auto again = stmt->Execute({Value::Int(3)});
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->cache_hit);
+}
+
 TEST(PlanCacheTest, LruEvictsOldestShapeAtCapacity) {
   Catalog cat = MakeCatalog(78, 3);
   Session session(cat, SessionOptions{}

@@ -1,19 +1,23 @@
 // Unit tests for the random query generator, focused on the general-class
 // extensions: duplicate column-pair predicates (the `p AND p` shape that
 // tautological-conjunct handling must survive), GROUP BY views with
-// aggregated-column predicates, and generation determinism.
+// aggregated-column predicates, root WHERE filters, and generation
+// determinism.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
+#include "algebra/execute.h"
 #include "algebra/simplify.h"
 #include "base/rng.h"
 #include "enumerate/enumerator.h"
 #include "enumerate/random_query.h"
 #include "hypergraph/build.h"
 #include "relational/datagen.h"
+#include "sql/binder.h"
 #include "testing/oracles.h"
+#include "testing/sql_emit.h"
 
 namespace gsopt {
 namespace {
@@ -122,6 +126,64 @@ TEST(RandomQueryTest, GeneralClassCoversViewsAndAggPredicates) {
     EXPECT_TRUE(features.has_view) << "seed " << seed;
     EXPECT_TRUE(features.has_agg_pred) << "seed " << seed;
   }
+}
+
+TEST(RandomQueryTest, WhereFiltersRootAndRoundTripsAsWhereClause) {
+  RandomQueryOptions opt;
+  opt.num_rels = 4;
+  opt.view_prob = 0.5;
+  opt.order_by_prob = 0.5;
+  opt.where_prob = 1.0;
+  Catalog cat;
+  Rng drng(17);
+  RandomRelationOptions dopt;
+  dopt.num_rows = 8;
+  dopt.domain = 6;
+  dopt.null_fraction = 0.2;
+  AddRandomTables(opt.num_rels, dopt, &drng, &cat);
+  bool saw_const = false, saw_null_test = false, saw_cross = false,
+       saw_agg = false;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    RandomQueryFeatures features;
+    NodePtr q = MakeGeneralRandomQuery(opt, &rng, &features);
+    ASSERT_TRUE(features.has_where) << "seed " << seed;
+    // The selection sits directly below the optional ORDER BY.
+    NodePtr body = q->kind() == OpKind::kSort ? q->left() : q;
+    ASSERT_EQ(body->kind(), OpKind::kSelect) << q->ToString();
+    ASSERT_TRUE(body->left()->kind() == OpKind::kInnerJoin ||
+                body->left()->kind() == OpKind::kLeftOuterJoin ||
+                body->left()->kind() == OpKind::kRightOuterJoin ||
+                body->left()->kind() == OpKind::kFullOuterJoin)
+        << q->ToString();
+    for (const Atom& a : body->pred().atoms()) {
+      std::set<std::string> rels = a.RelNames();
+      if (a.kind != Atom::Kind::kCompare) {
+        saw_null_test = true;
+      } else if (rels.size() == 2) {
+        saw_cross = true;
+      } else {
+        saw_const = true;
+      }
+      if (rels.count("v")) saw_agg = true;
+    }
+    // EmitSql renders the root selection as the statement's WHERE clause;
+    // the re-bound text answers exactly like the tree.
+    auto emitted = testing::EmitSql(q, cat);
+    ASSERT_TRUE(emitted.ok()) << emitted.status().ToString();
+    EXPECT_NE(emitted->sql.find(" WHERE "), std::string::npos);
+    auto bound = sql::ParseAndBind(emitted->sql, cat);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString() << "\n"
+                            << emitted->sql;
+    auto want = Execute(emitted->reference, cat);
+    auto got = Execute(*bound, cat);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_TRUE(Relation::BagEquals(*want, *got)) << emitted->sql;
+  }
+  EXPECT_TRUE(saw_const);
+  EXPECT_TRUE(saw_null_test);
+  EXPECT_TRUE(saw_cross);
+  EXPECT_TRUE(saw_agg);
 }
 
 TEST(RandomQueryTest, SameSeedSameQuery) {

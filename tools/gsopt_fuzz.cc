@@ -1,6 +1,7 @@
 // gsopt_fuzz: metamorphic differential-testing driver over the paper's
 // full query class. Generates seeded random (query, data) cases -- GROUP
-// BY views, aggregated-column predicates, outer joins, nulls -- and checks
+// BY views, aggregated-column predicates, WHERE filters, outer joins,
+// nulls -- and checks
 // the plan-space / executor / degradation / TLP / SQL-round-trip /
 // plan-cache / columnar / bloom / merge / order oracles on each (the
 // plan-cache oracle runs every case through a gsopt::Session, validating
@@ -67,7 +68,7 @@ int Usage() {
       "  --chaos-period=N      fire one injected fault per N probes (default 3)\n"
       "  --chaos-memory=BYTES  operator-state cap for spill trials (default 16384)\n"
       "  --chaos-trials=N      faulted trials per case (default 4)\n"
-      "  --no-enforce-coverage skip the view/agg-pred coverage gates\n"
+      "  --no-enforce-coverage skip the view/agg-pred/WHERE coverage gates\n"
       "  --quiet               suppress per-failure logging\n";
   return 2;
 }
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
   bool inject_fault = false;
   bool enforce_coverage = true;
   bool quiet = false;
-  double min_view_pct = 30.0, min_agg_pred_pct = 20.0;
+  double min_view_pct = 30.0, min_agg_pred_pct = 20.0, min_where_pct = 30.0;
 
   for (int i = 1; i < argc; ++i) {
     std::string v;
@@ -178,6 +179,12 @@ int main(int argc, char** argv) {
       std::cerr << "coverage gate: aggregated-column predicates "
                 << stats->Pct(stats->with_agg_pred) << "% < "
                 << min_agg_pred_pct << "%\n";
+      rc = 1;
+    }
+    if (stats->Pct(stats->with_where) < min_where_pct) {
+      std::cerr << "coverage gate: WHERE filters "
+                << stats->Pct(stats->with_where) << "% < " << min_where_pct
+                << "%\n";
       rc = 1;
     }
   }
