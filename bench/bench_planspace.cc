@@ -82,9 +82,9 @@ void RunModes(benchmark::State& state, NodePtr (*builder)(int)) {
     opts.mode = mode;
     Enumerator en(*hg, opts);
     auto t = en.CountAssociationTrees();
-    auto p = en.EnumerateAll();
+    auto p = en.Enumerate();
     trees = t.ok() ? *t : 0;
-    plans = p.ok() ? p->size() : 0;
+    plans = p.ok() ? p->plans.size() : 0;
     benchmark::DoNotOptimize(plans);
   }
   state.counters["trees"] = static_cast<double>(trees);

@@ -100,10 +100,10 @@ int main() {
   // selection deferring one of the h2 conjuncts.
   EnumOptions gopts;
   gopts.mode = EnumMode::kGeneralized;
-  auto plans = Enumerator(*hg, gopts).EnumerateAll();
+  auto space = Enumerator(*hg, gopts).Enumerate();
   std::printf("GS-compensated plans (the paper's sigma*_p[r1r2] family):\n");
   int shown = 0;
-  for (const PlanCandidate& c : *plans) {
+  for (const PlanCandidate& c : space->plans) {
     if (c.expr->kind() != OpKind::kGeneralizedSelection) continue;
     if (shown++ >= 4) break;
     std::printf("  %s\n", c.expr->ToString().c_str());
@@ -119,7 +119,7 @@ int main() {
   AddRandomTables(5, ropt, &rng, &cat);
   auto ref = Execute(q4, cat);
   int ok = 0, bad = 0;
-  for (const PlanCandidate& c : *plans) {
+  for (const PlanCandidate& c : space->plans) {
     auto got = Execute(c.expr, cat);
     (got.ok() && Relation::BagEquals(*ref, *got)) ? ++ok : ++bad;
   }

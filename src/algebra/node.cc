@@ -68,7 +68,10 @@ struct NodeBuilder {
   static std::shared_ptr<Node> New() {
     return std::shared_ptr<Node>(new Node());
   }
-  static Node* Mutable(const std::shared_ptr<Node>& n) { return n.get(); }
+  // A mutable copy of `n` (every field), for the rebuilds below.
+  static std::shared_ptr<Node> Copy(const Node& n) {
+    return std::shared_ptr<Node>(new Node(n));
+  }
 };
 
 NodePtr Node::Leaf(std::string table) {
@@ -185,10 +188,34 @@ NodePtr Node::Sort(NodePtr child, exec::SortSpec spec) {
 NodePtr Node::WithMergeJoin(const NodePtr& join) {
   GSOPT_CHECK(join != nullptr && IsBinary(join->kind_));
   if (join->merge_join_) return join;
-  auto n = NodeBuilder::New();
-  *NodeBuilder::Mutable(n) = *join;
-  NodeBuilder::Mutable(n)->merge_join_ = true;
+  auto n = NodeBuilder::Copy(*join);
+  n->merge_join_ = true;
   return n;
+}
+
+NodePtr Node::WithChildren(const NodePtr& n, NodePtr l, NodePtr r) {
+  GSOPT_CHECK(n != nullptr);
+  if (l == n->left_ && r == n->right_) return n;
+  GSOPT_CHECK((l != nullptr) == (n->left_ != nullptr) &&
+              (r != nullptr) == (n->right_ != nullptr));
+  auto out = NodeBuilder::Copy(*n);
+  out->left_ = std::move(l);
+  out->right_ = std::move(r);
+  return out;
+}
+
+NodePtr Node::WithPred(const NodePtr& n, Predicate p) {
+  GSOPT_CHECK(n != nullptr);
+  auto out = NodeBuilder::Copy(*n);
+  out->pred_ = std::move(p);
+  return out;
+}
+
+NodePtr Node::WithGroupBy(const NodePtr& n, exec::GroupBySpec spec) {
+  GSOPT_CHECK(n != nullptr && n->kind_ == OpKind::kGroupBy);
+  auto out = NodeBuilder::Copy(*n);
+  out->groupby_ = std::move(spec);
+  return out;
 }
 
 std::set<std::string> Node::BaseRels() const {
@@ -241,9 +268,11 @@ std::string Node::ToString() const {
       return "SELECT[" + pred_.ToString() + "](" + left_->ToString() + ")";
     case OpKind::kProject: {
       std::string s = "PROJECT[";
+      const std::vector<Attribute>& outs = projection_out();
       for (size_t i = 0; i < projection_.size(); ++i) {
         if (i) s += ", ";
         s += projection_[i].Qualified();
+        if (!(outs[i] == projection_[i])) s += " AS " + outs[i].Qualified();
       }
       return s + "](" + left_->ToString() + ")";
     }

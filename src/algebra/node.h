@@ -2,7 +2,9 @@
 // base relations, selection, inner / left / right / full outer join, anti
 // and semi join, generalized selection (GS), MGOJ, generalized projection
 // (GROUP BY) and projection. Nodes are immutable and shared; rewrites build
-// new trees.
+// new trees, rebuilding a node of unchanged kind through WithChildren /
+// WithPred / WithGroupBy so that no pass drops a field it does not know
+// about (output names, preserved groups, the merge stamp).
 #ifndef GSOPT_ALGEBRA_NODE_H_
 #define GSOPT_ALGEBRA_NODE_H_
 
@@ -79,6 +81,16 @@ class Node {
   // unaffected.
   static NodePtr WithMergeJoin(const NodePtr& join);
 
+  // The one way a rewrite rebuilds a node without changing its kind: a
+  // copy of `n` that keeps every other field (groups, specs, output names,
+  // the merge stamp). WithChildren returns `n` itself when neither child
+  // changed, so untouched subtrees stay shared; pass nullptr for the right
+  // child of a unary node. A kind change (LOJ -> JOIN) goes through
+  // Binary instead.
+  static NodePtr WithChildren(const NodePtr& n, NodePtr l, NodePtr r);
+  static NodePtr WithPred(const NodePtr& n, Predicate p);
+  static NodePtr WithGroupBy(const NodePtr& n, exec::GroupBySpec spec);
+
   OpKind kind() const { return kind_; }
   const std::string& table() const { return table_; }
   const Predicate& pred() const { return pred_; }
@@ -101,6 +113,10 @@ class Node {
 
   // Compact algebraic rendering, e.g.
   //   GS[r2.e=r3.e; {r1,r2}]((r1 LOJ[r1.c=r2.c] r2) LOJ[r1.f=r3.f] r3)
+  // It is the canonical form plan-cache keys hash, so whatever changes a
+  // query's answer must show: a renaming projection renders `src AS out`
+  // per renamed column, and a sort its key directions. The physical merge
+  // stamp is left out.
   std::string ToString() const;
 
  private:

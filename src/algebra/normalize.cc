@@ -1,5 +1,6 @@
 #include "algebra/normalize.h"
 
+#include <atomic>
 #include <set>
 
 #include "algebra/schema_infer.h"
@@ -9,20 +10,11 @@ namespace gsopt {
 
 namespace {
 
-int aux_counter_hint = 0;  // appended to aux column names for uniqueness
+// Appended to aux column names for uniqueness across normalizations; a
+// Session normalizes from several serving threads at once.
+std::atomic<int> aux_counter_hint{0};
 
 using QualSet = std::set<std::string>;
-
-QualSet NodeQuals(const NodePtr& n, const Catalog& catalog) {
-  QualSet out;
-  auto schema = InferSchema(n, catalog);
-  if (schema.ok()) {
-    for (const Attribute& a : schema->attrs()) out.insert(a.rel);
-  } else {
-    for (const std::string& r : n->BaseRels()) out.insert(r);
-  }
-  return out;
-}
 
 // Qualifiers a wrapper's output adds (aggregation output relations).
 void AddWrapperQuals(const Wrapper& w, QualSet* quals) {
@@ -238,14 +230,14 @@ bool CrossGs(Wrapper* w, OpKind op, SideRole role, const QualSet& p_side_refs,
 //   * LOJ / ROJ: only into the preserved child;
 //   * everything else (FOJ, GroupBy, Project, GS, MGOJ, semi/anti, Sort)
 //     stops the push, as do constant-only conjuncts.
-// Containment is tested against output qualifiers (NodeQuals), so a
+// Containment is tested against output qualifiers (OutputQuals), so a
 // conjunct on a view's aggregate never sinks below its view. A conjunct
 // that cannot move below `n` is appended to `*stuck`; the caller keeps it
 // at its own level. SimplifyOuterJoins is what lets null-intolerant WHERE
 // conjuncts reach their leaves: it has already turned every LOJ whose
 // padded side they reject into an inner join.
 NodePtr SinkConjuncts(const NodePtr& n, std::vector<Atom> atoms,
-                      const Catalog& catalog, std::vector<Atom>* stuck) {
+                      std::vector<Atom>* stuck) {
   std::vector<Atom> movable;
   for (Atom& a : atoms) {
     (a.RelNames().empty() ? *stuck : movable).push_back(std::move(a));
@@ -258,10 +250,10 @@ NodePtr SinkConjuncts(const NodePtr& n, std::vector<Atom> atoms,
       std::vector<Atom> all = n->pred().atoms();
       all.insert(all.end(), movable.begin(), movable.end());
       if (n->left()->kind() == OpKind::kLeaf) {
-        return Node::Select(n->left(), Predicate(std::move(all)));
+        return Node::WithPred(n, Predicate(std::move(all)));
       }
       std::vector<Atom> here;
-      NodePtr child = SinkConjuncts(n->left(), std::move(all), catalog, &here);
+      NodePtr child = SinkConjuncts(n->left(), std::move(all), &here);
       return here.empty() ? child : Node::Select(child, Predicate(here));
     }
     case OpKind::kInnerJoin:
@@ -269,8 +261,8 @@ NodePtr SinkConjuncts(const NodePtr& n, std::vector<Atom> atoms,
     case OpKind::kRightOuterJoin: {
       const bool into_left = n->kind() != OpKind::kRightOuterJoin;
       const bool into_right = n->kind() != OpKind::kLeftOuterJoin;
-      QualSet lq = NodeQuals(n->left(), catalog);
-      QualSet rq = NodeQuals(n->right(), catalog);
+      QualSet lq = OutputQuals(n->left());
+      QualSet rq = OutputQuals(n->right());
       QualSet both = lq;
       both.insert(rq.begin(), rq.end());
       std::vector<Atom> to_left, to_right;
@@ -287,14 +279,12 @@ NodePtr SinkConjuncts(const NodePtr& n, std::vector<Atom> atoms,
           stuck->push_back(std::move(a));
         }
       }
-      NodePtr l = SinkConjuncts(n->left(), std::move(to_left), catalog, stuck);
-      NodePtr r =
-          SinkConjuncts(n->right(), std::move(to_right), catalog, stuck);
-      if (l == n->left() && r == n->right() &&
-          pred.NumAtoms() == n->pred().NumAtoms()) {
-        return n;
-      }
-      return Node::Binary(n->kind(), l, r, std::move(pred));
+      NodePtr out = Node::WithChildren(
+          n, SinkConjuncts(n->left(), std::move(to_left), stuck),
+          SinkConjuncts(n->right(), std::move(to_right), stuck));
+      return pred.NumAtoms() == n->pred().NumAtoms()
+                 ? out
+                 : Node::WithPred(out, std::move(pred));
     }
     default:
       stuck->insert(stuck->end(), movable.begin(), movable.end());
@@ -306,6 +296,7 @@ struct NormalizeContext {
   const Catalog& catalog;
   int next_aux = 0;
   ResourceBudget* budget = nullptr;  // optional, not owned
+  int aux_hint = 0;                  // this normalization's aux_counter_hint
 };
 
 StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx);
@@ -397,7 +388,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
           std::string aux_rel = "#flag" + std::to_string(ctx->next_aux);
           std::string aux_name =
               "present" + std::to_string(ctx->next_aux++) +
-              std::to_string(aux_counter_hint);
+              std::to_string(ctx->aux_hint);
           exec::AggSpec aux;
           aux.func = exec::AggFunc::kGroupFlag;
           aux.out_rel = aux_rel;
@@ -416,7 +407,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
           std::string aux_rel = "#aux";
           std::string aux_name =
               "present" + std::to_string(ctx->next_aux++) +
-              std::to_string(aux_counter_hint);
+              std::to_string(ctx->aux_hint);
           exec::AggSpec aux;
           aux.func = exec::AggFunc::kCountPresence;
           QualSet side_vids = AvailableVids(side.tree);
@@ -448,7 +439,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
     GSOPT_ASSIGN_OR_RETURN(NodePtr opaque, Materialize(side, ctx->catalog));
     Side s;
     s.tree = opaque;
-    s.tree_quals = NodeQuals(opaque, ctx->catalog);
+    s.tree_quals = OutputQuals(opaque);
     return s;
   }
   for (Wrapper& w : created_here) crossed.push_back(std::move(w));
@@ -476,8 +467,7 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
         return out;
       }
       std::vector<Atom> rest;
-      NodePtr sunk = SinkConjuncts(node->left(), node->pred().atoms(),
-                                   ctx->catalog, &rest);
+      NodePtr sunk = SinkConjuncts(node->left(), node->pred().atoms(), &rest);
       GSOPT_ASSIGN_OR_RETURN(Side child, Normalize(sunk, ctx));
       if (rest.empty()) return child;
       Wrapper w;
@@ -511,8 +501,8 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
           if (nullable.count(col.rel)) {
             GSOPT_ASSIGN_OR_RETURN(NodePtr opaque_child,
                                    Materialize(child, ctx->catalog));
-            out.tree = Node::GroupBy(opaque_child, node->groupby());
-            out.tree_quals = NodeQuals(out.tree, ctx->catalog);
+            out.tree = Node::WithChildren(node, opaque_child, nullptr);
+            out.tree_quals = OutputQuals(out.tree);
             return out;
           }
         }
@@ -527,7 +517,7 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
       // Projection mid-query: keep the subtree opaque (column pruning is a
       // physical concern; reordering below a projection is future work).
       out.tree = node;
-      out.tree_quals = NodeQuals(node, ctx->catalog);
+      out.tree_quals = OutputQuals(node);
       return out;
     }
     case OpKind::kInnerJoin:
@@ -549,7 +539,7 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
         GSOPT_ASSIGN_OR_RETURN(NodePtr opaque, Materialize(r, ctx->catalog));
         Side s;
         s.tree = opaque;
-        s.tree_quals = NodeQuals(opaque, ctx->catalog);
+        s.tree_quals = OutputQuals(opaque);
         r = std::move(s);
       }
       Predicate pred = node->pred();
@@ -558,7 +548,8 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
       GSOPT_ASSIGN_OR_RETURN(
           Side rc,
           CrossSide(std::move(r), node->kind(), false, &pred, lc, ctx));
-      out.tree = Node::Binary(node->kind(), lc.tree, rc.tree, pred);
+      out.tree = Node::WithPred(Node::WithChildren(node, lc.tree, rc.tree),
+                                std::move(pred));
       out.tree_quals = lc.tree_quals;
       out.tree_quals.insert(rc.tree_quals.begin(), rc.tree_quals.end());
       out.wrappers = std::move(lc.wrappers);
@@ -573,7 +564,7 @@ StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx) {
       // MGOJ / anti / semi joins arrive only from already-planned trees;
       // treat as opaque.
       out.tree = node;
-      out.tree_quals = NodeQuals(node, ctx->catalog);
+      out.tree_quals = OutputQuals(node);
       return out;
   }
 }
@@ -606,8 +597,7 @@ StatusOr<NormalizedQuery> NormalizeForReordering(const NodePtr& query,
                                                  const Catalog& catalog,
                                                  ResourceBudget* budget) {
   if (query == nullptr) return Status::InvalidArgument("null query");
-  NormalizeContext ctx{catalog, 0, budget};
-  ++aux_counter_hint;
+  NormalizeContext ctx{catalog, 0, budget, ++aux_counter_hint};
   GSOPT_ASSIGN_OR_RETURN(Side side, Normalize(query, &ctx));
   NormalizedQuery nq;
   nq.join_tree = side.tree;

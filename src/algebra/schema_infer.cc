@@ -56,4 +56,33 @@ StatusOr<Schema> InferSchema(const NodePtr& node, const Catalog& catalog) {
   }
 }
 
+std::set<std::string> OutputQuals(const NodePtr& node) {
+  switch (node->kind()) {
+    case OpKind::kLeaf:
+      return {node->table()};
+    case OpKind::kProject: {
+      std::set<std::string> out;
+      for (const Attribute& a : node->projection_out()) out.insert(a.rel);
+      return out;
+    }
+    case OpKind::kGroupBy: {
+      std::set<std::string> out;
+      for (const Attribute& a : node->groupby().group_cols) out.insert(a.rel);
+      for (const exec::AggSpec& agg : node->groupby().aggs) {
+        out.insert(agg.out_rel);
+      }
+      return out;
+    }
+    default: {
+      std::set<std::string> out = OutputQuals(node->left());
+      if (node->right() != nullptr && node->kind() != OpKind::kAntiJoin &&
+          node->kind() != OpKind::kSemiJoin) {
+        std::set<std::string> r = OutputQuals(node->right());
+        out.insert(r.begin(), r.end());
+      }
+      return out;
+    }
+  }
+}
+
 }  // namespace gsopt

@@ -25,48 +25,41 @@ RelNameSet Union(const RelNameSet& a, const RelNameSet& b) {
 // nr: relations whose null-padded rows cannot reach the output because a
 // null-intolerant predicate above references them.
 NodePtr Simplify(const NodePtr& node, const RelNameSet& nr) {
-  switch (node->kind()) {
-    case OpKind::kLeaf:
-      return node;
-    case OpKind::kSelect: {
-      RelNameSet child_nr = Union(nr, node->pred().NullRejectedRels());
-      NodePtr c = Simplify(node->left(), child_nr);
-      return c == node->left() ? node : Node::Select(c, node->pred());
-    }
-    case OpKind::kGeneralizedSelection: {
-      // Preserved relations survive even when the GS predicate rejects
-      // them, so only non-preserved referenced relations are null-rejected.
-      RelNameSet preserved;
-      for (const auto& g : node->groups()) preserved.insert(g.begin(), g.end());
-      RelNameSet child_nr = nr;
-      for (const std::string& rel : node->pred().NullRejectedRels()) {
-        if (!preserved.count(rel)) child_nr.insert(rel);
+  if (node->kind() == OpKind::kLeaf) return node;
+  if (node->right() == nullptr) {
+    // Unary operators: only the rejection set handed to the child differs.
+    RelNameSet child_nr;
+    switch (node->kind()) {
+      case OpKind::kSelect:
+        child_nr = Union(nr, node->pred().NullRejectedRels());
+        break;
+      case OpKind::kGeneralizedSelection: {
+        // Preserved relations survive even when the GS predicate rejects
+        // them, so only non-preserved referenced relations are
+        // null-rejected.
+        RelNameSet preserved;
+        for (const auto& g : node->groups()) {
+          preserved.insert(g.begin(), g.end());
+        }
+        child_nr = nr;
+        for (const std::string& rel : node->pred().NullRejectedRels()) {
+          if (!preserved.count(rel)) child_nr.insert(rel);
+        }
+        break;
       }
-      NodePtr c = Simplify(node->left(), child_nr);
-      return c == node->left()
-                 ? node
-                 : Node::GeneralizedSelection(c, node->pred(), node->groups());
+      case OpKind::kSort:
+        // Sorting preserves rows 1:1, so null-rejection from above
+        // transfers straight through.
+        child_nr = nr;
+        break;
+      default:
+        // Projection and group-by do not reject nulls; the child gets an
+        // empty rejection set (aggregation re-shapes rows, so rejection
+        // above does not transfer through soundly in general).
+        break;
     }
-    case OpKind::kSort: {
-      // Sorting preserves rows 1:1, so null-rejection from above transfers
-      // straight through.
-      NodePtr c = Simplify(node->left(), nr);
-      return c == node->left() ? node : Node::Sort(c, node->sort_spec());
-    }
-    case OpKind::kProject:
-    case OpKind::kGroupBy: {
-      // These do not reject nulls; recurse with an empty rejection set
-      // (aggregation re-shapes rows, so rejection above does not transfer
-      // through soundly in general).
-      NodePtr c = Simplify(node->left(), {});
-      if (c == node->left()) return node;
-      if (node->kind() == OpKind::kProject) {
-        return Node::Project(c, node->projection());
-      }
-      return Node::GroupBy(c, node->groupby());
-    }
-    default:
-      break;
+    return Node::WithChildren(node, Simplify(node->left(), child_nr),
+                              nullptr);
   }
 
   // Binary operators.
@@ -140,10 +133,7 @@ NodePtr Simplify(const NodePtr& node, const RelNameSet& nr) {
 
   NodePtr nl = Simplify(l, nr_l);
   NodePtr nr_child = Simplify(r, nr_r);
-  if (kind == node->kind() && nl == l && nr_child == r) return node;
-  if (kind == OpKind::kMgoj) {
-    return Node::Mgoj(nl, nr_child, node->pred(), node->groups());
-  }
+  if (kind == node->kind()) return Node::WithChildren(node, nl, nr_child);
   return Node::Binary(kind, nl, nr_child, node->pred());
 }
 

@@ -89,28 +89,15 @@ StatusOr<PlanSpace> QueryOptimizer::EnumeratePlanSpace(
   if (options.budget != nullptr) {
     GSOPT_RETURN_IF_ERROR(options.budget->CheckDeadlineNow("optimize"));
   }
-  // Reorder below a root ORDER BY (the binder emits Project(Sort(...));
-  // the sort is an enforcer over whatever plan wins, so the plan space is
-  // the child's with the enforcer re-applied).
-  if (query->kind() == OpKind::kSort) {
+  // Reorder below a root ORDER BY or projection (the binder emits
+  // Project(Sort(...))): the plan space is the child's, with the root
+  // operator re-applied on every plan -- a sort as an enforcer over
+  // whatever plan wins, a projection with its output names.
+  if (query->kind() == OpKind::kSort || query->kind() == OpKind::kProject) {
     GSOPT_ASSIGN_OR_RETURN(PlanSpace inner,
                            EnumeratePlanSpace(query->left(), options));
     for (PlanInfo& p : inner.plans) {
-      p.expr = Node::Sort(p.expr, query->sort_spec());
-      p.cost = cost_model_.Cost(p.expr);
-    }
-    return inner;
-  }
-  // Reorder below a root projection (the SQL binder's output shape), then
-  // re-apply it on every plan.
-  if (query->kind() == OpKind::kProject) {
-    GSOPT_ASSIGN_OR_RETURN(PlanSpace inner,
-                           EnumeratePlanSpace(query->left(), options));
-    for (PlanInfo& p : inner.plans) {
-      p.expr = (query->projection_out() != query->projection())
-                   ? Node::ProjectAs(p.expr, query->projection(),
-                                     query->projection_out())
-                   : Node::Project(p.expr, query->projection());
+      p.expr = Node::WithChildren(query, p.expr, nullptr);
       p.cost = cost_model_.Cost(p.expr);
     }
     return inner;
@@ -168,12 +155,6 @@ StatusOr<PlanSpace> QueryOptimizer::EnumeratePlanSpace(
   space.plans.push_back(PlanInfo{simplified, cost_model_.Cost(simplified)});
   space.counters.plans_considered = space.plans.size();
   return space;
-}
-
-StatusOr<std::vector<PlanInfo>> QueryOptimizer::EnumerateFullPlans(
-    const NodePtr& query, const OptimizeOptions& options) const {
-  GSOPT_ASSIGN_OR_RETURN(PlanSpace space, EnumeratePlanSpace(query, options));
-  return std::move(space.plans);
 }
 
 StatusOr<OptimizeResult> QueryOptimizer::Optimize(

@@ -165,10 +165,6 @@ class QueryOptimizer {
   StatusOr<PlanSpace> EnumeratePlanSpace(
       const NodePtr& query, const OptimizeOptions& options = {}) const;
 
-  // Back-compat convenience: the plans of EnumeratePlanSpace().
-  StatusOr<std::vector<PlanInfo>> EnumerateFullPlans(
-      const NodePtr& query, const OptimizeOptions& options = {}) const;
-
   const CostModel& cost_model() const { return cost_model_; }
   const Catalog& catalog() const { return catalog_; }
 

@@ -61,52 +61,21 @@ exec::GroupBySpec RewriteGroupBy(const exec::GroupBySpec& spec,
 
 NodePtr RewriteNode(const NodePtr& n, const ScalarFn& fn) {
   if (n == nullptr) return n;
-  bool changed = false;
   // Own scalars first (traversal-order contract), then children.
-  Predicate pred = RewritePredicate(n->pred(), fn, &changed);
+  bool pred_changed = false;
+  bool spec_changed = false;
+  Predicate pred = RewritePredicate(n->pred(), fn, &pred_changed);
   exec::GroupBySpec spec = n->kind() == OpKind::kGroupBy
-                               ? RewriteGroupBy(n->groupby(), fn, &changed)
+                               ? RewriteGroupBy(n->groupby(), fn, &spec_changed)
                                : exec::GroupBySpec{};
-  NodePtr left = RewriteNode(n->left(), fn);
-  NodePtr right = RewriteNode(n->right(), fn);
-  if (!changed && left == n->left() && right == n->right()) return n;
-  switch (n->kind()) {
-    case OpKind::kLeaf:
-      return n;
-    case OpKind::kSelect:
-      return Node::Select(std::move(left), std::move(pred));
-    case OpKind::kProject:
-      return n->projection_out() != n->projection()
-                 ? Node::ProjectAs(std::move(left), n->projection(),
-                                   n->projection_out())
-                 : Node::Project(std::move(left), n->projection());
-    case OpKind::kGeneralizedSelection:
-      return Node::GeneralizedSelection(std::move(left), std::move(pred),
-                                        n->groups());
-    case OpKind::kMgoj:
-      return Node::Mgoj(std::move(left), std::move(right), std::move(pred),
-                        n->groups());
-    case OpKind::kGroupBy:
-      return Node::GroupBy(std::move(left), std::move(spec));
-    case OpKind::kSort:
-      return Node::Sort(std::move(left), n->sort_spec());
-    case OpKind::kInnerJoin:
-    case OpKind::kLeftOuterJoin:
-    case OpKind::kRightOuterJoin:
-    case OpKind::kFullOuterJoin:
-    case OpKind::kAntiJoin:
-    case OpKind::kSemiJoin: {
-      NodePtr out = Node::Binary(n->kind(), std::move(left), std::move(right),
-                                 std::move(pred));
-      // Cached plan templates are post-optimization trees: the physical
-      // merge hint must survive parameter substitution, or a cache hit
-      // would silently fall back to hash order (breaking any enforcer the
-      // order-aware pass removed on the hint's strength).
-      return n->merge_join() ? Node::WithMergeJoin(out) : out;
-    }
-  }
-  GSOPT_CHECK(false);  // exhaustive switch
-  return n;
+  // The copy keeps every other field, the physical merge hint included: a
+  // cache hit must not fall back to hash order and break an enforcer the
+  // order-aware pass removed on the hint's strength.
+  NodePtr out = Node::WithChildren(n, RewriteNode(n->left(), fn),
+                                   RewriteNode(n->right(), fn));
+  if (pred_changed) out = Node::WithPred(out, std::move(pred));
+  if (spec_changed) out = Node::WithGroupBy(out, std::move(spec));
+  return out;
 }
 
 // Highest explicit parameter slot in the tree, as 1 + slot (0 if none).

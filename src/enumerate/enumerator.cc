@@ -567,11 +567,6 @@ StatusOr<EnumerationResult> Enumerator::Enumerate() {
   return result;
 }
 
-StatusOr<std::vector<PlanCandidate>> Enumerator::EnumerateAll() {
-  GSOPT_ASSIGN_OR_RETURN(EnumerationResult result, Enumerate());
-  return std::move(result.plans);
-}
-
 StatusOr<long long> Enumerator::CountAssociationTrees() {
   GSOPT_RETURN_IF_ERROR(init_status_);
   int n = h_.NumRelations();

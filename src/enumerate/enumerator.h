@@ -103,10 +103,6 @@ class Enumerator {
   // covering every relation, so there is nothing valid to salvage.
   StatusOr<EnumerationResult> Enumerate();
 
-  // Back-compat convenience: the plans of Enumerate() without the
-  // truncation report.
-  StatusOr<std::vector<PlanCandidate>> EnumerateAll();
-
   // Number of distinct association trees (bracketings, ignoring operator
   // choices) valid in this mode.
   StatusOr<long long> CountAssociationTrees();

@@ -19,13 +19,11 @@ using internal::ForRanges;
 using internal::GroupIndex;
 using internal::GroupPartAllNull;
 using internal::HashJoinCore;
-using internal::HashPlan;
 using internal::IndexGroup;
 using internal::JoinCoreResult;
 using internal::LaneControl;
 using internal::LaneOutputs;
 using internal::LanesFor;
-using internal::MakeHashPlan;
 using internal::MergeJoinCore;
 using internal::NestedLoopJoinCore;
 using internal::PadGroupTuple;
@@ -38,7 +36,11 @@ StatusOr<JoinCoreResult> JoinCore(const Relation& a, const Relation& b,
   // and equality partition as the hash core); then the hash core for any
   // separable equi-conjunct; nested loops for everything else and for the
   // reference evaluator (BatchMode::kOff).
-  HashPlan plan = MakeHashPlan(p, a.schema(), b.schema());
+  auto binds_to = [](const Schema& schema) {
+    return [&schema](const Scalar& s) { return s.Validate(schema).ok(); };
+  };
+  HashPlan plan =
+      SplitJoinPredicate(p, binds_to(a.schema()), binds_to(b.schema()));
   StatusOr<JoinCoreResult> res =
       !plan.usable()     ? NestedLoopJoinCore(a, b, p, ctx)
       : ctx.merge_hint   ? MergeJoinCore(a, b, plan, ctx)

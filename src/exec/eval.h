@@ -153,6 +153,48 @@ class OpMemory {
   MemoryReservation reservation_;
 };
 
+// A join predicate's one key/residual split: each equi-atom whose two
+// sides separate across inputs a and b is a key pair, oriented a side
+// first and kept in atom order; every other atom is residual. The caller
+// supplies the side test: `in_a(s)` / `in_b(s)` say whether scalar s can
+// be evaluated over input a / b. The join kernels test against the input
+// schemas; the order-aware optimizer tests against the subtrees' output
+// qualifiers, so the order it claims for a merge join is the order the
+// merge core actually sorts by (every key, in this order).
+struct HashPlan {
+  std::vector<ScalarPtr> a_keys;
+  std::vector<ScalarPtr> b_keys;
+  std::vector<Atom> residual;
+
+  bool usable() const { return !a_keys.empty(); }
+};
+
+template <typename InA, typename InB>
+HashPlan SplitJoinPredicate(const Predicate& p, const InA& in_a,
+                            const InB& in_b) {
+  HashPlan plan;
+  for (const Atom& atom : p.atoms()) {
+    if (atom.kind == Atom::Kind::kCompare && atom.op == CmpOp::kEq) {
+      bool l_in_a = in_a(*atom.lhs);
+      bool r_in_b = in_b(*atom.rhs);
+      bool l_in_b = in_b(*atom.lhs);
+      bool r_in_a = in_a(*atom.rhs);
+      if (l_in_a && r_in_b && !(l_in_b && r_in_a)) {
+        plan.a_keys.push_back(atom.lhs);
+        plan.b_keys.push_back(atom.rhs);
+        continue;
+      }
+      if (l_in_b && r_in_a) {
+        plan.a_keys.push_back(atom.rhs);
+        plan.b_keys.push_back(atom.lhs);
+        continue;
+      }
+    }
+    plan.residual.push_back(atom);
+  }
+  return plan;
+}
+
 StatusOr<Relation> Product(const Relation& a, const Relation& b,
                            const ExecContext& ctx = {});
 

@@ -1,7 +1,8 @@
 // Exec-internal shared pieces of the join / generalized-selection kernels:
-// hash-join planning, bound join-key columns, the JoinCore result shape,
-// the join cores themselves, and preserved-group indexing. Not part of the
-// public exec/ API.
+// bound join-key columns, the JoinCore result shape, the join cores
+// themselves, and preserved-group indexing. The key/residual split they
+// run on (HashPlan, SplitJoinPredicate) is public, in exec/eval.h. Not
+// part of the public exec/ API.
 #ifndef GSOPT_EXEC_JOIN_INTERNAL_H_
 #define GSOPT_EXEC_JOIN_INTERNAL_H_
 
@@ -15,48 +16,6 @@
 #include "relational/relation.h"
 
 namespace gsopt::exec::internal {
-
-// ---------------------------------------------------------------------------
-// Hash-join planning: split the conjunction into equi-atoms whose two sides
-// separate across the inputs (the hash keys) and residual atoms.
-// ---------------------------------------------------------------------------
-
-inline bool ScalarBindsTo(const Scalar& s, const Schema& schema) {
-  return s.Validate(schema).ok();
-}
-
-struct HashPlan {
-  std::vector<ScalarPtr> a_keys;
-  std::vector<ScalarPtr> b_keys;
-  std::vector<Atom> residual;
-
-  bool usable() const { return !a_keys.empty(); }
-};
-
-inline HashPlan MakeHashPlan(const Predicate& p, const Schema& sa,
-                             const Schema& sb) {
-  HashPlan plan;
-  for (const Atom& atom : p.atoms()) {
-    if (atom.kind == Atom::Kind::kCompare && atom.op == CmpOp::kEq) {
-      bool l_in_a = ScalarBindsTo(*atom.lhs, sa);
-      bool r_in_b = ScalarBindsTo(*atom.rhs, sb);
-      bool l_in_b = ScalarBindsTo(*atom.lhs, sb);
-      bool r_in_a = ScalarBindsTo(*atom.rhs, sa);
-      if (l_in_a && r_in_b && !(l_in_b && r_in_a)) {
-        plan.a_keys.push_back(atom.lhs);
-        plan.b_keys.push_back(atom.rhs);
-        continue;
-      }
-      if (l_in_b && r_in_a) {
-        plan.a_keys.push_back(atom.rhs);
-        plan.b_keys.push_back(atom.lhs);
-        continue;
-      }
-    }
-    plan.residual.push_back(atom);
-  }
-  return plan;
-}
 
 // One input's side of a hash plan, bound to that input once: a key term
 // that is a plain column is gathered straight from the rows; any other

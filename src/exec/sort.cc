@@ -14,7 +14,6 @@ namespace gsopt::exec {
 namespace {
 
 using internal::ApproxTupleBytes;
-using internal::HashPlan;
 using internal::JoinCoreResult;
 using internal::ReadTupleRecord;
 using internal::WriteTupleRecord;

@@ -1,96 +1,41 @@
 #include "hypergraph/build.h"
 
+#include <utility>
+
+#include "hypergraph/querygraph.h"
+
 namespace gsopt {
 
 namespace {
 
-// Registers leaves and returns the relation-id set of the subtree.
-StatusOr<RelSet> CollectRels(const NodePtr& node, Hypergraph* h) {
-  if (node->kind() == OpKind::kLeaf) {
-    return RelSet::Single(h->AddRelation(node->table()));
-  }
+// The strict shape BuildHypergraph accepts: join-like operators over base
+// relations, each with a predicate that is not always true.
+Status CheckPureJoinTree(const NodePtr& node) {
+  if (node->kind() == OpKind::kLeaf) return Status::OK();
   if (!IsJoinLike(node->kind())) {
     return Status::InvalidArgument(
         "hypergraph construction expects a pure join/outer-join tree, got " +
         OpKindName(node->kind()));
   }
-  GSOPT_ASSIGN_OR_RETURN(RelSet l, CollectRels(node->left(), h));
-  GSOPT_ASSIGN_OR_RETURN(RelSet r, CollectRels(node->right(), h));
-  return l.Union(r);
-}
-
-StatusOr<RelSet> AddEdges(const NodePtr& node, Hypergraph* h) {
-  if (node->kind() == OpKind::kLeaf) {
-    return RelSet::Single(h->RelId(node->table()));
-  }
-  GSOPT_ASSIGN_OR_RETURN(RelSet l, AddEdges(node->left(), h));
-  GSOPT_ASSIGN_OR_RETURN(RelSet r, AddEdges(node->right(), h));
-
-  if (!node->pred().IsNullIntolerant()) {
-    // Paper footnote 2: reordering assumes null in-tolerant predicates.
-    return Status::InvalidArgument(
-        "null-tolerant join predicate is not reorderable: " +
-        node->pred().ToString());
-  }
-
-  // The hypernodes contain exactly the relations the predicate references
-  // on each operand side.
-  RelSet refs;
-  for (const std::string& rel : node->pred().RelNames()) {
-    int id = h->RelId(rel);
-    if (id < 0) {
-      return Status::InvalidArgument("predicate references relation " + rel +
-                                     " not in the query");
-    }
-    refs.Add(id);
-  }
-  RelSet refs_l = refs.Intersect(l);
-  RelSet refs_r = refs.Intersect(r);
-  if (refs_l.Empty() || refs_r.Empty()) {
+  if (node->pred().IsTrue()) {
     return Status::InvalidArgument(
         "join predicate must reference both operand sides: " +
         node->pred().ToString());
   }
-
-  EdgeKind kind = EdgeKind::kUndirected;
-  RelSet v1 = refs_l, v2 = refs_r;
-  RelSet b1 = l, b2 = r;
-  switch (node->kind()) {
-    case OpKind::kInnerJoin:
-      break;
-    case OpKind::kLeftOuterJoin:
-      kind = EdgeKind::kDirected;  // left side preserved: v1 = refs_l
-      break;
-    case OpKind::kRightOuterJoin:
-      kind = EdgeKind::kDirected;  // normalize: preserved side first
-      v1 = refs_r;
-      v2 = refs_l;
-      b1 = r;
-      b2 = l;
-      break;
-    case OpKind::kFullOuterJoin:
-      kind = EdgeKind::kBidirected;
-      break;
-    default:
-      return Status::InvalidArgument("unsupported operator " +
-                                     OpKindName(node->kind()));
-  }
-  GSOPT_ASSIGN_OR_RETURN(int edge_id,
-                         h->AddEdge(kind, v1, v2, node->pred(), b1, b2));
-  (void)edge_id;
-  return l.Union(r);
+  GSOPT_RETURN_IF_ERROR(CheckPureJoinTree(node->left()));
+  return CheckPureJoinTree(node->right());
 }
 
 }  // namespace
 
 StatusOr<Hypergraph> BuildHypergraph(const NodePtr& query) {
   if (query == nullptr) return Status::InvalidArgument("null query");
-  Hypergraph h;
-  GSOPT_ASSIGN_OR_RETURN(RelSet all, CollectRels(query, &h));
-  (void)all;
-  GSOPT_ASSIGN_OR_RETURN(RelSet all2, AddEdges(query, &h));
-  (void)all2;
-  return h;
+  GSOPT_RETURN_IF_ERROR(CheckPureJoinTree(query));
+  // Every leaf is a base relation, so the builder never asks the catalog
+  // for a unit's schema.
+  Catalog no_tables;
+  GSOPT_ASSIGN_OR_RETURN(QueryGraph qg, BuildQueryGraph(query, no_tables));
+  return std::move(qg.hypergraph);
 }
 
 }  // namespace gsopt

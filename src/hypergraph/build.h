@@ -2,7 +2,10 @@
 // (inner / left / right / full outer joins over base relations). The tree
 // must be "simple" in the paper's sense (no redundant edges) and its
 // predicates conjunctive and null in-tolerant; queries with selections,
-// aggregations or GS must be normalized first (see algebra/agg_pullup.h).
+// aggregations or GS must be normalized first (algebra/normalize.h).
+// This is a strict-shape check -- join-like operators over leaves only,
+// no always-true predicate -- in front of BuildQueryGraph's edge builder
+// (hypergraph/querygraph.h), which it shares.
 #ifndef GSOPT_HYPERGRAPH_BUILD_H_
 #define GSOPT_HYPERGRAPH_BUILD_H_
 

@@ -8,11 +8,6 @@ namespace gsopt {
 
 namespace {
 
-bool IsReorderableOp(OpKind k) {
-  return k == OpKind::kInnerJoin || k == OpKind::kLeftOuterJoin ||
-         k == OpKind::kRightOuterJoin || k == OpKind::kFullOuterJoin;
-}
-
 struct Builder {
   const Catalog& catalog;
   QueryGraph* out;
@@ -54,7 +49,7 @@ struct Builder {
   // Single bottom-up pass: a node's predicate only references relations in
   // its subtree, which are registered before the edge is added.
   StatusOr<RelSet> AddEdges(const NodePtr& node) {
-    if (!IsReorderableOp(node->kind())) return AddLeaf(node);
+    if (!IsJoinLike(node->kind())) return AddLeaf(node);
     GSOPT_ASSIGN_OR_RETURN(RelSet l, AddEdges(node->left()));
     GSOPT_ASSIGN_OR_RETURN(RelSet r, AddEdges(node->right()));
 

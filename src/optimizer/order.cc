@@ -1,153 +1,110 @@
 #include "optimizer/order.h"
 
 #include <cstddef>
-#include <set>
-#include <string>
-#include <utility>
 #include <vector>
+
+#include "algebra/schema_infer.h"
 
 namespace gsopt {
 
 namespace {
 
-// Column = column equi-join conjuncts of a binary node, oriented so .first
-// sits in the left input and .second in the right. The atom order matches
-// the exec layer's plan extraction (both walk pred().atoms() in sequence),
-// so keys[0].first is the primary key the merge join's output streams by.
-std::vector<std::pair<Attribute, Attribute>> EquiKeys(const NodePtr& node) {
-  std::set<std::string> lrels = node->left()->BaseRels();
-  std::set<std::string> rrels = node->right()->BaseRels();
-  std::vector<std::pair<Attribute, Attribute>> keys;
-  for (const Atom& a : node->pred().atoms()) {
-    if (a.kind != Atom::Kind::kCompare || a.op != CmpOp::kEq) continue;
-    if (a.lhs->kind() != Scalar::Kind::kColumn ||
-        a.rhs->kind() != Scalar::Kind::kColumn) {
-      continue;
+// The columns a merge join sorts its left / right input by: the kernels'
+// own key split (exec::SplitJoinPredicate, sides tested on output
+// qualifiers), cut at the first key that is not a plain column on both
+// sides. The merge core sorts by every key in this order, so an order
+// claim on a prefix of the cut list holds; past an arithmetic key it
+// does not.
+struct MergeOrder {
+  std::vector<Attribute> left, right;
+};
+
+MergeOrder MergeKeys(const NodePtr& join) {
+  auto over = [](const NodePtr& side) {
+    return [quals = OutputQuals(side)](const Scalar& s) {
+      std::vector<Attribute> cols;
+      s.CollectColumns(&cols);
+      for (const Attribute& c : cols) {
+        if (quals.count(c.rel) == 0) return false;
+      }
+      return true;
+    };
+  };
+  exec::HashPlan plan = exec::SplitJoinPredicate(
+      join->pred(), over(join->left()), over(join->right()));
+  MergeOrder keys;
+  for (size_t i = 0; i < plan.a_keys.size(); ++i) {
+    const Scalar& a = *plan.a_keys[i];
+    const Scalar& b = *plan.b_keys[i];
+    if (a.kind() != Scalar::Kind::kColumn ||
+        b.kind() != Scalar::Kind::kColumn) {
+      break;
     }
-    Attribute l{a.lhs->rel(), a.lhs->name()};
-    Attribute r{a.rhs->rel(), a.rhs->name()};
-    if (lrels.count(l.rel) && rrels.count(r.rel)) {
-      keys.emplace_back(std::move(l), std::move(r));
-    } else if (lrels.count(r.rel) && rrels.count(l.rel)) {
-      keys.emplace_back(std::move(r), std::move(l));
-    }
+    keys.left.push_back(Attribute{a.rel(), a.name()});
+    keys.right.push_back(Attribute{b.rel(), b.name()});
   }
   return keys;
 }
 
 // Does `req` match a prefix of the merge join's left-key ASC order?
 bool ReqIsLeftKeyPrefix(const exec::SortSpec& req,
-                        const std::vector<std::pair<Attribute, Attribute>>&
-                            keys) {
-  if (keys.empty() || req.size() > keys.size()) return false;
+                        const std::vector<Attribute>& left_keys) {
+  if (left_keys.empty() || req.size() > left_keys.size()) return false;
   for (size_t i = 0; i < req.size(); ++i) {
-    if (req[i].desc || !(req[i].attr == keys[i].first)) return false;
+    if (req[i].desc || !(req[i].attr == left_keys[i])) return false;
   }
   return true;
 }
 
-// Rebuilds `node` over rewritten children; returns `node` itself when
-// nothing changed so shared subtrees stay shared.
-NodePtr WithChildren(const NodePtr& node, const NodePtr& l, const NodePtr& r) {
-  if (l == node->left() && (node->right() == nullptr || r == node->right())) {
-    return node;
-  }
-  switch (node->kind()) {
-    case OpKind::kSelect:
-      return Node::Select(l, node->pred());
-    case OpKind::kGeneralizedSelection:
-      return Node::GeneralizedSelection(l, node->pred(), node->groups());
-    case OpKind::kProject:
-      return node->projection_out() != node->projection()
-                 ? Node::ProjectAs(l, node->projection(),
-                                   node->projection_out())
-                 : Node::Project(l, node->projection());
-    case OpKind::kGroupBy:
-      return Node::GroupBy(l, node->groupby());
-    case OpKind::kSort:
-      return Node::Sort(l, node->sort_spec());
-    case OpKind::kMgoj:
-      return Node::Mgoj(l, r, node->pred(), node->groups());
-    default:
-      if (node->right() != nullptr) {
-        return Node::Binary(node->kind(), l, r, node->pred());
-      }
-      return node;
-  }
-}
-
 NodePtr Rewrite(const NodePtr& node, const exec::SortSpec& req,
                 const Statistics& stats, bool assume, OrderPassCounters* c) {
-  switch (node->kind()) {
-    case OpKind::kLeaf:
-      return node;
-    case OpKind::kSort: {
-      // The enforcer's own spec overrides any requirement from above (a
-      // sort re-establishes order wholesale).
-      NodePtr child =
-          Rewrite(node->left(), node->sort_spec(), stats, assume, c);
-      if (assume && OutputSatisfiesOrder(child, node->sort_spec(), stats)) {
-        ++c->sort_enforcers_avoided;
-        return child;
-      }
-      ++c->sort_enforcers_placed;
-      return WithChildren(node, child, nullptr);
+  if (node->kind() == OpKind::kLeaf) return node;
+  if (node->kind() == OpKind::kSort) {
+    // The enforcer's own spec overrides any requirement from above (a
+    // sort re-establishes order wholesale).
+    NodePtr child = Rewrite(node->left(), node->sort_spec(), stats, assume, c);
+    if (assume && OutputSatisfiesOrder(child, node->sort_spec(), stats)) {
+      ++c->sort_enforcers_avoided;
+      return child;
     }
-    case OpKind::kSelect:
-    case OpKind::kProject: {
-      // Row-order preserving: forward the requirement -- except through a
-      // renaming projection, whose output attribute identities differ from
-      // the child's.
-      exec::SortSpec fwd = req;
-      if (node->kind() == OpKind::kProject &&
-          node->projection_out() != node->projection()) {
-        fwd.clear();
-      }
-      return WithChildren(node, Rewrite(node->left(), fwd, stats, assume, c),
-                          nullptr);
-    }
-    case OpKind::kGeneralizedSelection:
-    case OpKind::kGroupBy: {
-      // Hash-based re-grouping destroys order; no requirement survives.
-      return WithChildren(node, Rewrite(node->left(), {}, stats, assume, c),
-                          nullptr);
-    }
-    case OpKind::kInnerJoin: {
-      NodePtr l = Rewrite(node->left(), {}, stats, assume, c);
-      NodePtr r = Rewrite(node->right(), {}, stats, assume, c);
-      NodePtr out = WithChildren(node, l, r);
-      auto keys = EquiKeys(out);
-      if (!keys.empty()) {
-        // Merge pays when an input arrives presorted by its primary join
-        // key (the sort phase short-circuits) or when, under ordered
-        // execution, the merge's output order discharges the requirement
-        // from above and saves an enforcer.
-        bool left_sorted = OutputSatisfiesOrder(
-            l, exec::SortSpec{{keys[0].first, false}}, stats);
-        bool right_sorted = OutputSatisfiesOrder(
-            r, exec::SortSpec{{keys[0].second, false}}, stats);
-        bool serves_req =
-            assume && !req.empty() && ReqIsLeftKeyPrefix(req, keys);
-        if (left_sorted || right_sorted || serves_req) {
-          out = Node::WithMergeJoin(out);
-          ++c->merge_joins_chosen;
-        }
-      }
-      return out;
-    }
-    default: {
-      // Outer flavors pad unmatched rows after the matched stream, semi /
-      // anti filter by hash, MGOJ compensates: none claims or forwards
-      // order, so children see no requirement.
-      if (node->right() == nullptr) {
-        return WithChildren(node, Rewrite(node->left(), {}, stats, assume, c),
-                            nullptr);
-      }
-      NodePtr l = Rewrite(node->left(), {}, stats, assume, c);
-      NodePtr r = Rewrite(node->right(), {}, stats, assume, c);
-      return WithChildren(node, l, r);
-    }
+    ++c->sort_enforcers_placed;
+    return Node::WithChildren(node, child, nullptr);
   }
+  // Selections and plain projections preserve row order, so they forward
+  // the requirement; a renaming projection changes attribute identities
+  // and forwards none. Hash-based re-grouping (GS, group-by) destroys
+  // order, and joins claim order themselves rather than forward it (outer
+  // flavors pad unmatched rows after the matched stream, semi / anti
+  // filter by hash, MGOJ compensates).
+  exec::SortSpec fwd;
+  if (node->kind() == OpKind::kSelect ||
+      (node->kind() == OpKind::kProject &&
+       node->projection_out() == node->projection())) {
+    fwd = req;
+  }
+  NodePtr l = Rewrite(node->left(), fwd, stats, assume, c);
+  NodePtr r = node->right() != nullptr
+                  ? Rewrite(node->right(), {}, stats, assume, c)
+                  : nullptr;
+  NodePtr out = Node::WithChildren(node, l, r);
+  if (node->kind() != OpKind::kInnerJoin) return out;
+  MergeOrder keys = MergeKeys(out);
+  if (keys.left.empty()) return out;
+  // Merge pays when an input arrives presorted by its primary join key
+  // (the sort phase short-circuits) or when, under ordered execution, the
+  // merge's output order discharges the requirement from above and saves
+  // an enforcer.
+  bool left_sorted =
+      OutputSatisfiesOrder(l, exec::SortSpec{{keys.left[0], false}}, stats);
+  bool right_sorted =
+      OutputSatisfiesOrder(r, exec::SortSpec{{keys.right[0], false}}, stats);
+  bool serves_req =
+      assume && !req.empty() && ReqIsLeftKeyPrefix(req, keys.left);
+  if (left_sorted || right_sorted || serves_req) {
+    out = Node::WithMergeJoin(out);
+    ++c->merge_joins_chosen;
+  }
+  return out;
 }
 
 }  // namespace
@@ -191,7 +148,7 @@ bool OutputSatisfiesOrder(const NodePtr& node, const exec::SortSpec& req,
       // list under CompareValuesTotal, so ASC holds. Outer flavors pad
       // unmatched rows at the end and claim nothing.
       if (!node->merge_join()) return false;
-      return ReqIsLeftKeyPrefix(req, EquiKeys(node));
+      return ReqIsLeftKeyPrefix(req, MergeKeys(node).left);
     }
     default:
       return false;
@@ -211,8 +168,8 @@ NodePtr ApplyOrderAwarePass(const NodePtr& root, const Statistics& stats,
 
 NodePtr StampMergeJoins(const NodePtr& root) {
   if (root == nullptr || root->kind() == OpKind::kLeaf) return root;
-  NodePtr out = WithChildren(root, StampMergeJoins(root->left()),
-                             StampMergeJoins(root->right()));
+  NodePtr out = Node::WithChildren(root, StampMergeJoins(root->left()),
+                                   StampMergeJoins(root->right()));
   return IsBinary(out->kind()) ? Node::WithMergeJoin(out) : out;
 }
 

@@ -24,6 +24,22 @@ Predicate FilterPredicate(const Predicate& p, const std::set<std::string>& vis) 
   return out;
 }
 
+// Drops every relation of each group that is not in `vis`, and every group
+// left empty.
+std::vector<exec::PreservedGroup> FilterGroups(
+    const std::vector<exec::PreservedGroup>& groups,
+    const std::set<std::string>& vis) {
+  std::vector<exec::PreservedGroup> out;
+  for (const exec::PreservedGroup& g : groups) {
+    exec::PreservedGroup kept;
+    for (const std::string& rel : g) {
+      if (vis.count(rel)) kept.insert(rel);
+    }
+    if (!kept.empty()) out.push_back(std::move(kept));
+  }
+  return out;
+}
+
 // Rebuilds `n` keeping only base relations in `keep`. Predicates, GROUP BY
 // specs, preserved groups and projections are filtered down to columns that
 // remain visible; operators left with nothing to do dissolve into their
@@ -42,16 +58,11 @@ NodePtr PruneToRels(const NodePtr& n, const std::set<std::string>& keep,
       if (child == nullptr) return nullptr;
       Predicate p = FilterPredicate(n->pred(), *vis);
       if (p.IsTrue()) return child;
-      if (n->kind() == OpKind::kSelect) return Node::Select(child, p);
-      std::vector<exec::PreservedGroup> groups;
-      for (const exec::PreservedGroup& g : n->groups()) {
-        exec::PreservedGroup kept;
-        for (const std::string& rel : g) {
-          if (vis->count(rel)) kept.insert(rel);
-        }
-        if (!kept.empty()) groups.push_back(std::move(kept));
+      if (n->kind() == OpKind::kSelect) {
+        return Node::WithPred(Node::WithChildren(n, child, nullptr), p);
       }
-      return Node::GeneralizedSelection(child, p, groups);
+      return Node::GeneralizedSelection(child, p,
+                                        FilterGroups(n->groups(), *vis));
     }
     case OpKind::kProject: {
       NodePtr child = PruneToRels(n->left(), keep, vis);
@@ -126,85 +137,36 @@ NodePtr PruneToRels(const NodePtr& n, const std::set<std::string>& keep,
       vis->insert(rvis.begin(), rvis.end());
       Predicate p = FilterPredicate(n->pred(), *vis);
       if (n->kind() == OpKind::kMgoj) {
-        std::vector<exec::PreservedGroup> groups;
-        for (const exec::PreservedGroup& g : n->groups()) {
-          exec::PreservedGroup kept;
-          for (const std::string& rel : g) {
-            if (vis->count(rel)) kept.insert(rel);
-          }
-          if (!kept.empty()) groups.push_back(std::move(kept));
-        }
-        return Node::Mgoj(l, r, p, groups);
+        return Node::Mgoj(l, r, p, FilterGroups(n->groups(), *vis));
       }
-      return Node::Binary(n->kind(), l, r, p);
+      return Node::WithPred(Node::WithChildren(n, l, r), p);
     }
   }
 }
 
+// Operators that carry a predicate: selections, GS and every binary one.
+bool HasPredicate(OpKind k) {
+  return k != OpKind::kLeaf && k != OpKind::kProject &&
+         k != OpKind::kGroupBy && k != OpKind::kSort;
+}
+
 // Applies `edit` to the predicate of the `target`-th predicate-bearing
-// node in preorder; all other nodes are rebuilt unchanged.
+// node in preorder; every other node is kept.
 NodePtr EditPredicateAt(const NodePtr& n, int target, int* counter,
                         const std::function<Predicate(const Predicate&)>& edit) {
-  bool has_pred = false;
-  switch (n->kind()) {
-    case OpKind::kSelect:
-    case OpKind::kGeneralizedSelection:
-    case OpKind::kInnerJoin:
-    case OpKind::kLeftOuterJoin:
-    case OpKind::kRightOuterJoin:
-    case OpKind::kFullOuterJoin:
-    case OpKind::kAntiJoin:
-    case OpKind::kSemiJoin:
-    case OpKind::kMgoj:
-      has_pred = true;
-      break;
-    default:
-      break;
-  }
-  Predicate p = n->pred();
-  if (has_pred && (*counter)++ == target) p = edit(p);
+  bool here = HasPredicate(n->kind()) && (*counter)++ == target;
   NodePtr l = n->left() ? EditPredicateAt(n->left(), target, counter, edit)
                         : nullptr;
   NodePtr r = n->right() ? EditPredicateAt(n->right(), target, counter, edit)
                          : nullptr;
-  switch (n->kind()) {
-    case OpKind::kLeaf:
-      return n;
-    case OpKind::kSelect:
-      return Node::Select(l, p);
-    case OpKind::kGeneralizedSelection:
-      return Node::GeneralizedSelection(l, p, n->groups());
-    case OpKind::kProject:
-      return Node::ProjectAs(l, n->projection(), n->projection_out());
-    case OpKind::kGroupBy:
-      return Node::GroupBy(l, n->groupby());
-    case OpKind::kSort:
-      return Node::Sort(l, n->sort_spec());
-    case OpKind::kMgoj:
-      return Node::Mgoj(l, r, p, n->groups());
-    default:
-      return Node::Binary(n->kind(), l, r, p);
-  }
+  NodePtr out = Node::WithChildren(n, l, r);
+  return here ? Node::WithPred(out, edit(n->pred())) : out;
 }
 
 int CountPredicateNodes(const NodePtr& n) {
-  int count = 0;
-  std::function<void(const NodePtr&)> walk = [&](const NodePtr& node) {
-    if (node == nullptr) return;
-    switch (node->kind()) {
-      case OpKind::kLeaf:
-      case OpKind::kProject:
-      case OpKind::kGroupBy:
-      case OpKind::kSort:
-        break;
-      default:
-        ++count;
-    }
-    walk(node->left());
-    walk(node->right());
-  };
-  walk(n);
-  return count;
+  if (n == nullptr) return 0;
+  return (HasPredicate(n->kind()) ? 1 : 0) + CountPredicateNodes(n->left()) +
+         CountPredicateNodes(n->right());
 }
 
 Predicate PredicateOfNode(const NodePtr& n, int target) {

@@ -387,13 +387,54 @@ void OracleRunner::RunRoundTrip() {
   // When the emitted SQL carried an ORDER BY, bag equality is not the whole
   // contract: the re-bound tree's execution must also deliver the order.
   exec::SortSpec spec;
-  if (emitted->has_order_by && RootSortContract(*bound, &spec)) {
-    Status s = exec::CheckSorted(*got, spec);
-    if (!s.ok()) {
-      Fail(OracleKind::kRoundTrip,
-           "re-bound SQL violates its ORDER BY: " + s.ToString() +
-               " sql=" + emitted->sql);
+  const bool ordered = emitted->has_order_by && RootSortContract(*bound, &spec);
+  auto check_order = [&](const Relation& rows, const std::string& what) {
+    if (!ordered) return true;
+    Status s = exec::CheckSorted(rows, spec);
+    if (s.ok()) return true;
+    Fail(OracleKind::kRoundTrip, what + " violates its ORDER BY: " +
+                                     s.ToString() + " sql=" + emitted->sql);
+    return false;
+  };
+  if (!check_order(*got, "re-bound SQL")) return;
+
+  // Serve the re-bound tree the way Session does: through Optimize, and
+  // again under an already-expired budget, which drops to the syntactic
+  // rung. Either plan must answer as the original does, output names
+  // included, and deliver its ORDER BY.
+  QueryOptimizer optimizer(catalog_);
+  ResourceBudget expired;
+  expired.WithDeadlineAfter(std::chrono::microseconds(0));
+  OptimizeOptions syntactic;
+  syntactic.budget = &expired;
+  syntactic.fallback = true;
+  const std::pair<const char*, OptimizeOptions> servings[] = {
+      {"optimized", OptimizeOptions{}}, {"syntactic-rung", syntactic}};
+  for (const auto& [label, oo] : servings) {
+    const std::string what = std::string(label) + " re-bound SQL";
+    auto result = optimizer.Optimize(*bound, oo);
+    if (!result.ok()) {
+      Fail(OracleKind::kRoundTrip, what + " failed to optimize: " +
+                                       result.status().ToString() +
+                                       " sql=" + emitted->sql);
+      return;
     }
+    auto served = ExecChecked(result->best.expr);
+    if (!served.ok()) {
+      if (Skipped(served.status())) continue;
+      Fail(OracleKind::kRoundTrip, what + " failed to execute: " +
+                                       served.status().ToString() +
+                                       " sql=" + emitted->sql);
+      return;
+    }
+    ++outcome_.plans_checked;
+    if (!Relation::BagEquals(*expected, *served)) {
+      Fail(OracleKind::kRoundTrip,
+           what + " diverges from the original tree; plan=" +
+               result->best.expr->ToString() + " sql=" + emitted->sql);
+      return;
+    }
+    if (!check_order(*served, what)) return;
   }
 }
 

@@ -31,7 +31,10 @@
 //                    TRUE per row under 3VL, so this stresses the
 //                    null-padding semantics GS compensation depends on);
 //  * round trip   -- emit SQL text, re-parse and re-bind it, and the bound
-//                    tree bag-equals the original;
+//                    tree bag-equals the original -- as written, through
+//                    Optimize, and on the syntactic rung an expired
+//                    budget forces (the ways Session serves it), output
+//                    names and ORDER BY included;
 //  * plan cache   -- running the query through a Session (which lifts its
 //                    literals to parameter slots, optimizes the
 //                    parameterized template once and re-instantiates it

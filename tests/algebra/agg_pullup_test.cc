@@ -87,12 +87,12 @@ TEST(Query1Test, AllPlansEquivalentToAsWritten) {
     QueryOptimizer opt(cat);
     OptimizeOptions oo;
     oo.prune = false;  // full plan space
-    auto plans = opt.EnumerateFullPlans(q.query, oo);
-    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-    EXPECT_GT(plans->size(), 1u);
+    auto space = opt.EnumeratePlanSpace(q.query, oo);
+    ASSERT_TRUE(space.ok()) << space.status().ToString();
+    EXPECT_GT(space->plans.size(), 1u);
     auto ref = Execute(q.query, cat);
     ASSERT_TRUE(ref.ok());
-    for (const PlanInfo& p : *plans) {
+    for (const PlanInfo& p : space->plans) {
       auto got = Execute(p.expr, cat);
       ASSERT_TRUE(got.ok()) << p.expr->ToString();
       EXPECT_TRUE(Relation::BagEquals(*ref, *got))
@@ -110,10 +110,10 @@ TEST(Query1Test, SomePlanJoinsR4BeforeAggregation) {
   QueryOptimizer opt(cat);
   OptimizeOptions oo;
   oo.prune = false;
-  auto plans = opt.EnumerateFullPlans(q.query, oo);
-  ASSERT_TRUE(plans.ok());
+  auto space = opt.EnumeratePlanSpace(q.query, oo);
+  ASSERT_TRUE(space.ok());
   bool r4_below_gp = false;
-  for (const PlanInfo& p : *plans) {
+  for (const PlanInfo& p : space->plans) {
     // Find a GROUPBY node whose subtree already contains r4.
     std::function<bool(const NodePtr&)> visit = [&](const NodePtr& n) {
       if (n == nullptr) return false;
@@ -197,11 +197,11 @@ TEST(Example11Test, AllPlansEquivalentToAsWritten) {
     QueryOptimizer opt(sc.cat);
     OptimizeOptions oo;
     oo.prune = false;
-    auto plans = opt.EnumerateFullPlans(sc.query, oo);
-    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+    auto space = opt.EnumeratePlanSpace(sc.query, oo);
+    ASSERT_TRUE(space.ok()) << space.status().ToString();
     auto ref = Execute(sc.query, sc.cat);
     ASSERT_TRUE(ref.ok());
-    for (const PlanInfo& p : *plans) {
+    for (const PlanInfo& p : space->plans) {
       auto got = Execute(p.expr, sc.cat);
       ASSERT_TRUE(got.ok());
       EXPECT_TRUE(Relation::BagEquals(*ref, *got))
@@ -217,10 +217,10 @@ TEST(Example11Test, PlanSpaceContainsJoinBeforeAggregation) {
   QueryOptimizer opt(sc.cat);
   OptimizeOptions oo;
   oo.prune = false;
-  auto plans = opt.EnumerateFullPlans(sc.query, oo);
-  ASSERT_TRUE(plans.ok());
+  auto space = opt.EnumeratePlanSpace(sc.query, oo);
+  ASSERT_TRUE(space.ok());
   bool join_before_agg = false;
-  for (const PlanInfo& p : *plans) {
+  for (const PlanInfo& p : space->plans) {
     std::function<bool(const NodePtr&)> visit = [&](const NodePtr& n) {
       if (n == nullptr) return false;
       if (n->kind() == OpKind::kGroupBy && n->BaseRels().count("agg94") > 0 &&
@@ -276,12 +276,12 @@ TEST(Example31Test, AggregationBelowComplexOuterJoinReorders) {
   QueryOptimizer opt(cat);
   OptimizeOptions oo;
   oo.prune = false;
-  auto plans = opt.EnumerateFullPlans(query, oo);
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-  EXPECT_GT(plans->size(), 1u);
+  auto space = opt.EnumeratePlanSpace(query, oo);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  EXPECT_GT(space->plans.size(), 1u);
   auto ref = Execute(query, cat);
   ASSERT_TRUE(ref.ok());
-  for (const PlanInfo& pi : *plans) {
+  for (const PlanInfo& pi : space->plans) {
     auto got = Execute(pi.expr, cat);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(Relation::BagEquals(*ref, *got)) << pi.expr->ToString();
@@ -328,11 +328,11 @@ TEST(PullupPropertyTest, RandomAggViewQueriesStayEquivalent) {
     QueryOptimizer opt(cat);
     OptimizeOptions oo;
     oo.prune = false;
-    auto plans = opt.EnumerateFullPlans(query, oo);
-    ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+    auto space = opt.EnumeratePlanSpace(query, oo);
+    ASSERT_TRUE(space.ok()) << space.status().ToString();
     auto ref = Execute(query, cat);
     ASSERT_TRUE(ref.ok());
-    for (const PlanInfo& pi : *plans) {
+    for (const PlanInfo& pi : space->plans) {
       auto got = Execute(pi.expr, cat);
       ASSERT_TRUE(got.ok());
       ASSERT_TRUE(Relation::BagEquals(*ref, *got))

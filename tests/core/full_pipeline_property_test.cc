@@ -80,11 +80,11 @@ TEST_P(FullPipelineProperty, EveryPlanMatchesAsWritten) {
     QueryOptimizer opt(cat);
     OptimizeOptions oo;
     oo.prune = false;
-    auto plans = opt.EnumerateFullPlans(query, oo);
-    ASSERT_TRUE(plans.ok()) << plans.status().ToString() << "\n"
+    auto space = opt.EnumeratePlanSpace(query, oo);
+    ASSERT_TRUE(space.ok()) << space.status().ToString() << "\n"
                             << query->ToString();
-    ASSERT_FALSE(plans->empty());
-    for (const PlanInfo& p : *plans) {
+    ASSERT_FALSE(space->plans.empty());
+    for (const PlanInfo& p : space->plans) {
       auto got = Execute(p.expr, cat);
       ASSERT_TRUE(got.ok()) << p.expr->ToString();
       ASSERT_TRUE(Relation::BagEquals(*ref, *got))

@@ -89,12 +89,12 @@ TEST(OptimizerFacadeTest, RootProjectionIsReappliedOnEveryPlan) {
   QueryOptimizer opt(cat);
   OptimizeOptions oo;
   oo.prune = false;
-  auto plans = opt.EnumerateFullPlans(q, oo);
-  ASSERT_TRUE(plans.ok());
-  EXPECT_GT(plans->size(), 1u);
+  auto space = opt.EnumeratePlanSpace(q, oo);
+  ASSERT_TRUE(space.ok());
+  EXPECT_GT(space->plans.size(), 1u);
   auto ref = Execute(q, cat);
   ASSERT_TRUE(ref.ok());
-  for (const PlanInfo& p : *plans) {
+  for (const PlanInfo& p : space->plans) {
     EXPECT_EQ(p.expr->kind(), OpKind::kProject);
     auto got = Execute(p.expr, cat);
     ASSERT_TRUE(got.ok());
@@ -161,9 +161,9 @@ TEST(OptimizerFacadeTest, ModesAreOrderedByCoverage) {
   for (EnumMode m : {EnumMode::kBinaryOnly, EnumMode::kBaseline,
                      EnumMode::kGeneralized}) {
     oo.mode = m;
-    auto plans = opt.EnumerateFullPlans(q, oo);
-    ASSERT_TRUE(plans.ok());
-    counts[i++] = plans->size();
+    auto space = opt.EnumeratePlanSpace(q, oo);
+    ASSERT_TRUE(space.ok());
+    counts[i++] = space->plans.size();
   }
   EXPECT_LE(counts[0], counts[1]);
   EXPECT_LT(counts[1], counts[2]);

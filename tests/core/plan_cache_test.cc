@@ -11,6 +11,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algebra/execute.h"
@@ -192,6 +193,28 @@ TEST(PlanCacheTest, PreparedExecuteNoticesCatalogWriteByItself) {
   auto again = stmt->Execute({Value::Int(3)});
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->cache_hit);
+}
+
+TEST(PlanCacheTest, OutputNamesArePartOfTheCacheKey) {
+  // Regression: the canonical form left a projection's output names out,
+  // so queries differing only in their SELECT aliases shared one template
+  // and the second and third were served the first one's column names.
+  Catalog cat = MakeCatalog(83, 1);
+  Session session(cat);
+  const std::pair<const char*, const char*> cases[] = {
+      {"SELECT r1.a AS x FROM r1", "q.x"},
+      {"SELECT r1.a AS y FROM r1", "q.y"},
+      {"SELECT r1.a FROM r1", "r1.a"},
+  };
+  for (const auto& [sql, column] : cases) {
+    SCOPED_TRACE(sql);
+    auto got = session.Query(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_FALSE(got->cache_hit);
+    ASSERT_EQ(got->rows.schema().size(), 1);
+    EXPECT_EQ(got->rows.schema().attr(0).Qualified(), column);
+  }
+  EXPECT_EQ(session.cache_stats().hits, 0u);
 }
 
 TEST(PlanCacheTest, LruEvictsOldestShapeAtCapacity) {

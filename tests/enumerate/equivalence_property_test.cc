@@ -77,21 +77,21 @@ TEST_P(EquivalenceProperty, AllPlansMatchAsWrittenResult) {
        {EnumMode::kBinaryOnly, EnumMode::kBaseline, EnumMode::kGeneralized}) {
     EnumOptions opts;
     opts.mode = mode;
-    auto plans = Enumerator(*hor, opts).EnumerateAll();
-    if (!plans.ok()) {
+    auto space = Enumerator(*hor, opts).Enumerate();
+    if (!space.ok()) {
       // Binary-only mode can legitimately fail to produce any plan for
       // queries that need MGOJ; other modes must always cover the query.
       EXPECT_EQ(mode, EnumMode::kBinaryOnly)
-          << plans.status().ToString() << "\n" << query->ToString();
+          << space.status().ToString() << "\n" << query->ToString();
       continue;
     }
-    ASSERT_FALSE(plans->empty());
+    ASSERT_FALSE(space->plans.empty());
 
     for (uint64_t dseed : {c.seed * 31 + 1, c.seed * 31 + 2}) {
       Catalog cat = MakeCatalog(dseed, c.num_rels);
       auto ref = Execute(query, cat);
       ASSERT_TRUE(ref.ok());
-      for (const PlanCandidate& cand : *plans) {
+      for (const PlanCandidate& cand : space->plans) {
         auto got = Execute(cand.expr, cat);
         ASSERT_TRUE(got.ok()) << cand.expr->ToString();
         ASSERT_TRUE(Relation::BagEquals(*ref, *got))

@@ -62,13 +62,13 @@ TEST(Q4Test, PaperBreakupExpressionsAreEnumerated) {
   ASSERT_TRUE(hor.ok());
   EnumOptions gen;
   gen.mode = EnumMode::kGeneralized;
-  auto plans = Enumerator(*hor, gen).EnumerateAll();
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  auto space = Enumerator(*hor, gen).Enumerate();
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
 
   // Expect at least one plan deferring p24 and one deferring p25 with the
   // composite preserved group {r1, r2} at the root.
   bool defer_p24 = false, defer_p25 = false;
-  for (const PlanCandidate& c : *plans) {
+  for (const PlanCandidate& c : space->plans) {
     if (c.expr->kind() != OpKind::kGeneralizedSelection) continue;
     std::string p = c.expr->pred().ToString();
     std::string g;
@@ -96,15 +96,15 @@ TEST(Q4Test, EveryGeneralizedPlanIsExecutionEquivalent) {
   ASSERT_TRUE(hor.ok());
   EnumOptions gen;
   gen.mode = EnumMode::kGeneralized;
-  auto plans = Enumerator(*hor, gen).EnumerateAll();
-  ASSERT_TRUE(plans.ok());
-  EXPECT_GE(plans->size(), 4u);
+  auto space = Enumerator(*hor, gen).Enumerate();
+  ASSERT_TRUE(space.ok());
+  EXPECT_GE(space->plans.size(), 4u);
 
   for (uint64_t seed : {11ull, 22ull, 33ull}) {
     Catalog cat = MakeCatalog(seed, 5, 8, 4);
     auto ref = Execute(q4, cat);
     ASSERT_TRUE(ref.ok());
-    for (const PlanCandidate& c : *plans) {
+    for (const PlanCandidate& c : space->plans) {
       auto got = Execute(c.expr, cat);
       ASSERT_TRUE(got.ok());
       EXPECT_TRUE(Relation::BagEquals(*ref, *got))
@@ -121,13 +121,13 @@ TEST(Q4Test, BaselinePlansAreExecutionEquivalentToo) {
   ASSERT_TRUE(hor.ok());
   EnumOptions base;
   base.mode = EnumMode::kBaseline;
-  auto plans = Enumerator(*hor, base).EnumerateAll();
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  auto space = Enumerator(*hor, base).Enumerate();
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
   for (uint64_t seed : {7ull, 8ull}) {
     Catalog cat = MakeCatalog(seed, 5, 8, 4);
     auto ref = Execute(q4, cat);
     ASSERT_TRUE(ref.ok());
-    for (const PlanCandidate& c : *plans) {
+    for (const PlanCandidate& c : space->plans) {
       auto got = Execute(c.expr, cat);
       ASSERT_TRUE(got.ok());
       EXPECT_TRUE(Relation::BagEquals(*ref, *got))
@@ -141,9 +141,9 @@ TEST(Q4Test, BaselineModeNeverDefersAtoms) {
   ASSERT_TRUE(hor.ok());
   EnumOptions base;
   base.mode = EnumMode::kBaseline;
-  auto plans = Enumerator(*hor, base).EnumerateAll();
-  ASSERT_TRUE(plans.ok());
-  for (const PlanCandidate& c : *plans) {
+  auto space = Enumerator(*hor, base).Enumerate();
+  ASSERT_TRUE(space.ok());
+  for (const PlanCandidate& c : space->plans) {
     EXPECT_EQ(c.num_deferred, 0);
     EXPECT_NE(c.expr->kind(), OpKind::kGeneralizedSelection);
   }
@@ -156,10 +156,10 @@ TEST(Q4Test, AsWrittenShapeIsAmongEnumeratedPlans) {
   for (EnumMode mode : {EnumMode::kBaseline, EnumMode::kGeneralized}) {
     EnumOptions o;
     o.mode = mode;
-    auto plans = Enumerator(*hor, o).EnumerateAll();
-    ASSERT_TRUE(plans.ok());
+    auto space = Enumerator(*hor, o).Enumerate();
+    ASSERT_TRUE(space.ok());
     bool found = false;
-    for (const PlanCandidate& c : *plans) {
+    for (const PlanCandidate& c : space->plans) {
       if (c.expr->ToString() == q4->ToString()) found = true;
     }
     EXPECT_TRUE(found) << "mode " << EnumModeName(mode);

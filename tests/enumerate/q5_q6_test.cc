@@ -66,14 +66,14 @@ void CheckAllPlansEquivalent(const NodePtr& query, int num_rels,
   ASSERT_TRUE(hor.ok()) << hor.status().ToString();
   EnumOptions opts;
   opts.mode = EnumMode::kGeneralized;
-  auto plans = Enumerator(*hor, opts).EnumerateAll();
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-  if (num_plans != nullptr) *num_plans = plans->size();
+  auto space = Enumerator(*hor, opts).Enumerate();
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  if (num_plans != nullptr) *num_plans = space->plans.size();
   for (uint64_t seed : seeds) {
     Catalog cat = MakeCatalog(seed, num_rels);
     auto ref = Execute(query, cat);
     ASSERT_TRUE(ref.ok());
-    for (const PlanCandidate& c : *plans) {
+    for (const PlanCandidate& c : space->plans) {
       auto got = Execute(c.expr, cat);
       ASSERT_TRUE(got.ok());
       ASSERT_TRUE(Relation::BagEquals(*ref, *got))
@@ -96,10 +96,10 @@ TEST(Q5Test, BothComplexPredicatesBreakIndependently) {
   ASSERT_TRUE(hor.ok());
   EnumOptions opts;
   opts.mode = EnumMode::kGeneralized;
-  auto plans = Enumerator(*hor, opts).EnumerateAll();
-  ASSERT_TRUE(plans.ok());
+  auto space = Enumerator(*hor, opts).Enumerate();
+  ASSERT_TRUE(space.ok());
   bool p13_deferred = false, p46_deferred = false, both = false;
-  for (const PlanCandidate& c : *plans) {
+  for (const PlanCandidate& c : space->plans) {
     std::string s = c.expr->ToString();
     bool d13 = s.find("GS[r1.b = r3.b") != std::string::npos;
     bool d46 = s.find("GS[r4.b = r6.b") != std::string::npos;
@@ -123,13 +123,13 @@ TEST(Q6Test, DependentPredicatesProduceStackedCompensations) {
   ASSERT_TRUE(hor.ok());
   EnumOptions opts;
   opts.mode = EnumMode::kGeneralized;
-  auto plans = Enumerator(*hor, opts).EnumerateAll();
-  ASSERT_TRUE(plans.ok());
+  auto space = Enumerator(*hor, opts).Enumerate();
+  ASSERT_TRUE(space.ok());
   // The paper's six-expression family breaks BOTH P1 and P2: at least one
   // plan must carry two stacked generalized selections, with the inner
   // edge's compensation below the outer edge's (h2's GS inside h1's GS).
   bool stacked = false;
-  for (const PlanCandidate& c : *plans) {
+  for (const PlanCandidate& c : space->plans) {
     const Node* n = c.expr.get();
     if (n->kind() == OpKind::kGeneralizedSelection &&
         n->left()->kind() == OpKind::kGeneralizedSelection) {
@@ -164,11 +164,11 @@ TEST(PartialKeepsTest, DisablingPartialKeepsShrinksSpace) {
   EnumOptions without;
   without.mode = EnumMode::kGeneralized;
   without.enumerate_partial_keeps = false;
-  auto pw = Enumerator(*hor, with).EnumerateAll();
-  auto po = Enumerator(*hor, without).EnumerateAll();
+  auto pw = Enumerator(*hor, with).Enumerate();
+  auto po = Enumerator(*hor, without).Enumerate();
   ASSERT_TRUE(pw.ok());
   ASSERT_TRUE(po.ok());
-  EXPECT_GT(pw->size(), po->size());
+  EXPECT_GT(pw->plans.size(), po->plans.size());
 }
 
 TEST(DpPruningTest, PrunedFrontierContainsAMinimalCostPlan) {
@@ -182,14 +182,16 @@ TEST(DpPruningTest, PrunedFrontierContainsAMinimalCostPlan) {
   EnumOptions pruned;
   pruned.mode = EnumMode::kGeneralized;
   pruned.cost_fn = cost;
-  auto pf = Enumerator(*hor, full).EnumerateAll();
-  auto pp = Enumerator(*hor, pruned).EnumerateAll();
+  auto pf = Enumerator(*hor, full).Enumerate();
+  auto pp = Enumerator(*hor, pruned).Enumerate();
   ASSERT_TRUE(pf.ok());
   ASSERT_TRUE(pp.ok());
-  EXPECT_LE(pp->size(), pf->size());
+  EXPECT_LE(pp->plans.size(), pf->plans.size());
   double best_full = 1e18, best_pruned = 1e18;
-  for (const auto& c : *pf) best_full = std::min(best_full, cost(c.expr));
-  for (const auto& c : *pp) best_pruned = std::min(best_pruned, cost(c.expr));
+  for (const auto& c : pf->plans) best_full = std::min(best_full, cost(c.expr));
+  for (const auto& c : pp->plans) {
+    best_pruned = std::min(best_pruned, cost(c.expr));
+  }
   EXPECT_EQ(best_full, best_pruned);
 }
 

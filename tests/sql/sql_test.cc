@@ -209,10 +209,10 @@ TEST(BinderTest, ViewMergesAndOuterPredicateOnAggregate) {
   QueryOptimizer opt(cat);
   OptimizeOptions oo;
   oo.prune = false;
-  auto plans = opt.EnumerateFullPlans(*tree, oo);
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-  EXPECT_GE(plans->size(), 1u);
-  for (const PlanInfo& p : *plans) {
+  auto space = opt.EnumeratePlanSpace(*tree, oo);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  EXPECT_GE(space->plans.size(), 1u);
+  for (const PlanInfo& p : space->plans) {
     auto got = Execute(p.expr, cat);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(Relation::BagEquals(*ref, *got)) << p.expr->ToString();
@@ -233,10 +233,10 @@ TEST(BinderTest, FullSqlQueryOptimizesEquivalently) {
   QueryOptimizer opt(cat);
   OptimizeOptions oo;
   oo.prune = false;
-  auto plans = opt.EnumerateFullPlans(*tree, oo);
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-  EXPECT_GT(plans->size(), 3u);
-  for (const PlanInfo& p : *plans) {
+  auto space = opt.EnumeratePlanSpace(*tree, oo);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  EXPECT_GT(space->plans.size(), 3u);
+  for (const PlanInfo& p : space->plans) {
     auto got = Execute(p.expr, cat);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(Relation::BagEquals(*ref, *got)) << p.expr->ToString();

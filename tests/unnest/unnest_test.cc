@@ -152,10 +152,10 @@ TEST(UnnestTest, UnnestedQueryIsOptimizableAndPlansStayCorrect) {
   QueryOptimizer opt(cat);
   OptimizeOptions oo;
   oo.prune = false;
-  auto plans = opt.EnumerateFullPlans(*tree, oo);
-  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
-  EXPECT_GE(plans->size(), 1u);
-  for (const PlanInfo& p : *plans) {
+  auto space = opt.EnumeratePlanSpace(*tree, oo);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  EXPECT_GE(space->plans.size(), 1u);
+  for (const PlanInfo& p : space->plans) {
     auto got = Execute(p.expr, cat);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(Relation::BagEquals(*tis, *got)) << p.expr->ToString();
