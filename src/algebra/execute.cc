@@ -51,11 +51,8 @@ StatusOr<Relation> Dispatch(const NodePtr& node, const Catalog& catalog,
     case OpKind::kProject: {
       GSOPT_ASSIGN_OR_RETURN(
           Relation child, ExecuteChild(node->left(), catalog, options, stats));
-      if (node->projection_out() != node->projection()) {
-        return exec::ProjectAs(child, node->projection(),
-                               node->projection_out(), ctx);
-      }
-      return exec::Project(child, node->projection(), ctx);
+      return exec::Project(child, node->projection(), node->projection_out(),
+                           ctx);
     }
     case OpKind::kGeneralizedSelection: {
       GSOPT_ASSIGN_OR_RETURN(

@@ -96,46 +96,7 @@ void RenderAnalyze(const NodePtr& n, const exec::OperatorStats& stats,
                 stats.QError(),
                 static_cast<double>(stats.wall.count()) / 1e6);
   line += buf;
-  if (stats.hash_path) {
-    std::snprintf(buf, sizeof(buf),
-                  " hash{build=%llu probe=%llu maxbucket=%llu nullskip=%llu "
-                  "residual=%llu}",
-                  static_cast<unsigned long long>(stats.build_rows),
-                  static_cast<unsigned long long>(stats.probe_rows),
-                  static_cast<unsigned long long>(stats.max_bucket),
-                  static_cast<unsigned long long>(stats.null_key_skips),
-                  static_cast<unsigned long long>(stats.residual_evals));
-    line += buf;
-  }
-  if (stats.bloom) {
-    std::snprintf(buf, sizeof(buf),
-                  " bloom{checks=%llu rejects=%llu fp=%llu}",
-                  static_cast<unsigned long long>(stats.bloom_checks),
-                  static_cast<unsigned long long>(stats.bloom_rejects),
-                  static_cast<unsigned long long>(
-                      stats.bloom_false_positives));
-    line += buf;
-  }
-  if (stats.merge_path || stats.sort_rows > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " sort{%srows=%llu runs=%llu passes=%llu}",
-                  stats.merge_path ? "merge " : "",
-                  static_cast<unsigned long long>(stats.sort_rows),
-                  static_cast<unsigned long long>(stats.sort_runs),
-                  static_cast<unsigned long long>(stats.sort_merge_passes));
-    line += buf;
-  }
-  if (stats.spilled) {
-    std::snprintf(buf, sizeof(buf),
-                  " spill{parts=%llu written=%llu read=%llu recurse=%llu "
-                  "chunks=%llu}",
-                  static_cast<unsigned long long>(stats.spill_partitions),
-                  static_cast<unsigned long long>(stats.spill_bytes_written),
-                  static_cast<unsigned long long>(stats.spill_bytes_read),
-                  static_cast<unsigned long long>(stats.spill_recursions),
-                  static_cast<unsigned long long>(stats.spill_chunks));
-    line += buf;
-  }
+  line += stats.CountersString();
   out->append(line);
   out->push_back('\n');
   size_t child = 0;

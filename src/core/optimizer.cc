@@ -102,8 +102,7 @@ StatusOr<PlanSpace> QueryOptimizer::EnumeratePlanSpace(
     }
     return inner;
   }
-  NodePtr simplified =
-      options.simplify ? SimplifyOuterJoins(query) : query;
+  NodePtr simplified = SimplifyOuterJoins(query);
   GSOPT_ASSIGN_OR_RETURN(
       NormalizedQuery nq,
       NormalizeForReordering(simplified, catalog_, options.budget));
@@ -162,7 +161,7 @@ StatusOr<OptimizeResult> QueryOptimizer::Optimize(
   if (query == nullptr) return Status::InvalidArgument("null query");
   OptimizeResult result;
   result.original = query;
-  result.simplified = options.simplify ? SimplifyOuterJoins(query) : query;
+  result.simplified = SimplifyOuterJoins(query);
   result.original_cost = cost_model_.Cost(query);
   DegradationReport& deg = result.degradation;
   deg.requested = RungOf(options.mode);

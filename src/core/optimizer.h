@@ -55,7 +55,6 @@ struct OptimizeOptions {
   // Selinger-style DP pruning (cheapest subplan per compensation state).
   // Disable to enumerate the complete plan space.
   bool prune = true;
-  bool simplify = true;
   size_t max_plans = 2000000;
   // Optional cooperative resource budget (not owned). Checked in the
   // normalizer, the enumerator's DP loop, and (when passed on to Execute)
@@ -74,16 +73,9 @@ struct OptimizeOptions {
 
   // Fluent builder (the serving API spells options this way; see
   // core/session.h). Aggregate initialization keeps working for old code.
-  OptimizeOptions& WithMode(EnumMode m) { mode = m; return *this; }
   OptimizeOptions& WithPrune(bool b) { prune = b; return *this; }
-  OptimizeOptions& WithSimplify(bool b) { simplify = b; return *this; }
   OptimizeOptions& WithMaxPlans(size_t n) { max_plans = n; return *this; }
   OptimizeOptions& WithBudget(ResourceBudget* b) { budget = b; return *this; }
-  OptimizeOptions& WithFallback(bool b) { fallback = b; return *this; }
-  OptimizeOptions& WithAssumeOrderedExec(bool b) {
-    assume_ordered_exec = b;
-    return *this;
-  }
 };
 
 struct PlanInfo {

@@ -8,6 +8,15 @@
 
 namespace gsopt {
 
+namespace {
+
+// Distinct SQL texts memoized past the parser (reset wholesale when full;
+// texts are many-to-one onto plan-cache entries because literals differ
+// where fingerprints do not).
+constexpr size_t kTextCacheCapacity = 1024;
+
+}  // namespace
+
 StatusOr<QueryResult> PreparedStatement::Execute(const ExecuteOptions& exec) {
   return Execute(bound_, exec);
 }
@@ -115,7 +124,6 @@ std::string Session::KeyCanonical(const std::string& tree_canonical) const {
   return tree_canonical + "|mode=" +
          std::to_string(static_cast<int>(o.mode)) +
          " prune=" + std::to_string(o.prune ? 1 : 0) +
-         " simplify=" + std::to_string(o.simplify ? 1 : 0) +
          " max_plans=" + std::to_string(o.max_plans) +
          " ordered=" + std::to_string(o.assume_ordered_exec ? 1 : 0);
 }
@@ -226,7 +234,7 @@ StatusOr<ParameterizedQuery> Session::ParameterizedFor(
     std::lock_guard<std::mutex> lock(text_mu_);
     // Wholesale reset at capacity: simpler than a second LRU, and the
     // memo repopulates at parse cost, not optimize cost.
-    if (text_cache_.size() >= options_.text_cache_capacity) {
+    if (text_cache_.size() >= kTextCacheCapacity) {
       text_cache_.clear();
     }
     text_cache_[sql] = TextEntry{pq, version};

@@ -3,7 +3,7 @@
 // entry points:
 //
 //   Session session(catalog, SessionOptions{}
-//                                .WithMode(EnumMode::kGeneralized)
+//                                .WithBudget(&budget)
 //                                .WithExecutor(&parallel));
 //   // One-shot:
 //   auto result = session.Query("SELECT * FROM r1 WHERE r1.a = 7");
@@ -75,8 +75,9 @@ namespace gsopt {
 
 struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   // Optimizer knobs for cache misses. The signature (mode, prune,
-  // simplify, max_plans) is folded into every cache key, so two sessions
-  // sharing a cache but differing in knobs never serve each other's plans.
+  // max_plans, assume_ordered_exec) is folded into every cache key, so two
+  // sessions sharing a cache but differing in knobs never serve each
+  // other's plans.
   OptimizeOptions optimize;
   // Default execution policy applied to every call; per-call ExecuteOptions
   // override via MergeExecPolicy (pointers when non-null). The plan's
@@ -94,10 +95,6 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   bool use_plan_cache = true;
   size_t plan_cache_capacity = 256;
   size_t plan_cache_shards = 8;
-  // Distinct SQL texts memoized past the parser (reset wholesale when
-  // full; texts are many-to-one onto plan-cache entries because literals
-  // differ where fingerprints do not).
-  size_t text_cache_capacity = 1024;
   // Bounded retry for TRANSIENT execution failures (Status::IsTransient(),
   // i.e. kUnavailable: short spill I/O, dispatch faults). Each retry
   // re-executes the already-acquired plan template -- no re-parse or plan
@@ -107,11 +104,8 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   int max_transient_retries = 2;
   std::chrono::microseconds retry_backoff{500};
 
-  SessionOptions& WithMode(EnumMode m) { optimize.mode = m; return *this; }
   SessionOptions& WithPrune(bool b) { optimize.prune = b; return *this; }
-  SessionOptions& WithSimplify(bool b) { optimize.simplify = b; return *this; }
   SessionOptions& WithMaxPlans(size_t n) { optimize.max_plans = n; return *this; }
-  SessionOptions& WithFallback(bool b) { optimize.fallback = b; return *this; }
   // One budget for both halves: miss-path optimization and execution
   // (shadows the mixin setter, which only knows the execution half).
   SessionOptions& WithBudget(ResourceBudget* b) {
@@ -127,7 +121,6 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   SessionOptions& WithPlanCache(bool enabled) { use_plan_cache = enabled; return *this; }
   SessionOptions& WithPlanCacheCapacity(size_t n) { plan_cache_capacity = n; return *this; }
   SessionOptions& WithPlanCacheShards(size_t n) { plan_cache_shards = n; return *this; }
-  SessionOptions& WithTextCacheCapacity(size_t n) { text_cache_capacity = n; return *this; }
 };
 
 // Everything one serving call produced: the rows, the runtime stats, the

@@ -1,7 +1,7 @@
 #include "exec/eval.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
 #include <unordered_set>
 
 #include "base/check.h"
@@ -26,7 +26,6 @@ using internal::LaneOutputs;
 using internal::LanesFor;
 using internal::MergeJoinCore;
 using internal::NestedLoopJoinCore;
-using internal::PadGroupTuple;
 
 namespace {
 
@@ -94,15 +93,23 @@ StatusOr<Relation> KeepRows(const Relation& a,
   return out;
 }
 
-// The per-group difference of Definition 2.1 over r's rows: appends to
-// `out` one null-padded resurrection tuple per distinct group key of r
-// that does not appear in `surviving`. Lanes collect the first row of each
-// such key in their ranges, deduplicating locally; the fan-in deduplicates
-// across lanes, so each missing key resurrects exactly one tuple.
-Status Resurrect(const Relation& r, const GroupIndex& gi,
-                 const std::unordered_set<std::string>& surviving,
-                 Relation* out, const ExecContext& ctx) {
-  const int lanes = LanesFor(ctx, r.NumRows());
+// The per-group difference of Definition 2.1: appends to `out` one
+// null-padded resurrection tuple per distinct group key of `src` that none
+// of out's first `kept` rows (the operator's selected or matched rows)
+// carries. `src_gi` locates the group's columns and row ids in src,
+// `out_gi` their slots in out, pairwise in schema order. Lanes collect the
+// first row of each missing key in their ranges, deduplicating locally;
+// the fan-in deduplicates across lanes, so each missing key resurrects
+// exactly one tuple.
+Status Resurrect(const Relation& src, const GroupIndex& src_gi,
+                 const GroupIndex& out_gi, int64_t kept, Relation* out,
+                 const ExecContext& ctx) {
+  std::unordered_set<std::string> surviving;
+  for (int64_t i = 0; i < kept; ++i) {
+    surviving.insert(
+        EncodeTupleKey(out->row(i), out_gi.value_idx, out_gi.vid_idx));
+  }
+  const int lanes = LanesFor(ctx, src.NumRows());
   GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-gs"));
   struct Candidate {
     std::string key;
@@ -112,8 +119,8 @@ Status Resurrect(const Relation& r, const GroupIndex& gi,
   std::vector<std::unordered_set<std::string>> lane_added(
       static_cast<size_t>(lanes));
   LaneControl control(lanes);
-  ForRanges(ctx, lanes, r.NumRows(), [&](int lane, int64_t begin,
-                                         int64_t end) {
+  ForRanges(ctx, lanes, src.NumRows(), [&](int lane, int64_t begin,
+                                           int64_t end) {
     if (control.cancelled()) return;
     std::vector<Candidate>& cands = lane_cands[static_cast<size_t>(lane)];
     std::unordered_set<std::string>& added =
@@ -122,19 +129,28 @@ Status Resurrect(const Relation& r, const GroupIndex& gi,
     for (int64_t i = begin; i < end; ++i) {
       Status s = ctx.Tick("generalized-selection");
       if (!s.ok()) return control.Fail(lane, std::move(s));
-      const Tuple& t = r.row(i);
-      if (GroupPartAllNull(t, gi)) continue;
-      EncodeTupleKeyInto(t, gi.value_idx, gi.vid_idx, &key);
+      const Tuple& t = src.row(i);
+      if (GroupPartAllNull(t, src_gi)) continue;
+      EncodeTupleKeyInto(t, src_gi.value_idx, src_gi.vid_idx, &key);
       if (surviving.count(key) || !added.insert(key).second) continue;
       cands.push_back(Candidate{key, i});
     }
   });
   GSOPT_RETURN_IF_ERROR(control.First());
+  const Tuple null_row = out->NullTuple();
   std::unordered_set<std::string> added;
   for (std::vector<Candidate>& cands : lane_cands) {
     for (Candidate& c : cands) {
       if (lanes > 1 && !added.insert(std::move(c.key)).second) continue;
-      out->Add(PadGroupTuple(r.row(c.row), gi, *out));
+      const Tuple& s = src.row(c.row);
+      Tuple t = null_row;
+      for (size_t k = 0; k < out_gi.value_idx.size(); ++k) {
+        t.values[out_gi.value_idx[k]] = s.values[src_gi.value_idx[k]];
+      }
+      for (size_t k = 0; k < out_gi.vid_idx.size(); ++k) {
+        t.vids[out_gi.vid_idx[k]] = s.vids[src_gi.vid_idx[k]];
+      }
+      out->Add(std::move(t));
       GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "generalized-selection"));
     }
   }
@@ -203,34 +219,42 @@ StatusOr<Relation> Select(const Relation& r, const Predicate& p,
 }
 
 StatusOr<Relation> Project(const Relation& r,
-                           const std::vector<Attribute>& attrs,
+                           const std::vector<Attribute>& src,
+                           const std::vector<Attribute>& out,
                            const ExecContext& ctx) {
+  if (src.size() != out.size()) {
+    return Status::InvalidArgument(
+        "project: source and output column counts differ");
+  }
   Schema schema;
   std::vector<int> src_idx;
-  for (const Attribute& a : attrs) {
-    int i = r.schema().Find(a.rel, a.name);
-    if (i < 0) {
+  for (size_t i = 0; i < src.size(); ++i) {
+    int j = r.schema().Find(src[i].rel, src[i].name);
+    if (j < 0) {
       return Status::InvalidArgument("project: missing attribute " +
-                                     a.Qualified());
+                                     src[i].Qualified());
     }
-    schema.Append(a);
-    src_idx.push_back(i);
+    schema.Append(out[i]);
+    src_idx.push_back(j);
   }
-  // Keep virtual attributes only for base relations all of whose columns
-  // survive the projection (otherwise row ids would claim more provenance
-  // than the tuple carries).
-  std::set<std::string> kept_rels;
-  for (const Attribute& a : attrs) kept_rels.insert(a.rel);
+  // Without a rename, keep the row ids of every base relation that keeps
+  // at least one column (provenance is per relation, not per column). A
+  // rename drops them all: renamed outputs no longer name base-relation
+  // provenance.
   VirtualSchema vschema;
   std::vector<int> vid_idx;
-  for (int i = 0; i < r.vschema().size(); ++i) {
-    if (kept_rels.count(r.vschema().rel(i))) {
-      vschema.Append(r.vschema().rel(i));
-      vid_idx.push_back(i);
+  if (src == out) {
+    std::set<std::string> kept_rels;
+    for (const Attribute& a : src) kept_rels.insert(a.rel);
+    for (int i = 0; i < r.vschema().size(); ++i) {
+      if (kept_rels.count(r.vschema().rel(i))) {
+        vschema.Append(r.vschema().rel(i));
+        vid_idx.push_back(i);
+      }
     }
   }
-  Relation out(schema, vschema);
-  out.Reserve(r.NumRows());
+  Relation result(schema, vschema);
+  result.Reserve(r.NumRows());
   RecordIn(ctx, r.NumRows());
   for (const Tuple& t : r.rows()) {
     Tuple nt;
@@ -238,41 +262,8 @@ StatusOr<Relation> Project(const Relation& r,
     for (int i : src_idx) nt.values.push_back(t.values[i]);
     nt.vids.reserve(vid_idx.size());
     for (int i : vid_idx) nt.vids.push_back(t.vids[i]);
-    out.Add(std::move(nt));
-    GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "project"));
-  }
-  RecordOut(ctx, out);
-  return out;
-}
-
-StatusOr<Relation> ProjectAs(const Relation& r,
-                             const std::vector<Attribute>& src,
-                             const std::vector<Attribute>& out,
-                             const ExecContext& ctx) {
-  if (src.size() != out.size()) {
-    return Status::InvalidArgument(
-        "project-as: source and output column counts differ");
-  }
-  Schema schema;
-  std::vector<int> src_idx;
-  for (size_t i = 0; i < src.size(); ++i) {
-    int j = r.schema().Find(src[i].rel, src[i].name);
-    if (j < 0) {
-      return Status::InvalidArgument("project-as: missing attribute " +
-                                     src[i].Qualified());
-    }
-    schema.Append(out[i]);
-    src_idx.push_back(j);
-  }
-  Relation result(schema, VirtualSchema());
-  result.Reserve(r.NumRows());
-  RecordIn(ctx, r.NumRows());
-  for (const Tuple& t : r.rows()) {
-    Tuple nt;
-    nt.values.reserve(src_idx.size());
-    for (int j : src_idx) nt.values.push_back(t.values[j]);
     result.Add(std::move(nt));
-    GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "project-as"));
+    GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "project"));
   }
   RecordOut(ctx, result);
   return result;
@@ -397,21 +388,15 @@ StatusOr<Relation> GeneralizedSelection(
   // counts the pass's predicate evaluations itself.
   ExecContext select_ctx = ctx;
   select_ctx.stats = nullptr;
-  GSOPT_ASSIGN_OR_RETURN(Relation selected, Select(r, p, select_ctx));
+  GSOPT_ASSIGN_OR_RETURN(Relation out, Select(r, p, select_ctx));
   RecordIn(ctx, static_cast<uint64_t>(r.NumRows()));
   if (ctx.stats != nullptr) {
     ctx.stats->residual_evals += static_cast<uint64_t>(r.NumRows());
   }
-  Relation out(r.schema(), r.vschema());
-  for (const Tuple& t : selected.rows()) out.Add(t);
-
+  const int64_t selected = out.NumRows();
   for (const PreservedGroup& group : groups) {
     GroupIndex gi = IndexGroup(group, r.schema(), r.vschema());
-    std::unordered_set<std::string> surviving;
-    for (const Tuple& t : selected.rows()) {
-      surviving.insert(EncodeTupleKey(t, gi.value_idx, gi.vid_idx));
-    }
-    GSOPT_RETURN_IF_ERROR(Resurrect(r, gi, surviving, &out, ctx));
+    GSOPT_RETURN_IF_ERROR(Resurrect(r, gi, gi, selected, &out, ctx));
   }
   RecordOut(ctx, out);
   return out;
@@ -422,62 +407,30 @@ StatusOr<Relation> Mgoj(const Relation& a, const Relation& b,
                         const std::vector<PreservedGroup>& groups,
                         const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
-  Relation out(core.out.schema(), core.out.vschema());
-  for (const Tuple& t : core.out.rows()) out.Add(t);
-
-  // Compensation per group, computed from the operand sides directly:
-  // pi_{G}(a x b) factors into pi_{G cap a}(a) x pi_{G cap b}(b).
+  Relation out = std::move(core.out);
+  const int64_t matched = out.NumRows();
+  std::optional<Relation> product;
   for (const PreservedGroup& group : groups) {
+    GroupIndex gout = IndexGroup(group, out.schema(), out.vschema());
     GroupIndex ga = IndexGroup(group, a.schema(), a.vschema());
     GroupIndex gb = IndexGroup(group, b.schema(), b.vschema());
-    GroupIndex gout = IndexGroup(group, out.schema(), out.vschema());
-
-    std::unordered_set<std::string> surviving;
-    for (const Tuple& t : core.out.rows()) {
-      surviving.insert(EncodeTupleKey(t, gout.value_idx, gout.vid_idx));
+    bool in_a = !ga.value_idx.empty() || !ga.vid_idx.empty();
+    bool in_b = !gb.value_idx.empty() || !gb.vid_idx.empty();
+    if (!in_a && !in_b) continue;
+    // A group inside one operand resurrects from that operand: pi_G(a x b)
+    // is pi_G of it. Unlike a literal sigma*[G](a x b), this preserves
+    // G-tuples even when the other operand is empty (matching
+    // left-outer-join semantics). A group split across both operands (only
+    // hand-built trees have one) resurrects from the product itself.
+    const bool split = in_a && in_b;
+    if (split && !product) {
+      ExecContext product_ctx = ctx;
+      product_ctx.stats = nullptr;
+      GSOPT_ASSIGN_OR_RETURN(product, Product(a, b, product_ctx));
     }
-    std::unordered_set<std::string> added;
-
-    Status charge_status = Status::OK();
-    auto consider = [&](const Tuple& ta, const Tuple& tb) {
-      if (!charge_status.ok()) return;
-      Tuple t = Tuple::Concat(ta, tb);
-      if (GroupPartAllNull(t, gout)) return;
-      std::string key = EncodeTupleKey(t, gout.value_idx, gout.vid_idx);
-      if (surviving.count(key) || added.count(key)) return;
-      added.insert(std::move(key));
-      out.Add(PadGroupTuple(t, gout, out));
-      charge_status = ctx.ChargeRows(1, "mgoj");
-    };
-
-    bool group_in_a = !ga.value_idx.empty() || !ga.vid_idx.empty();
-    bool group_in_b = !gb.value_idx.empty() || !gb.vid_idx.empty();
-    Tuple null_a = a.NullTuple();
-    Tuple null_b = b.NullTuple();
-
-    if (group_in_a && group_in_b) {
-      // Rare split group: enumerate distinct side projections.
-      std::unordered_map<std::string, int64_t> da, db;
-      for (int64_t i = 0; i < a.NumRows(); ++i) {
-        da.emplace(EncodeTupleKey(a.row(i), ga.value_idx, ga.vid_idx), i);
-      }
-      for (int64_t j = 0; j < b.NumRows(); ++j) {
-        db.emplace(EncodeTupleKey(b.row(j), gb.value_idx, gb.vid_idx), j);
-      }
-      for (const auto& [ka, i] : da) {
-        for (const auto& [kb, j] : db) {
-          consider(a.row(i), b.row(j));
-        }
-      }
-    } else if (group_in_a) {
-      // Unlike a literal sigma*[G](a x b), the binary operator preserves
-      // G-tuples even when b is empty (matching left-outer-join semantics);
-      // the padded side's contents never reach the key or the output.
-      for (const Tuple& ta : a.rows()) consider(ta, null_b);
-    } else if (group_in_b) {
-      for (const Tuple& tb : b.rows()) consider(null_a, tb);
-    }
-    GSOPT_RETURN_IF_ERROR(charge_status);
+    const Relation& src = split ? *product : in_a ? a : b;
+    const GroupIndex& src_gi = split ? gout : in_a ? ga : gb;
+    GSOPT_RETURN_IF_ERROR(Resurrect(src, src_gi, gout, matched, &out, ctx));
   }
   RecordOut(ctx, out);
   return out;

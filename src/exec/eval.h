@@ -1,8 +1,9 @@
 // Executor kernels for every operator the paper uses:
 // cartesian product, selection, projection, inner / left / right / full
 // outer join, anti and semi join, outer union, generalized selection (GS,
-// Definition 2.1), and MGOJ (implemented as GS over a product with a hash
-// fast path, per the paper's remark that GS ~ MGOJ/GOJ operationally).
+// Definition 2.1), and MGOJ (the join core's matched pairs plus GS's
+// resurrection pass, per the paper's remark that GS ~ MGOJ/GOJ
+// operationally).
 //
 // Joins use a hash path on the equi-conjuncts of the predicate whose sides
 // separate cleanly across the two inputs, with any residual conjuncts
@@ -201,19 +202,16 @@ StatusOr<Relation> Product(const Relation& a, const Relation& b,
 StatusOr<Relation> Select(const Relation& r, const Predicate& p,
                           const ExecContext& ctx = {});
 
-// Duplicate-preserving projection onto the given real attributes. The
-// virtual schema is restricted to base relations fully covered by `attrs`.
+// Duplicate-preserving projection: output column i is named `out[i]` and
+// sourced from `src[i]` (kInvalidArgument when the counts differ or a
+// source is missing). Without a rename (src == out) the virtual schema
+// keeps every base relation with at least one projected column; a rename
+// drops every row id, since renamed outputs no longer correspond to
+// base-relation provenance.
 StatusOr<Relation> Project(const Relation& r,
-                           const std::vector<Attribute>& attrs,
+                           const std::vector<Attribute>& src,
+                           const std::vector<Attribute>& out,
                            const ExecContext& ctx = {});
-
-// Projection with renaming: output column i is named `out[i]`, sourced
-// from `src[i]`. Virtual attributes are dropped (renamed outputs no longer
-// correspond to base-relation provenance).
-StatusOr<Relation> ProjectAs(const Relation& r,
-                             const std::vector<Attribute>& src,
-                             const std::vector<Attribute>& out,
-                             const ExecContext& ctx = {});
 
 StatusOr<Relation> InnerJoin(const Relation& a, const Relation& b,
                              const Predicate& p, const ExecContext& ctx = {});
@@ -248,8 +246,11 @@ StatusOr<Relation> GeneralizedSelection(
     const std::vector<PreservedGroup>& groups, const ExecContext& ctx = {});
 
 // MGOJ[groups, p](a, b): binary modified generalized outer join; equal to
-// GeneralizedSelection(Product(a, b), p, groups) but avoids materializing
-// the product.
+// GeneralizedSelection(Product(a, b), p, groups) except that a group inside
+// one operand is preserved even when the other operand is empty. The join
+// core yields the matched pairs; GS's resurrection pass compensates each
+// group from the operand that holds it, so only a group split across both
+// operands materializes the product.
 StatusOr<Relation> Mgoj(const Relation& a, const Relation& b,
                         const Predicate& p,
                         const std::vector<PreservedGroup>& groups,

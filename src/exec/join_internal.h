@@ -116,15 +116,6 @@ inline bool GroupPartAllNull(const Tuple& t, const GroupIndex& gi) {
   return true;
 }
 
-// Builds the null-padded resurrection tuple for one preserved-group key.
-inline Tuple PadGroupTuple(const Tuple& src, const GroupIndex& gi,
-                           const Relation& shape) {
-  Tuple t = shape.NullTuple();
-  for (int i : gi.value_idx) t.values[i] = src.values[i];
-  for (int i : gi.vid_idx) t.vids[i] = src.vids[i];
-  return t;
-}
-
 // Sort-merge twin of the hash JoinCore (exec/sort.cc): sorts both sides by
 // their equi-key values (CompareValuesTotal, whose equality partition is
 // exactly the hash path's key bytes) and merges equal-key blocks, evaluating

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <utility>
 
 #include "base/spill_file.h"
@@ -175,7 +176,9 @@ class SortedStream {
       *ok = false;
       return Status::OK();
     }
-    *row = std::move(heads_[best]);
+    // A swap, not a move: the run's next record is read into the caller's
+    // previous row, reusing its buffers.
+    std::swap(*row, heads_[best]);
     GSOPT_RETURN_IF_ERROR(Advance(best));
     *ok = true;
     return Status::OK();
@@ -256,51 +259,36 @@ class SortedStream {
   }
 
   // Merges groups of kMergeFanIn runs into single runs until at most
-  // kMergeFanIn remain for the final streaming merge.
+  // kMergeFanIn remain for the final streaming merge. Each group is merged
+  // by this stream's own Next(): runs_ holds just the group while its
+  // rows drain into the new run.
   Status MergeToFanIn() {
     while (runs_.size() > kMergeFanIn) {
       ++merge_passes_;
+      std::vector<Run> pass = std::move(runs_);
       std::vector<Run> next;
-      for (size_t base = 0; base < runs_.size(); base += kMergeFanIn) {
-        size_t end = std::min(runs_.size(), base + kMergeFanIn);
+      for (size_t base = 0; base < pass.size(); base += kMergeFanIn) {
+        size_t end = std::min(pass.size(), base + kMergeFanIn);
         if (end - base == 1) {
-          next.push_back(std::move(runs_[base]));
+          next.push_back(std::move(pass[base]));
           continue;
         }
-        std::vector<Keyed> heads(end - base);
-        std::vector<char> live(end - base, 0);
-        for (size_t r = base; r < end; ++r) {
-          GSOPT_RETURN_IF_ERROR(runs_[r].file.Rewind());
-          if (runs_[r].count > 0) {
-            GSOPT_RETURN_IF_ERROR(ReadOne(&runs_[r], &heads[r - base]));
-            live[r - base] = 1;
-          }
-        }
+        runs_.assign(std::make_move_iterator(pass.begin() + base),
+                     std::make_move_iterator(pass.begin() + end));
+        GSOPT_RETURN_IF_ERROR(LoadHeads());
         GSOPT_ASSIGN_OR_RETURN(
             SpillFile f, SpillFile::Create(SpillDir(), ctx_.fault));
         Run merged{std::move(f), 0, 0};
         std::string scratch;
+        Keyed row;
+        bool ok = true;
         for (;;) {
           GSOPT_RETURN_IF_ERROR(ctx_.Tick(stage_));
-          size_t best = heads.size();
-          for (size_t h = 0; h < heads.size(); ++h) {
-            if (!live[h]) continue;
-            if (best == heads.size() || cmp_.Less(heads[h], heads[best])) {
-              best = h;
-            }
-          }
-          if (best == heads.size()) break;
-          GSOPT_RETURN_IF_ERROR(WriteTupleRecord(
-              &merged.file, heads[best].t, heads[best].orig, &scratch));
+          GSOPT_RETURN_IF_ERROR(Next(&row, &ok));
+          if (!ok) break;
+          GSOPT_RETURN_IF_ERROR(
+              WriteTupleRecord(&merged.file, row.t, row.orig, &scratch));
           ++merged.count;
-          Run& src = runs_[base + best];
-          if (src.cursor < src.count) {
-            GSOPT_RETURN_IF_ERROR(ReadOne(&src, &heads[best]));
-          } else {
-            live[best] = 0;
-            bytes_read_ += src.file.bytes_read();
-            src.file.Discard();
-          }
         }
         bytes_written_ += merged.file.bytes_written();
         next.push_back(std::move(merged));

@@ -39,20 +39,9 @@ double OperatorStats::QError() const {
   return std::max(est / act, act / est);
 }
 
-std::string OperatorStats::ToString(int indent) const {
-  std::string line(static_cast<size_t>(indent) * 2, ' ');
-  line += op.empty() ? "op" : op;
+std::string OperatorStats::CountersString() const {
+  std::string line;
   char buf[160];
-  std::snprintf(buf, sizeof(buf), " in=%llu out=%llu time=%.3fms",
-                static_cast<unsigned long long>(rows_in),
-                static_cast<unsigned long long>(rows_out),
-                static_cast<double>(wall.count()) / 1e6);
-  line += buf;
-  if (columnar) {
-    std::snprintf(buf, sizeof(buf), " columnar{batches=%llu}",
-                  static_cast<unsigned long long>(batches));
-    line += buf;
-  }
   if (hash_path) {
     std::snprintf(buf, sizeof(buf),
                   " hash{build=%llu probe=%llu maxbucket=%llu nullskip=%llu "
@@ -92,6 +81,24 @@ std::string OperatorStats::ToString(int indent) const {
                   static_cast<unsigned long long>(spill_chunks));
     line += buf;
   }
+  return line;
+}
+
+std::string OperatorStats::ToString(int indent) const {
+  std::string line(static_cast<size_t>(indent) * 2, ' ');
+  line += op.empty() ? "op" : op;
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), " in=%llu out=%llu time=%.3fms",
+                static_cast<unsigned long long>(rows_in),
+                static_cast<unsigned long long>(rows_out),
+                static_cast<double>(wall.count()) / 1e6);
+  line += buf;
+  if (columnar) {
+    std::snprintf(buf, sizeof(buf), " columnar{batches=%llu}",
+                  static_cast<unsigned long long>(batches));
+    line += buf;
+  }
+  line += CountersString();
   line += '\n';
   for (const auto& c : children) line += c->ToString(indent + 1);
   return line;

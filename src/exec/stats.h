@@ -110,6 +110,11 @@ struct OperatorStats {
   // when no estimate was joined in.
   double QError() const;
 
+  // The hash{}, bloom{}, sort{} and spill{} blocks of the counters that
+  // ran, each with a leading space; empty when none did. Both renderings
+  // below end each node's line with it.
+  std::string CountersString() const;
+
   // Indented one-node-per-line rendering of the stats tree (counters
   // only; EXPLAIN ANALYZE produces the plan-annotated form).
   std::string ToString(int indent = 0) const;

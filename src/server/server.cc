@@ -19,6 +19,10 @@ namespace gsopt::server {
 
 namespace {
 
+// The soft-pressure rung: once the admission queue is half of max_queue
+// deep, admitted requests run with this fraction of their deadline.
+constexpr double kPressureDeadlineFactor = 0.25;
+
 Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -56,9 +60,6 @@ GsoptServer::GsoptServer(const Catalog& catalog, ServerOptions options)
     : catalog_(catalog), options_(std::move(options)) {
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.max_queue < 1) options_.max_queue = 1;
-  if (options_.pressure_watermark == 0) {
-    options_.pressure_watermark = std::max<size_t>(1, options_.max_queue / 2);
-  }
   session_ = std::make_unique<Session>(catalog_, options_.session);
 }
 
@@ -474,10 +475,10 @@ void GsoptServer::ServeRequest(const ConnPtr& conn) {
     std::lock_guard<std::mutex> lock(queue_mu_);
     depth = queue_.size();
   }
-  if (deadline.count() > 0 && depth >= options_.pressure_watermark) {
+  if (deadline.count() > 0 &&
+      depth >= std::max<size_t>(1, options_.max_queue / 2)) {
     deadline = std::chrono::microseconds(static_cast<int64_t>(
-        static_cast<double>(deadline.count()) *
-        options_.pressure_deadline_factor));
+        static_cast<double>(deadline.count()) * kPressureDeadlineFactor));
     if (deadline.count() < 1000) deadline = std::chrono::microseconds(1000);
   }
   if (deadline.count() > 0) budget.WithDeadlineAfter(deadline);

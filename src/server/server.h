@@ -27,13 +27,13 @@
 //
 // Overload shedding is therefore two-layered: hard sheds refuse work
 // before it costs anything (the client sees class `shed` and retries
-// elsewhere/later), while soft pressure -- an admission queue above its
-// watermark -- shrinks the optimization deadline of admitted work
-// (pressure_deadline_factor), pushing the fallback ladder toward cheaper
-// rungs so the backlog drains faster. No request is ever silently
-// dropped: every admitted frame gets exactly one ROWS or ERROR frame,
-// shutdown drains in-flight work before closing sockets, and sheds are
-// counted per cause in ServerStats.
+// elsewhere/later), while soft pressure -- an admission queue at least
+// half of max_queue deep -- cuts the deadline of admitted work to a
+// quarter, pushing the fallback ladder toward cheaper rungs so the
+// backlog drains faster. No request is ever silently dropped: every
+// admitted frame gets exactly one ROWS or ERROR frame, shutdown drains
+// in-flight work before closing sockets, and sheds are counted per cause
+// in ServerStats.
 #ifndef GSOPT_SERVER_SERVER_H_
 #define GSOPT_SERVER_SERVER_H_
 
@@ -82,11 +82,6 @@ struct ServerOptions {
   int num_workers = 4;
   // Global admission-queue bound (requests queued, not yet executing).
   size_t max_queue = 256;
-  // Queue depth at which admitted requests start running with a shrunken
-  // optimization deadline (quota.deadline * pressure_deadline_factor):
-  // the soft-shedding rung before hard sheds. 0 = max_queue / 2.
-  size_t pressure_watermark = 0;
-  double pressure_deadline_factor = 0.25;
   // Admission limits for tenants without an explicit entry.
   TenantQuota default_quota;
   std::map<std::string, TenantQuota> tenant_quotas;

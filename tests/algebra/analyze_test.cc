@@ -4,6 +4,8 @@
 // cost model's estimates are joined in, and the rendering reports
 // est/rows/q per operator plus a q-error summary.
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -123,6 +125,64 @@ TEST(ExplainAnalyzeTest, Example21ShowsActualsEstimatesAndQError) {
   exec::CollectQErrors(*analyzed->stats, &qs);
   EXPECT_EQ(qs.size(), 5u);
   for (double qe : qs) EXPECT_GE(qe, 1.0);
+}
+
+// Preorder walk pairing each ANALYZE line with its stats node.
+void ExpectLinesEndWithCounters(const exec::OperatorStats& stats,
+                                const std::vector<std::string>& lines,
+                                size_t* next) {
+  ASSERT_LT(*next, lines.size());
+  const std::string& line = lines[(*next)++];
+  const std::string counters = stats.CountersString();
+  ASSERT_GE(line.size(), counters.size()) << line;
+  EXPECT_EQ(line.substr(line.size() - counters.size()), counters) << line;
+  for (const auto& c : stats.children) {
+    ExpectLinesEndWithCounters(*c, lines, next);
+  }
+}
+
+TEST(ExplainAnalyzeTest, SpilledMergeAndHashLinesCarryTheirCounters) {
+  // A merge-stamped join over a hash join, both under a memory cap with
+  // spilling on: the ANALYZE text shows every counter block the stats
+  // tree's own rendering shows, node by node.
+  Catalog cat;
+  for (const char* t : {"t1", "t2", "t3"}) {
+    ASSERT_TRUE(cat.CreateTable(t, {"k", "v"}).ok());
+    for (int64_t i = 0; i < 300; ++i) {
+      ASSERT_TRUE(cat.Insert(t, {I(i % 97), I(i)}).ok());
+    }
+  }
+  NodePtr hash = Node::Join(
+      Node::Leaf("t1"), Node::Leaf("t2"),
+      Predicate(MakeAtom("t1", "k", CmpOp::kEq, "t2", "k")));
+  NodePtr q = Node::WithMergeJoin(Node::Join(
+      hash, Node::Leaf("t3"),
+      Predicate(MakeAtom("t1", "v", CmpOp::kEq, "t3", "v"))));
+  ResourceBudget budget;
+  budget.WithMaxMemory(4 * 1024);
+  exec::SpillConfig spill;
+  spill.enabled = true;
+  ExecuteOptions xo;
+  xo.budget = &budget;
+  xo.spill = &spill;
+  xo.bloom = exec::BloomMode::kForce;
+  QueryOptimizer opt(cat);
+  auto analyzed = ExplainAnalyze(q, cat, opt.cost_model(), xo);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+
+  const std::string& text = analyzed->text;
+  for (const char* block : {"hash{", "bloom{", "sort{merge ", "spill{"}) {
+    EXPECT_NE(text.find(block), std::string::npos) << block << "\n" << text;
+  }
+  std::vector<std::string> lines;
+  size_t start = 0;
+  for (size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.push_back(text.substr(start, nl - start));
+  }
+  size_t next = 0;
+  ExpectLinesEndWithCounters(*analyzed->stats, lines, &next);
+  EXPECT_EQ(next, 5u);
 }
 
 TEST(ExplainAnalyzeTest, HonorsExecuteBudget) {

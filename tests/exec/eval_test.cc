@@ -62,7 +62,8 @@ TEST(SelectTest, TruePredicateKeepsAll) {
 
 TEST(ProjectTest, KeepsDuplicatesAndRestrictsVirtualSchema) {
   Relation r = MakeRelation("r", {"x", "y"}, {{I(1), I(1)}, {I(1), I(2)}});
-  Relation p = *Project(r, {Attribute{"r", "x"}});
+  std::vector<Attribute> x = {Attribute{"r", "x"}};
+  Relation p = *Project(r, x, x);
   EXPECT_EQ(p.NumRows(), 2);  // duplicate-preserving
   EXPECT_EQ(p.schema().size(), 1);
   EXPECT_EQ(p.vschema().size(), 1);  // r's vid kept, attrs all from r

@@ -3,6 +3,7 @@
 // Example 2.1 (experiment E1 in DESIGN.md).
 #include <gtest/gtest.h>
 
+#include "base/fault_injector.h"
 #include "base/rng.h"
 #include "exec/eval.h"
 #include "relational/datagen.h"
@@ -123,13 +124,30 @@ TEST(MgojTest, MatchesGsOnProductRandomized) {
              {},
              {PreservedGroup{"s1"}},
              {PreservedGroup{"s2"}},
-             {PreservedGroup{"s1"}, PreservedGroup{"s2"}}}) {
+             {PreservedGroup{"s1"}, PreservedGroup{"s2"}},
+             {PreservedGroup{"s1", "s2"}}}) {
       Relation m = *Mgoj(a, b, p, groups);
       Relation g = *GeneralizedSelection(*Product(a, b), p, groups);
       EXPECT_TRUE(Relation::BagEquals(m, g))
           << "trial " << trial << " groups " << groups.size();
     }
   }
+}
+
+TEST(MgojTest, CompensationProbesBudgetPerRow) {
+  // Every preserved row the compensation considers passes a budget probe,
+  // so a deadline or an injected fault can stop it mid-pass.
+  std::vector<std::vector<Value>> rows;
+  for (int64_t i = 0; i < 5000; ++i) rows.push_back({I(i)});
+  Relation a = MakeRelation("ra", {"x"}, rows);
+  Relation b = MakeRelation("rb", {"x"}, {{I(-1)}});
+  FaultInjector fault;
+  exec::ExecContext ctx;
+  ctx.fault = &fault;
+  Relation m = *Mgoj(a, b, EqX(), {PreservedGroup{"ra"}}, ctx);
+  EXPECT_EQ(m.NumRows(), a.NumRows());
+  EXPECT_GE(fault.probes(FaultSite::kBudgetCheck),
+            static_cast<uint64_t>(a.NumRows()));
 }
 
 TEST(MgojTest, NoGroupsIsInnerJoin) {
