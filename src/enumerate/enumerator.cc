@@ -1,12 +1,48 @@
 #include "enumerate/enumerator.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace gsopt {
+
+namespace {
+
+// Folds `v` into a shape hash (splitmix64's finalizer over a
+// boost-style combine).
+uint64_t HashFold(uint64_t h, uint64_t v) {
+  uint64_t z = h ^ (v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2));
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+uint64_t HashText(const std::string& text) {
+  return std::hash<std::string>{}(text);
+}
+
+// The plans kept so far, keyed by shape hash. A plan is new unless an
+// earlier plan with the same hash prints identically, so only a hash
+// collision (or an exact `p AND p` duplicate) pays for printing.
+class ShapeSet {
+ public:
+  bool Insert(uint64_t hash, const NodePtr& expr) {
+    auto [lo, hi] = seen_.equal_range(hash);
+    if (lo != hi) {
+      std::string text = expr->ToString();
+      for (auto it = lo; it != hi; ++it) {
+        if (it->second->ToString() == text) return false;
+      }
+    }
+    seen_.emplace(hash, expr);
+    return true;
+  }
+
+ private:
+  std::unordered_multimap<uint64_t, NodePtr> seen_;
+};
+
+}  // namespace
 
 std::string EnumModeName(EnumMode m) {
   switch (m) {
@@ -34,7 +70,8 @@ Enumerator::Enumerator(const Hypergraph& h, EnumOptions options)
         return;
       }
       edge_atoms_[e.id].push_back(static_cast<int>(atoms_.size()));
-      atoms_.push_back(AtomInfo{e.id, static_cast<int>(i), e.atoms[i].span});
+      atoms_.push_back(AtomInfo{e.id, static_cast<int>(i), e.atoms[i].span,
+                                HashText(e.atoms[i].atom.ToString())});
     }
   }
 }
@@ -155,9 +192,10 @@ void Enumerator::EmitCombination(RelSet s1, const SubPlan& p1, RelSet s2,
           const Hyperedge& ae = h_.edge(ai.edge_id);
           if (ae.kind != EdgeKind::kUndirected) continue;
           if (ai.edge_id <= eid) continue;  // evaluated below the edge
+          if (!ai.span.Intersects(null_region)) continue;
           const Atom& atom = ae.atoms[ai.index_in_edge].atom;
           if (atom.RelNames().empty()) continue;  // tautology: never UNKNOWN
-          if (ai.span.Intersects(null_region)) return true;
+          return true;
         }
         return false;
       };
@@ -241,9 +279,11 @@ void Enumerator::EmitCombination(RelSet s1, const SubPlan& p1, RelSet s2,
   }
 
   Predicate pred;
+  uint64_t pred_hash = 0;
   for (int aid : apply_atoms.ToVector()) {
     pred.AddAtom(h_.edge(atoms_[aid].edge_id).atoms[atoms_[aid].index_in_edge]
                      .atom);
+    pred_hash = HashFold(pred_hash, atoms_[aid].text_hash);
   }
 
   SubPlan np;
@@ -251,33 +291,16 @@ void Enumerator::EmitCombination(RelSet s1, const SubPlan& p1, RelSet s2,
                          .Union(apply_atoms);
   np.placed_edges = p1.placed_edges.Union(p2.placed_edges).Union(placing);
   np.num_mgoj = p1.num_mgoj + p2.num_mgoj;
+  // Canonical orientation for dedup: an LOJ's preserved side goes left,
+  // otherwise the smaller relation set does.
+  bool p1_left = groups.empty() && op == OpKind::kLeftOuterJoin
+                     ? preserved_is_s1
+                     : s1 < s2;
+  const SubPlan& left = p1_left ? p1 : p2;
+  const SubPlan& right = p1_left ? p2 : p1;
 
   if (groups.empty()) {
-    switch (op) {
-      case OpKind::kInnerJoin: {
-        // Canonical orientation for dedup: smaller relation set left.
-        if (s1 < s2) {
-          np.expr = Node::Join(p1.expr, p2.expr, pred);
-        } else {
-          np.expr = Node::Join(p2.expr, p1.expr, pred);
-        }
-        break;
-      }
-      case OpKind::kLeftOuterJoin:
-        np.expr = preserved_is_s1
-                      ? Node::LeftOuterJoin(p1.expr, p2.expr, pred)
-                      : Node::LeftOuterJoin(p2.expr, p1.expr, pred);
-        break;
-      case OpKind::kFullOuterJoin:
-        if (s1 < s2) {
-          np.expr = Node::FullOuterJoin(p1.expr, p2.expr, pred);
-        } else {
-          np.expr = Node::FullOuterJoin(p2.expr, p1.expr, pred);
-        }
-        break;
-      default:
-        return;
-    }
+    np.expr = Node::Binary(op, left.expr, right.expr, std::move(pred));
   } else {
     if (options_.mode == EnumMode::kBinaryOnly) return;  // needs MGOJ
     // Operator with compensation: MGOJ preserving the endangered promises
@@ -289,15 +312,15 @@ void Enumerator::EmitCombination(RelSet s1, const SubPlan& p1, RelSet s2,
       groups.push_back(s2);
     }
     groups = NormalizeGroups(std::move(groups));
-    std::vector<exec::PreservedGroup> pgroups =
-        analysis_.ToPreservedGroups(groups);
-    if (s1 < s2) {
-      np.expr = Node::Mgoj(p1.expr, p2.expr, pred, pgroups);
-    } else {
-      np.expr = Node::Mgoj(p2.expr, p1.expr, pred, pgroups);
-    }
+    op = OpKind::kMgoj;
+    for (const RelSet& g : groups) pred_hash = HashFold(pred_hash, g.bits());
+    np.expr = Node::Mgoj(left.expr, right.expr, std::move(pred),
+                         analysis_.ToPreservedGroups(groups));
     np.num_mgoj += 1;
   }
+  np.hash = HashFold(
+      HashFold(HashFold(static_cast<uint64_t>(op), left.hash), right.hash),
+      pred_hash);
   out->push_back(std::move(np));
 }
 
@@ -411,7 +434,8 @@ void Enumerator::Combine(RelSet s1, const SubPlan& p1, RelSet s2,
   }
 }
 
-StatusOr<PlanCandidate> Enumerator::Finalize(const SubPlan& plan) const {
+StatusOr<PlanCandidate> Enumerator::Finalize(const SubPlan& plan,
+                                             uint64_t* hash) const {
   // Every (bi)directed edge must have placed its operator somewhere.
   for (const Hyperedge& e : h_.edges()) {
     if (e.kind != EdgeKind::kUndirected && !plan.placed_edges.Contains(e.id)) {
@@ -421,13 +445,16 @@ StatusOr<PlanCandidate> Enumerator::Finalize(const SubPlan& plan) const {
   PlanCandidate cand;
   cand.num_mgoj = plan.num_mgoj;
   NodePtr expr = plan.expr;
+  *hash = plan.hash;
   // Wrap deferred atoms, one generalized selection per edge, inner edges
   // first (edges are created bottom-up, so increasing id goes outward).
   for (const Hyperedge& e : h_.edges()) {
     Predicate deferred;
+    uint64_t gs_hash = 0;
     for (int aid : edge_atoms_[e.id]) {
       if (!plan.applied_atoms.Contains(aid)) {
         deferred.AddAtom(e.atoms[atoms_[aid].index_in_edge].atom);
+        gs_hash = HashFold(gs_hash, atoms_[aid].text_hash);
         ++cand.num_deferred;
       }
     }
@@ -436,6 +463,10 @@ StatusOr<PlanCandidate> Enumerator::Finalize(const SubPlan& plan) const {
       return Status::Internal("deferred atoms outside generalized mode");
     }
     std::vector<RelSet> groups = analysis_.DeferredGroups(e.id);
+    for (const RelSet& g : groups) gs_hash = HashFold(gs_hash, g.bits());
+    *hash = HashFold(
+        HashFold(static_cast<uint64_t>(OpKind::kGeneralizedSelection), *hash),
+        gs_hash);
     expr = Node::GeneralizedSelection(expr, deferred,
                                       analysis_.ToPreservedGroups(groups));
   }
@@ -466,6 +497,7 @@ StatusOr<EnumerationResult> Enumerator::Enumerate() {
   for (int r = 0; r < n; ++r) {
     SubPlan sp;
     sp.expr = LeafExpr(r);
+    sp.hash = HashText(sp.expr->ToString());
     table[RelSet::Single(r).bits()].push_back(std::move(sp));
   }
 
@@ -490,7 +522,7 @@ StatusOr<EnumerationResult> Enumerator::Enumerate() {
       GSOPT_RETURN_IF_ERROR(budget->CheckDeadlineNow("enumerate"));
     }
     std::vector<SubPlan> plans;
-    std::unordered_set<std::string> seen;
+    ShapeSet seen;
     uint64_t low = sbits & (~sbits + 1);  // lowest bit stays in s1
     for (uint64_t sub = (sbits - 1) & sbits; sub; sub = (sub - 1) & sbits) {
       if (!(sub & low)) continue;
@@ -514,8 +546,8 @@ StatusOr<EnumerationResult> Enumerator::Enumerate() {
           std::vector<SubPlan> emitted;
           Combine(s1, p1, s2, p2, &emitted);
           for (SubPlan& np : emitted) {
-            std::string key = np.expr->ToString();
-            if (seen.insert(key).second) {
+            if (seen.Insert(np.hash, np.expr)) {
+              if (options_.cost_fn) np.cost = options_.cost_fn(np.expr);
               plans.push_back(std::move(np));
               if (++total_emitted >= cap) truncated = true;
             }
@@ -531,8 +563,7 @@ StatusOr<EnumerationResult> Enumerator::Enumerate() {
         auto key = std::make_pair(sp.applied_atoms.bits(),
                                   sp.placed_edges.bits());
         auto it = best.find(key);
-        if (it == best.end() ||
-            options_.cost_fn(sp.expr) < options_.cost_fn(it->second.expr)) {
+        if (it == best.end() || sp.cost < it->second.cost) {
           best[key] = std::move(sp);
         }
       }
@@ -554,12 +585,12 @@ StatusOr<EnumerationResult> Enumerator::Enumerate() {
   result.subplans_emitted = total_emitted;
   result.dp_cells = table.size();
   result.dp_pruned = total_pruned;
-  std::unordered_set<std::string> seen;
+  ShapeSet seen;
   for (const SubPlan& sp : it->second) {
-    auto cand = Finalize(sp);
+    uint64_t hash = 0;
+    auto cand = Finalize(sp, &hash);
     if (!cand.ok()) continue;
-    std::string key = cand->expr->ToString();
-    if (seen.insert(key).second) result.plans.push_back(std::move(*cand));
+    if (seen.Insert(hash, cand->expr)) result.plans.push_back(std::move(*cand));
   }
   if (result.plans.empty()) {
     return Status::NotFound("no valid finalized plan");
@@ -605,11 +636,12 @@ StatusOr<long long> Enumerator::CountAssociationTrees() {
       bool valid = true;
       for (const Hyperedge& e : h_.edges()) {
         bool usable = false;
-        for (const AtomInfo& ai : atoms_) {
-          if (ai.edge_id != e.id) continue;
-          if (s.ContainsAll(ai.span) && ai.span.Intersects(s1) &&
-              ai.span.Intersects(s2)) {
+        for (int aid : edge_atoms_[e.id]) {
+          const RelSet span = atoms_[aid].span;
+          if (s.ContainsAll(span) && span.Intersects(s1) &&
+              span.Intersects(s2)) {
             usable = true;
+            break;
           }
         }
         if (!usable) continue;

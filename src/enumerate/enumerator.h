@@ -63,7 +63,8 @@ struct EnumOptions {
   // cheapest subplan per (applied atoms, placed edges) state -- states
   // differ in which compensations remain, so they are not interchangeable
   // and are pruned independently (the classic Selinger argument extended
-  // to deferred predicates).
+  // to deferred predicates). Called once per distinct subplan a DP cell
+  // keeps.
   std::function<double(const NodePtr&)> cost_fn;
 };
 
@@ -112,14 +113,26 @@ class Enumerator {
     int edge_id;
     int index_in_edge;
     RelSet span;
+    uint64_t text_hash;  // hash of the atom's printed text
   };
 
   // One partial plan for a relation subset.
+  //
+  // A DP cell keeps each distinct plan once. Distinct means distinct
+  // expr->ToString(), but the key is `hash`, a shape hash that mirrors
+  // ToString's structure: built bottom-up from the operator kind, the
+  // canonical left and right child hashes, the printed text of each applied
+  // atom (hashed once per Enumerator, so a repeated `p AND p` atom hashes
+  // alike) and the MGOJ group bits. Plans are printed only when their
+  // hashes collide. With a cost_fn, each kept plan is costed once into
+  // `cost`, and pruning compares the stored costs.
   struct SubPlan {
     NodePtr expr;
     RelSet applied_atoms;   // global atom ids applied inside expr
     RelSet placed_edges;    // (bi)directed edges whose operator is inside
     int num_mgoj = 0;
+    uint64_t hash = 0;
+    double cost = 0.0;
   };
 
   bool SubsetConnected(RelSet rels) const;
@@ -134,8 +147,9 @@ class Enumerator {
                        const SubPlan& p2, RelSet apply_atoms,
                        std::vector<SubPlan>* out) const;
 
-  // Wraps root-level generalized selections for deferred atoms.
-  StatusOr<PlanCandidate> Finalize(const SubPlan& plan) const;
+  // Wraps root-level generalized selections for deferred atoms; `*hash`
+  // becomes the wrapped plan's shape hash.
+  StatusOr<PlanCandidate> Finalize(const SubPlan& plan, uint64_t* hash) const;
 
   NodePtr LeafExpr(int rel_id) const;
 

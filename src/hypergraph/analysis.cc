@@ -1,12 +1,20 @@
 #include "hypergraph/analysis.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/check.h"
 
 namespace gsopt {
 
 namespace {
+
+// The hypernode of `e` across from `rel`; empty when `e` does not touch it.
+RelSet Across(const Hyperedge& e, int rel) {
+  if (e.v1.Contains(rel)) return e.v2;
+  if (e.v2.Contains(rel)) return e.v1;
+  return RelSet();
+}
 
 // DFS for an edge-distinct, hypernode-crossing path. Query hypergraphs are
 // tiny (<= ~15 edges), so the exponential worst case is irrelevant.
@@ -15,14 +23,7 @@ bool PathDfs(const Hypergraph& h, int rel, RelSet targets, RelSet used_edges,
   if (targets.Contains(rel)) return true;
   for (const Hyperedge& e : h.edges()) {
     if (banned_edges.Contains(e.id) || used_edges.Contains(e.id)) continue;
-    RelSet next;
-    if (e.v1.Contains(rel)) {
-      next = e.v2;
-    } else if (e.v2.Contains(rel)) {
-      next = e.v1;
-    } else {
-      continue;
-    }
+    RelSet next = Across(e, rel);
     RelSet used2 = used_edges;
     used2.Add(e.id);
     for (int nr : next.ToVector()) {
@@ -32,7 +33,44 @@ bool PathDfs(const Hypergraph& h, int rel, RelSet targets, RelSet used_edges,
   return false;
 }
 
+// Adds to `reached` every relation some edge-distinct, hypernode-crossing
+// path from `rel` reaches. Paths reverse, so a flood from a hypernode
+// finds every relation with a path into it. A visit whose used edges
+// contain those of an earlier visit to the same relation can reach
+// nothing that visit cannot, so it is cut; the flood also stops once
+// every relation is reached.
+void PathFlood(const Hypergraph& h, int rel, RelSet used_edges,
+               RelSet banned_edges,
+               std::vector<std::pair<int, RelSet>>* seen, RelSet* reached) {
+  for (const auto& [r, earlier] : *seen) {
+    if (r == rel && used_edges.ContainsAll(earlier)) return;
+  }
+  seen->emplace_back(rel, used_edges);
+  reached->Add(rel);
+  for (const Hyperedge& e : h.edges()) {
+    if (*reached == h.AllRels()) return;
+    if (banned_edges.Contains(e.id) || used_edges.Contains(e.id)) continue;
+    RelSet used2 = used_edges;
+    used2.Add(e.id);
+    for (RelSet rest = Across(e, rel); !rest.Empty();
+         rest.Remove(rest.First())) {
+      PathFlood(h, rest.First(), used2, banned_edges, seen, reached);
+    }
+  }
+}
+
 }  // namespace
+
+HypergraphAnalysis::HypergraphAnalysis(const Hypergraph& h) : h_(h) {
+  side_region_.resize(h_.NumEdges());
+  pres_.resize(h_.NumEdges());
+  for (const Hyperedge& e : h_.edges()) {
+    side_region_[e.id] = {ReachingSet(e.v1, RelSet::Single(e.id)),
+                          ReachingSet(e.v2, RelSet::Single(e.id))};
+    pres_[e.id] = {PresSide(e.id, /*side1=*/true),
+                   PresSide(e.id, /*side1=*/false)};
+  }
+}
 
 bool HypergraphAnalysis::PathExists(int from, RelSet targets,
                                     RelSet banned_edges) const {
@@ -42,8 +80,10 @@ bool HypergraphAnalysis::PathExists(int from, RelSet targets,
 RelSet HypergraphAnalysis::ReachingSet(RelSet targets,
                                        RelSet banned_edges) const {
   RelSet out;
-  for (int r = 0; r < h_.NumRelations(); ++r) {
-    if (PathExists(r, targets, banned_edges)) out.Add(r);
+  std::vector<std::pair<int, RelSet>> seen;  // (relation, used edges)
+  seen.reserve(4 * h_.NumRelations());
+  for (int t : targets.ToVector()) {
+    PathFlood(h_, t, RelSet(), banned_edges, &seen, &out);
   }
   return out;
 }
@@ -88,11 +128,10 @@ RelSet HypergraphAnalysis::PresSide(int edge, bool side1) const {
     RelSet other = ours_is_b1 ? a.below2 : a.below1;
     bool unknown = false;
     for (const EdgeAtom& ea : a.atoms) {
+      if (!ea.span.Intersects(padded)) continue;
       if (ea.atom.RelNames().empty()) continue;  // tautology: never UNKNOWN
-      if (ea.span.Intersects(padded)) {
-        unknown = true;
-        break;
-      }
+      unknown = true;
+      break;
     }
     if (!unknown) {
       real = real.Union(other);
@@ -112,16 +151,12 @@ RelSet HypergraphAnalysis::Pres(int edge) const {
   const Hyperedge& e = h_.edge(edge);
   GSOPT_CHECK_MSG(e.kind != EdgeKind::kUndirected,
                   "Pres() needs a (bi)directed edge");
-  return PresSide(edge, /*side1=*/true);
+  return pres_[edge][0];
 }
 
-RelSet HypergraphAnalysis::Pres1(int edge) const {
-  return PresSide(edge, /*side1=*/true);
-}
+RelSet HypergraphAnalysis::Pres1(int edge) const { return pres_[edge][0]; }
 
-RelSet HypergraphAnalysis::Pres2(int edge) const {
-  return PresSide(edge, /*side1=*/false);
-}
+RelSet HypergraphAnalysis::Pres2(int edge) const { return pres_[edge][1]; }
 
 RelSet HypergraphAnalysis::PresAway(int edge, int away_edge) const {
   const Hyperedge& e = h_.edge(edge);
@@ -142,8 +177,7 @@ RelSet HypergraphAnalysis::PresAway(int edge, int away_edge) const {
 }
 
 RelSet HypergraphAnalysis::SideRegion(int edge, bool side1) const {
-  const Hyperedge& e = h_.edge(edge);
-  return ReachingSet(side1 ? e.v1 : e.v2, RelSet::Single(edge));
+  return side_region_[edge][side1 ? 0 : 1];
 }
 
 bool HypergraphAnalysis::OperatorAbove(int outer, int inner) const {
@@ -151,11 +185,11 @@ bool HypergraphAnalysis::OperatorAbove(int outer, int inner) const {
   const Hyperedge& o = h_.edge(outer);
   RelSet inner_eps = h_.edge(inner).Endpoints();
   if (o.kind == EdgeKind::kDirected) {
-    return ReachingSet(o.v2, RelSet::Single(outer)).ContainsAll(inner_eps);
+    return side_region_[outer][1].ContainsAll(inner_eps);
   }
   if (o.kind == EdgeKind::kBidirected) {
-    return ReachingSet(o.v1, RelSet::Single(outer)).ContainsAll(inner_eps) ||
-           ReachingSet(o.v2, RelSet::Single(outer)).ContainsAll(inner_eps);
+    return side_region_[outer][0].ContainsAll(inner_eps) ||
+           side_region_[outer][1].ContainsAll(inner_eps);
   }
   return false;
 }

@@ -1,8 +1,15 @@
 // Hypergraph analysis: preserved sets pres(h) / pres_{h1}(h), closest
 // conflicting outer joins ccoj(h0), conflict sets conf(h0) (Definition 3.3)
 // and the Theorem-1 preserved-group computation for deferred predicate
-// conjuncts. Everything is computed against the ORIGINAL query hypergraph,
-// once, exactly as the paper prescribes.
+// conjuncts. Everything is computed against the ORIGINAL query hypergraph.
+//
+// The constructor builds two per-edge tables, once, as the paper
+// prescribes: each edge's two side regions (the relations reaching its v1 /
+// v2 hypernode without crossing it) and its two preserved sides (PresSide).
+// SideRegion, OperatorAbove, Pres/Pres1/Pres2, PresAway and DeferredGroups
+// read those tables, so the enumerator can ask them for every candidate
+// without re-running the path search. The analysis keeps a reference to
+// the hypergraph, which must not change after construction.
 //
 // Reachability uses the paper's path notion ([BHAR95a], footnote 3): a path
 // alternates relations and hyperedges, each step CROSSES an edge from one
@@ -13,6 +20,7 @@
 #ifndef GSOPT_HYPERGRAPH_ANALYSIS_H_
 #define GSOPT_HYPERGRAPH_ANALYSIS_H_
 
+#include <array>
 #include <vector>
 
 #include "exec/eval.h"
@@ -22,7 +30,8 @@ namespace gsopt {
 
 class HypergraphAnalysis {
  public:
-  explicit HypergraphAnalysis(const Hypergraph& h) : h_(h) {}
+  // Builds the per-edge side-region and preserved-side tables.
+  explicit HypergraphAnalysis(const Hypergraph& h);
 
   const Hypergraph& hypergraph() const { return h_; }
 
@@ -75,10 +84,10 @@ class HypergraphAnalysis {
   // (targets themselves included).
   RelSet ReachingSet(RelSet targets, RelSet banned_edges) const;
 
-  // Shared implementation of Pres/Pres1/Pres2: the preserved reach of one
-  // hypernode, excluding relations attached through edges whose predicate
-  // touches the far side's region (such operators cannot match tuples the
-  // edge padded, so those relations never ride with the preserved part).
+  // The preserved reach of one hypernode (the pres_ table's entries),
+  // excluding relations attached through edges whose predicate touches
+  // the far side's region (such operators cannot match tuples the edge
+  // padded, so those relations never ride with the preserved part).
   RelSet PresSide(int edge, bool side1) const;
 
   // BFS region over selected edge kinds with the hypernode-crossing rule
@@ -91,6 +100,9 @@ class HypergraphAnalysis {
   std::vector<int> FojsReachable(RelSet start, RelSet banned_edges) const;
 
   const Hypergraph& h_;
+  // Per edge id, indexed [0] for the v1 side and [1] for the v2 side.
+  std::vector<std::array<RelSet, 2>> side_region_;  // SideRegion
+  std::vector<std::array<RelSet, 2>> pres_;         // PresSide
 };
 
 }  // namespace gsopt

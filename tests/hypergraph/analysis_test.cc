@@ -1,11 +1,24 @@
 // Unit tests for the hypergraph analysis primitives on hand-built graphs:
 // path reachability, preserved sides with null-region blocking, away-side
-// computation, operator-above relation, units/qualifiers.
+// computation, operator-above relation, units/qualifiers. The table tests
+// check the side regions the constructor caches against the paper's path
+// notion on Fig. 1 (Q4), Q5, Q6 and random general-class queries.
 #include "hypergraph/analysis.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <vector>
+
+#include "algebra/normalize.h"
+#include "algebra/simplify.h"
+#include "base/rng.h"
+#include "enumerate/random_query.h"
+#include "hypergraph/build.h"
 #include "hypergraph/hypergraph.h"
+#include "hypergraph/querygraph.h"
+#include "relational/datagen.h"
 
 namespace gsopt {
 namespace {
@@ -191,6 +204,155 @@ TEST(HypergraphTest, TruePredicateEdgeGetsTautologyAtom) {
   ASSERT_EQ(h.edge(*e).atoms.size(), 1u);
   EXPECT_EQ(h.edge(*e).atoms[0].span, RelSet({r1, r2}));
   EXPECT_TRUE(h.Connected(RelSet({r1, r2})));
+}
+
+// --- cached tables vs the paper's path notion ------------------------------
+
+// {r : a path from r reaches `targets` without crossing `banned`}.
+RelSet Reaching(const HypergraphAnalysis& an, RelSet targets, RelSet banned) {
+  RelSet out;
+  for (int r = 0; r < an.hypergraph().NumRelations(); ++r) {
+    if (an.PathExists(r, targets, banned)) out.Add(r);
+  }
+  return out;
+}
+
+// SideRegion must be the reaching set of each side's hypernode with the
+// edge banned, and OperatorAbove must be its definition over those sets:
+// `inner`'s endpoints lie inside one of `outer`'s null-supplied sides.
+void ExpectTablesMatchPaths(const Hypergraph& h, const std::string& label) {
+  HypergraphAnalysis an(h);
+  // side[e][0] / side[e][1]: the relations reaching e's v1 / v2 hypernode.
+  std::vector<std::array<RelSet, 2>> side;
+  for (const Hyperedge& e : h.edges()) {
+    RelSet ban = RelSet::Single(e.id);
+    side.push_back({Reaching(an, e.v1, ban), Reaching(an, e.v2, ban)});
+    EXPECT_EQ(an.SideRegion(e.id, /*side1=*/true), side[e.id][0])
+        << label << " edge " << e.id;
+    EXPECT_EQ(an.SideRegion(e.id, /*side1=*/false), side[e.id][1])
+        << label << " edge " << e.id;
+  }
+  for (const Hyperedge& o : h.edges()) {
+    for (const Hyperedge& i : h.edges()) {
+      RelSet eps = i.Endpoints();
+      bool above = false;
+      if (o.id != i.id && o.kind == EdgeKind::kDirected) {
+        above = side[o.id][1].ContainsAll(eps);
+      } else if (o.id != i.id && o.kind == EdgeKind::kBidirected) {
+        above = side[o.id][0].ContainsAll(eps) ||
+                side[o.id][1].ContainsAll(eps);
+      }
+      EXPECT_EQ(an.OperatorAbove(o.id, i.id), above)
+          << label << " outer " << o.id << " inner " << i.id;
+    }
+  }
+}
+
+Predicate Eq(const std::string& r1, const std::string& c1,
+             const std::string& r2, const std::string& c2) {
+  return Predicate(MakeAtom(r1, c1, CmpOp::kEq, r2, c2));
+}
+
+TEST(AnalysisTablesTest, PaperQueriesMatchPathSearch) {
+  // Fig. 1 is Q4's hypergraph:
+  // Q4 = r1 ->p12 (r2 ->p24^p25 ((r4 JOIN_p45 r5) JOIN_p35 r3)).
+  NodePtr r453 = Node::Join(
+      Node::Join(Node::Leaf("r4"), Node::Leaf("r5"), Eq("r4", "c", "r5", "c")),
+      Node::Leaf("r3"), Eq("r5", "a", "r3", "a"));
+  NodePtr q4 = Node::LeftOuterJoin(
+      Node::Leaf("r1"),
+      Node::LeftOuterJoin(Node::Leaf("r2"), r453,
+                          Predicate::And(Eq("r2", "a", "r4", "a"),
+                                         Eq("r2", "b", "r5", "b"))),
+      Eq("r1", "a", "r2", "a"));
+  // Q5 = (r1 <->p12^p13 (r2 ->p23 r3)) ->p24 (r4 ->p45^p46 (r5 JOIN r6)).
+  NodePtr q5 = Node::LeftOuterJoin(
+      Node::FullOuterJoin(
+          Node::Leaf("r1"),
+          Node::LeftOuterJoin(Node::Leaf("r2"), Node::Leaf("r3"),
+                              Eq("r2", "c", "r3", "c")),
+          Predicate::And(Eq("r1", "a", "r2", "a"), Eq("r1", "b", "r3", "b"))),
+      Node::LeftOuterJoin(
+          Node::Leaf("r4"),
+          Node::Join(Node::Leaf("r5"), Node::Leaf("r6"),
+                     Eq("r5", "c", "r6", "c")),
+          Predicate::And(Eq("r4", "a", "r5", "a"), Eq("r4", "b", "r6", "b"))),
+      Eq("r2", "b", "r4", "c"));
+  // Q6 = r1 <->p12^p14 (r2 ->p23^p24 (r3 ->p34 r4)).
+  NodePtr q6 = Node::FullOuterJoin(
+      Node::Leaf("r1"),
+      Node::LeftOuterJoin(
+          Node::Leaf("r2"),
+          Node::LeftOuterJoin(Node::Leaf("r3"), Node::Leaf("r4"),
+                              Eq("r3", "a", "r4", "b")),
+          Predicate::And(Eq("r2", "b", "r3", "b"), Eq("r2", "c", "r4", "a"))),
+      Predicate::And(Eq("r1", "a", "r2", "a"), Eq("r1", "c", "r4", "c")));
+  for (const auto& [label, q] :
+       {std::pair<std::string, NodePtr>{"Q4", q4}, {"Q5", q5}, {"Q6", q6}}) {
+    auto h = BuildHypergraph(q);
+    ASSERT_TRUE(h.ok()) << label << ": " << h.status().ToString();
+    ExpectTablesMatchPaths(*h, label);
+  }
+  ExpectTablesMatchPaths(Chain3().h, "chain");
+}
+
+TEST(AnalysisTablesTest, RandomGeneralClassQueriesMatchPathSearch) {
+  Catalog cat;
+  Rng drng(5);
+  RandomRelationOptions dopt;
+  dopt.num_rows = 4;
+  AddRandomTables(7, dopt, &drng, &cat);
+  Rng rng(41);
+  int checked = 0;
+  for (int k = 0; k < 200 && checked < 50; ++k) {
+    RandomQueryOptions qo;
+    qo.num_rels = 4 + k % 4;
+    qo.loj_prob = 0.35;
+    qo.foj_prob = 0.15;
+    qo.extra_atom_prob = 0.5;
+    qo.view_prob = 0.5;
+    NodePtr q = MakeGeneralRandomQuery(qo, &rng);
+    auto nq = NormalizeForReordering(SimplifyOuterJoins(q), cat);
+    if (!nq.ok()) continue;
+    auto qg = BuildQueryGraph(nq->join_tree, cat);
+    if (!qg.ok() || qg->hypergraph.NumEdges() < 2) continue;
+    ExpectTablesMatchPaths(qg->hypergraph, "random " + std::to_string(k));
+    ++checked;
+  }
+  EXPECT_EQ(checked, 50);
+}
+
+// Query trees give near-acyclic hypergraphs, where a relation is reached
+// by essentially one path. Random edges over few relations give cycles
+// and shared hypernodes, where which edges a path has used decides what
+// it can still reach.
+TEST(AnalysisTablesTest, RandomCyclicHypergraphsMatchPathSearch) {
+  Rng rng(43);
+  for (int k = 0; k < 100; ++k) {
+    Hypergraph h;
+    int n = 4 + k % 4;
+    for (int r = 0; r < n; ++r) h.AddRelation("r" + std::to_string(r + 1));
+    int edges = n + static_cast<int>(rng.Uniform(0, 4));
+    for (int i = 0; i < edges; ++i) {
+      RelSet v1, v2;
+      for (int r = 0; r < n; ++r) {
+        int64_t side = rng.Uniform(0, 2 * n - 1);
+        if (side == 0) v1.Add(r);
+        if (side == 1) v2.Add(r);
+      }
+      if (v1.Empty()) v1.Add(static_cast<int>(rng.Uniform(0, n - 1)));
+      if (v2.Empty() || v2.Intersects(v1)) {
+        v2 = RelSet::FirstN(n).Minus(v1);
+        while (v2.Count() > 1) v2.Remove(v2.First());
+      }
+      if (v2.Empty()) continue;
+      EdgeKind kind = static_cast<EdgeKind>(rng.Uniform(0, 2));
+      std::string a = "r" + std::to_string(v1.First() + 1);
+      std::string b = "r" + std::to_string(v2.First() + 1);
+      ASSERT_TRUE(h.AddEdge(kind, v1, v2, P2(a, b)).ok());
+    }
+    ExpectTablesMatchPaths(h, "cyclic " + std::to_string(k));
+  }
 }
 
 }  // namespace
