@@ -67,7 +67,6 @@ void RunJoin(benchmark::State& state, exec::BloomMode bloom, bool parallel,
       // Large enough for the ~32KB filter plus partition scratch, small
       // enough that the build side cannot stay resident.
       budget.WithMaxMemory(512 * 1024);
-      cfg.enabled = true;
       ctx.budget = &budget;
       ctx.spill = &cfg;
     }

@@ -68,7 +68,6 @@ void BM_SortSpilled(benchmark::State& state) {
   ResourceBudget budget;
   budget.WithMaxMemory(256 * 1024);
   exec::SpillConfig cfg;
-  cfg.enabled = true;
   exec::OperatorStats stats;
   exec::ExecContext ctx;
   ctx.budget = &budget;

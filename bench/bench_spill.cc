@@ -64,7 +64,6 @@ void RunJoin(benchmark::State& state, bool spill, uint64_t cap_divisor) {
   uint64_t cap = cap_divisor == 0 ? 0 : build_bytes / cap_divisor;
 
   exec::SpillConfig cfg;
-  cfg.enabled = spill;
   exec::OperatorStats stats;
   int64_t out_rows = 0;
   for (auto _ : state) {
@@ -113,7 +112,6 @@ void BM_SpillCapSweep(benchmark::State& state) {
   Predicate p({MakeAtom("r1", "a", CmpOp::kEq, "r2", "a")});
   uint64_t cap = BuildStateBytes(b) / static_cast<uint64_t>(divisor);
   exec::SpillConfig cfg;
-  cfg.enabled = true;
   for (auto _ : s) {
     ResourceBudget budget;
     budget.WithMaxMemory(cap);
@@ -156,7 +154,6 @@ void BM_AggSpilled(benchmark::State& state) {
     if (cap < 1024) cap = 1024;
   }
   exec::SpillConfig cfg;
-  cfg.enabled = true;
   for (auto _ : state) {
     ResourceBudget budget;
     if (spill) budget.WithMaxMemory(cap);

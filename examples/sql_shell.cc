@@ -138,7 +138,6 @@ void RunQuery(const std::string& text, Session& session, QueryMode mode) {
   }
   if (g_memory_bytes > 0) {
     exec_budget.WithMaxMemory(static_cast<uint64_t>(g_memory_bytes));
-    g_spill.enabled = true;
     xo.WithBudget(&exec_budget).WithSpill(&g_spill);
   }
   if (mode == QueryMode::kAnalyze) {
@@ -243,7 +242,6 @@ void RunExecute(const std::string& rest,
   }
   if (g_memory_bytes > 0) {
     exec_budget.WithMaxMemory(static_cast<uint64_t>(g_memory_bytes));
-    g_spill.enabled = true;
     xo.WithBudget(&exec_budget).WithSpill(&g_spill);
   }
   auto result = it->second.Execute(std::move(params), xo);

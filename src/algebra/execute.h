@@ -44,8 +44,8 @@ struct ExecPolicy {
   // probe it at allocation, spill I/O, budget-check and dispatch points;
   // see base/fault_injector.h.
   FaultInjector* fault = nullptr;
-  // Optional spill configuration (not owned). When set and enabled, hash
-  // joins and aggregations that trip the memory cap degrade to the
+  // Optional spill configuration (not owned). When set, hash joins,
+  // aggregations and sorts that trip the memory cap degrade to the
   // out-of-core partitioned path instead of failing; see exec/eval.h.
   const exec::SpillConfig* spill = nullptr;
   // Serving-layer knob: when true, Session allocates an OperatorStats tree

@@ -1,6 +1,5 @@
 #include "algebra/normalize.h"
 
-#include <atomic>
 #include <set>
 
 #include "algebra/schema_infer.h"
@@ -9,10 +8,6 @@
 namespace gsopt {
 
 namespace {
-
-// Appended to aux column names for uniqueness across normalizations; a
-// Session normalizes from several serving threads at once.
-std::atomic<int> aux_counter_hint{0};
 
 using QualSet = std::set<std::string>;
 
@@ -296,7 +291,6 @@ struct NormalizeContext {
   const Catalog& catalog;
   int next_aux = 0;
   ResourceBudget* budget = nullptr;  // optional, not owned
-  int aux_hint = 0;                  // this normalization's aux_counter_hint
 };
 
 StatusOr<Side> Normalize(const NodePtr& node, NormalizeContext* ctx);
@@ -387,8 +381,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
           // in the preserved group and is dropped at the root.
           std::string aux_rel = "#flag" + std::to_string(ctx->next_aux);
           std::string aux_name =
-              "present" + std::to_string(ctx->next_aux++) +
-              std::to_string(ctx->aux_hint);
+              "present" + std::to_string(ctx->next_aux++);
           exec::AggSpec aux;
           aux.func = exec::AggFunc::kGroupFlag;
           aux.out_rel = aux_rel;
@@ -406,8 +399,7 @@ StatusOr<Side> CrossSide(Side side, OpKind op, bool is_left, Predicate* pred,
           // the other (outer-preserved) side.
           std::string aux_rel = "#aux";
           std::string aux_name =
-              "present" + std::to_string(ctx->next_aux++) +
-              std::to_string(ctx->aux_hint);
+              "present" + std::to_string(ctx->next_aux++);
           exec::AggSpec aux;
           aux.func = exec::AggFunc::kCountPresence;
           QualSet side_vids = AvailableVids(side.tree);
@@ -597,7 +589,7 @@ StatusOr<NormalizedQuery> NormalizeForReordering(const NodePtr& query,
                                                  const Catalog& catalog,
                                                  ResourceBudget* budget) {
   if (query == nullptr) return Status::InvalidArgument("null query");
-  NormalizeContext ctx{catalog, 0, budget, ++aux_counter_hint};
+  NormalizeContext ctx{catalog, 0, budget};
   GSOPT_ASSIGN_OR_RETURN(Side side, Normalize(query, &ctx));
   NormalizedQuery nq;
   nq.join_tree = side.tree;

@@ -39,18 +39,17 @@
 #include "algebra/node.h"
 #include "base/status.h"
 #include "core/optimizer.h"
+#include "exec/hash_table.h"
 #include "relational/value.h"
 
 namespace gsopt {
 
-// FNV-1a 64-bit (offset basis seedable so callers can chain segments).
-inline uint64_t Fnv1a64(const std::string& s,
-                        uint64_t h = 1469598103934665603ull) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
+// FNV-1a 64-bit, the executor's key hash (offset basis seedable so
+// callers can chain segments).
+inline uint64_t Fnv1a64(const std::string& s, uint64_t h = exec::KeyHash{}.h) {
+  exec::KeyHash k{h};
+  k.Bytes(s.data(), s.size());
+  return k.h;
 }
 
 // A bound tree with its literal constants lifted to parameter slots.

@@ -408,53 +408,31 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
 }
 
 // Out-of-core aggregation: partition input rows by group-key hash into
-// SpillFile runs (each group lands wholly in one partition, so partition
+// spilled runs (each group lands wholly in one partition, so partition
 // group maps are disjoint), aggregate each partition in memory, recurse on
-// partitions whose maps still overflow. A partition irreducible at max
-// recursion (a single group with an over-budget DISTINCT dedup set) keeps
-// the memory-cap error: unlike the join there is no chunked fallback that
-// preserves DISTINCT semantics with O(1) state.
+// partitions whose maps still overflow. A partition irreducible at
+// kSpillMaxDepth (a single group with an over-budget DISTINCT dedup set)
+// keeps the memory-cap error: unlike the join there is no chunked
+// fallback that preserves DISTINCT semantics with O(1) state.
 Status SpillAggPartition(const Relation& r, const ResolvedGP& rs,
                          const ExecContext& ctx, int depth, RowId* ordinal,
                          Relation* out) {
   OperatorStats* st = ctx.stats;
-  const SpillConfig& cfg = *ctx.spill;
-  const int parts = cfg.partitions < 2 ? 2 : cfg.partitions;
-  std::vector<SpillFile> files;
-  files.reserve(static_cast<size_t>(parts));
-  for (int p = 0; p < parts; ++p) {
-    GSOPT_ASSIGN_OR_RETURN(SpillFile f,
-                           SpillFile::Create(cfg.dir, ctx.fault));
-    files.push_back(std::move(f));
-  }
-  std::vector<int64_t> counts(static_cast<size_t>(parts), 0);
-  std::string key, scratch;
-  for (const Tuple& t : r.rows()) {
+  std::vector<internal::SpillRun> runs;
+  GSOPT_RETURN_IF_ERROR(internal::CreatePartitionRuns(ctx, {&runs}));
+  auto key_of = [&](int64_t i, std::string* key) -> StatusOr<bool> {
     GSOPT_RETURN_IF_ERROR(ctx.Tick("group-by-spill"));
-    EncodeTupleKeyInto(t, rs.gcol_idx, rs.gvid_idx, &key);
-    size_t p =
-        internal::SpillPartitionHash(key, depth) % static_cast<size_t>(parts);
-    GSOPT_RETURN_IF_ERROR(
-        internal::WriteTupleRecord(&files[p], t, 0, &scratch));
-    ++counts[p];
-  }
-  for (int p = 0; p < parts; ++p) {
-    if (counts[p] == 0) continue;
+    EncodeTupleKeyInto(r.row(i), rs.gcol_idx, rs.gvid_idx, key);
+    return true;
+  };
+  GSOPT_RETURN_IF_ERROR(
+      internal::PartitionRows(r, nullptr, depth, key_of, &runs));
+  for (internal::SpillRun& run : runs) {
+    if (run.size() == 0) continue;
     if (st != nullptr) ++st->spill_partitions;
     Relation part(r.schema(), r.vschema());
-    GSOPT_RETURN_IF_ERROR(files[p].Rewind());
-    for (int64_t k = 0; k < counts[p]; ++k) {
-      Tuple t;
-      int64_t orig = 0;
-      GSOPT_RETURN_IF_ERROR(
-          internal::ReadTupleRecord(&files[p], &t, &orig));
-      part.Add(std::move(t));
-    }
-    if (st != nullptr) {
-      st->spill_bytes_written += files[p].bytes_written();
-      st->spill_bytes_read += files[p].bytes_read();
-    }
-    files[p].Discard();
+    GSOPT_RETURN_IF_ERROR(run.Load(&part, nullptr));
+    run.Discard();
 
     GroupMap gm;
     exec::OpMemory mem(ctx);
@@ -464,7 +442,7 @@ Status SpillAggPartition(const Relation& r, const ResolvedGP& rs,
       GSOPT_RETURN_IF_ERROR(EmitGroups(rs, gm, ctx, ordinal, out));
       continue;
     }
-    if (!trip || depth >= cfg.max_recursion) return s;
+    if (!trip || depth >= internal::kSpillMaxDepth) return s;
     mem.Release();
     gm = GroupMap();
     if (st != nullptr) ++st->spill_recursions;
@@ -569,7 +547,7 @@ StatusOr<Relation> GeneralizedProjection(const Relation& r,
                              : HashFeed(r, rs, ctx, &mem, &gm, &trip);
   if (s.ok()) {
     GSOPT_RETURN_IF_ERROR(EmitGroups(rs, gm, ctx, &ordinal, &out));
-  } else if (trip && ctx.SpillEnabled()) {
+  } else if (trip && ctx.spill != nullptr) {
     mem.clear();
     gm = GroupMap();
     GSOPT_RETURN_IF_ERROR(spill_all());

@@ -39,20 +39,14 @@ namespace gsopt::exec {
 // relation names forming one r_i of sigma*_p[r_1,...,r_n](r).
 using PreservedGroup = std::set<std::string>;
 
-// Out-of-core degradation policy. When enabled, a hash join or aggregation
-// that trips the ResourceBudget memory cap radix-partitions its state into
-// SpillFile runs and processes the partitions one at a time, recursing on
-// partitions that still do not fit (exec/spill.cc). Disabled, a memory
+// Out-of-core degradation. An ExecContext carrying a SpillConfig lets a
+// hash join, aggregation or sort that trips the ResourceBudget memory cap
+// move its state into temp-file runs and process them piecewise
+// (exec/spill.h: fan-out and depth are fixed there). Without one, a memory
 // trip surfaces as kResourceExhausted naming the memory cap.
 struct SpillConfig {
-  bool enabled = false;
   // Directory for temp runs; empty uses the system temp dir.
   std::string dir;
-  // Radix fan-out per partitioning level.
-  int partitions = 8;
-  // Levels of repartitioning before the join falls back to block-chunked
-  // processing (identical-key skew cannot be split by rehashing).
-  int max_recursion = 3;
 };
 
 // Kernel policy. kAuto -- the default -- runs the optimized kernels:
@@ -83,7 +77,8 @@ struct ExecContext {
   // Chaos harness hook: when non-null, kernels probe it at allocation,
   // spill-I/O, budget-check and dispatch points (base/fault_injector.h).
   FaultInjector* fault = nullptr;
-  // Out-of-core policy; null or !enabled means memory trips are fatal.
+  // Non-null turns spilling on (see SpillConfig); null makes memory trips
+  // fatal.
   const SpillConfig* spill = nullptr;
   // Optimized kernels or the reference evaluator (see BatchMode above).
   BatchMode batch = BatchMode::kAuto;
@@ -112,7 +107,6 @@ struct ExecContext {
     if (budget == nullptr) return Status::OK();
     return budget->CheckDeadline(stage);
   }
-  bool SpillEnabled() const { return spill != nullptr && spill->enabled; }
   // True under the reference evaluator (BatchMode::kOff).
   bool Reference() const { return batch == BatchMode::kOff; }
   // True when `rows` input rows should take a parallel kernel path.

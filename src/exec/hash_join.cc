@@ -459,7 +459,7 @@ StatusOr<JoinCoreResult> HashJoinCore(const Relation& a, const Relation& b,
     // The build state does not fit (or an alloc fault fired): with
     // spilling enabled, degrade to the out-of-core grace join. The
     // in-memory state and its charges are already unwound.
-    if (!trip || !ctx.SpillEnabled()) return s;
+    if (!trip || ctx.spill == nullptr) return s;
     return SpillJoinCore(a, b, plan, ctx);
   }
   if (ctx.stats != nullptr) ctx.stats->MergeCountersFrom(tally);

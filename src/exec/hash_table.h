@@ -27,10 +27,10 @@ namespace gsopt::exec {
 // Streaming FNV-1a: the key encoders in keys.h can feed it the bytes they
 // would otherwise append, hashing a key without building it.
 struct KeyHash {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = 0xcbf29ce484222325ull;  // the published offset basis
   void Byte(char c) {
     h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+    h *= 0x100000001b3ull;  // the FNV-64 prime
   }
   void Bytes(const void* p, size_t n) {
     const char* s = static_cast<const char*>(p);

@@ -5,7 +5,6 @@
 #include <iterator>
 #include <utility>
 
-#include "base/spill_file.h"
 #include "exec/join_internal.h"
 #include "exec/keys.h"
 #include "exec/spill.h"
@@ -16,8 +15,7 @@ namespace {
 
 using internal::ApproxTupleBytes;
 using internal::JoinCoreResult;
-using internal::ReadTupleRecord;
-using internal::WriteTupleRecord;
+using internal::SpillRun;
 
 // Maximum spilled runs merged at once. Past this the external sort takes
 // an extra pass (merge kMergeFanIn runs into one, repeat), so the final
@@ -98,7 +96,7 @@ uint64_t KeyedBytes(const Keyed& k) {
 }
 
 // Produces a relation's rows in sorted order. In-memory when the staged
-// rows fit the budget; otherwise sorted SpillFile runs merged with bounded
+// rows fit the budget; otherwise sorted SpillRuns merged with bounded
 // fan-in. Single-threaded, local to one operator invocation, so every run
 // file is destroyed (LiveCount back to zero) before the operator returns.
 class SortedStream {
@@ -128,12 +126,11 @@ class SortedStream {
         // The staged rows no longer fit (or an alloc fault fired). With
         // spilling enabled, flush what we have as a sorted run and keep
         // going with an empty buffer; otherwise surface the trip.
-        if (!ctx_.SpillEnabled()) return cs;
+        if (ctx_.spill == nullptr) return cs;
         GSOPT_RETURN_IF_ERROR(FlushRun(&buf));
         GSOPT_RETURN_IF_ERROR(mem_.Charge(KeyedBytes(k), stage_));
       }
       buf.push_back(std::move(k));
-      ++rows_;
     }
     if (runs_.empty()) {
       auto less = [this](const Keyed& x, const Keyed& y) {
@@ -207,36 +204,28 @@ class SortedStream {
     }
   }
 
-  uint64_t rows() const { return rows_; }
   uint64_t skipped() const { return skipped_; }
-  uint64_t total_runs() const { return total_runs_; }
-  uint64_t merge_passes() const { return merge_passes_; }
-  bool external() const { return total_runs_ > 0; }
-  uint64_t bytes_written() const { return bytes_written_; }
-  uint64_t bytes_read() const { return bytes_read_; }
+
+  // Adds the stream's sort and spill counters to `st`. Runs a consumer
+  // stopped reading early report their bytes here.
+  void FlushStats(OperatorStats* st) {
+    for (SpillRun& run : runs_) run.Discard();
+    if (st == nullptr) return;
+    st->sort_runs += total_runs_;
+    st->sort_merge_passes += merge_passes_;
+    if (total_runs_ > 0) st->spilled = true;
+  }
 
  private:
-  struct Run {
-    SpillFile file;
-    int64_t count = 0;   // records in the file
-    int64_t cursor = 0;  // records consumed
-  };
-
   Status FlushRun(std::vector<Keyed>* buf) {
     std::stable_sort(buf->begin(), buf->end(),
                      [this](const Keyed& x, const Keyed& y) {
                        return cmp_.Less(x, y);
                      });
-    GSOPT_ASSIGN_OR_RETURN(
-        SpillFile f, SpillFile::Create(SpillDir(), ctx_.fault));
-    Run run{std::move(f), 0, 0};
-    std::string scratch;
+    GSOPT_ASSIGN_OR_RETURN(SpillRun run, SpillRun::Create(ctx_));
     for (const Keyed& k : *buf) {
-      GSOPT_RETURN_IF_ERROR(
-          WriteTupleRecord(&run.file, k.t, k.orig, &scratch));
-      ++run.count;
+      GSOPT_RETURN_IF_ERROR(run.Write(k.t, k.orig));
     }
-    bytes_written_ += run.file.bytes_written();
     runs_.push_back(std::move(run));
     ++total_runs_;
     buf->clear();
@@ -244,17 +233,15 @@ class SortedStream {
     return Status::OK();
   }
 
-  std::string SpillDir() const {
-    return ctx_.spill != nullptr ? ctx_.spill->dir : std::string();
-  }
-
   // Reads the next record of run r into *k (keys re-evaluated; the key fn
-  // is pure, and rows were filtered before being written).
-  Status ReadOne(Run* r, Keyed* k) {
-    GSOPT_RETURN_IF_ERROR(ReadTupleRecord(&r->file, &k->t, &k->orig));
-    ++r->cursor;
-    k->keys.clear();
-    key_fn_(k->t, &k->keys);
+  // is pure, and rows were filtered before being written). *ok = false
+  // when the run is exhausted.
+  Status ReadOne(SpillRun* r, Keyed* k, bool* ok) {
+    GSOPT_RETURN_IF_ERROR(r->Next(&k->t, &k->orig, ok));
+    if (*ok) {
+      k->keys.clear();
+      key_fn_(k->t, &k->keys);
+    }
     return Status::OK();
   }
 
@@ -265,8 +252,8 @@ class SortedStream {
   Status MergeToFanIn() {
     while (runs_.size() > kMergeFanIn) {
       ++merge_passes_;
-      std::vector<Run> pass = std::move(runs_);
-      std::vector<Run> next;
+      std::vector<SpillRun> pass = std::move(runs_);
+      std::vector<SpillRun> next;
       for (size_t base = 0; base < pass.size(); base += kMergeFanIn) {
         size_t end = std::min(pass.size(), base + kMergeFanIn);
         if (end - base == 1) {
@@ -276,21 +263,15 @@ class SortedStream {
         runs_.assign(std::make_move_iterator(pass.begin() + base),
                      std::make_move_iterator(pass.begin() + end));
         GSOPT_RETURN_IF_ERROR(LoadHeads());
-        GSOPT_ASSIGN_OR_RETURN(
-            SpillFile f, SpillFile::Create(SpillDir(), ctx_.fault));
-        Run merged{std::move(f), 0, 0};
-        std::string scratch;
+        GSOPT_ASSIGN_OR_RETURN(SpillRun merged, SpillRun::Create(ctx_));
         Keyed row;
         bool ok = true;
         for (;;) {
           GSOPT_RETURN_IF_ERROR(ctx_.Tick(stage_));
           GSOPT_RETURN_IF_ERROR(Next(&row, &ok));
           if (!ok) break;
-          GSOPT_RETURN_IF_ERROR(
-              WriteTupleRecord(&merged.file, row.t, row.orig, &scratch));
-          ++merged.count;
+          GSOPT_RETURN_IF_ERROR(merged.Write(row.t, row.orig));
         }
-        bytes_written_ += merged.file.bytes_written();
         next.push_back(std::move(merged));
       }
       runs_ = std::move(next);
@@ -302,24 +283,21 @@ class SortedStream {
     heads_.resize(runs_.size());
     head_live_.assign(runs_.size(), 0);
     for (size_t r = 0; r < runs_.size(); ++r) {
-      GSOPT_RETURN_IF_ERROR(runs_[r].file.Rewind());
-      runs_[r].cursor = 0;
-      if (runs_[r].count > 0) {
-        GSOPT_RETURN_IF_ERROR(ReadOne(&runs_[r], &heads_[r]));
-        head_live_[r] = 1;
-      }
+      GSOPT_RETURN_IF_ERROR(runs_[r].Rewind());
+      bool ok = false;
+      GSOPT_RETURN_IF_ERROR(ReadOne(&runs_[r], &heads_[r], &ok));
+      head_live_[r] = ok ? 1 : 0;
     }
     return Status::OK();
   }
 
   Status Advance(size_t r) {
-    Run& run = runs_[r];
-    if (run.cursor < run.count) {
-      return ReadOne(&run, &heads_[r]);
+    bool ok = false;
+    GSOPT_RETURN_IF_ERROR(ReadOne(&runs_[r], &heads_[r], &ok));
+    if (!ok) {
+      head_live_[r] = 0;
+      runs_[r].Discard();
     }
-    head_live_[r] = 0;
-    bytes_read_ += run.file.bytes_read();
-    run.file.Discard();
     return Status::OK();
   }
 
@@ -333,31 +311,17 @@ class SortedStream {
   std::vector<Keyed> mem_entries_;
   size_t pos_ = 0;
 
-  std::vector<Run> runs_;
+  std::vector<SpillRun> runs_;
   std::vector<Keyed> heads_;
   std::vector<char> head_live_;
 
   Keyed pending_;
   bool pending_valid_ = false;
 
-  uint64_t rows_ = 0;
   uint64_t skipped_ = 0;
   uint64_t total_runs_ = 0;
   uint64_t merge_passes_ = 0;
-  uint64_t bytes_written_ = 0;
-  uint64_t bytes_read_ = 0;
 };
-
-void FlushStreamStats(const SortedStream& s, OperatorStats* st) {
-  if (st == nullptr) return;
-  st->sort_runs += s.total_runs();
-  st->sort_merge_passes += s.merge_passes();
-  if (s.external()) {
-    st->spilled = true;
-    st->spill_bytes_written += s.bytes_written();
-    st->spill_bytes_read += s.bytes_read();
-  }
-}
 
 }  // namespace
 
@@ -398,7 +362,7 @@ StatusOr<Relation> Sort(const Relation& r, const SortSpec& spec,
     out.Add(std::move(k.t));
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "sort"));
   }
-  FlushStreamStats(stream, st);
+  stream.FlushStats(st);
   if (st != nullptr) st->rows_out += static_cast<uint64_t>(out.NumRows());
   return out;
 }
@@ -509,8 +473,8 @@ StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
     GSOPT_RETURN_IF_ERROR(sa.NextBlock(&ba, &mem_a));
     GSOPT_RETURN_IF_ERROR(sb.NextBlock(&bb, &mem_b));
   }
-  FlushStreamStats(sa, st);
-  FlushStreamStats(sb, st);
+  sa.FlushStats(st);
+  sb.FlushStats(st);
   return res;
 }
 

@@ -3,8 +3,8 @@
 // Sort() is the enforcer operator behind ORDER BY and the sort phase of
 // the sort-merge join (MergeJoinCore, declared in join_internal.h). The
 // in-memory path stable-sorts a row-index permutation; when the operator
-// state trips the ResourceBudget memory cap and the ExecContext carries an
-// enabled SpillConfig, rows degrade to sorted SpillFile runs merged with a
+// state trips the ResourceBudget memory cap and the ExecContext carries a
+// SpillConfig, rows degrade to sorted SpillRuns (exec/spill.h) merged with a
 // bounded fan-in (multi-pass when the run count exceeds kMergeFanIn), so
 // ENOSPC / short-write faults inject at the existing spill sites and
 // SpillFile::LiveCount() returns to zero on every path.

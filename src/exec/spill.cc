@@ -19,6 +19,9 @@ namespace {
 // before it is encoded).
 constexpr uint64_t kTableEntryBytes = 64;
 
+// Runs per partitioning pass.
+constexpr int kSpillFanOut = 8;
+
 void PutRaw(std::string* buf, const void* p, size_t n) {
   buf->append(static_cast<const char*>(p), n);
 }
@@ -204,6 +207,77 @@ Status ReadTupleRecord(SpillFile* f, Tuple* t, int64_t* orig) {
   return Status::OK();
 }
 
+StatusOr<SpillRun> SpillRun::Create(const ExecContext& ctx) {
+  GSOPT_CHECK(ctx.spill != nullptr);
+  GSOPT_ASSIGN_OR_RETURN(SpillFile f, SpillFile::Create(ctx.spill->dir,
+                                                        ctx.fault));
+  return SpillRun(std::move(f), ctx.stats);
+}
+
+Status SpillRun::Write(const Tuple& t, int64_t orig) {
+  GSOPT_RETURN_IF_ERROR(WriteTupleRecord(&file_, t, orig, &scratch_));
+  ++count_;
+  return Status::OK();
+}
+
+Status SpillRun::Rewind() {
+  cursor_ = 0;
+  return file_.Rewind();
+}
+
+Status SpillRun::Next(Tuple* t, int64_t* orig, bool* ok) {
+  *ok = cursor_ < count_;
+  if (!*ok) return Status::OK();
+  ++cursor_;
+  return ReadTupleRecord(&file_, t, orig);
+}
+
+Status SpillRun::Load(Relation* rows, std::vector<int64_t>* orig) {
+  GSOPT_RETURN_IF_ERROR(Rewind());
+  for (; cursor_ < count_; ++cursor_) {
+    Tuple t;
+    int64_t o = 0;
+    GSOPT_RETURN_IF_ERROR(ReadTupleRecord(&file_, &t, &o));
+    rows->Add(std::move(t));
+    if (orig != nullptr) orig->push_back(o);
+  }
+  return Status::OK();
+}
+
+void SpillRun::Discard() {
+  if (stats_ != nullptr) {
+    stats_->spill_bytes_written += file_.bytes_written();
+    stats_->spill_bytes_read += file_.bytes_read();
+    stats_ = nullptr;
+  }
+  file_.Discard();
+}
+
+Status CreatePartitionRuns(
+    const ExecContext& ctx,
+    std::initializer_list<std::vector<SpillRun>*> sides) {
+  for (int p = 0; p < kSpillFanOut; ++p) {
+    for (std::vector<SpillRun>* side : sides) {
+      GSOPT_ASSIGN_OR_RETURN(SpillRun run, SpillRun::Create(ctx));
+      side->push_back(std::move(run));
+    }
+  }
+  return Status::OK();
+}
+
+Status PartitionRows(const Relation& rel, const int64_t* orig, int depth,
+                     const SpillKeyFn& key_of, std::vector<SpillRun>* runs) {
+  std::string key;
+  for (int64_t i = 0; i < rel.NumRows(); ++i) {
+    key.clear();
+    GSOPT_ASSIGN_OR_RETURN(bool keep, key_of(i, &key));
+    if (!keep) continue;
+    size_t p = SpillPartitionHash(key, depth) % runs->size();
+    GSOPT_RETURN_IF_ERROR(
+        (*runs)[p].Write(rel.row(i), orig != nullptr ? orig[i] : i));
+  }
+  return Status::OK();
+}
 
 namespace {
 
@@ -218,7 +292,6 @@ struct SpillSide {
 
 struct JoinSpillState {
   const ExecContext& ctx;
-  const SpillConfig& cfg;
   const HashPlan& plan;
   JoinCoreResult* res;
   // Bloom-filter bookkeeping, kept here (not on ctx.stats, which may be
@@ -271,7 +344,7 @@ Status JoinPartition(JoinSpillState& s, const SpillSide& build,
   return Status::OK();
 }
 
-// Terminal fallback for partitions that still overflow at max recursion
+// Terminal fallback for partitions that still overflow at kSpillMaxDepth
 // (identical-key skew): join budget-sized chunks of the build side, each
 // against the whole probe side. Always terminates -- a chunk holds at
 // least one row even if that row alone overflows the cap (the engine's
@@ -316,7 +389,7 @@ Status ProcessPartition(JoinSpillState& s, const SpillSide& build,
   bool trip = false;
   Status st = JoinPartition(s, build, probe, HashRun::kPartition, &trip);
   if (st.ok() || !trip) return st;
-  if (depth >= s.cfg.max_recursion) return BlockChunkedJoin(s, build, probe);
+  if (depth >= kSpillMaxDepth) return BlockChunkedJoin(s, build, probe);
   if (s.ctx.stats != nullptr) ++s.ctx.stats->spill_recursions;
   return PartitionAndProcess(s, build.rows, build.orig.data(), probe.rows,
                              probe.orig.data(), depth);
@@ -327,21 +400,8 @@ Status PartitionAndProcess(JoinSpillState& s, const Relation& build_rel,
                            const Relation& probe_rel,
                            const int64_t* probe_orig, int depth) {
   OperatorStats* st = s.ctx.stats;
-  const int parts = s.cfg.partitions < 2 ? 2 : s.cfg.partitions;
-  std::vector<SpillFile> bfiles, pfiles;
-  bfiles.reserve(static_cast<size_t>(parts));
-  pfiles.reserve(static_cast<size_t>(parts));
-  for (int p = 0; p < parts; ++p) {
-    GSOPT_ASSIGN_OR_RETURN(SpillFile bf,
-                           SpillFile::Create(s.cfg.dir, s.ctx.fault));
-    bfiles.push_back(std::move(bf));
-    GSOPT_ASSIGN_OR_RETURN(SpillFile pf,
-                           SpillFile::Create(s.cfg.dir, s.ctx.fault));
-    pfiles.push_back(std::move(pf));
-  }
-  std::vector<int64_t> bcounts(static_cast<size_t>(parts), 0);
-  std::vector<int64_t> pcounts(static_cast<size_t>(parts), 0);
-  std::string key, scratch;
+  std::vector<SpillRun> bruns, pruns;
+  GSOPT_RETURN_IF_ERROR(CreatePartitionRuns(s.ctx, {&bruns, &pruns}));
 
   // Build-side bloom filter, pushed into probe-side partitioning: a probe
   // row the filter rejects is a certain non-match and is never written to
@@ -358,88 +418,62 @@ Status PartitionAndProcess(JoinSpillState& s, const Relation& build_rel,
     s.bloom_active = true;
   }
 
-  // Routes every row of one side to its partition file by the hash of the
-  // same key bytes the in-memory build uses. NULL equi-keys never match
-  // under 3VL; they are dropped here like the in-memory build drops them
-  // (matched flags stay 0 for outer padding). `build` selects the side's
-  // bloom role: insert on the build side, gate writes on the probe side.
+  // Partitions one side by the same key bytes the in-memory build uses,
+  // gathering its key columns a batch at a time. NULL equi-keys never
+  // match under 3VL; they are dropped here like the in-memory build drops
+  // them (matched flags stay 0 for outer padding). `build` selects the
+  // side's bloom role: insert on the build side, gate writes on the probe
+  // side.
   auto route = [&](const Relation& rel, const std::vector<ScalarPtr>& keys,
                    const int64_t* orig, bool build,
-                   std::vector<SpillFile>* files,
-                   std::vector<int64_t>* counts) -> Status {
+                   std::vector<SpillRun>* runs) -> Status {
     KeyColumns kc(keys, rel);
-    for (int64_t begin = 0; begin < rel.NumRows(); begin += kBatchRows) {
-      const int64_t end = std::min(rel.NumRows(), begin + kBatchRows);
-      GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-      kc.Gather(begin, end);
-      for (int64_t i = 0; i < end - begin; ++i) {
-        key.clear();
-        if (!AppendBatchKey(kc.cols(), i, &key)) {
-          if (st != nullptr && depth == 0) ++st->null_key_skips;
-          continue;
-        }
-        if (bloom.enabled()) {
-          if (build) {
-            bloom.Insert(HashKeyBytes(key));
-          } else {
-            ++s.bloom_checks;
-            if (!bloom.MayContain(HashKeyBytes(key))) {
-              ++s.bloom_rejects;
-              continue;
-            }
-          }
-        }
-        const int64_t row = begin + i;
-        size_t p = SpillPartitionHash(key, depth) % static_cast<size_t>(parts);
-        GSOPT_RETURN_IF_ERROR(WriteTupleRecord(
-            &(*files)[p], rel.row(row), orig ? orig[row] : row, &scratch));
-        ++(*counts)[p];
+    int64_t begin = 0, end = 0;
+    auto key_of = [&](int64_t i, std::string* key) -> StatusOr<bool> {
+      if (i == end) {
+        GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
+        begin = i;
+        end = std::min(rel.NumRows(), begin + kBatchRows);
+        kc.Gather(begin, end);
       }
-    }
-    return Status::OK();
+      if (!AppendBatchKey(kc.cols(), i - begin, key)) {
+        if (st != nullptr && depth == 0) ++st->null_key_skips;
+        return false;
+      }
+      if (!bloom.enabled()) return true;
+      if (build) {
+        bloom.Insert(HashKeyBytes(*key));
+        return true;
+      }
+      ++s.bloom_checks;
+      if (bloom.MayContain(HashKeyBytes(*key))) return true;
+      ++s.bloom_rejects;
+      return false;
+    };
+    return PartitionRows(rel, orig, depth, key_of, runs);
   };
-  GSOPT_RETURN_IF_ERROR(
-      route(build_rel, s.plan.b_keys, build_orig, true, &bfiles, &bcounts));
-  GSOPT_RETURN_IF_ERROR(
-      route(probe_rel, s.plan.a_keys, probe_orig, false, &pfiles, &pcounts));
+  GSOPT_RETURN_IF_ERROR(route(build_rel, s.plan.b_keys, build_orig, true,
+                              &bruns));
+  GSOPT_RETURN_IF_ERROR(route(probe_rel, s.plan.a_keys, probe_orig, false,
+                              &pruns));
   // The filter's job ends with the partitioning pass; release its bytes
   // before the partitions are materialized and processed below.
   bloom = BloomFilter();
   bloom_mem.Release();
 
-  for (int p = 0; p < parts; ++p) {
+  for (size_t p = 0; p < bruns.size(); ++p) {
     // An empty side means no matches can come from this partition; the
     // files are unlinked by RAII either way.
-    if (bcounts[p] == 0 || pcounts[p] == 0) continue;
+    if (bruns[p].size() == 0 || pruns[p].size() == 0) continue;
     if (st != nullptr) ++st->spill_partitions;
-
     SpillSide build(build_rel.schema(), build_rel.vschema());
-    GSOPT_RETURN_IF_ERROR(bfiles[p].Rewind());
-    for (int64_t k = 0; k < bcounts[p]; ++k) {
-      Tuple t;
-      int64_t orig = 0;
-      GSOPT_RETURN_IF_ERROR(ReadTupleRecord(&bfiles[p], &t, &orig));
-      build.rows.Add(std::move(t));
-      build.orig.push_back(orig);
-    }
+    GSOPT_RETURN_IF_ERROR(bruns[p].Load(&build.rows, &build.orig));
     SpillSide probe(probe_rel.schema(), probe_rel.vschema());
-    GSOPT_RETURN_IF_ERROR(pfiles[p].Rewind());
-    for (int64_t k = 0; k < pcounts[p]; ++k) {
-      Tuple t;
-      int64_t orig = 0;
-      GSOPT_RETURN_IF_ERROR(ReadTupleRecord(&pfiles[p], &t, &orig));
-      probe.rows.Add(std::move(t));
-      probe.orig.push_back(orig);
-    }
-    if (st != nullptr) {
-      st->spill_bytes_written +=
-          bfiles[p].bytes_written() + pfiles[p].bytes_written();
-      st->spill_bytes_read += bfiles[p].bytes_read() + pfiles[p].bytes_read();
-    }
+    GSOPT_RETURN_IF_ERROR(pruns[p].Load(&probe.rows, &probe.orig));
     // Release the partition's disk space before recursing: peak disk usage
     // stays one level's runs plus the partition being processed.
-    bfiles[p].Discard();
-    pfiles[p].Discard();
+    bruns[p].Discard();
+    pruns[p].Discard();
 
     GSOPT_RETURN_IF_ERROR(ProcessPartition(s, build, probe, depth + 1));
   }
@@ -452,14 +486,14 @@ StatusOr<JoinCoreResult> SpillJoinCore(const Relation& a, const Relation& b,
                                        const HashPlan& plan,
                                        const ExecContext& ctx) {
   GSOPT_CHECK(plan.usable());
-  GSOPT_CHECK(ctx.SpillEnabled());
+  GSOPT_CHECK(ctx.spill != nullptr);
   JoinCoreResult res = EmptyJoinResult(a, b);
   OperatorStats* st = ctx.stats;
   if (st != nullptr) {
     st->hash_path = true;
     st->spilled = true;
   }
-  JoinSpillState state{ctx, *ctx.spill, plan, &res};
+  JoinSpillState state{ctx, plan, &res};
   GSOPT_RETURN_IF_ERROR(
       PartitionAndProcess(state, b, nullptr, a, nullptr, 0));
   if (st != nullptr && state.bloom_active) {

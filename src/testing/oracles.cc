@@ -604,7 +604,6 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
   // must leave a correct filter-free join.
   {
     exec::SpillConfig spill;
-    spill.enabled = true;
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     budget.WithMaxMemory(opt_.chaos_memory_bytes);
@@ -652,7 +651,6 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
     fo.period = opt_.chaos_fault_period;
     FaultInjector fault(fo);
     exec::SpillConfig spill;
-    spill.enabled = true;
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     auto got = exec_forced(exec::BatchMode::kAuto, nullptr, &budget, &spill,
@@ -751,7 +749,6 @@ void OracleRunner::RunOrder() {
 void OracleRunner::RunChaos() {
   ++outcome_.oracles_run;
   exec::SpillConfig spill;
-  spill.enabled = true;
 
   // The leak oracles that every trial -- successful or failed -- must
   // satisfy: no spill temp file survives an execution, and every byte

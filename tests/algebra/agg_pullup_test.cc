@@ -251,6 +251,24 @@ TEST(Example11Test, OptimizerPicksCheaperPlanWhenFilterIsSelective) {
   EXPECT_TRUE(Relation::BagEquals(*ref, *got));
 }
 
+TEST(Example11Test, PlanTextIsReproducibleWithinOneProcess) {
+  // Normalization names its aux columns (`present<n>`) per query, not from
+  // a process-wide counter: optimizing the same query twice prints the
+  // same plan byte for byte. The selective filter makes the winning plan
+  // join before aggregating, which needs an aux presence column.
+  SupplierScenario sc(9, /*n94=*/6, /*n95=*/400, /*nsup=*/40,
+                      /*bankrupt_frac=*/0.05);
+  QueryOptimizer opt(sc.cat);
+  auto first = opt.Optimize(sc.query);
+  auto second = opt.Optimize(sc.query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  const std::string text = first->best.expr->ToString();
+  EXPECT_NE(text.find("present"), std::string::npos)
+      << "no aux column; the test is vacuous:\n" << text;
+  EXPECT_EQ(text, second->best.expr->ToString());
+}
+
 // --- Example 3.1 shape -------------------------------------------------------
 
 TEST(Example31Test, AggregationBelowComplexOuterJoinReorders) {

@@ -161,7 +161,6 @@ TEST(ExplainAnalyzeTest, SpilledMergeAndHashLinesCarryTheirCounters) {
   ResourceBudget budget;
   budget.WithMaxMemory(4 * 1024);
   exec::SpillConfig spill;
-  spill.enabled = true;
   ExecuteOptions xo;
   xo.budget = &budget;
   xo.spill = &spill;

@@ -49,6 +49,14 @@ NodePtr PivotQuery(int64_t pivot) {
                                                  Value::Int(pivot))));
 }
 
+// The published FNV-1a-64 test vectors, plus segment chaining through the
+// seedable offset basis.
+TEST(Fnv1a64Test, MatchesPublishedVectors) {
+  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("b", Fnv1a64("a")), Fnv1a64("ab"));
+}
+
 TEST(ParameterizeQueryTest, LiteralsLiftToSlotsAndFingerprintIsInvariant) {
   ParameterizedQuery a = ParameterizeQuery(PivotQuery(1));
   ParameterizedQuery b = ParameterizeQuery(PivotQuery(4));
@@ -481,7 +489,6 @@ TEST(SessionTest, CachedPlanSpillsUnderMemoryPressure) {
   ResourceBudget budget;
   budget.WithMaxMemory(2 * 1024);
   exec::SpillConfig spill;
-  spill.enabled = true;
   Session session(cat, SessionOptions{}.WithBudget(&budget).WithSpill(&spill));
   auto warm = session.Run(q);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();

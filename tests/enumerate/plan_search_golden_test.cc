@@ -43,9 +43,9 @@ uint64_t Fold(uint64_t h, const std::string& bytes) {
   return h;
 }
 
-// Plan text without the process-wide counter that normalization appends to
-// its aux column names (`present<n><counter>`), so the checksum does not
-// depend on how many queries the process normalized before.
+// Plan text with the digits of normalization's aux column names
+// (`present<n>`) stripped. The recorded checksums were taken with a
+// process-wide suffix on those digits; stripping keeps them valid.
 std::string StableText(const NodePtr& plan) {
   std::string text = plan->ToString();
   static const std::string kAux = "present";

@@ -170,9 +170,6 @@ void CheckAllPathsMatchFilterFree(Op&& op, const char* label) {
     ResourceBudget budget;
     budget.WithMaxMemory(4 * 1024);
     SpillConfig cfg;
-    cfg.enabled = true;
-    cfg.partitions = 4;
-    cfg.max_recursion = 2;
     ExecContext ctx;
     ctx.bloom = BloomMode::kForce;
     ctx.budget = &budget;
@@ -317,9 +314,6 @@ TEST(BloomSpillTest, FilterCutsProbeBytesWrittenToDisk) {
     ResourceBudget budget;
     budget.WithMaxMemory(4 * 1024);
     SpillConfig cfg;
-    cfg.enabled = true;
-    cfg.partitions = 4;
-    cfg.max_recursion = 2;
     ExecContext ctx;
     ctx.bloom = mode;
     ctx.budget = &budget;

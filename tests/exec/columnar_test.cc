@@ -334,7 +334,6 @@ TEST(ColumnarJoinTest, SpillUnderMemoryCapMatchesUncapped) {
   ResourceBudget budget;
   budget.WithMaxMemory(4 * 1024);
   SpillConfig spill;
-  spill.enabled = true;
   ExecContext ctx = Optimized();
   ctx.budget = &budget;
   ctx.spill = &spill;

@@ -154,7 +154,6 @@ TEST(ExternalSortTest, SpilledRunsMatchInMemoryAndCleanUp) {
   ResourceBudget budget;
   budget.WithMaxMemory(4 * 1024);
   SpillConfig cfg;
-  cfg.enabled = true;
   OperatorStats stats;
   ExecContext ctx;
   ctx.budget = &budget;
@@ -185,7 +184,6 @@ TEST(ExternalSortTest, ManyRunsTakeExtraMergePasses) {
   ResourceBudget budget;
   budget.WithMaxMemory(1024);  // tiny: dozens of runs, fan-in 8 forces passes
   SpillConfig cfg;
-  cfg.enabled = true;
   OperatorStats stats;
   ExecContext ctx;
   ctx.budget = &budget;
@@ -223,7 +221,6 @@ TEST(ExternalSortTest, InjectedSpillFaultsDegradeToTypedErrors) {
     ResourceBudget budget;
     budget.WithMaxMemory(4 * 1024);
     SpillConfig cfg;
-    cfg.enabled = true;
     ExecContext ctx;
     ctx.budget = &budget;
     ctx.spill = &cfg;
@@ -341,7 +338,6 @@ TEST(MergeJoinTest, SpilledMergeMatchesHash) {
   ResourceBudget budget;
   budget.WithMaxMemory(8 * 1024);
   SpillConfig cfg;
-  cfg.enabled = true;
   OperatorStats stats;
   ExecContext ctx = MergeCtx();
   ctx.budget = &budget;

@@ -37,14 +37,6 @@ Relation BigTable(const std::string& name, uint64_t seed, int rows,
   return MakeRandomRelation(name, {"a", "b", "c"}, opt, &rng);
 }
 
-SpillConfig SmallPartitions() {
-  SpillConfig cfg;
-  cfg.enabled = true;
-  cfg.partitions = 4;  // small fan-out so multi-partition paths run
-  cfg.max_recursion = 2;
-  return cfg;
-}
-
 // Runs `op` twice -- unlimited in-memory reference vs. a tight memory cap
 // with spilling -- and checks bag equality plus the post-run hygiene
 // invariants (no live temp files, no retained budget charge). Returns the
@@ -56,7 +48,7 @@ OperatorStats CheckSpilledMatchesReference(Op&& op, uint64_t cap_bytes) {
 
   ResourceBudget budget;
   budget.WithMaxMemory(cap_bytes);
-  SpillConfig cfg = SmallPartitions();
+  SpillConfig cfg;
   OperatorStats stats;
   ExecContext ctx;
   ctx.budget = &budget;
@@ -201,6 +193,46 @@ TEST(SpillAggTest, DistinctAggSpillsByGroupKey) {
       4 * 1024);
 }
 
+// The fan-out (8) and depth (3) are fixed in exec/spill.cc. At those
+// values an input several partitions' worth over the cap must still
+// repartition, so a change to the constants that loses a level shows here.
+TEST(SpillRecursionTest, JoinRepartitionsAtDefaultFanOut) {
+  Relation a = BigTable("r1", 101, 2000, 1500);
+  Relation b = BigTable("r2", 102, 2000, 1500);
+  Predicate p({MakeAtom("r1", "a", CmpOp::kEq, "r2", "a")});
+  OperatorStats st = CheckSpilledMatchesReference(
+      [&](const ExecContext& ctx) {
+        return exec::LeftOuterJoin(a, b, p, ctx);
+      },
+      4 * 1024);
+  EXPECT_GT(st.spill_recursions, 0u);
+  EXPECT_GT(st.spill_partitions, 8u);
+}
+
+TEST(SpillRecursionTest, AggregationRepartitionsAtDefaultFanOut) {
+  Relation r = BigTable("r1", 111, 3000, 2000, 0.05);
+  exec::GroupBySpec spec;
+  spec.group_cols = {Attribute{"r1", "a"}};
+  exec::AggSpec cnt;
+  cnt.func = exec::AggFunc::kCountStar;
+  cnt.out_rel = "v";
+  cnt.out_name = "n";
+  exec::AggSpec sum;
+  sum.func = exec::AggFunc::kSum;
+  sum.input = Scalar::Column("r1", "b");
+  sum.out_rel = "v";
+  sum.out_name = "s";
+  spec.aggs = {cnt, sum};
+  spec.synthetic_vid = false;
+  OperatorStats st = CheckSpilledMatchesReference(
+      [&](const ExecContext& ctx) {
+        return exec::GeneralizedProjection(r, spec, ctx);
+      },
+      4 * 1024);
+  EXPECT_GT(st.spill_recursions, 0u);
+  EXPECT_GT(st.spill_partitions, 8u);
+}
+
 TEST(SpillParallelTest, ParallelSpilledMatchesSerialUnlimited) {
   static exec::Executor executor(4);
   executor.set_min_parallel_rows(1);
@@ -213,7 +245,7 @@ TEST(SpillParallelTest, ParallelSpilledMatchesSerialUnlimited) {
 
   ResourceBudget budget;
   budget.WithMaxMemory(4 * 1024);
-  SpillConfig cfg = SmallPartitions();
+  SpillConfig cfg;
   OperatorStats stats;
   ExecContext ctx;
   ctx.budget = &budget;
@@ -263,7 +295,7 @@ TEST(SpillFaultTest, InjectedSpillFaultsUnwindCleanly) {
       FaultInjector fi(o);
       ResourceBudget budget;
       budget.WithMaxMemory(4 * 1024);
-      SpillConfig cfg = SmallPartitions();
+      SpillConfig cfg;
       ExecContext ctx;
       ctx.budget = &budget;
       ctx.fault = &fi;
@@ -304,7 +336,7 @@ TEST(SpillFaultTest, AggregationFaultsUnwindCleanly) {
     FaultInjector fi(o);
     ResourceBudget budget;
     budget.WithMaxMemory(2 * 1024);
-    SpillConfig cfg = SmallPartitions();
+    SpillConfig cfg;
     ExecContext ctx;
     ctx.budget = &budget;
     ctx.fault = &fi;
