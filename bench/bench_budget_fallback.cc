@@ -1,12 +1,12 @@
-// Resource governance overhead and fallback-ladder latency.
+// Resource governance overhead and deadline-fallback latency.
 //
 // Two questions a production deployment asks of a cooperative budget:
 //  (1) What does carrying an (unexpired) budget cost on the happy path?
 //      BM_Optimize vs BM_OptimizeGoverned on the same query.
 //  (2) When a hostile query blows the deadline, how quickly does the
-//      ladder land on a plan? BM_FallbackLadder measures the full descent
-//      generalized -> ... -> syntactic on an exhaustive n-relation chain
-//      with a deadline far below what the search needs.
+//      optimizer land on a plan? BM_FallbackLadder measures the fall from
+//      the generalized rung to the syntactic plan on an exhaustive
+//      n-relation chain with a deadline far below what the search needs.
 #include <benchmark/benchmark.h>
 
 #include "report.h"
@@ -79,9 +79,9 @@ void BM_OptimizeGoverned(benchmark::State& state) {
 
 void BM_FallbackLadder(benchmark::State& state) {
   // Exhaustive enumeration with a 5 ms deadline: far too little for the
-  // unpruned chain, so every iteration rides the ladder down to a cheaper
-  // rung. The measured time is the worst-case answer latency under
-  // pressure (deadline + descent overhead), not the search itself.
+  // unpruned chain, so every iteration falls back to the syntactic plan.
+  // The measured time is the worst-case answer latency under pressure
+  // (deadline + fallback overhead), not the search itself.
   int n = static_cast<int>(state.range(0));
   Catalog cat = MakeCatalog(n);
   NodePtr q = ChainQuery(n);

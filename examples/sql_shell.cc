@@ -19,7 +19,7 @@
 // Each CSV becomes a table named after its basename (without extension).
 // Cache misses optimize (simplify -> normalize -> hypergraph -> enumerate
 // -> cost) under a per-query resource budget: when the deadline trips
-// mid-search the optimizer degrades down its fallback ladder and the
+// mid-search the optimizer falls back to the as-written plan and the
 // shell reports which rung answered. Cache hits re-instantiate the cached
 // template and spend the whole budget on execution.
 #include <chrono>
@@ -129,7 +129,7 @@ void RunQuery(const std::string& text, Session& session, QueryMode mode) {
   }
   // Execution gets its own allowance: a budget-starved optimization has
   // already spent the deadline degrading, and the point of the fallback
-  // ladder is that the rung it landed on still answers.
+  // is that the plan it landed on still answers.
   ResourceBudget exec_budget;
   ExecuteOptions xo;
   if (g_timeout_ms > 0) {

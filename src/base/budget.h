@@ -25,23 +25,21 @@
 //
 // Stages never kill each other preemptively: each checks the budget at its
 // own safe points and returns Status(kResourceExhausted), which unwinds
-// cleanly through StatusOr. The QueryOptimizer facade reacts by walking a
-// fallback ladder (generalized -> baseline -> binary-only -> the syntactic
-// as-written plan) with whatever budget remains, so callers always get a
-// valid plan plus a DegradationReport instead of a crash or an unbounded
-// run.
+// cleanly through StatusOr. The QueryOptimizer facade reacts to an expired
+// deadline by returning the syntactic as-written plan, so callers always
+// get a valid plan plus a DegradationReport instead of a crash or an
+// unbounded run.
 //
 // A budget is shared by pointer across the stages of one
-// optimize-and-execute attempt. Configuration (WithDeadline*/WithMax*/
-// Reset*) is single-threaded -- it happens before a stage starts -- but
-// the hot-path probes (ChargeRows, CheckDeadline, CheckDeadlineNow) are
-// thread-safe: the morsel-parallel executor charges rows and ticks the
-// deadline from every lane concurrently. Counters are relaxed-order
-// atomics, so the fast path stays one uncontended fetch_add; expiry is a
-// sticky atomic flag every lane observes, which is what makes cooperative
-// kResourceExhausted cancellation work mid-morsel. The deadline is
-// absolute, so it naturally carries across fallback rungs; plan and row
-// counters can be reset per rung with ResetPlans()/ResetRows().
+// optimize-and-execute attempt. Configuration (WithDeadline*/WithMax*) is
+// single-threaded -- it happens before a stage starts -- but the hot-path
+// probes (ChargeRows, CheckDeadline, CheckDeadlineNow) are thread-safe:
+// the morsel-parallel executor charges rows and ticks the deadline from
+// every lane concurrently. Counters are relaxed-order atomics, so the fast
+// path stays one uncontended fetch_add; expiry is a sticky atomic flag
+// every lane observes, which is what makes cooperative kResourceExhausted
+// cancellation work mid-morsel. The deadline is absolute: once expired, it
+// stays expired for every later stage.
 #ifndef GSOPT_BASE_BUDGET_H_
 #define GSOPT_BASE_BUDGET_H_
 
@@ -130,9 +128,9 @@ class ResourceBudget {
 
   // Hot-loop deadline probe: cheap relaxed counter, real clock read once
   // per kClockStride calls across all lanes combined. Once expired the
-  // result is sticky, so fallback rungs retried after exhaustion fail fast
-  // instead of re-burning time, and every parallel lane observes the
-  // expiry within one of its own probes.
+  // result is sticky, so later stages fail fast instead of re-burning
+  // time, and every parallel lane observes the expiry within one of its
+  // own probes.
   Status CheckDeadline(const char* stage) {
     if (expired_.load(std::memory_order_relaxed)) {
       return Exhausted(stage, "deadline cap exceeded");
@@ -207,12 +205,6 @@ class ResourceBudget {
     uint64_t p = plans_charged();
     return p >= max_plans_ ? 0 : max_plans_ - p;
   }
-
-  // Fresh per-rung counters for ladder retries (the deadline, being
-  // absolute, intentionally persists). Configuration-phase only, like the
-  // With* setters: not safe concurrently with hot-path probes.
-  void ResetPlans() { plans_.store(0, std::memory_order_relaxed); }
-  void ResetRows() { rows_.store(0, std::memory_order_relaxed); }
 
  private:
   static Status Exhausted(const char* stage, const std::string& what) {

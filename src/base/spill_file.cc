@@ -6,6 +6,7 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <vector>
@@ -58,6 +59,9 @@ SpillFile::SpillFile(SpillFile&& o) noexcept
       path_(std::move(o.path_)),
       fault_(o.fault_),
       write_buf_(std::move(o.write_buf_)),
+      read_buf_(std::move(o.read_buf_)),
+      read_pos_(o.read_pos_),
+      read_len_(o.read_len_),
       bytes_written_(o.bytes_written_),
       bytes_read_(o.bytes_read_) {
   o.fd_ = -1;
@@ -70,6 +74,9 @@ SpillFile& SpillFile::operator=(SpillFile&& o) noexcept {
     path_ = std::move(o.path_);
     fault_ = o.fault_;
     write_buf_ = std::move(o.write_buf_);
+    read_buf_ = std::move(o.read_buf_);
+    read_pos_ = o.read_pos_;
+    read_len_ = o.read_len_;
     bytes_written_ = o.bytes_written_;
     bytes_read_ = o.bytes_read_;
     o.fd_ = -1;
@@ -80,6 +87,8 @@ SpillFile& SpillFile::operator=(SpillFile&& o) noexcept {
 SpillFile::~SpillFile() { Discard(); }
 
 void SpillFile::Discard() {
+  read_buf_ = std::string();  // a drained run keeps no read-ahead memory
+  read_pos_ = read_len_ = 0;
   if (fd_ < 0) return;
   close(fd_);
   unlink(path_.c_str());
@@ -123,6 +132,7 @@ Status SpillFile::Flush() {
 Status SpillFile::Rewind() {
   GSOPT_RETURN_IF_ERROR(Flush());
   if (lseek(fd_, 0, SEEK_SET) != 0) return ErrnoStatus("lseek", errno);
+  read_pos_ = read_len_ = 0;
   return Status::OK();
 }
 
@@ -135,18 +145,26 @@ Status SpillFile::ReadExact(void* buf, size_t len) {
   char* p = static_cast<char*>(buf);
   size_t left = len;
   while (left > 0) {
-    ssize_t n = read(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("read", errno);
+    if (read_pos_ == read_len_) {
+      read_buf_.resize(kBufferBytes);
+      ssize_t n = read(fd_, read_buf_.data(), read_buf_.size());
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return ErrnoStatus("read", errno);
+      }
+      if (n == 0) {
+        return Status::Internal("spill: truncated file (record promised " +
+                                std::to_string(len) + " bytes, " +
+                                std::to_string(len - left) + " available)");
+      }
+      read_pos_ = 0;
+      read_len_ = static_cast<size_t>(n);
     }
-    if (n == 0) {
-      return Status::Internal("spill: truncated file (record promised " +
-                              std::to_string(len) + " bytes, " +
-                              std::to_string(len - left) + " available)");
-    }
+    size_t n = std::min(left, read_len_ - read_pos_);
+    memcpy(p, read_buf_.data() + read_pos_, n);
+    read_pos_ += n;
     p += n;
-    left -= static_cast<size_t>(n);
+    left -= n;
     bytes_read_ += static_cast<uint64_t>(n);
   }
   return Status::OK();

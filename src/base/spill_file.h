@@ -19,8 +19,10 @@
 //     and short-I/O recovery without filling a disk.
 //
 // Reading: Rewind() flushes and seeks to the start; ReadExact() then
-// consumes sequentially. A SpillFile is single-threaded, like the serial
-// spill kernels that use it.
+// consumes sequentially, served from a kBufferBytes read buffer refilled
+// with one read() at a time, so reading back many small records costs one
+// syscall per buffer, not one per record. A SpillFile is single-threaded,
+// like the serial spill kernels that use it.
 #ifndef GSOPT_BASE_SPILL_FILE_H_
 #define GSOPT_BASE_SPILL_FILE_H_
 
@@ -49,15 +51,17 @@ class SpillFile {
 
   Status Append(const void* data, size_t len);
   Status Flush();
-  // Flush + seek to offset 0 for read-back.
+  // Flush + seek to offset 0 for read-back (drops any buffered read-ahead).
   Status Rewind();
   // Reads exactly `len` bytes; kInternal on a truncated file (a record
-  // header promised more bytes than the file holds).
+  // header promised more bytes than the file holds). Probes the read fault
+  // site once per call, however many refills the call takes.
   Status ReadExact(void* buf, size_t len);
   // Close + unlink early (destructor-equivalent); idempotent.
   void Discard();
 
   uint64_t bytes_written() const { return bytes_written_; }
+  // Bytes handed to ReadExact callers (not bytes read ahead).
   uint64_t bytes_read() const { return bytes_read_; }
   const std::string& path() const { return path_; }
 
@@ -71,6 +75,9 @@ class SpillFile {
   std::string path_;
   FaultInjector* fault_ = nullptr;
   std::string write_buf_;
+  std::string read_buf_;  // read-ahead; [read_pos_, read_len_) unconsumed
+  size_t read_pos_ = 0;
+  size_t read_len_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t bytes_read_ = 0;
 };

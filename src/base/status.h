@@ -20,9 +20,9 @@ enum class StatusCode {
   kInternal,
   kOutOfRange,
   // A cooperative resource budget (wall-clock deadline, plan cap, row cap,
-  // memory cap) was exhausted. Recoverable: the optimizer's fallback ladder
-  // retries a cheaper enumeration mode and ultimately the as-written plan,
-  // and the executor's spill path degrades hash state out-of-core.
+  // memory cap) was exhausted. Recoverable: the optimizer falls back to the
+  // as-written plan, and the executor's spill path degrades hash state
+  // out-of-core.
   kResourceExhausted,
   // A transient fault -- short spill write/read, thread-pool dispatch
   // failure, injected chaos -- where an identical retry may succeed.

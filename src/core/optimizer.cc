@@ -67,22 +67,6 @@ std::string DegradationReport::ToString() const {
   return s;
 }
 
-namespace {
-
-// Enumeration mode of a non-syntactic rung.
-EnumMode ModeOf(FallbackRung r) {
-  switch (r) {
-    case FallbackRung::kBaseline:
-      return EnumMode::kBaseline;
-    case FallbackRung::kBinaryOnly:
-      return EnumMode::kBinaryOnly;
-    default:
-      return EnumMode::kGeneralized;
-  }
-}
-
-}  // namespace
-
 StatusOr<PlanSpace> QueryOptimizer::EnumeratePlanSpace(
     const NodePtr& query, const OptimizeOptions& options) const {
   if (query == nullptr) return Status::InvalidArgument("null query");
@@ -130,9 +114,9 @@ StatusOr<PlanSpace> QueryOptimizer::EnumeratePlanSpace(
         trees.push_back(c.expr);
       }
     } else if (enumerated.status().code() == StatusCode::kResourceExhausted) {
-      // Budget expiry is the caller's signal to descend the fallback
-      // ladder; swallowing it here would burn the remaining budget on
-      // wrapper application for a single-tree plan space.
+      // Budget expiry is the caller's signal to fall back to the
+      // syntactic plan; swallowing it here would burn the remaining budget
+      // on wrapper application for a single-tree plan space.
       return enumerated.status();
     }
     // Other enumerator failures (e.g. opaque-only queries) keep the
@@ -166,70 +150,50 @@ StatusOr<OptimizeResult> QueryOptimizer::Optimize(
   DegradationReport& deg = result.degradation;
   deg.requested = RungOf(options.mode);
   deg.rung = deg.requested;
-  // Runs once on the winning plan: the order-aware physical pass (merge
-  // hints, redundant-enforcer removal), then the counter fill. Deadline
-  // slack is whatever remains when the winning rung returns.
-  auto finish_counters = [this, &result, &options]() {
-    OrderPassCounters oc;
-    NodePtr tuned = ApplyOrderAwarePass(result.best.expr, cost_model_.stats(),
-                                        options.assume_ordered_exec, &oc);
-    if (tuned != result.best.expr) {
-      result.best.expr = tuned;
-      result.best.cost = cost_model_.Cost(tuned);
-    }
-    result.counters.merge_joins_chosen = oc.merge_joins_chosen;
-    result.counters.sort_enforcers_placed = oc.sort_enforcers_placed;
-    result.counters.sort_enforcers_avoided = oc.sort_enforcers_avoided;
-    result.counters.plans_considered = result.plans_considered;
-    if (options.budget != nullptr && options.budget->has_deadline()) {
-      result.counters.deadline_slack_us =
-          options.budget->RemainingTime().count();
-    }
-  };
-
-  for (int r = static_cast<int>(deg.requested);
-       r <= static_cast<int>(FallbackRung::kSyntactic); ++r) {
-    FallbackRung rung = static_cast<FallbackRung>(r);
-    if (rung == FallbackRung::kSyntactic) {
-      // Terminal rung: the simplified as-written expression, no search.
-      // Always valid, so the ladder cannot come back empty-handed.
-      deg.rung = rung;
-      result.best =
-          PlanInfo{result.simplified, cost_model_.Cost(result.simplified)};
-      result.plans_considered += 1;
-      finish_counters();
-      return result;
-    }
-    OptimizeOptions rung_options = options;
-    rung_options.mode = ModeOf(rung);
-    auto space = EnumeratePlanSpace(query, rung_options);
-    if (!space.ok()) {
-      if (options.fallback &&
-          space.status().code() == StatusCode::kResourceExhausted) {
-        deg.attempts.push_back(FallbackRungName(rung) + ": " +
-                               space.status().ToString());
-        continue;
-      }
-      return space.status();
-    }
-    deg.rung = rung;
+  auto space = EnumeratePlanSpace(query, options);
+  if (space.ok()) {
     deg.truncated = space->truncated;
-    result.plans_considered += space->plans.size();
-    // Search-work counters accumulate across abandoned rungs too, but only
-    // the winning rung's space reaches this point; abandoned rungs died
-    // before producing a space, so summing here is the whole story.
-    result.counters.subplans_enumerated += space->counters.subplans_enumerated;
-    result.counters.dp_cells += space->counters.dp_cells;
-    result.counters.dp_pruned += space->counters.dp_pruned;
-    const PlanInfo* best = &space->plans[0];
+    result.plans_considered = space->plans.size();
+    result.counters.subplans_enumerated = space->counters.subplans_enumerated;
+    result.counters.dp_cells = space->counters.dp_cells;
+    result.counters.dp_pruned = space->counters.dp_pruned;
+    result.best = space->plans[0];
     for (const PlanInfo& p : space->plans) {
-      if (p.cost < best->cost) best = &p;
+      if (p.cost < result.best.cost) result.best = p;
     }
-    result.best = *best;
-    finish_counters();
-    return result;
+  } else if (options.fallback &&
+             space.status().code() == StatusCode::kResourceExhausted) {
+    // The deadline is absolute and sticky, so a smaller enumeration would
+    // fail at its entry check: fall straight to the syntactic rung, the
+    // simplified as-written expression, which needs no search.
+    deg.attempts.push_back(FallbackRungName(deg.requested) + ": " +
+                           space.status().ToString());
+    deg.rung = FallbackRung::kSyntactic;
+    result.best =
+        PlanInfo{result.simplified, cost_model_.Cost(result.simplified)};
+    result.plans_considered = 1;
+  } else {
+    return space.status();
   }
-  return Status::Internal("fallback ladder exhausted without a plan");
+  // On the winning plan: the order-aware physical pass (merge hints,
+  // redundant-enforcer removal), then the counter fill. Deadline slack is
+  // whatever remains when the plan is chosen.
+  OrderPassCounters oc;
+  NodePtr tuned = ApplyOrderAwarePass(result.best.expr, cost_model_.stats(),
+                                      options.assume_ordered_exec, &oc);
+  if (tuned != result.best.expr) {
+    result.best.expr = tuned;
+    result.best.cost = cost_model_.Cost(tuned);
+  }
+  result.counters.merge_joins_chosen = oc.merge_joins_chosen;
+  result.counters.sort_enforcers_placed = oc.sort_enforcers_placed;
+  result.counters.sort_enforcers_avoided = oc.sort_enforcers_avoided;
+  result.counters.plans_considered = result.plans_considered;
+  if (options.budget != nullptr && options.budget->has_deadline()) {
+    result.counters.deadline_slack_us =
+        options.budget->RemainingTime().count();
+  }
+  return result;
 }
 
 }  // namespace gsopt

@@ -12,15 +12,14 @@
 // re-apply the wrapper stack above it.
 //
 // Resource governance: OptimizeOptions may carry a ResourceBudget (deadline
-// / plan cap). When a budget expires mid-enumeration the facade walks a
-// fallback ladder of progressively cheaper plan spaces with whatever budget
-// remains --
-//   generalized -> baseline -> binary-only -> syntactic (as-written order)
-// -- so a plan always comes back. The final rung never enumerates: it costs
-// the simplified as-written expression and returns it. OptimizeResult's
-// DegradationReport records the requested rung, the rung that produced the
-// plan, whether the plan cap truncated the space, and the error from each
-// abandoned rung.
+// / plan cap). The plan cap truncates the search; an expired deadline
+// stops it. The deadline is absolute and sticky, so a cheaper enumeration
+// mode retried after it would fail at its entry check: the facade instead
+// falls straight from the requested rung to the syntactic one, which never
+// enumerates -- it costs the simplified as-written expression and returns
+// it -- so a plan always comes back. OptimizeResult's DegradationReport
+// records the requested rung, the rung that produced the plan, whether the
+// plan cap truncated the space, and the error of the abandoned rung.
 #ifndef GSOPT_CORE_OPTIMIZER_H_
 #define GSOPT_CORE_OPTIMIZER_H_
 
@@ -39,7 +38,8 @@
 
 namespace gsopt {
 
-// Rungs of the fallback ladder, strongest (largest plan space) first.
+// Plan-space rungs, strongest (largest plan space) first: the three
+// enumeration modes a caller may request, and the syntactic fallback.
 // kSyntactic is not an enumeration mode: it returns the simplified
 // as-written expression without searching, so it always succeeds.
 enum class FallbackRung { kGeneralized = 0, kBaseline, kBinaryOnly,
@@ -47,7 +47,7 @@ enum class FallbackRung { kGeneralized = 0, kBaseline, kBinaryOnly,
 
 std::string FallbackRungName(FallbackRung r);
 
-// The ladder rung a caller-requested enumeration mode starts at.
+// The rung of a caller-requested enumeration mode.
 FallbackRung RungOf(EnumMode m);
 
 struct OptimizeOptions {
@@ -60,7 +60,7 @@ struct OptimizeOptions {
   // normalizer, the enumerator's DP loop, and (when passed on to Execute)
   // the row-producing operators.
   ResourceBudget* budget = nullptr;
-  // When the budget is exhausted mid-search, descend the fallback ladder
+  // When the budget is exhausted mid-search, return the syntactic plan
   // instead of failing. Disable to surface Status(kResourceExhausted).
   bool fallback = true;
   // The winning plan will execute serially, so the order-aware pass may
@@ -85,7 +85,8 @@ struct PlanInfo {
 
 // Work counters from the search that produced a plan: how much of the
 // space was explored, how much DP pruning and the plan cap cut, and how
-// close the deadline came. Summed across fallback rungs in Optimize().
+// close the deadline came. Zero search work when the syntactic fallback
+// produced the plan.
 struct OptimizerCounters {
   size_t subplans_enumerated = 0;  // DP subplans emitted
   size_t dp_cells = 0;             // DP table cells stored
@@ -119,7 +120,7 @@ struct DegradationReport {
   // The plan cap stopped the winning rung's enumeration early; the plan is
   // valid but possibly suboptimal.
   bool truncated = false;
-  // One entry per abandoned rung: "<rung>: <status>".
+  // The abandoned requested rung, if any: "<rung>: <status>".
   std::vector<std::string> attempts;
 
   bool degraded() const { return truncated || rung != requested; }
@@ -153,7 +154,7 @@ class QueryOptimizer {
 
   // Every valid complete plan (wrappers applied), costed, plus the
   // truncation flag. With options.prune the list is the DP frontier, not
-  // the full space. Runs a single rung (options.mode) -- no ladder.
+  // the full space. Runs a single rung (options.mode) -- no fallback.
   StatusOr<PlanSpace> EnumeratePlanSpace(
       const NodePtr& query, const OptimizeOptions& options = {}) const;
 

@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -14,6 +15,9 @@ namespace {
 // texts are many-to-one onto plan-cache entries because literals differ
 // where fingerprints do not).
 constexpr size_t kTextCacheCapacity = 1024;
+
+// First backoff before a transient-failure retry; doubles per retry.
+constexpr std::chrono::microseconds kRetryBackoff{500};
 
 }  // namespace
 
@@ -78,8 +82,7 @@ StatusOr<NodePtr> PreparedStatement::ExecutablePlan(
 
 Session::Session(const Catalog& catalog, SessionOptions options)
     : catalog_(catalog),
-      options_(std::move(options)),
-      cache_(options_.plan_cache_capacity, options_.plan_cache_shards) {
+      options_(std::move(options)) {
   // The order-aware pass may only remove ORDER BY enforcers when the plans
   // this session serves will execute in row order: serial kernels
   // (parallel morsels permute rows).
@@ -197,7 +200,7 @@ StatusOr<QueryResult> Session::ExecuteTemplate(
     // Reset the stats tree: the retry re-runs every operator from
     // scratch and must not double-count the failed attempt.
     if (run.stats != nullptr) *run.stats = exec::OperatorStats{};
-    std::this_thread::sleep_for(options_.retry_backoff * (1LL << retries));
+    std::this_thread::sleep_for(kRetryBackoff * (1LL << retries));
     ++retries;
     rows = gsopt::Execute(executable, catalog_, run);
   }

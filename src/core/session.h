@@ -55,7 +55,6 @@
 #ifndef GSOPT_CORE_SESSION_H_
 #define GSOPT_CORE_SESSION_H_
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -89,20 +88,18 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
 
   ExecPolicy& policy() { return exec; }
   const ExecPolicy& policy() const { return exec; }
-  // Disabling the plan cache also disables the statement-text memo:
-  // every call re-parses and re-optimizes (the "cold" serving mode
-  // benchmarks compare against).
+  // The plan cache is PlanCache's default: 256 templates over 8 shards.
+  // Disabling it also disables the statement-text memo: every call
+  // re-parses and re-optimizes (the "cold" serving mode benchmarks compare
+  // against).
   bool use_plan_cache = true;
-  size_t plan_cache_capacity = 256;
-  size_t plan_cache_shards = 8;
   // Bounded retry for TRANSIENT execution failures (Status::IsTransient(),
   // i.e. kUnavailable: short spill I/O, dispatch faults). Each retry
   // re-executes the already-acquired plan template -- no re-parse or plan
-  // search -- after an exponential backoff starting at retry_backoff.
-  // Persistent failures (kResourceExhausted caps, real ENOSPC) are never
-  // retried: an identical attempt cannot succeed.
+  // search -- after an exponential backoff starting at 500 us. Persistent
+  // failures (kResourceExhausted caps, real ENOSPC) are never retried: an
+  // identical attempt cannot succeed.
   int max_transient_retries = 2;
-  std::chrono::microseconds retry_backoff{500};
 
   SessionOptions& WithPrune(bool b) { optimize.prune = b; return *this; }
   SessionOptions& WithMaxPlans(size_t n) { optimize.max_plans = n; return *this; }
@@ -114,13 +111,7 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
     return *this;
   }
   SessionOptions& WithRetries(int n) { max_transient_retries = n; return *this; }
-  SessionOptions& WithRetryBackoff(std::chrono::microseconds b) {
-    retry_backoff = b;
-    return *this;
-  }
   SessionOptions& WithPlanCache(bool enabled) { use_plan_cache = enabled; return *this; }
-  SessionOptions& WithPlanCacheCapacity(size_t n) { plan_cache_capacity = n; return *this; }
-  SessionOptions& WithPlanCacheShards(size_t n) { plan_cache_shards = n; return *this; }
 };
 
 // Everything one serving call produced: the rows, the runtime stats, the
@@ -235,11 +226,6 @@ class Session {
                               const ExecuteOptions& exec = {});
 
   PlanCacheStats cache_stats() const { return cache_.Stats(); }
-  void ClearPlanCache() {
-    cache_.Clear();
-    std::lock_guard<std::mutex> lock(text_mu_);
-    text_cache_.clear();
-  }
   const SessionOptions& options() const { return options_; }
   const Catalog& catalog() const { return catalog_; }
   // Stats epoch of the current optimizer (bumped when the catalog moves).

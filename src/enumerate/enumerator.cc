@@ -486,7 +486,8 @@ StatusOr<EnumerationResult> Enumerator::Enumerate() {
     GSOPT_RETURN_IF_ERROR(budget->CheckDeadlineNow("enumerate"));
   }
   // Effective subplan cap: the per-call option tightened by whatever plan
-  // allowance remains on the budget (which is shared across ladder rungs).
+  // allowance remains on the budget (which is shared across the stages of
+  // one query).
   size_t cap = options_.max_plans;
   if (budget != nullptr) {
     cap = std::min<uint64_t>(cap, budget->PlansRemaining());

@@ -1,12 +1,12 @@
 #include "exec/aggregate.h"
 
-#include <algorithm>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "base/check.h"
+#include "exec/bind.h"
 #include "exec/keys.h"
 #include "exec/lane_control.h"
 #include "exec/spill.h"
@@ -192,29 +192,28 @@ struct ResolvedGP {
   bool has_distinct = false;
 };
 
-// The value aggregate k consumes from row t: COUNT(*) and PRESENT count
-// every row, COUNT_PRESENT the rows where its relation is present, the
-// rest their input term.
-Value AggInput(const ResolvedGP& rs, size_t k, const Relation& r,
-               const Tuple& t) {
-  const AggSpec& a = rs.spec->aggs[k];
-  if (a.func == AggFunc::kCountStar || a.func == AggFunc::kGroupFlag) {
-    return Value::Int(1);
-  }
-  if (a.func == AggFunc::kCountPresence) {
-    return t.vids[rs.presence_idx[k]] == kNullRowId ? Value::Null()
-                                                    : Value::Int(1);
-  }
-  return a.input->Eval(t, r.schema());
-}
-
-// Feeds one row into its group's accumulators; returns bytes newly
-// retained (DISTINCT dedup-set growth) for the caller to charge.
-uint64_t FeedRow(const ResolvedGP& rs, const Relation& r, const Tuple& t,
-                 Group* g) {
+// Feeds row t into g's accumulators; returns bytes newly retained
+// (DISTINCT dedup-set growth) for the caller to charge. COUNT(*) and
+// PRESENT count every row, COUNT_PRESENT the rows where its relation is
+// present; the rest consume their input term, which `input(k, scratch)`
+// evaluates over t.
+template <typename Input>
+uint64_t FeedRow(const ResolvedGP& rs, const Tuple& t, Group* g,
+                 const Input& input) {
+  static const Value kOne = Value::Int(1);
+  static const Value kNull;
   uint64_t retained = 0;
+  Value scratch;
   for (size_t k = 0; k < rs.spec->aggs.size(); ++k) {
-    retained += g->accs[k].Feed(AggInput(rs, k, r, t), rs.spec->aggs[k]);
+    const AggSpec& a = rs.spec->aggs[k];
+    const Value* v = &kOne;
+    if (a.func == AggFunc::kCountPresence) {
+      if (t.vids[rs.presence_idx[k]] == kNullRowId) v = &kNull;
+    } else if (a.func != AggFunc::kCountStar &&
+               a.func != AggFunc::kGroupFlag) {
+      v = &input(k, &scratch);
+    }
+    retained += g->accs[k].Feed(*v, a);
   }
   return retained;
 }
@@ -251,7 +250,11 @@ Status FeedRows(const Relation& r, const ResolvedGP& rs,
       it = gm->groups.emplace(key, std::move(g)).first;
       gm->order.push_back(std::move(key));
     }
-    uint64_t retained = FeedRow(rs, r, t, &it->second);
+    uint64_t retained =
+        FeedRow(rs, t, &it->second,
+                [&](size_t k, Value* scratch) -> const Value& {
+                  return *scratch = spec.aggs[k].input->Eval(t, r.schema());
+                });
     if (retained > 0) {
       Status cs = mem->Charge(retained, "group-by");
       if (!cs.ok()) {
@@ -290,8 +293,8 @@ Status EmitGroups(const ResolvedGP& rs, const GroupMap& gm,
 // DISTINCT aggregate needs one dedup set per group, since per-lane sets
 // cannot be combined without re-deduplicating the inputs. Each range
 // gathers its group-key columns and grouping vids once and encodes binary
-// group keys (the bytes EncodeTupleKeyInto produces); plain-column
-// aggregate inputs are gathered too, other inputs evaluated per row. Lanes
+// group keys (the bytes EncodeTupleKeyInto produces); aggregate inputs
+// are read per row through their bound terms (exec/bind.h). Lanes
 // discover groups in row order into private maps merged in lane order, so
 // a serial run's representatives, emit order and synthetic ordinals match
 // the reference feed. Lane l's group state is charged to (*mem)[l], which
@@ -304,27 +307,19 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
   GSOPT_RETURN_IF_ERROR(
       internal::CheckDispatch(ctx, lanes, "parallel-group-by"));
   const size_t nlanes = static_cast<size_t>(lanes);
-  // Gather slots for the plain-column aggregate inputs, deduplicated.
-  std::vector<int> in_cols;
-  std::vector<int> agg_slot(spec.aggs.size(), -1);
+  // Aggregate input terms, bound once (exec/bind.h); unused slots stay
+  // the constant NULL.
+  std::vector<internal::BoundScalar> inputs(spec.aggs.size());
   for (size_t k = 0; k < spec.aggs.size(); ++k) {
-    const AggSpec& a = spec.aggs[k];
-    if (a.func == AggFunc::kCountStar || a.func == AggFunc::kGroupFlag ||
-        a.func == AggFunc::kCountPresence || a.input == nullptr ||
-        a.input->kind() != Scalar::Kind::kColumn) {
-      continue;
+    if (spec.aggs[k].input != nullptr) {
+      inputs[k] = internal::BoundScalar(*spec.aggs[k].input, r.schema());
     }
-    int c = r.schema().Find(a.input->rel(), a.input->name());
-    if (c < 0) continue;
-    auto it = std::find(in_cols.begin(), in_cols.end(), c);
-    agg_slot[k] = static_cast<int>(it - in_cols.begin());
-    if (it == in_cols.end()) in_cols.push_back(c);
   }
 
   struct Lane {
     GroupMap groups;
     OperatorStats stats;
-    std::vector<Column> gcols, acols;
+    std::vector<Column> gcols;
     std::vector<std::vector<RowId>> gvids;
   };
   std::vector<Lane> lane_state(nlanes);
@@ -345,7 +340,6 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
     if (!s.ok()) return fail(std::move(s), false);
     GatherColumnsInto(r, rs.gcol_idx, begin, end, &ln.gcols);
     GatherVidsInto(r, rs.gvid_idx, begin, end, &ln.gvids);
-    GatherColumnsInto(r, in_cols, begin, end, &ln.acols);
     ++ln.stats.batches;
     std::string key;
     for (int64_t i = 0; i < end - begin; ++i) {
@@ -362,15 +356,12 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
         it = ln.groups.groups.emplace(key, std::move(g)).first;
         ln.groups.order.push_back(key);
       }
-      uint64_t retained = 0;
-      for (size_t k = 0; k < spec.aggs.size(); ++k) {
-        Value v = agg_slot[k] >= 0
-                      ? ColumnValueAt(ln.acols[static_cast<size_t>(
-                                          agg_slot[k])],
-                                      i)
-                      : AggInput(rs, k, r, t);
-        retained += it->second.accs[k].Feed(v, spec.aggs[k]);
-      }
+      const internal::RowRef row(t);
+      uint64_t retained =
+          FeedRow(rs, t, &it->second,
+                  [&](size_t k, Value* scratch) -> const Value& {
+                    return inputs[k].Ref(row, scratch);
+                  });
       if (retained > 0) {
         s = m.Charge(retained, "group-by");
         if (!s.ok()) return fail(std::move(s), true);
@@ -383,7 +374,6 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
     return first;
   }
   if (ctx.stats != nullptr) {
-    ctx.stats->columnar = true;
     for (const Lane& ln : lane_state) ctx.stats->MergeCountersFrom(ln.stats);
   }
   if (nlanes == 1) {

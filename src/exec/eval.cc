@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "base/check.h"
-#include "exec/columnar.h"
+#include "exec/bind.h"
 #include "exec/join_internal.h"
 #include "exec/keys.h"
 #include "exec/lane_control.h"
@@ -14,6 +14,7 @@ namespace gsopt::exec {
 
 // Shared join/GS machinery lives in join_internal.h, the join cores in
 // hash_join.cc, the lane machinery in lane_control.h.
+using internal::BoundPredicate;
 using internal::CheckDispatch;
 using internal::ForRanges;
 using internal::GroupIndex;
@@ -24,8 +25,10 @@ using internal::JoinCoreResult;
 using internal::LaneControl;
 using internal::LaneOutputs;
 using internal::LanesFor;
+using internal::MergeLaneStats;
 using internal::MergeJoinCore;
 using internal::NestedLoopJoinCore;
+using internal::RowRef;
 
 namespace {
 
@@ -203,17 +206,58 @@ StatusOr<Relation> Product(const Relation& a, const Relation& b,
 
 StatusOr<Relation> Select(const Relation& r, const Predicate& p,
                           const ExecContext& ctx) {
-  if (!ctx.Reference()) return internal::ColumnarSelect(r, p, ctx);
   Relation out(r.schema(), r.vschema());
   RecordIn(ctx, static_cast<uint64_t>(r.NumRows()));
-  for (const Tuple& t : r.rows()) {
-    GSOPT_RETURN_IF_ERROR(ctx.Tick("select"));
-    if (ctx.stats != nullptr) ++ctx.stats->residual_evals;
-    if (p.Satisfied(t, r.schema())) {
-      out.Add(t);
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "select"));
+  if (ctx.Reference()) {
+    for (const Tuple& t : r.rows()) {
+      GSOPT_RETURN_IF_ERROR(ctx.Tick("select"));
+      if (ctx.stats != nullptr) ++ctx.stats->residual_evals;
+      if (p.Satisfied(t, r.schema())) {
+        out.Add(t);
+        GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "select"));
+      }
     }
+    RecordOut(ctx, out);
+    return out;
   }
+  // Serial or morsel-parallel over the bound predicate: serially the
+  // output is exactly the reference's, order included; in parallel, lane
+  // outputs are spliced in lane order (bag-equal).
+  const int lanes = LanesFor(ctx, r.NumRows());
+  GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-select"));
+  const BoundPredicate bound(p, r.schema());
+  LaneOutputs outs(&out, lanes);
+  // Each lane's output is reserved once at its share of the input (the
+  // tight upper bound): vector<Tuple> regrowth relocates fat
+  // inline-payload tuples element-wise. Untouched reserve slack is virtual
+  // address space only, the same worst case as push_back growth.
+  for (int l = 0; l < lanes; ++l) {
+    outs[l].Reserve(r.NumRows() / lanes + 1);
+  }
+  std::vector<OperatorStats> lane_stats(static_cast<size_t>(lanes));
+  LaneControl control(lanes);
+  ForRanges(ctx, lanes, r.NumRows(), [&](int lane, int64_t begin,
+                                         int64_t end) {
+    if (control.cancelled()) return;
+    Status s = ctx.Tick("select");
+    if (!s.ok()) return control.Fail(lane, std::move(s));
+    Relation& o = outs[lane];
+    const int64_t before = o.NumRows();
+    for (int64_t i = begin; i < end; ++i) {
+      if (bound.Test(RowRef(r.row(i)))) o.Add(r.row(i));
+    }
+    OperatorStats& st = lane_stats[static_cast<size_t>(lane)];
+    ++st.batches;
+    st.residual_evals += static_cast<uint64_t>(end - begin);
+    if (o.NumRows() > before) {
+      s = ctx.ChargeRows(static_cast<uint64_t>(o.NumRows() - before),
+                         "select");
+      if (!s.ok()) return control.Fail(lane, std::move(s));
+    }
+  });
+  GSOPT_RETURN_IF_ERROR(control.First());
+  outs.Splice();
+  MergeLaneStats(lane_stats, ctx.stats);
   RecordOut(ctx, out);
   return out;
 }

@@ -50,9 +50,10 @@ struct SpillConfig {
 };
 
 // Kernel policy. kAuto -- the default -- runs the optimized kernels:
-// batch selection, the batch hash grouping feed and the hash-join core,
-// serial or morsel-parallel. kOff runs the reference evaluator -- serial,
-// row-at-a-time, every join as nested loops over Predicate::Satisfied --
+// selection over a predicate bound once per call (exec/bind.h), the hash
+// grouping feed and the hash-join core, serial or morsel-parallel. kOff
+// runs the reference evaluator -- serial, row-at-a-time, every column
+// resolved by name, every join as nested loops over Predicate::Satisfied --
 // the ground truth the differential tests and fuzz oracles hold the
 // optimized kernels to. kOff is quadratic in join inputs: a testing mode,
 // not a serving one.

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/bind.h"
 #include "exec/bloom.h"
 #include "exec/hash_table.h"
 #include "exec/join_internal.h"
@@ -31,12 +32,9 @@ namespace gsopt::exec::internal {
 KeyColumns::KeyColumns(const std::vector<ScalarPtr>& keys, const Relation& r)
     : r_(&r) {
   for (const ScalarPtr& k : keys) {
-    int c = k->kind() == Scalar::Kind::kColumn
-                ? r.schema().Find(k->rel(), k->name())
-                : -1;
-    col_.push_back(c);
-    terms_.push_back(c >= 0 ? nullptr : k);
-    all_columns_ = all_columns_ && c >= 0;
+    terms_.emplace_back(*k, r.schema());
+    col_.push_back(terms_.back().column());
+    all_columns_ = all_columns_ && col_.back() >= 0;
   }
   computed_.resize(keys.size());
 }
@@ -48,6 +46,7 @@ void KeyColumns::Gather(int64_t begin, int64_t end) {
   }
   const size_t n = static_cast<size_t>(end - begin);
   cols_.resize(col_.size());
+  Value scratch;
   for (size_t k = 0; k < col_.size(); ++k) {
     Column& c = cols_[k];
     if (col_[k] >= 0) {
@@ -58,7 +57,7 @@ void KeyColumns::Gather(int64_t begin, int64_t end) {
     vals.clear();
     vals.reserve(n);
     for (int64_t i = begin; i < end; ++i) {
-      vals.push_back(terms_[k]->Eval(r_->row(i), r_->schema()));
+      vals.push_back(terms_[k].Ref(RowRef(r_->row(i)), &scratch));
     }
     c.Clear();
     c.kind = ColumnKind::kMixed;
@@ -303,9 +302,7 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
   }
 
   // Pass 3: probe.
-  const Schema& out_schema = res->out.schema();
-  Predicate residual(plan.residual);
-  const bool has_residual = !plan.residual.empty();
+  const BoundPredicate residual(Predicate(plan.residual), res->out.schema());
   // With no fault injector and no budget, Tick and ChargeRows are
   // statically no-ops; hoisting that check out of the duplicate-chain walk
   // keeps the per-pair loop free of dead policy probes.
@@ -337,22 +334,11 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
         int32_t e_next = table.entry(e).next;
         if (e_next >= 0) Prefetch(&b.row(table.entry(e_next).row));
         ++st.residual_evals;
-        if (!has_residual) {
-          // No residual: build the output row in place, skipping the
-          // intermediate concat tuple.
-          res->a_matched[static_cast<size_t>(gi)] = 1;
-          bm[static_cast<size_t>(j)] = 1;
-          out.AddConcat(a.row(gi), b.row(j));
-          if (!idle) GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "join"));
-          continue;
-        }
-        Tuple t = Tuple::Concat(a.row(gi), b.row(j));
-        if (residual.Satisfied(t, out_schema)) {
-          res->a_matched[static_cast<size_t>(gi)] = 1;
-          bm[static_cast<size_t>(j)] = 1;
-          out.Add(std::move(t));
-          GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "join"));
-        }
+        if (!residual.Test(RowRef(a.row(gi), b.row(j)))) continue;
+        res->a_matched[static_cast<size_t>(gi)] = 1;
+        bm[static_cast<size_t>(j)] = 1;
+        out.AddConcat(a.row(gi), b.row(j));
+        if (!idle) GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "join"));
       }
       return Status::OK();
     };
@@ -428,7 +414,6 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
 
   MergeLaneStats(lane_stats, tally);
   tally->hash_path = true;
-  tally->columnar = true;
   tally->max_bucket = std::max(tally->max_bucket, max_chain);
   if (bloom_on) {
     tally->bloom = true;

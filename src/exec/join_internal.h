@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "exec/bind.h"
 #include "exec/eval.h"
 #include "exec/keys.h"
 #include "relational/column_batch.h"
@@ -17,9 +18,10 @@
 
 namespace gsopt::exec::internal {
 
-// One input's side of a hash plan, bound to that input once: a key term
-// that is a plain column is gathered straight from the rows; any other
-// term (arithmetic) is evaluated once per row into an owned value column.
+// One input's side of a hash plan, bound to that input once (exec/bind.h):
+// a key term that is a plain column is gathered straight from the rows;
+// any other term (arithmetic) is evaluated once per row into an owned
+// value column.
 // Either way Gather() yields typed key columns for AppendBatchKey /
 // HashBatchKey, so every equi-join runs on the one binary-key core. Each
 // lane owns its own instance (the gathered columns are scratch).
@@ -34,8 +36,8 @@ class KeyColumns {
 
  private:
   const Relation* r_;
-  std::vector<ScalarPtr> terms_;  // per key: null when a plain column
-  std::vector<int> col_;          // per key: schema index, or -1
+  std::vector<BoundScalar> terms_;
+  std::vector<int> col_;  // per key: schema index when a plain column, or -1
   bool all_columns_ = true;
   std::vector<std::vector<Value>> computed_;
   std::vector<Column> cols_;

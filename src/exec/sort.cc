@@ -5,6 +5,7 @@
 #include <iterator>
 #include <utility>
 
+#include "exec/bind.h"
 #include "exec/join_internal.h"
 #include "exec/keys.h"
 #include "exec/spill.h"
@@ -14,7 +15,10 @@ namespace gsopt::exec {
 namespace {
 
 using internal::ApproxTupleBytes;
+using internal::BoundPredicate;
+using internal::BoundScalar;
 using internal::JoinCoreResult;
+using internal::RowRef;
 using internal::SpillRun;
 
 // Maximum spilled runs merged at once. Past this the external sort takes
@@ -403,12 +407,7 @@ namespace internal {
 StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
                                        const HashPlan& plan,
                                        const ExecContext& ctx) {
-  JoinCoreResult res;
-  Schema out_schema = Schema::Concat(a.schema(), b.schema());
-  VirtualSchema out_vschema = VirtualSchema::Concat(a.vschema(), b.vschema());
-  res.out = Relation(out_schema, out_vschema);
-  res.a_matched.assign(static_cast<size_t>(a.NumRows()), 0);
-  res.b_matched.assign(static_cast<size_t>(b.NumRows()), 0);
+  JoinCoreResult res = EmptyJoinResult(a, b);
   OperatorStats* st = ctx.stats;
   if (st != nullptr) {
     st->merge_path = true;
@@ -416,16 +415,21 @@ StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
                      static_cast<uint64_t>(b.NumRows());
   }
 
+  // Key terms bound to their side once; KeyFn copies hold the binding.
   auto side_key_fn = [](const Relation& r, const std::vector<ScalarPtr>& ks) {
-    return [&r, &ks](const Tuple& t, std::vector<Value>* keys) {
+    std::vector<BoundScalar> bound;
+    for (const ScalarPtr& k : ks) bound.emplace_back(*k, r.schema());
+    return [bound = std::move(bound)](const Tuple& t,
+                                      std::vector<Value>* keys) {
       keys->clear();
-      keys->reserve(ks.size());
-      for (const ScalarPtr& k : ks) {
-        Value v = k->Eval(t, r.schema());
+      keys->reserve(bound.size());
+      Value scratch;
+      for (const BoundScalar& k : bound) {
+        const Value& v = k.Ref(RowRef(t), &scratch);
         // NULL never equi-matches under 3VL: drop the row from the merge
         // entirely, exactly like the hash core's NULL-key skip.
         if (v.is_null()) return false;
-        keys->push_back(std::move(v));
+        keys->push_back(v);
       }
       return true;
     };
@@ -437,7 +441,7 @@ StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
   GSOPT_RETURN_IF_ERROR(sb.Init());
   if (st != nullptr) st->null_key_skips += sa.skipped() + sb.skipped();
 
-  Predicate residual(plan.residual);
+  const BoundPredicate residual(Predicate(plan.residual), res.out.schema());
   std::vector<Keyed> ba, bb;
   OpMemory mem_a(ctx), mem_b(ctx);
   GSOPT_RETURN_IF_ERROR(sa.NextBlock(&ba, &mem_a));
@@ -458,12 +462,11 @@ StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
     for (const Keyed& x : ba) {
       for (const Keyed& y : bb) {
         GSOPT_RETURN_IF_ERROR(ctx.Tick("merge-join"));
-        Tuple t = Tuple::Concat(x.t, y.t);
         if (st != nullptr) ++st->residual_evals;
-        if (residual.Satisfied(t, out_schema)) {
+        if (residual.Test(RowRef(x.t, y.t))) {
           res.a_matched[static_cast<size_t>(x.orig)] = 1;
           res.b_matched[static_cast<size_t>(y.orig)] = 1;
-          res.out.Add(std::move(t));
+          res.out.AddConcat(x.t, y.t);
           GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "merge-join"));
         }
       }

@@ -8,7 +8,6 @@ namespace gsopt::exec {
 void OperatorStats::MergeCountersFrom(const OperatorStats& o) {
   rows_in += o.rows_in;
   rows_out += o.rows_out;
-  columnar = columnar || o.columnar;
   batches += o.batches;
   hash_path = hash_path || o.hash_path;
   build_rows += o.build_rows;
@@ -93,8 +92,8 @@ std::string OperatorStats::ToString(int indent) const {
                 static_cast<unsigned long long>(rows_out),
                 static_cast<double>(wall.count()) / 1e6);
   line += buf;
-  if (columnar) {
-    std::snprintf(buf, sizeof(buf), " columnar{batches=%llu}",
+  if (batches > 0) {
+    std::snprintf(buf, sizeof(buf), " batches=%llu",
                   static_cast<unsigned long long>(batches));
     line += buf;
   }

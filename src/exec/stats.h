@@ -33,10 +33,9 @@ struct OperatorStats {
   uint64_t rows_in = 0;    // input tuples consumed (both sides for binaries)
   uint64_t rows_out = 0;   // output tuples produced
 
-  // Columnar-path counters (exec/columnar.cc): set when the operator ran
-  // batch-at-a-time; `batches` counts kBatchRows-row batches processed
-  // (build and probe batches both, for joins).
-  bool columnar = false;
+  // Row ranges the optimized kernels processed (kBatchRows-row batches
+  // serially, morsels in parallel; build and probe ranges both, for
+  // joins). Zero under the reference evaluator.
   uint64_t batches = 0;
 
   // Hash-path counters (join kernels; zero on the nested-loop path).

@@ -6,22 +6,6 @@
 
 namespace gsopt {
 
-Value ColumnValueAt(const Column& c, int64_t i) {
-  if (c.IsNull(i)) return Value::Null();
-  size_t k = static_cast<size_t>(i);
-  switch (c.kind) {
-    case ColumnKind::kInt64:
-      return Value::Int(c.i64[k]);
-    case ColumnKind::kDouble:
-      return Value::Double(c.f64[k]);
-    case ColumnKind::kString:
-      return Value::String(*c.str[k]);
-    case ColumnKind::kMixed:
-      return *c.vals[k];
-  }
-  return Value::Null();
-}
-
 void GatherColumnInto(const Relation& r, int col, int64_t begin, int64_t end,
                       Column* out) {
   GSOPT_DCHECK(begin >= 0 && begin <= end && end <= r.NumRows());

@@ -1,22 +1,26 @@
-// Column-oriented batches over row-store Relations.
+// Column-oriented gathers over row-store Relations: the key columns of
+// the hash-join core and the group-key columns of the hash grouping feed.
 //
-// The executor's hot kernels (exec/columnar.cc) process inputs in batches
-// of kBatchRows rows, gathered column-by-column into typed arrays plus a
-// null bitmap, instead of interpreting Value variants tuple-at-a-time.
-// A Column is a *gather* of one schema column over a row range: the kind
-// is decided per batch from the values actually present, so a column that
-// is int64 in this batch gets a tight int64 array even if another batch of
-// the same relation mixes types (outer-join padding, outer unions).
+// Those kernels process their inputs in row ranges (kBatchRows-row batches
+// serially, morsels in parallel) and gather each key column of a range
+// into a typed array plus a null bitmap, which the binary key encoders
+// (exec/keys.h) then read without interpreting Value variants. A Column
+// is a *gather* of one schema column over a row range: the kind is decided
+// per range from the values actually present, so a column that is int64
+// in this range gets a tight int64 array even if another range of the same
+// relation mixes types (outer-join padding, outer unions). Predicates and
+// other scalar terms are not gathered: the kernels evaluate them per row
+// through the expression binder (exec/bind.h).
 //
-// Batches borrow from their source Relation (string and mixed-value slots
-// hold pointers into the source tuples), so a batch must not outlive the
-// relation it was gathered from, and the relation must not be mutated
-// while batches over it are live. In exchange, gathering is one pass of
+// Gathers borrow from their source Relation (string and mixed-value slots
+// hold pointers into the source tuples), so a gather must not outlive the
+// relation it was taken from, and the relation must not be mutated while
+// gathers over it are live. In exchange, gathering is one pass of
 // trivially-copyable stores per column -- cheap enough to do per operator.
 //
-// Kernels never materialize rows from a batch: gathered columns only feed
-// filters and keys, and outputs copy or concatenate the source tuples
-// themselves, so row ids and original row indices pass through unchanged.
+// Kernels never materialize rows from a gather: gathered columns only feed
+// keys, and outputs copy or concatenate the source tuples themselves, so
+// row ids and original row indices pass through unchanged.
 #ifndef GSOPT_RELATIONAL_COLUMN_BATCH_H_
 #define GSOPT_RELATIONAL_COLUMN_BATCH_H_
 
@@ -28,10 +32,9 @@
 
 namespace gsopt {
 
-// Rows per batch: large enough to amortize per-batch dispatch (one budget
-// tick, one stats update, one filter-compilation reuse per batch), small
-// enough that gathered columns for a handful of predicate/key columns stay
-// cache-resident.
+// Rows per serial batch: large enough to amortize per-batch dispatch (one
+// budget tick, one stats update per batch), small enough that gathered
+// columns for a handful of key columns stay cache-resident.
 inline constexpr int64_t kBatchRows = 2048;
 
 enum class ColumnKind : uint8_t {
@@ -66,9 +69,6 @@ struct Column {
     vals.clear();
   }
 };
-
-// Materializes batch row `i` of `c` back into a Value (copying strings).
-Value ColumnValueAt(const Column& c, int64_t i);
 
 // Gathers column `col` of rows [begin, end). The output borrows string /
 // mixed-value storage from `r`; reuses `out`'s buffers across batches.

@@ -20,9 +20,9 @@ namespace gsopt {
 // rule). The naive `x < y ? -1 : (x > y ? 1 : 0)` formula silently reports
 // "equal" for NaN against ANY number (all NaN comparisons are false), which
 // made the nested-loop join accept NaN = 5.0 while the hash path keyed them
-// apart. Every comparison path -- Value::Compare, the columnar filter
-// loops, key canonicalization -- must route doubles through this one
-// definition.
+// apart. Every comparison path -- Value::Compare, which the reference and
+// the bound predicates of exec/bind.h share, and key canonicalization --
+// must route doubles through this one definition.
 inline int CompareDoubles(double x, double y) {
   if (x < y) return -1;
   if (x > y) return 1;

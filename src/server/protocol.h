@@ -25,8 +25,8 @@
 //                                 <-     ROWS{...} | ERROR{...}
 //
 // The ROWS frame carries the serving disposition ahead of the data --
-// cache-hit flag, degradation (did the optimizer's fallback ladder answer
-// from a lower rung / was the plan space truncated), transient retries --
+// cache-hit flag, degradation (did the optimizer's syntactic fallback
+// answer / was the plan space truncated), transient retries --
 // so a client can observe *how* its query was served without a side
 // channel. The ERROR frame leads with the wire-stable ErrorClass byte
 // (base/status.h): `shed` means the admission controller refused the work

@@ -466,7 +466,7 @@ void GsoptServer::ServeRequest(const ConnPtr& conn) {
 
   // Per-request budget from the tenant quota, with the soft-pressure rung:
   // a deep admission queue shrinks the optimization/execution deadline so
-  // the fallback ladder sheds plan-search work and the backlog drains.
+  // the syntactic fallback sheds plan-search work and the backlog drains.
   const TenantQuota& quota = conn->tenant->quota;
   ResourceBudget budget;
   auto deadline = quota.deadline;

@@ -21,16 +21,17 @@
 //   4. admit: charge the tenant, enqueue. Every admitted request executes
 //      under a fresh ResourceBudget built from its tenant's quota
 //      (deadline / row cap / memory cap), so a single hostile query
-//      degrades or fails alone -- the optimizer's fallback ladder and the
-//      executor's spill path do the graceful part, and the ROWS frame
+//      degrades or fails alone -- the optimizer's syntactic fallback and
+//      the executor's spill path do the graceful part, and the ROWS frame
 //      reports the degraded disposition.
 //
 // Overload shedding is therefore two-layered: hard sheds refuse work
 // before it costs anything (the client sees class `shed` and retries
 // elsewhere/later), while soft pressure -- an admission queue at least
 // half of max_queue deep -- cuts the deadline of admitted work to a
-// quarter, pushing the fallback ladder toward cheaper rungs so the
-// backlog drains faster. No request is ever silently dropped: every
+// quarter, so a search that would outlast it falls back to the syntactic
+// plan sooner and the backlog drains faster. No request is ever silently
+// dropped: every
 // admitted frame gets exactly one ROWS or ERROR frame, shutdown drains
 // in-flight work before closing sockets, and sheds are counted per cause
 // in ServerStats.

@@ -266,7 +266,7 @@ void OracleRunner::RunDegradation() {
     if (!check_best(oo, EnumModeName(mode))) return;
   }
   // The terminal rung, reached the way production reaches it: a budget
-  // that expires immediately forces the ladder all the way down.
+  // that expires immediately forces the syntactic fallback.
   ResourceBudget expired;
   expired.WithDeadlineAfter(std::chrono::microseconds(0));
   OptimizeOptions oo;

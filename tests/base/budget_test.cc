@@ -72,8 +72,6 @@ TEST(ResourceBudgetTest, RowCapCharges) {
   EXPECT_NE(s.message().find("row cap exceeded"), std::string::npos);
   EXPECT_NE(s.message().find("11 > 10"), std::string::npos);
   EXPECT_EQ(b.rows_charged(), 11u);
-  b.ResetRows();
-  EXPECT_TRUE(b.ChargeRows(10, "join").ok());
 }
 
 TEST(ResourceBudgetTest, PlanAccountingIsAdvisory) {
@@ -85,8 +83,6 @@ TEST(ResourceBudgetTest, PlanAccountingIsAdvisory) {
   b.AddPlans(100);
   EXPECT_EQ(b.PlansRemaining(), 0u);
   EXPECT_EQ(b.plans_charged(), 140u);
-  b.ResetPlans();
-  EXPECT_EQ(b.PlansRemaining(), 100u);
 }
 
 TEST(StatusTest, ResourceExhaustedCodeName) {

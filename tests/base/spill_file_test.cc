@@ -1,8 +1,9 @@
 // SpillFile: the RAII temp-file primitive under the out-of-core path.
-// Round-trips bytes through the write buffer, enforces the
+// Round-trips bytes through the write and read buffers, enforces the
 // unlink-on-destruction contract (LiveCount is the process-wide leak
-// oracle), reports truncated reads as kInternal, and surfaces injected
-// spill-I/O faults with the right status taxonomy.
+// oracle), reports truncated reads as kInternal, reads small records back
+// with one syscall per buffer, and surfaces injected spill-I/O faults with
+// the right status taxonomy.
 #include "base/spill_file.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <sys/stat.h>
 
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +56,90 @@ TEST(SpillFileTest, TruncatedReadIsInternalNotCrash) {
   Status s = f->ReadExact(buf, sizeof buf);  // asks for more than written
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
+}
+
+TEST(SpillFileTest, RecordSpanningARefillReadsBack) {
+  auto f = SpillFile::Create("", nullptr);
+  ASSERT_TRUE(f.ok());
+  std::string head(SpillFile::kBufferBytes - 3, 'h');
+  std::string record = "0123456789";
+  ASSERT_TRUE(f->Append(head.data(), head.size()).ok());
+  ASSERT_TRUE(f->Append(record.data(), record.size()).ok());
+  ASSERT_TRUE(f->Rewind().ok());
+  std::string got_head(head.size(), '\0');
+  ASSERT_TRUE(f->ReadExact(got_head.data(), got_head.size()).ok());
+  EXPECT_EQ(got_head, head);
+  // Three bytes come from the first buffer, seven from the refill.
+  std::string got(record.size(), '\0');
+  ASSERT_TRUE(f->ReadExact(got.data(), got.size()).ok());
+  EXPECT_EQ(got, record);
+  EXPECT_EQ(f->bytes_read(), head.size() + record.size());
+}
+
+TEST(SpillFileTest, TruncationAfterAPartialBufferIsInternal) {
+  auto f = SpillFile::Create("", nullptr);
+  ASSERT_TRUE(f.ok());
+  std::string data(SpillFile::kBufferBytes + 5, 'd');
+  ASSERT_TRUE(f->Append(data.data(), data.size()).ok());
+  ASSERT_TRUE(f->Rewind().ok());
+  std::string got(SpillFile::kBufferBytes - 1, '\0');
+  ASSERT_TRUE(f->ReadExact(got.data(), got.size()).ok());
+  // One byte left in the buffer, five in the file: a 100-byte record is
+  // truncated, and the error says how much was there.
+  char buf[100];
+  Status s = f->ReadExact(buf, sizeof buf);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_NE(s.message().find("record promised 100 bytes, 6 available"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(f->bytes_read(), data.size());
+}
+
+TEST(SpillFileTest, RewindMidReadRestartsFromTheFirstByte) {
+  auto f = SpillFile::Create("", nullptr);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(f->Append("abcdefgh", 8).ok());
+  ASSERT_TRUE(f->Rewind().ok());
+  char buf[8];
+  ASSERT_TRUE(f->ReadExact(buf, 3).ok());
+  EXPECT_EQ(std::string(buf, 3), "abc");
+  // The buffered read-ahead ("defgh") must not survive the rewind.
+  ASSERT_TRUE(f->Rewind().ok());
+  ASSERT_TRUE(f->ReadExact(buf, 8).ok());
+  EXPECT_EQ(std::string(buf, 8), "abcdefgh");
+  EXPECT_EQ(f->bytes_read(), 11u);
+}
+
+// The process's read-syscall count (the `syscr` line of /proc/self/io), or
+// -1 when that file is unreadable.
+int64_t ReadSyscalls() {
+  std::ifstream io("/proc/self/io");
+  std::string key;
+  int64_t value = 0;
+  while (io >> key >> value) {
+    if (key == "syscr:") return value;
+  }
+  return -1;
+}
+
+TEST(SpillFileTest, SmallRecordsReadBackWithFewSyscalls) {
+  auto f = SpillFile::Create("", nullptr);
+  ASSERT_TRUE(f.ok());
+  constexpr int kRecords = 4096;
+  for (int64_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(f->Append(&i, sizeof i).ok());
+  }
+  ASSERT_TRUE(f->Rewind().ok());
+  const int64_t before = ReadSyscalls();
+  if (before < 0) GTEST_SKIP() << "/proc/self/io is unreadable";
+  for (int64_t i = 0; i < kRecords; ++i) {
+    int64_t v = -1;
+    ASSERT_TRUE(f->ReadExact(&v, sizeof v).ok());
+    ASSERT_EQ(v, i);
+  }
+  // 32 KB of records fit one buffer: one read() plus the probe's own.
+  EXPECT_LT(ReadSyscalls() - before, 16);
 }
 
 TEST(SpillFileTest, DestructorUnlinksAndLiveCountReturnsToZero) {

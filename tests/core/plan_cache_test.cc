@@ -226,35 +226,28 @@ TEST(PlanCacheTest, OutputNamesArePartOfTheCacheKey) {
 }
 
 TEST(PlanCacheTest, LruEvictsOldestShapeAtCapacity) {
-  Catalog cat = MakeCatalog(78, 3);
-  Session session(cat, SessionOptions{}
-                           .WithPlanCacheCapacity(2)
-                           .WithPlanCacheShards(1));
-  // Three distinct shapes (different selection columns).
-  auto shape = [](const std::string& col) {
-    return Node::Select(
-        Node::Join(Node::Leaf("r1"), Node::Leaf("r2"),
-                   Predicate(MakeAtom("r1", "a", CmpOp::kEq, "r2", "a"))),
-        Predicate(MakeConstAtom("r1", col, CmpOp::kLe, Value::Int(3))));
+  PlanCache cache(/*capacity=*/2, /*num_shards=*/1);
+  // Three distinct shapes (fingerprints and canonical forms).
+  auto entry = [](const std::string& canonical) {
+    auto plan = std::make_shared<CachedPlan>();
+    plan->canonical = canonical;
+    return plan;
   };
-  ASSERT_TRUE(session.Run(shape("a")).ok());
-  ASSERT_TRUE(session.Run(shape("b")).ok());
-  ASSERT_TRUE(session.Run(shape("a")).ok());  // touch: "a" is now MRU
-  ASSERT_TRUE(session.Run(shape("c")).ok());  // evicts "b"
-  PlanCacheStats stats = session.cache_stats();
+  cache.Insert(1, 0, entry("a"));
+  cache.Insert(2, 0, entry("b"));
+  ASSERT_NE(cache.Lookup(1, "a", 0), nullptr);  // touch: "a" is now MRU
+  EXPECT_EQ(cache.Insert(3, 0, entry("c")), 1u);  // evicts "b"
+  PlanCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1u);
-  auto a_again = session.Run(shape("a"));
-  ASSERT_TRUE(a_again.ok());
-  EXPECT_TRUE(a_again->cache_hit);  // survived as MRU
-  auto b_again = session.Run(shape("b"));
-  ASSERT_TRUE(b_again.ok());
-  EXPECT_FALSE(b_again->cache_hit);  // was evicted
+  EXPECT_NE(cache.Lookup(1, "a", 0), nullptr);  // survived as MRU
+  EXPECT_EQ(cache.Lookup(2, "b", 0), nullptr);  // was evicted
+  EXPECT_NE(cache.Lookup(3, "c", 0), nullptr);
 }
 
 TEST(PlanCacheTest, ConcurrentServingStaysExact) {
   Catalog cat = MakeCatalog(79, 3);
-  Session session(cat, SessionOptions{}.WithPlanCacheShards(4));
+  Session session(cat);
   // Ground truth per pivot, computed serially without any cache.
   constexpr int kPivots = 4;
   std::vector<Relation> expected;
@@ -450,8 +443,7 @@ TEST(SessionTest, TransientFaultIsRetriedPersistentIsNot) {
     Session session(cat, SessionOptions{}
                              .WithExecutor(&executor)
                              .WithFault(&fi)
-                             .WithRetries(2)
-                             .WithRetryBackoff(std::chrono::microseconds(1)));
+                             .WithRetries(2));
     auto served = session.Run(q);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     EXPECT_EQ(served->transient_retries, 1);
@@ -469,8 +461,7 @@ TEST(SessionTest, TransientFaultIsRetriedPersistentIsNot) {
     FaultInjector fi(o);
     Session session(cat, SessionOptions{}
                              .WithFault(&fi)
-                             .WithRetries(3)
-                             .WithRetryBackoff(std::chrono::microseconds(1)));
+                             .WithRetries(3));
     auto served = session.Run(q);
     ASSERT_FALSE(served.ok());
     EXPECT_EQ(served.status().code(), StatusCode::kResourceExhausted);

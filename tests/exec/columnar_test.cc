@@ -1,15 +1,13 @@
-// Optimized-vs-reference differential suite for the batch kernel paths:
+// Optimized-vs-reference differential suite for the optimized kernels:
 // the optimized kernels (BatchMode::kAuto) must reproduce the reference
 // evaluator
 // (BatchMode::kOff: row-at-a-time selection and aggregation, nested-loop
-// joins) on every shape -- selection (exact row order), hash joins of
-// every flavor (bag equality), hash aggregation, and the parallel twins --
-// across batch-boundary sizes, NULL-heavy data, mixed-type columns,
-// fallback atoms, arithmetic join keys, and the memory-cap spill
-// degradation. Also unit-tests the column gather and the compiled filter
-// directly.
-#include "exec/columnar.h"
-
+// joins) on every shape -- selection (exact row order), hash and merge
+// joins of every flavor with bound residuals (bag equality), hash
+// aggregation with bound inputs, and the parallel twins -- across
+// batch-boundary sizes, NULL-heavy data, mixed-type columns, $n slots,
+// arithmetic terms and keys, special doubles, and the memory-cap spill
+// degradation. Also unit-tests the column gather.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -43,9 +41,6 @@ using exec::RightOuterJoin;
 using exec::Select;
 using exec::SemiJoin;
 using exec::SpillConfig;
-using exec::internal::ApplyFilter;
-using exec::internal::CompiledFilter;
-using exec::internal::CompileFilter;
 
 Value I(int64_t v) { return Value::Int(v); }
 Value D(double v) { return Value::Double(v); }
@@ -95,7 +90,7 @@ TEST(ColumnBatchTest, KindDetectionPerBatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled filter: exact-order equality with the reference Select across
+// Bound predicates: exact-order equality with the reference Select across
 // predicate shapes and batch-boundary sizes.
 // ---------------------------------------------------------------------------
 
@@ -105,7 +100,8 @@ void ExpectSelectExactlyMatches(const Relation& r, const Predicate& p) {
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(col.ok());
   ASSERT_EQ(ref->NumRows(), col->NumRows()) << p.ToString();
-  // ColumnarSelect guarantees the exact reference order, not just the bag.
+  // Serial optimized Select keeps the exact reference order, not just the
+  // bag.
   for (int64_t i = 0; i < ref->NumRows(); ++i) {
     for (size_t c = 0; c < ref->row(i).values.size(); ++c) {
       EXPECT_TRUE(Value::IdentityEquals(ref->row(i).values[c],
@@ -126,12 +122,12 @@ TEST(ColumnarSelectTest, PredicateShapesMatchReference) {
   preds.emplace_back(MakeIsNullAtom("ra", "b", /*negated=*/true));
   preds.push_back(Predicate::True());
   preds.emplace_back(MakeTautologyAtom());
-  // Comparison against a NULL constant is never TRUE (compiles to kNever).
+  // Comparison against a NULL constant is never TRUE (folded at bind).
   preds.emplace_back(MakeConstAtom("ra", "a", CmpOp::kEq, N()));
-  // Unresolvable column: Scalar::Eval yields NULL, the compiler folds it.
+  // Unresolvable column: Scalar::Eval yields NULL, the binder folds it.
   preds.emplace_back(MakeAtom("ra", "a", CmpOp::kEq, "zz", "q"));
   preds.emplace_back(MakeIsNullAtom("zz", "q", /*negated=*/false));
-  // Arithmetic operand: exercises the per-row fallback atom.
+  // Arithmetic operand: evaluated per row through the bound term.
   {
     Predicate p;
     p.AddAtom(Atom{Atom::Kind::kCompare,
@@ -140,7 +136,7 @@ TEST(ColumnarSelectTest, PredicateShapesMatchReference) {
                    CmpOp::kLe, Scalar::Column("ra", "b")});
     preds.push_back(p);
   }
-  // Conjunction mixing native and fallback atoms.
+  // Conjunction mixing plain and arithmetic atoms.
   {
     Predicate p(MakeConstAtom("ra", "a", CmpOp::kGt, I(0)));
     p.AddAtom(Atom{Atom::Kind::kCompare,
@@ -149,6 +145,44 @@ TEST(ColumnarSelectTest, PredicateShapesMatchReference) {
                    CmpOp::kGt, Scalar::Column("ra", "a")});
     preds.push_back(p);
   }
+  // Arithmetic on both sides, division by zero (NULL) included.
+  preds.emplace_back(Atom{
+      Atom::Kind::kCompare,
+      Scalar::Arith(ArithOp::kAdd, Scalar::Column("ra", "a"),
+                    Scalar::Const(I(1))),
+      CmpOp::kLe,
+      Scalar::Arith(ArithOp::kMul, Scalar::Column("ra", "b"),
+                    Scalar::Const(I(2)))});
+  preds.emplace_back(Atom{
+      Atom::Kind::kCompare,
+      Scalar::Arith(ArithOp::kDiv, Scalar::Column("ra", "b"),
+                    Scalar::Column("ra", "a")),
+      CmpOp::kGe,
+      Scalar::Arith(ArithOp::kSub, Scalar::Column("ra", "a"),
+                    Scalar::Column("zz", "q"))});
+  // Arithmetic over constants folds; arithmetic IS NULL tests the term.
+  preds.emplace_back(Atom{Atom::Kind::kCompare,
+                          Scalar::Arith(ArithOp::kAdd, Scalar::Const(I(1)),
+                                        Scalar::Const(I(2))),
+                          CmpOp::kGt, Scalar::Column("ra", "a")});
+  preds.emplace_back(Atom{Atom::Kind::kIsNull,
+                          Scalar::Arith(ArithOp::kDiv,
+                                        Scalar::Column("ra", "a"),
+                                        Scalar::Column("ra", "b")),
+                          CmpOp::kEq, nullptr});
+  // Unsubstituted $n slots evaluate to NULL: a comparison with one is
+  // never TRUE, `$1 IS NULL` always is, and arithmetic over one is NULL.
+  preds.emplace_back(Atom{Atom::Kind::kCompare, Scalar::Column("ra", "a"),
+                          CmpOp::kEq, Scalar::Param(0)});
+  preds.emplace_back(
+      Atom{Atom::Kind::kIsNull, Scalar::Param(1), CmpOp::kEq, nullptr});
+  preds.emplace_back(
+      Atom{Atom::Kind::kIsNotNull, Scalar::Param(1), CmpOp::kEq, nullptr});
+  preds.emplace_back(Atom{Atom::Kind::kCompare,
+                          Scalar::Arith(ArithOp::kAdd,
+                                        Scalar::Column("ra", "a"),
+                                        Scalar::Param(0)),
+                          CmpOp::kNe, Scalar::Column("ra", "b")});
   for (const Predicate& p : preds) ExpectSelectExactlyMatches(r, p);
 }
 
@@ -175,6 +209,20 @@ TEST(ColumnarSelectTest, MixedTypeColumnsMatchReference) {
                                                    "ra", "b")));
   ExpectSelectExactlyMatches(r, Predicate(MakeConstAtom("ra", "a", CmpOp::kEq,
                                                         S("x"))));
+  // Arithmetic on both sides over mixed types (a string operand yields
+  // NULL), and a $n slot against a mixed column.
+  auto arith = [](ArithOp op, const std::string& col, Value k) {
+    return Scalar::Arith(op, Scalar::Column("ra", col),
+                         Scalar::Const(std::move(k)));
+  };
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kLt, CmpOp::kGe}) {
+    ExpectSelectExactlyMatches(
+        r, Predicate(Atom{Atom::Kind::kCompare, arith(ArithOp::kAdd, "a", I(0)),
+                          op, arith(ArithOp::kMul, "b", D(1.0))}));
+  }
+  ExpectSelectExactlyMatches(
+      r, Predicate(Atom{Atom::Kind::kCompare, Scalar::Param(0), CmpOp::kLe,
+                        Scalar::Column("ra", "a")}));
 
   // Typed int64 against double columns past 2^53 compare exactly:
   // int(2^53+1) equals neither double(2^53) nor the constant 2^53.0.
@@ -201,6 +249,18 @@ TEST(ColumnarSelectTest, MixedTypeColumnsMatchReference) {
                    Optimized())
                 ->NumRows(),
             1);
+  // Arithmetic keeps the exact rule: int + 0 stays int, int * 1.0 rounds
+  // to a double first.
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kLt, CmpOp::kNe}) {
+    ExpectSelectExactlyMatches(
+        typed, Predicate(Atom{Atom::Kind::kCompare,
+                              arith(ArithOp::kAdd, "a", I(0)), op,
+                              arith(ArithOp::kSub, "b", I(0))}));
+    ExpectSelectExactlyMatches(
+        typed, Predicate(Atom{Atom::Kind::kCompare,
+                              arith(ArithOp::kMul, "a", D(1.0)), op,
+                              Scalar::Column("ra", "b")}));
+  }
 }
 
 TEST(ColumnarSelectTest, OnlyTheReferenceRunsRowAtATime) {
@@ -211,27 +271,13 @@ TEST(ColumnarSelectTest, OnlyTheReferenceRunsRowAtATime) {
     ExecContext ctx;
     ctx.stats = &st;
     ASSERT_TRUE(Select(r, p, ctx).ok());
-    EXPECT_TRUE(st.columnar) << rows << " rows";
-    EXPECT_GT(st.batches, 0u);
+    EXPECT_GT(st.batches, 0u) << rows << " rows";
     OperatorStats ref_st;
     ExecContext ref = Reference();
     ref.stats = &ref_st;
     ASSERT_TRUE(Select(r, p, ref).ok());
-    EXPECT_FALSE(ref_st.columnar);
+    EXPECT_EQ(ref_st.batches, 0u);
   }
-}
-
-TEST(ApplyFilterTest, RefinesAcrossAtomsInAscendingOrder) {
-  Relation r = MakeRelation("r", {"x"},
-                            {{I(5)}, {I(1)}, {I(4)}, {N()}, {I(2)}});
-  Predicate p(MakeConstAtom("r", "x", CmpOp::kGe, I(2)));
-  p.AddAtom(MakeConstAtom("r", "x", CmpOp::kLe, I(4)));
-  CompiledFilter f = CompileFilter(p, r.schema());
-  std::vector<Column> cols;
-  GatherColumnsInto(r, f.cols, 0, r.NumRows(), &cols);
-  std::vector<int32_t> sel;
-  ApplyFilter(f, r, 0, r.NumRows(), cols, &sel);
-  EXPECT_EQ(sel, (std::vector<int32_t>{2, 4}));
 }
 
 // ---------------------------------------------------------------------------
@@ -325,6 +371,82 @@ TEST(ColumnarJoinTest, ArithmeticKeyRunsOnTheHashCore) {
   ASSERT_TRUE(reference.ok());
   EXPECT_FALSE(ref_st.hash_path);
   EXPECT_TRUE(Relation::BagEquals(*reference, *forced));
+}
+
+// Rows keyed on a (small domain, some NULL) whose b cycles through the
+// values the residual comparisons must get exactly right: int/double past
+// 2^53, signed zeros, NaN, NULL and a string.
+Relation SpecialValueRel(const std::string& name, int rows, int offset) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const int64_t two53 = int64_t{1} << 53;
+  const std::vector<Value> specials = {
+      I(two53 + 1), D(static_cast<double>(two53)), D(-0.0), D(0.0), I(0),
+      D(nan),       N(),                           I(-2),   D(2.5), S("s")};
+  std::vector<std::vector<Value>> data;
+  for (int i = 0; i < rows; ++i) {
+    data.push_back({i % 5 == 4 ? N() : I(i % 3),
+                    specials[static_cast<size_t>(i + offset) %
+                             specials.size()]});
+  }
+  return MakeRelation(name, {"a", "b"}, data);
+}
+
+TEST(ColumnarJoinTest, BoundResidualsMatchNestedLoopsOnEveryFlavor) {
+  auto col = [](const std::string& rel) { return Scalar::Column(rel, "b"); };
+  auto cmp = [](ScalarPtr l, CmpOp op, ScalarPtr r) {
+    return Atom{Atom::Kind::kCompare, std::move(l), op, std::move(r)};
+  };
+  std::vector<Predicate> residuals;
+  for (CmpOp op : {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt, CmpOp::kGe}) {
+    // Not separable (both sides read rb), so it stays residual.
+    residuals.emplace_back(cmp(
+        col("ra"), op,
+        Scalar::Arith(ArithOp::kAdd, col("rb"), Scalar::Column("rb", "a"))));
+    residuals.emplace_back(cmp(col("ra"), op, col("rb")));
+  }
+  residuals.emplace_back(cmp(
+      Scalar::Arith(ArithOp::kMul, col("ra"), Scalar::Const(D(1.0))),
+      CmpOp::kLe,
+      Scalar::Arith(ArithOp::kSub, col("rb"), Scalar::Const(I(0)))));
+  residuals.emplace_back(MakeIsNullAtom("rb", "b", /*negated=*/false));
+  {
+    Predicate p(MakeIsNullAtom("ra", "b", /*negated=*/true));
+    p.AddAtom(cmp(col("rb"), CmpOp::kGt, Scalar::Const(D(-1.0))));
+    residuals.push_back(p);
+  }
+  Relation a = SpecialValueRel("ra", 40, 0);
+  Relation b = SpecialValueRel("rb", 30, 3);
+  for (bool merge : {false, true}) {
+    for (const Predicate& res : residuals) {
+      Predicate p = Predicate::And(EqA(), res);
+      ExecContext opt = Optimized();
+      opt.merge_hint = merge;
+      OperatorStats st;
+      opt.stats = &st;
+      std::string what =
+          p.ToString() + (merge ? " (merge core)" : " (hash core)");
+      EXPECT_TRUE(Relation::BagEquals(*InnerJoin(a, b, p, Reference()),
+                                      *InnerJoin(a, b, p, opt)))
+          << what;
+      EXPECT_TRUE(merge ? st.merge_path : st.hash_path) << what;
+      opt.stats = nullptr;
+      EXPECT_TRUE(Relation::BagEquals(*LeftOuterJoin(a, b, p, Reference()),
+                                      *LeftOuterJoin(a, b, p, opt)))
+          << what;
+      EXPECT_TRUE(Relation::BagEquals(*RightOuterJoin(a, b, p, Reference()),
+                                      *RightOuterJoin(a, b, p, opt)))
+          << what;
+      EXPECT_TRUE(Relation::BagEquals(*FullOuterJoin(a, b, p, Reference()),
+                                      *FullOuterJoin(a, b, p, opt)))
+          << what;
+      EXPECT_TRUE(Relation::BagEquals(*SemiJoin(a, b, p, Reference()),
+                                      *SemiJoin(a, b, p, opt)))
+          << what;
+      EXPECT_TRUE(Relation::BagEquals(*AntiJoin(a, b, p, Reference()),
+                                      *AntiJoin(a, b, p, opt)))
+          << what;
+    }
+  }
 }
 
 TEST(ColumnarJoinTest, SpillUnderMemoryCapMatchesUncapped) {
@@ -471,7 +593,7 @@ TEST(ColumnarAggTest, GroupByMatchesReference) {
     ASSERT_TRUE(ref.ok());
     ASSERT_TRUE(col.ok());
     EXPECT_TRUE(Relation::BagEquals(*ref, *col)) << "seed " << seed;
-    EXPECT_TRUE(st.columnar);
+    EXPECT_GT(st.batches, 0u);
   }
 }
 
@@ -489,7 +611,7 @@ TEST(ColumnarAggTest, DistinctAggRunsOnTheBatchFeedAndMatches) {
   ASSERT_TRUE(ref.ok());
   ASSERT_TRUE(col.ok());
   EXPECT_TRUE(Relation::BagEquals(*ref, *col));
-  EXPECT_TRUE(st.columnar);  // DISTINCT only pins the feed to one lane
+  EXPECT_GT(st.batches, 0u);  // DISTINCT only pins the feed to one lane
 }
 
 TEST(ColumnarAggTest, GroupKeyNullsAndVidsMatchReference) {
@@ -535,6 +657,40 @@ TEST(ColumnarParallelTest, SelectAndJoinMatchSerialReference) {
                             *InnerJoin(a, b, EqAWithResidual(), par)));
     EXPECT_TRUE(Relation::BagEquals(*FullOuterJoin(a, b, EqA(), Reference()),
                                     *FullOuterJoin(a, b, EqA(), par)));
+  }
+}
+
+TEST(ColumnarParallelTest, ArithmeticAggInputsMatchReference) {
+  auto term = [](ArithOp op, ScalarPtr l, ScalarPtr r) {
+    return Scalar::Arith(op, std::move(l), std::move(r));
+  };
+  ScalarPtr a = Scalar::Column("ra", "a");
+  ScalarPtr b = Scalar::Column("ra", "b");
+  GroupBySpec spec;
+  spec.group_cols = {Attribute{"ra", "a"}};
+  spec.aggs.push_back(Agg(AggFunc::kSum,
+                          term(ArithOp::kAdd,
+                               term(ArithOp::kMul, b, Scalar::Const(I(2))), a),
+                          "s"));
+  spec.aggs.push_back(
+      Agg(AggFunc::kMin, term(ArithOp::kSub, b, Scalar::Const(I(1))), "lo"));
+  spec.aggs.push_back(Agg(AggFunc::kMax, term(ArithOp::kDiv, b, a), "hi"));
+  spec.aggs.push_back(
+      Agg(AggFunc::kAvg, term(ArithOp::kDiv, b, Scalar::Const(I(2))), "m"));
+  spec.aggs.push_back(Agg(AggFunc::kCount, term(ArithOp::kAdd, a, b), "c"));
+  spec.aggs.push_back(Agg(AggFunc::kCountStar, nullptr, "n"));
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    Relation r = RandomRel("ra", 230, 70 + seed);
+    StatusOr<Relation> ref = GeneralizedProjection(r, spec, Reference());
+    ASSERT_TRUE(ref.ok());
+    ExecContext par = Optimized();
+    par.executor = TestExecutor();
+    for (const ExecContext& ctx : {Optimized(), par}) {
+      StatusOr<Relation> got = GeneralizedProjection(r, spec, ctx);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(Relation::BagEquals(*ref, *got))
+          << "seed " << seed << (ctx.executor ? " parallel" : " serial");
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // gsopt_server: serves the gsopt wire protocol (src/server/protocol.h)
 // over TCP from a seeded demo catalog. The serving stack is the real one
 // -- gsopt::Session with its sharded plan cache and statement-text memo,
-// per-tenant admission control, the optimizer fallback ladder under
+// per-tenant admission control, the optimizer's syntactic fallback under
 // per-request budgets -- only the data is synthetic (r1..rN with columns
 // a, b, c; relational/datagen.h).
 //
