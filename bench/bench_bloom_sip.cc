@@ -1,11 +1,11 @@
 // Bloom-filter sideways-information-passing sweep (EXPERIMENTS.md B1):
 // the same build-heavy-probe join at match rates from 0.1% to 50%, once
 // with BloomMode::kOff and once with BloomMode::kAuto, on each lane count
-// of the hash-join core -- serial ("Columnar"), morsel-parallel (4 lanes),
+// of the hash-join core -- serial, morsel-parallel (4 lanes),
 // and memory-starved/spilled. The probe side draws `match_permille` of
 // its keys from the build domain and the rest from a disjoint domain, so
 // the filter's reject rate tracks (1 - match rate) directly; the headline
-// pair is the 16384-row / 1% columnar-auto comparison.
+// pair is the 16384-row / 1% serial-auto comparison.
 //
 // Benchmark arguments: {rows, match_permille}.
 #include <benchmark/benchmark.h>
@@ -75,12 +75,10 @@ void RunJoin(benchmark::State& state, exec::BloomMode bloom, bool parallel,
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-// "Columnar" names the serial core, keeping the names of the committed
-// baselines.
-void BM_JoinColumnarOff(benchmark::State& state) {
+void BM_JoinSerialOff(benchmark::State& state) {
   RunJoin(state, exec::BloomMode::kOff, false, false);
 }
-void BM_JoinColumnarBloom(benchmark::State& state) {
+void BM_JoinSerialBloom(benchmark::State& state) {
   RunJoin(state, exec::BloomMode::kAuto, false, false);
 }
 void BM_JoinParallelOff(benchmark::State& state) {
@@ -102,8 +100,8 @@ void BM_JoinSpilledBloom(benchmark::State& state) {
       ->Args({16384, 500})->Args({65536, 10})                     \
       ->Unit(benchmark::kMicrosecond)
 
-BENCHMARK(BM_JoinColumnarOff)->MATCH_SWEEP;
-BENCHMARK(BM_JoinColumnarBloom)->MATCH_SWEEP;
+BENCHMARK(BM_JoinSerialOff)->MATCH_SWEEP;
+BENCHMARK(BM_JoinSerialBloom)->MATCH_SWEEP;
 BENCHMARK(BM_JoinParallelOff)->MATCH_SWEEP;
 BENCHMARK(BM_JoinParallelBloom)->MATCH_SWEEP;
 BENCHMARK(BM_JoinSpilledOff)->MATCH_SWEEP;

@@ -1,11 +1,11 @@
-// Batch kernels (EXPERIMENTS.md "Columnar batch execution"): selection and
+// Optimized kernels (EXPERIMENTS.md V1, X1, Y1): selection and
 // aggregation on the same input once with BatchMode::kOff (the reference
-// evaluator's row-at-a-time kernels) and once with BatchMode::kAuto (the
-// batch paths), plus the hash-join core. The reference join is nested
-// loops -- quadratic, so it has no pair here. The input shapes mirror
-// bench_gs_cost's Inputs -- domain rows/4+1, so joins have ~4 matches per
-// key. Aggregation groups on the join column with a SUM and a COUNT(*)
-// per group.
+// evaluator's row-at-a-time kernels) and once with BatchMode::kAuto (bound
+// predicates, keys encoded straight from the rows), plus the hash-join
+// core. The reference join is nested loops -- quadratic, so it has no pair
+// here. The input shapes mirror bench_gs_cost's Inputs -- domain rows/4+1,
+// so joins have ~4 matches per key. Aggregation groups on the join column
+// with a SUM and a COUNT(*) per group.
 #include <benchmark/benchmark.h>
 
 #include "report.h"
@@ -66,7 +66,7 @@ void BM_SelectTuple(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_SelectColumnar(benchmark::State& state) {
+void BM_SelectOptimized(benchmark::State& state) {
   Inputs in(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -75,7 +75,7 @@ void BM_SelectColumnar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_InnerJoinColumnar(benchmark::State& state) {
+void BM_InnerJoinOptimized(benchmark::State& state) {
   Inputs in(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -94,7 +94,7 @@ void BM_HashAggregateTuple(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_HashAggregateColumnar(benchmark::State& state) {
+void BM_HashAggregateOptimized(benchmark::State& state) {
   Inputs in(state.range(0));
   exec::GroupBySpec spec = AggSpecOnX();
   for (auto _ : state) {
@@ -107,10 +107,10 @@ void BM_HashAggregateColumnar(benchmark::State& state) {
 
 #define SIZES Arg(1024)->Arg(4096)->Arg(16384)->Unit(benchmark::kMicrosecond)
 BENCHMARK(BM_SelectTuple)->SIZES;
-BENCHMARK(BM_SelectColumnar)->SIZES;
-BENCHMARK(BM_InnerJoinColumnar)->SIZES;
+BENCHMARK(BM_SelectOptimized)->SIZES;
+BENCHMARK(BM_InnerJoinOptimized)->SIZES;
 BENCHMARK(BM_HashAggregateTuple)->SIZES;
-BENCHMARK(BM_HashAggregateColumnar)->SIZES;
+BENCHMARK(BM_HashAggregateOptimized)->SIZES;
 
 }  // namespace
 }  // namespace gsopt

@@ -10,7 +10,6 @@
 #include "exec/keys.h"
 #include "exec/lane_control.h"
 #include "exec/spill.h"
-#include "relational/column_batch.h"
 
 namespace gsopt::exec {
 
@@ -291,14 +290,14 @@ Status EmitGroups(const ResolvedGP& rs, const GroupMap& gm,
 
 // The hash grouping feed, serial or morsel-parallel -- serial whenever a
 // DISTINCT aggregate needs one dedup set per group, since per-lane sets
-// cannot be combined without re-deduplicating the inputs. Each range
-// gathers its group-key columns and grouping vids once and encodes binary
-// group keys (the bytes EncodeTupleKeyInto produces); aggregate inputs
-// are read per row through their bound terms (exec/bind.h). Lanes
-// discover groups in row order into private maps merged in lane order, so
-// a serial run's representatives, emit order and synthetic ordinals match
-// the reference feed. Lane l's group state is charged to (*mem)[l], which
-// the caller keeps alive until the groups are emitted.
+// cannot be combined without re-deduplicating the inputs. Each row's group
+// key is encoded straight from the row (EncodeTupleKeyInto, as FeedRows
+// does); aggregate inputs are read per row through their bound terms
+// (exec/bind.h). Lanes discover groups in row order into private maps
+// merged in lane order, so a serial run's representatives, emit order and
+// synthetic ordinals match the reference feed. Lane l's group state is
+// charged to (*mem)[l], which the caller keeps alive until the groups are
+// emitted.
 Status HashFeed(const Relation& r, const ResolvedGP& rs,
                 const ExecContext& ctx, std::vector<OpMemory>* mem,
                 GroupMap* gm, bool* mem_trip) {
@@ -319,8 +318,6 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
   struct Lane {
     GroupMap groups;
     OperatorStats stats;
-    std::vector<Column> gcols;
-    std::vector<std::vector<RowId>> gvids;
   };
   std::vector<Lane> lane_state(nlanes);
   mem->clear();
@@ -338,14 +335,11 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
     };
     Status s = ctx.Tick("group-by");
     if (!s.ok()) return fail(std::move(s), false);
-    GatherColumnsInto(r, rs.gcol_idx, begin, end, &ln.gcols);
-    GatherVidsInto(r, rs.gvid_idx, begin, end, &ln.gvids);
     ++ln.stats.batches;
     std::string key;
-    for (int64_t i = 0; i < end - begin; ++i) {
-      const Tuple& t = r.row(begin + i);
-      key.clear();
-      AppendBatchGroupKey(ln.gcols, ln.gvids, i, &key);
+    for (int64_t i = begin; i < end; ++i) {
+      const Tuple& t = r.row(i);
+      EncodeTupleKeyInto(t, rs.gcol_idx, rs.gvid_idx, &key);
       auto it = ln.groups.groups.find(key);
       if (it == ln.groups.groups.end()) {
         s = m.Charge(GroupBytes(rs, key, t), "group-by");

@@ -3,8 +3,8 @@
 // Every equi-join -- serial or morsel-parallel, plain or with arithmetic
 // key terms, in memory or inside one out-of-core partition -- builds and
 // probes in RunHashJoin:
-//   * key terms are bound once per input (KeyColumns) and gathered a batch
-//     (serial) or a morsel (parallel) at a time;
+//   * key terms are bound once per input (KeyColumns, shared by every
+//     lane), and each row's key is encoded straight from the row;
 //   * keys are the binary encoding of exec/keys.h, stored in per-lane
 //     KeyArenas and indexed by open-addressing JoinHashTables;
 //   * pass 1 encodes and radix-partitions the build side, pass 2 builds one
@@ -31,44 +31,8 @@ namespace gsopt::exec::internal {
 
 KeyColumns::KeyColumns(const std::vector<ScalarPtr>& keys, const Relation& r)
     : r_(&r) {
-  for (const ScalarPtr& k : keys) {
-    terms_.emplace_back(*k, r.schema());
-    col_.push_back(terms_.back().column());
-    all_columns_ = all_columns_ && col_.back() >= 0;
-  }
-  computed_.resize(keys.size());
-}
-
-void KeyColumns::Gather(int64_t begin, int64_t end) {
-  if (all_columns_) {
-    GatherColumnsInto(*r_, col_, begin, end, &cols_);
-    return;
-  }
-  const size_t n = static_cast<size_t>(end - begin);
-  cols_.resize(col_.size());
-  Value scratch;
-  for (size_t k = 0; k < col_.size(); ++k) {
-    Column& c = cols_[k];
-    if (col_[k] >= 0) {
-      GatherColumnInto(*r_, col_[k], begin, end, &c);
-      continue;
-    }
-    std::vector<Value>& vals = computed_[k];
-    vals.clear();
-    vals.reserve(n);
-    for (int64_t i = begin; i < end; ++i) {
-      vals.push_back(terms_[k].Ref(RowRef(r_->row(i)), &scratch));
-    }
-    c.Clear();
-    c.kind = ColumnKind::kMixed;
-    c.nulls.resize(n);
-    c.vals.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      c.vals[i] = &vals[i];
-      c.nulls[i] = vals[i].is_null() ? 1 : 0;
-      c.has_nulls = c.has_nulls || vals[i].is_null();
-    }
-  }
+  terms_.reserve(keys.size());
+  for (const ScalarPtr& k : keys) terms_.emplace_back(*k, r.schema());
 }
 
 JoinCoreResult EmptyJoinResult(const Relation& a, const Relation& b) {
@@ -186,7 +150,7 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
   std::vector<OpMemory> lane_mem;
   lane_mem.reserve(nlanes);
   for (size_t l = 0; l < nlanes; ++l) lane_mem.emplace_back(ctx);
-  std::vector<KeyColumns> b_keys(nlanes, KeyColumns(plan.b_keys, b));
+  const KeyColumns b_keys(plan.b_keys, b);
   std::atomic<bool> trip{false};
   // Without a budget the charge only probes the fault injector, so the
   // per-row byte estimate is skipped.
@@ -198,14 +162,12 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
     Status s = ctx.Tick("join");
     if (!s.ok()) return control.Fail(lane, std::move(s));
     OperatorStats& st = lane_stats[l];
-    KeyColumns& kc = b_keys[l];
-    kc.Gather(begin, end);
     ++st.batches;
     std::string key;
     uint64_t bytes = 0;
-    for (int64_t i = 0; i < end - begin; ++i) {
+    for (int64_t i = begin; i < end; ++i) {
       key.clear();
-      if (!AppendBatchKey(kc.cols(), i, &key)) {
+      if (!b_keys.Append(i, &key)) {
         ++st.null_key_skips;
         continue;
       }
@@ -213,11 +175,9 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
       uint64_t off = arenas[l].Append(key);
       lane_parts[l][part_of(h)].push_back(JoinHashTable::Entry{
           h, off, static_cast<uint32_t>(key.size()),
-          static_cast<uint32_t>(lane), begin + i, -1});
+          static_cast<uint32_t>(lane), i, -1});
       ++st.build_rows;
-      if (budgeted) {
-        bytes += ApproxTupleBytes(b.row(begin + i)) + 64 + key.size();
-      }
+      if (budgeted) bytes += ApproxTupleBytes(b.row(i)) + 64 + key.size();
     }
     if (charge_build) {
       s = lane_mem[l].Charge(bytes, "join");
@@ -307,7 +267,7 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
   // statically no-ops; hoisting that check out of the duplicate-chain walk
   // keeps the per-pair loop free of dead policy probes.
   const bool idle = ctx.fault == nullptr && ctx.budget == nullptr;
-  std::vector<KeyColumns> a_keys(nlanes, KeyColumns(plan.a_keys, a));
+  const KeyColumns a_keys(plan.a_keys, a);
   ForRanges(ctx, lanes, a.NumRows(), [&](int lane, int64_t begin,
                                          int64_t end) {
     if (control.cancelled()) return;
@@ -318,8 +278,6 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
     ProbeLane& pl = probe_lanes[l];
     Relation& out = out_lanes.out(lane);
     std::vector<char>& bm = out_lanes.b_matched(lane);
-    KeyColumns& kc = a_keys[l];
-    kc.Gather(begin, end);
     ++st.batches;
 
     // Emits the matches of probe row gi along the chain starting at e.
@@ -348,14 +306,14 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
       int32_t e = table.Find(h, key.data(), static_cast<uint32_t>(key.size()),
                              arenas);
       if (e < 0) ++misses;
-      return walk_chain(table, begin + i, e);
+      return walk_chain(table, i, e);
     };
 
     std::string key;
     if (!pl.bloom_live) {
-      for (int64_t i = 0; i < end - begin; ++i) {
+      for (int64_t i = begin; i < end; ++i) {
         key.clear();
-        if (!AppendBatchKey(kc.cols(), i, &key)) {
+        if (!a_keys.Append(i, &key)) {
           ++st.null_key_skips;
           continue;
         }
@@ -367,13 +325,13 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
       return;
     }
     // Filter pass: a streaming hash and one filter probe per row refine
-    // the batch before any key bytes are built -- rejected rows never
+    // the range before any key bytes are built -- rejected rows never
     // materialize their key.
     std::vector<std::pair<int64_t, uint64_t>> pass;
     uint64_t checks = 0;
-    for (int64_t i = 0; i < end - begin; ++i) {
+    for (int64_t i = begin; i < end; ++i) {
       uint64_t h = 0;
-      if (!HashBatchKey(kc.cols(), i, &h)) {
+      if (!a_keys.Hash(i, &h)) {
         ++st.null_key_skips;
         continue;
       }
@@ -402,7 +360,7 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
     if (disarm) pl.bloom_live = false;
     for (const auto& [i, h] : pass) {
       key.clear();
-      AppendBatchKey(kc.cols(), i, &key);  // non-NULL: hashed above
+      a_keys.Append(i, &key);  // non-NULL: hashed above
       s = probe(i, h, key);
       if (!s.ok()) return control.Fail(lane, std::move(s));
     }

@@ -1,46 +1,68 @@
 // Exec-internal shared pieces of the join / generalized-selection kernels:
-// bound join-key columns, the JoinCore result shape, the join cores
-// themselves, and preserved-group indexing. The key/residual split they
-// run on (HashPlan, SplitJoinPredicate) is public, in exec/eval.h. Not
-// part of the public exec/ API.
+// join keys encoded straight from the rows, the JoinCore result shape,
+// the join cores themselves, and preserved-group indexing. The
+// key/residual split they run on (HashPlan, SplitJoinPredicate) is
+// public, in exec/eval.h. Not part of the public exec/ API.
 #ifndef GSOPT_EXEC_JOIN_INTERNAL_H_
 #define GSOPT_EXEC_JOIN_INTERNAL_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "exec/bind.h"
 #include "exec/eval.h"
+#include "exec/hash_table.h"
 #include "exec/keys.h"
-#include "relational/column_batch.h"
 #include "relational/relation.h"
 
 namespace gsopt::exec::internal {
 
-// One input's side of a hash plan, bound to that input once (exec/bind.h):
-// a key term that is a plain column is gathered straight from the rows;
-// any other term (arithmetic) is evaluated once per row into an owned
-// value column.
-// Either way Gather() yields typed key columns for AppendBatchKey /
-// HashBatchKey, so every equi-join runs on the one binary-key core. Each
-// lane owns its own instance (the gathered columns are scratch).
+// One input's side of a hash plan, bound to that input once (exec/bind.h).
+// It encodes a row's join key straight from the row, through the one
+// per-value emitter of exec/keys.h: a plain-column term reads the row's
+// value in place, any other term (arithmetic) is evaluated into one scratch
+// Value. Append() and Hash() emit the same bytes, so a streaming hash
+// equals HashKeyBytes of the built key. Const after construction: every
+// lane of a join shares one instance.
 class KeyColumns {
  public:
   KeyColumns(const std::vector<ScalarPtr>& keys, const Relation& r);
 
-  // Gathers the key columns of rows [begin, end); batch row i is input
-  // row begin + i.
-  void Gather(int64_t begin, int64_t end);
-  const std::vector<Column>& cols() const { return cols_; }
+  // Appends row i's join key to *key. False -- with *key in an
+  // unspecified partial state the caller must clear -- when any component
+  // is NULL (such a key never matches under 3VL).
+  bool Append(int64_t i, std::string* key) const {
+    key_internal::StringSink s{key};
+    return Emit(i, s);
+  }
+
+  // HashKeyBytes of exactly the bytes Append would emit for row i,
+  // computed without building the key. False on a NULL component.
+  bool Hash(int64_t i, uint64_t* h) const {
+    KeyHash sink;
+    if (!Emit(i, sink)) return false;
+    *h = sink.h;
+    return true;
+  }
 
  private:
+  template <typename Sink>
+  bool Emit(int64_t i, Sink& s) const {
+    const Tuple& t = r_->row(i);
+    Value scratch;
+    for (const BoundScalar& term : terms_) {
+      const int c = term.column();
+      const Value& v = c >= 0 ? t.values[static_cast<size_t>(c)]
+                              : term.Ref(RowRef(t), &scratch);
+      if (!key_internal::EmitValue(s, v)) return false;
+    }
+    return true;
+  }
+
   const Relation* r_;
   std::vector<BoundScalar> terms_;
-  std::vector<int> col_;  // per key: schema index when a plain column, or -1
-  bool all_columns_ = true;
-  std::vector<std::vector<Value>> computed_;
-  std::vector<Column> cols_;
 };
 
 // Matched pairs plus per-side matched flags; the shared core of every join

@@ -19,9 +19,11 @@
 // Row-id columns of grouping keys follow a '#' as raw 8-byte ids. Keys
 // never leave one process, so native endianness is fine.
 //
-// The encoders are written once over a byte sink: appending to a string
-// and streaming FNV-1a (KeyHash) emit exactly the same bytes, which is what
-// lets the bloom filter's probe pass hash a key without building it.
+// Each value has exactly one emitter (EmitValue), written once over a byte
+// sink: appending to a string and streaming FNV-1a (KeyHash) emit exactly
+// the same bytes, which is what lets the bloom filter's probe pass hash a
+// key without building it. Kernels encode straight from the bound rows
+// (KeyColumns in exec/join_internal.h, EncodeTupleKeyInto here).
 #ifndef GSOPT_EXEC_KEYS_H_
 #define GSOPT_EXEC_KEYS_H_
 
@@ -30,8 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/hash_table.h"
-#include "relational/column_batch.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 
@@ -93,27 +93,6 @@ bool EmitValue(Sink& s, const Value& v) {
   return false;
 }
 
-// Batch row i of a gathered column; false (nothing emitted) on NULL.
-template <typename Sink>
-bool EmitColumnValue(Sink& s, const Column& c, int64_t i) {
-  if (c.IsNull(i)) return false;
-  size_t k = static_cast<size_t>(i);
-  switch (c.kind) {
-    case ColumnKind::kInt64:
-      EmitInt(s, c.i64[k]);
-      return true;
-    case ColumnKind::kDouble:
-      EmitDouble(s, c.f64[k]);
-      return true;
-    case ColumnKind::kString:
-      EmitString(s, *c.str[k]);
-      return true;
-    case ColumnKind::kMixed:
-      return EmitValue(s, *c.vals[k]);
-  }
-  return false;
-}
-
 }  // namespace key_internal
 
 // Grouping key of one value: NULL is a real key ('n').
@@ -144,46 +123,6 @@ inline std::string EncodeTupleKey(const Tuple& t,
   std::string key;
   EncodeTupleKeyInto(t, value_idx, vid_idx, &key);
   return key;
-}
-
-// Join key of batch row i over gathered key columns, appended to `out`.
-// Returns false -- with `out` in an unspecified partial state the caller
-// must clear -- when any component is NULL.
-inline bool AppendBatchKey(const std::vector<Column>& key_cols, int64_t i,
-                           std::string* out) {
-  key_internal::StringSink s{out};
-  for (const Column& c : key_cols) {
-    if (!key_internal::EmitColumnValue(s, c, i)) return false;
-  }
-  return true;
-}
-
-// HashKeyBytes of exactly the bytes AppendBatchKey would emit for row i,
-// computed without building the key. False on a NULL component.
-inline bool HashBatchKey(const std::vector<Column>& key_cols, int64_t i,
-                         uint64_t* out) {
-  KeyHash h;
-  for (const Column& c : key_cols) {
-    if (!key_internal::EmitColumnValue(h, c, i)) return false;
-  }
-  *out = h.h;
-  return true;
-}
-
-// Grouping key of batch row i: NULL components encode as 'n', and the
-// selected row-id columns follow a '#' -- byte-identical to
-// EncodeTupleKeyInto over the same row.
-inline void AppendBatchGroupKey(const std::vector<Column>& key_cols,
-                                const std::vector<std::vector<RowId>>& vids,
-                                int64_t i, std::string* out) {
-  key_internal::StringSink s{out};
-  for (const Column& c : key_cols) {
-    if (!key_internal::EmitColumnValue(s, c, i)) s.Byte('n');
-  }
-  s.Byte('#');
-  for (const std::vector<RowId>& v : vids) {
-    s.Bytes(&v[static_cast<size_t>(i)], sizeof(RowId));
-  }
 }
 
 }  // namespace gsopt::exec

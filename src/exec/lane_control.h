@@ -18,14 +18,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "base/status.h"
 #include "exec/eval.h"
-#include "relational/column_batch.h"
 
 namespace gsopt::exec::internal {
+
+// Rows per serial range: large enough to amortize per-range dispatch (one
+// budget tick, one stats update per range), small enough that a deadline
+// or a cancelled sibling lane is noticed promptly.
+inline constexpr int64_t kBatchRows = 2048;
 
 struct LaneControl {
   explicit LaneControl(int lanes) : status(static_cast<size_t>(lanes)) {}

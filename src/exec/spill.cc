@@ -9,6 +9,7 @@
 #include "base/check.h"
 #include "exec/bloom.h"
 #include "exec/hash_table.h"
+#include "exec/lane_control.h"
 
 namespace gsopt::exec::internal {
 
@@ -419,24 +420,20 @@ Status PartitionAndProcess(JoinSpillState& s, const Relation& build_rel,
   }
 
   // Partitions one side by the same key bytes the in-memory build uses,
-  // gathering its key columns a batch at a time. NULL equi-keys never
-  // match under 3VL; they are dropped here like the in-memory build drops
-  // them (matched flags stay 0 for outer padding). `build` selects the
-  // side's bloom role: insert on the build side, gate writes on the probe
-  // side.
+  // encoded straight from each row, with one budget tick per kBatchRows
+  // rows. NULL equi-keys never match under 3VL; they are dropped here like
+  // the in-memory build drops them (matched flags stay 0 for outer
+  // padding). `build` selects the side's bloom role: insert on the build
+  // side, gate writes on the probe side.
   auto route = [&](const Relation& rel, const std::vector<ScalarPtr>& keys,
                    const int64_t* orig, bool build,
                    std::vector<SpillRun>* runs) -> Status {
-    KeyColumns kc(keys, rel);
-    int64_t begin = 0, end = 0;
+    const KeyColumns kc(keys, rel);
     auto key_of = [&](int64_t i, std::string* key) -> StatusOr<bool> {
-      if (i == end) {
+      if (i % kBatchRows == 0) {
         GSOPT_RETURN_IF_ERROR(s.ctx.Tick("join-spill"));
-        begin = i;
-        end = std::min(rel.NumRows(), begin + kBatchRows);
-        kc.Gather(begin, end);
       }
-      if (!AppendBatchKey(kc.cols(), i - begin, key)) {
+      if (!kc.Append(i, key)) {
         if (st != nullptr && depth == 0) ++st->null_key_skips;
         return false;
       }

@@ -33,9 +33,10 @@ struct OperatorStats {
   uint64_t rows_in = 0;    // input tuples consumed (both sides for binaries)
   uint64_t rows_out = 0;   // output tuples produced
 
-  // Row ranges the optimized kernels processed (kBatchRows-row batches
-  // serially, morsels in parallel; build and probe ranges both, for
-  // joins). Zero under the reference evaluator.
+  // Row ranges the optimized kernels processed (ForRanges in
+  // exec/lane_control.h: kBatchRows rows serially, morsels in parallel;
+  // build and probe ranges both, for joins). Zero under the reference
+  // evaluator.
   uint64_t batches = 0;
 
   // Hash-path counters (join kernels; zero on the nested-loop path).

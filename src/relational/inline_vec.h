@@ -1,10 +1,10 @@
 // Small-buffer vector for Tuple payloads. The first kInline elements live
 // inside the object itself, so a Tuple's values and row ids sit in one
 // contiguous allocation with the enclosing std::vector<Tuple> -- a row-major
-// layout the columnar gathers scan without pointer chasing, and an output
-// path (join concat, select copy) that performs zero heap allocations for
-// the common shapes. Wider payloads fall back to a heap array
-// transparently.
+// layout the kernels' key and predicate reads scan without pointer
+// chasing, and an output path (join concat, select copy) that performs zero
+// heap allocations for the common shapes. Wider payloads fall back to a
+// heap array transparently.
 //
 // Supports the std::vector subset the engine uses on Tuple members:
 // size/empty/data/begin/end/operator[]/front/back, push_back/emplace_back,

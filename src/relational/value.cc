@@ -93,31 +93,10 @@ std::string Value::ToString() const {
   return "?";
 }
 
-Tri EvalCmp(CmpOp op, const Value& a, const Value& b) {
+Tri EvalCmpGeneral(CmpOp op, const Value& a, const Value& b) {
   std::optional<int> c = Value::Compare(a, b);
   if (!c.has_value()) return Tri::kUnknown;
-  bool r = false;
-  switch (op) {
-    case CmpOp::kEq:
-      r = (*c == 0);
-      break;
-    case CmpOp::kNe:
-      r = (*c != 0);
-      break;
-    case CmpOp::kLt:
-      r = (*c < 0);
-      break;
-    case CmpOp::kLe:
-      r = (*c <= 0);
-      break;
-    case CmpOp::kGt:
-      r = (*c > 0);
-      break;
-    case CmpOp::kGe:
-      r = (*c >= 0);
-      break;
-  }
-  return r ? Tri::kTrue : Tri::kFalse;
+  return CmpHolds(op, *c) ? Tri::kTrue : Tri::kFalse;
 }
 
 std::string CmpOpName(CmpOp op) {

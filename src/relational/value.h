@@ -127,7 +127,37 @@ class Value {
 // 3VL comparison outcome of `a op b` for a comparison operator.
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-Tri EvalCmp(CmpOp op, const Value& a, const Value& b);
+// Whether `op` holds for a three-way comparison result c (<0, 0, >0).
+inline bool CmpHolds(CmpOp op, int c) {
+  switch (op) {
+    case CmpOp::kEq:
+      return c == 0;
+    case CmpOp::kNe:
+      return c != 0;
+    case CmpOp::kLt:
+      return c < 0;
+    case CmpOp::kLe:
+      return c <= 0;
+    case CmpOp::kGt:
+      return c > 0;
+    case CmpOp::kGe:
+      return c >= 0;
+  }
+  return false;
+}
+
+// Every type pair but int/int, through Value::Compare (value.cc).
+Tri EvalCmpGeneral(CmpOp op, const Value& a, const Value& b);
+
+// Inline because bound predicates (exec/bind.h) call it once per row; the
+// int/int pair, the common case, never leaves the caller.
+inline Tri EvalCmp(CmpOp op, const Value& a, const Value& b) {
+  if (a.type() == ValueType::kInt && b.type() == ValueType::kInt) {
+    const int64_t x = a.AsInt(), y = b.AsInt();
+    return CmpHolds(op, (x > y) - (x < y)) ? Tri::kTrue : Tri::kFalse;
+  }
+  return EvalCmpGeneral(op, a, b);
+}
 
 std::string CmpOpName(CmpOp op);
 

@@ -7,7 +7,8 @@
 // aggregation with bound inputs, and the parallel twins -- across
 // batch-boundary sizes, NULL-heavy data, mixed-type columns, $n slots,
 // arithmetic terms and keys, special doubles, and the memory-cap spill
-// degradation. Also unit-tests the column gather.
+// degradation. Also unit-tests the join-key encoder against the tuple
+// key encoding.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,8 +19,8 @@
 #include "exec/aggregate.h"
 #include "exec/eval.h"
 #include "exec/executor.h"
+#include "exec/join_internal.h"
 #include "exec/keys.h"
-#include "relational/column_batch.h"
 #include "relational/datagen.h"
 
 namespace gsopt {
@@ -63,30 +64,6 @@ Relation RandomRel(const std::string& name, int rows, uint64_t seed,
   opt.domain = domain;
   opt.null_fraction = null_fraction;
   return MakeRandomRelation(name, {"a", "b"}, opt, &rng);
-}
-
-// ---------------------------------------------------------------------------
-// Column gathers: per-batch kind detection.
-// ---------------------------------------------------------------------------
-
-TEST(ColumnBatchTest, KindDetectionPerBatch) {
-  Relation r = MakeRelation("r", {"i", "d", "s", "m", "n"},
-                            {{I(1), D(0.5), S("a"), I(1), N()},
-                             {I(2), N(), S("b"), S("x"), N()},
-                             {N(), D(2.5), N(), D(3.0), N()}});
-  EXPECT_EQ(GatherColumn(r, 0, 0, 3).kind, ColumnKind::kInt64);
-  EXPECT_EQ(GatherColumn(r, 1, 0, 3).kind, ColumnKind::kDouble);
-  EXPECT_EQ(GatherColumn(r, 2, 0, 3).kind, ColumnKind::kString);
-  EXPECT_EQ(GatherColumn(r, 3, 0, 3).kind, ColumnKind::kMixed);
-  // All-NULL gathers to the cheapest representation.
-  EXPECT_EQ(GatherColumn(r, 4, 0, 3).kind, ColumnKind::kInt64);
-  // Kind is decided per batch, not per column globally: the mixed column's
-  // first row alone is pure int.
-  EXPECT_EQ(GatherColumn(r, 3, 0, 1).kind, ColumnKind::kInt64);
-  Column c = GatherColumn(r, 0, 0, 3);
-  EXPECT_TRUE(c.has_nulls);
-  EXPECT_FALSE(c.IsNull(0));
-  EXPECT_TRUE(c.IsNull(2));
 }
 
 // ---------------------------------------------------------------------------
@@ -528,31 +505,49 @@ TEST(SpecialDoubleKeyTest, ValueHashAgreesWithEquality) {
 }
 
 TEST(KeyEncodingTest, BatchKeysMatchTheTupleEncoding) {
-  // One encoding, two emitters: the streaming hash must hash exactly the
-  // bytes AppendBatchKey builds, and batch group keys must be the bytes
-  // EncodeTupleKeyInto builds for the same row -- across every column
-  // kind, NULLs, NaN payloads, signed zero and integral doubles.
+  // One encoding, one emitter per value: the streaming hash must hash
+  // exactly the bytes KeyColumns::Append builds, and a non-NULL join key
+  // must be the bytes EncodeTupleKey builds for the same values -- across
+  // every value type, NULLs, NaN payloads, signed zero, integral doubles
+  // and an arithmetic key term.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   Relation r = MakeRelation("r", {"i", "d", "s", "m"},
                             {{I(7), D(0.5), S("ab"), I(1)},
                              {N(), D(-0.0), S(""), D(1.0)},
                              {I(-3), D(nan), N(), S("1")},
                              {I(9007199254740993), D(4.0), S("x"), N()}});
-  std::vector<int> cols = {0, 1, 2, 3};
-  std::vector<Column> gathered;
-  GatherColumnsInto(r, cols, 0, r.NumRows(), &gathered);
-  std::vector<std::vector<RowId>> vids;
-  GatherVidsInto(r, {0}, 0, r.NumRows(), &vids);
-  for (int64_t i = 0; i < r.NumRows(); ++i) {
-    std::string key;
-    uint64_t h = 0;
-    bool has_key = exec::AppendBatchKey(gathered, i, &key);
-    EXPECT_EQ(exec::HashBatchKey(gathered, i, &h), has_key) << "row " << i;
-    if (has_key) EXPECT_EQ(h, exec::HashKeyBytes(key)) << "row " << i;
-    std::string group;
-    exec::AppendBatchGroupKey(gathered, vids, i, &group);
-    EXPECT_EQ(group, exec::EncodeTupleKey(r.row(i), cols, {0})) << "row " << i;
+  auto col = [](const char* name) { return Scalar::Column("r", name); };
+  ScalarPtr i_plus_1 = Scalar::Arith(ArithOp::kAdd, col("i"),
+                                     Scalar::Const(I(1)));
+  const std::vector<std::vector<ScalarPtr>> inputs = {
+      {col("i")}, {col("d")}, {col("s")}, {col("m")},
+      {col("i"), col("d"), col("s"), col("m")}, {col("d"), i_plus_1}};
+  int keyed = 0;
+  for (size_t in = 0; in < inputs.size(); ++in) {
+    const exec::internal::KeyColumns kc(inputs[in], r);
+    for (int64_t i = 0; i < r.NumRows(); ++i) {
+      // The key terms' values, through the reference evaluator.
+      Tuple vals;
+      std::vector<int> idx;
+      bool any_null = false;
+      for (const ScalarPtr& k : inputs[in]) {
+        idx.push_back(static_cast<int>(vals.values.size()));
+        vals.values.push_back(k->Eval(r.row(i), r.schema()));
+        any_null = any_null || vals.values.back().is_null();
+      }
+      std::string key;
+      uint64_t h = 0;
+      bool has_key = kc.Append(i, &key);
+      EXPECT_EQ(kc.Hash(i, &h), has_key) << "input " << in << " row " << i;
+      EXPECT_EQ(has_key, !any_null) << "input " << in << " row " << i;
+      if (!has_key) continue;
+      ++keyed;
+      EXPECT_EQ(h, exec::HashKeyBytes(key)) << "input " << in << " row " << i;
+      EXPECT_EQ(key + '#', exec::EncodeTupleKey(vals, idx, {}))
+          << "input " << in << " row " << i;
+    }
   }
+  EXPECT_EQ(keyed, 3 + 4 + 3 + 3 + 1 + 3);
   // Key classes: 1 == 1.0 and -0.0 == 0, but a string never equals a number.
   EXPECT_EQ(exec::EncodeTupleKey(r.row(0), {3}, {}),
             exec::EncodeTupleKey(r.row(1), {3}, {}));

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <utility>
+
 namespace gsopt {
 namespace {
 
@@ -83,6 +87,23 @@ TEST(EvalCmpTest, AllOperators) {
   EXPECT_EQ(EvalCmp(CmpOp::kLe, a, a), Tri::kTrue);
   EXPECT_EQ(EvalCmp(CmpOp::kGt, b, a), Tri::kTrue);
   EXPECT_EQ(EvalCmp(CmpOp::kGe, a, b), Tri::kFalse);
+  // Every operator on int/int pairs at the ends of the int64 range, where
+  // a subtraction-based three-way compare would overflow.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::pair<int64_t, int64_t> pairs[] = {
+      {kMin, kMax}, {kMax, kMin}, {kMin, kMin}, {kMax, kMax},
+      {kMin, 0},    {0, kMax},    {-1, kMin},   {kMax, -1}};
+  auto tri = [](bool r) { return r ? Tri::kTrue : Tri::kFalse; };
+  for (const auto& [x, y] : pairs) {
+    Value vx = Value::Int(x), vy = Value::Int(y);
+    EXPECT_EQ(EvalCmp(CmpOp::kEq, vx, vy), tri(x == y)) << x << " " << y;
+    EXPECT_EQ(EvalCmp(CmpOp::kNe, vx, vy), tri(x != y)) << x << " " << y;
+    EXPECT_EQ(EvalCmp(CmpOp::kLt, vx, vy), tri(x < y)) << x << " " << y;
+    EXPECT_EQ(EvalCmp(CmpOp::kLe, vx, vy), tri(x <= y)) << x << " " << y;
+    EXPECT_EQ(EvalCmp(CmpOp::kGt, vx, vy), tri(x > y)) << x << " " << y;
+    EXPECT_EQ(EvalCmp(CmpOp::kGe, vx, vy), tri(x >= y)) << x << " " << y;
+  }
 }
 
 TEST(EvalArithTest, NullPropagation) {
