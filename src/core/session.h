@@ -45,8 +45,11 @@
 // morsel-parallel server (per-shard cache mutexes; the optimizer is
 // rebuilt under a session mutex and handed out as shared_ptr; entries are
 // pinned by shared_ptr so eviction cannot free a plan mid-execution) --
-// PROVIDED the catalog is not mutated concurrently with serving, which
-// the underlying Relation storage has never supported.
+// PROVIDED the catalog is not mutated concurrently with serving. An
+// execution reads the base tables it scans in place, from its first scan
+// until its result is built, so a write must wait until no query is in
+// flight. Results are the caller's own rows: a later write does not
+// change them.
 //
 // Budgets: a ResourceBudget in SessionOptions (or per-call ExecuteOptions)
 // governs a miss's optimization AND every execution; a hit skips the

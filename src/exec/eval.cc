@@ -313,6 +313,26 @@ StatusOr<Relation> Project(const Relation& r,
   return result;
 }
 
+bool IsIdentityProjection(const Relation& r,
+                          const std::vector<Attribute>& src,
+                          const std::vector<Attribute>& out) {
+  if (src != out || static_cast<int>(src.size()) != r.schema().size()) {
+    return false;
+  }
+  for (size_t i = 0; i < src.size(); ++i) {
+    if (r.schema().Find(src[i].rel, src[i].name) != static_cast<int>(i)) {
+      return false;
+    }
+  }
+  for (const std::string& rel : r.vschema().rels()) {
+    if (std::none_of(src.begin(), src.end(),
+                     [&rel](const Attribute& a) { return a.rel == rel; })) {
+      return false;
+    }
+  }
+  return true;
+}
+
 StatusOr<Relation> InnerJoin(const Relation& a, const Relation& b,
                              const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));

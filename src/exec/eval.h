@@ -208,6 +208,13 @@ StatusOr<Relation> Project(const Relation& r,
                            const std::vector<Attribute>& out,
                            const ExecContext& ctx = {});
 
+// True when Project(r, src, out) would return r's rows unchanged: no
+// rename, each source resolves to its own position in r's schema, and every
+// relation of r's virtual schema keeps a column (so keeps its row ids).
+bool IsIdentityProjection(const Relation& r,
+                          const std::vector<Attribute>& src,
+                          const std::vector<Attribute>& out);
+
 StatusOr<Relation> InnerJoin(const Relation& a, const Relation& b,
                              const Predicate& p, const ExecContext& ctx = {});
 StatusOr<Relation> LeftOuterJoin(const Relation& a, const Relation& b,

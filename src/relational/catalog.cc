@@ -50,9 +50,14 @@ const Relation* Catalog::Find(const std::string& name) const {
   return it == tables_.end() ? nullptr : &it->second;
 }
 
-StatusOr<Relation> Catalog::Get(const std::string& name) const {
+StatusOr<const Relation*> Catalog::Table(const std::string& name) const {
   const Relation* r = Find(name);
   if (r == nullptr) return Status::NotFound("no table " + name);
+  return r;
+}
+
+StatusOr<Relation> Catalog::Get(const std::string& name) const {
+  GSOPT_ASSIGN_OR_RETURN(const Relation* r, Table(name));
   return *r;
 }
 

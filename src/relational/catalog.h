@@ -29,7 +29,14 @@ class Catalog {
   Status Register(const std::string& name, Relation relation);
 
   bool Has(const std::string& name) const { return tables_.count(name) > 0; }
+  // The table named `name`, read in place; null when absent. The pointer
+  // stays valid, and the rows unchanged, until the next write to the
+  // catalog.
   const Relation* Find(const std::string& name) const;
+  // Find, with kNotFound ("no table <name>") when absent.
+  StatusOr<const Relation*> Table(const std::string& name) const;
+  // A copy of the table: every row is duplicated. Execution reads tables
+  // in place through Find / Table instead.
   StatusOr<Relation> Get(const std::string& name) const;
 
   std::vector<std::string> TableNames() const;
@@ -39,9 +46,10 @@ class Catalog {
   // are stale once version() != v: the Session serving layer compares this
   // against the version its stats were collected at and bumps its plan-
   // cache epoch, lazily invalidating cached plans (see core/session.h).
-  // Mutation is not synchronized with concurrent readers -- like the table
-  // data itself, catalog writes require external synchronization against
-  // serving threads.
+  // Mutation is not synchronized with concurrent readers. A query reads
+  // the base tables it scans in place for its whole execution, so a write
+  // must wait until no query is in flight (external synchronization against
+  // serving threads), not only until no table is being copied.
   uint64_t version() const { return version_; }
 
  private:

@@ -52,6 +52,12 @@ void Relation::AppendFrom(Relation&& other) {
   other.rows_.clear();
 }
 
+void Relation::TrimReserve() {
+  if (rows_.capacity() - rows_.size() > rows_.size() / 8) {
+    rows_.shrink_to_fit();
+  }
+}
+
 Tuple Relation::NullTuple() const {
   Tuple t;
   t.values.assign(schema_.size(), Value::Null());

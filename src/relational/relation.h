@@ -52,6 +52,10 @@ class Relation {
     if (n > 0) rows_.reserve(static_cast<size_t>(n));
   }
 
+  // Gives back reserved row capacity beyond an eighth of the row count,
+  // for a result that outlives the operator which sized it for its inputs.
+  void TrimReserve();
+
   // Multiset equality over real attributes, matching columns by qualified
   // name (column order independent). Virtual attributes are ignored: two
   // plans are equivalent iff their visible extensions match.

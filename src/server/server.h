@@ -115,9 +115,10 @@ struct ServerStats {
 class GsoptServer {
  public:
   // The catalog is referenced, not copied; it must outlive the server and
-  // must not be mutated while requests are in flight (quiesce first: stop
-  // sending, wait for in_flight() == 0 -- the Session's epoch machinery
-  // then re-optimizes stale templates on the next lookup).
+  // must not be mutated while requests are in flight: every query reads
+  // the base tables it scans in place until it has answered. Quiesce
+  // first: stop sending, wait for in_flight() == 0 -- the Session's epoch
+  // machinery then re-optimizes stale templates on the next lookup.
   GsoptServer(const Catalog& catalog, ServerOptions options = {});
   ~GsoptServer();
 

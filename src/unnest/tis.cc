@@ -11,12 +11,12 @@ namespace {
 StatusOr<int64_t> CountQualified(const NestedBlock& block,
                                  const Catalog& catalog, const Tuple& env,
                                  const Schema& env_schema) {
-  GSOPT_ASSIGN_OR_RETURN(Relation rel, catalog.Get(block.table));
+  GSOPT_ASSIGN_OR_RETURN(const Relation* rel, catalog.Table(block.table));
+  const Schema extended_schema = Schema::Concat(env_schema, rel->schema());
   int64_t count = 0;
-  for (const Tuple& t : rel.rows()) {
+  for (const Tuple& t : rel->rows()) {
+    if (!block.local.Satisfied(t, rel->schema())) continue;
     Tuple extended = Tuple::Concat(env, t);
-    Schema extended_schema = Schema::Concat(env_schema, rel.schema());
-    if (!block.local.Satisfied(t, rel.schema())) continue;
     if (!block.correlation.Satisfied(extended, extended_schema)) continue;
     if (block.condition.has_value()) {
       GSOPT_CHECK(block.nested != nullptr);
@@ -38,7 +38,8 @@ StatusOr<int64_t> CountQualified(const NestedBlock& block,
 
 StatusOr<Relation> ExecuteTis(const NestedQuery& q, const Catalog& catalog) {
   const NestedBlock& outer = q.outer;
-  GSOPT_ASSIGN_OR_RETURN(Relation rel, catalog.Get(outer.table));
+  GSOPT_ASSIGN_OR_RETURN(const Relation* table, catalog.Table(outer.table));
+  const Relation& rel = *table;
 
   Schema out_schema;
   std::vector<int> proj;

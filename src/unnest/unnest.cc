@@ -28,8 +28,8 @@ StatusOr<NodePtr> UnnestToAlgebra(const NestedQuery& q,
   // Per-level column inventory (for grouping keys).
   std::vector<Schema> schemas;
   for (const NestedBlock* b : levels) {
-    GSOPT_ASSIGN_OR_RETURN(Relation rel, catalog.Get(b->table));
-    schemas.push_back(rel.schema());
+    GSOPT_ASSIGN_OR_RETURN(const Relation* rel, catalog.Table(b->table));
+    schemas.push_back(rel->schema());
   }
 
   // Join tree: left-deep chain of LEFT OUTER JOINs on the correlation

@@ -18,9 +18,13 @@ TEST(StatusTest, OkAndErrorStates) {
 }
 
 TEST(StatusOrTest, ValueAndStatusAccess) {
-  StatusOr<int> v = 42;
-  EXPECT_TRUE(v.ok());
-  EXPECT_EQ(*v, 42);
+  {
+    // Scoped: GCC 12 otherwise reports -Wmaybe-uninitialized on the
+    // variant's Status alternative when `v` is destroyed at the end.
+    StatusOr<int> v = 42;
+    EXPECT_TRUE(v.ok());
+    EXPECT_EQ(*v, 42);
+  }
   StatusOr<int> e = Status::NotFound("nope");
   EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.status().code(), StatusCode::kNotFound);

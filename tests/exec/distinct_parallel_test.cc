@@ -39,7 +39,7 @@ Catalog MakeCatalog(uint64_t seed) {
 
 // A GROUP BY view with a DISTINCT aggregate, joined above so the plan
 // also contains operators that DO parallelize.
-NodePtr DistinctViewQuery(const Catalog& cat, exec::AggFunc func) {
+NodePtr DistinctViewQuery(exec::AggFunc func) {
   exec::GroupBySpec spec;
   spec.group_cols = {Attribute{"r1", "b"}};
   exec::AggSpec agg;
@@ -59,7 +59,7 @@ TEST(DistinctParallelTest, DistinctAggFallsBackSerialWithIdenticalResults) {
        {exec::AggFunc::kCount, exec::AggFunc::kSum, exec::AggFunc::kAvg}) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       Catalog cat = MakeCatalog(seed);
-      NodePtr q = DistinctViewQuery(cat, func);
+      NodePtr q = DistinctViewQuery(func);
 
       auto serial = Execute(q, cat);
       ASSERT_TRUE(serial.ok()) << serial.status().ToString();
@@ -77,7 +77,7 @@ TEST(DistinctParallelTest, DistinctAggFallsBackSerialWithIdenticalResults) {
 
 TEST(DistinctParallelTest, StatsAreMergedUnderParallelExecutor) {
   Catalog cat = MakeCatalog(7);
-  NodePtr q = DistinctViewQuery(cat, exec::AggFunc::kCount);
+  NodePtr q = DistinctViewQuery(exec::AggFunc::kCount);
 
   exec::OperatorStats serial_stats;
   ExecuteOptions sopt;

@@ -115,7 +115,9 @@ TEST(SortTest, StableOnEqualKeys) {
   for (int64_t i = 0; i < out.NumRows(); ++i) {
     int64_t a = out.row(i).values[0].AsInt();
     int64_t b = out.row(i).values[1].AsInt();
-    if (a == prev_a) EXPECT_GT(b, prev_b) << "stability broken at row " << i;
+    if (a == prev_a) {
+      EXPECT_GT(b, prev_b) << "stability broken at row " << i;
+    }
     prev_a = a;
     prev_b = b;
   }
