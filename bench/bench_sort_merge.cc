@@ -1,10 +1,7 @@
 // Experiment O1 (EXPERIMENTS.md "Order-aware execution"): the external
 // sort across input dispositions (random / presorted / reverse-sorted /
-// memory-capped so it spills), the sort-merge join against the hash join
-// on presorted inputs, and the headline order-aware plan comparison: an
-// ORDER-BY-on-the-join-key query over presorted base tables executed as
-// hash-join-plus-sort-enforcer vs the DP's merge-join plan whose output
-// order discharges the ORDER BY for free (sort_enforcers_avoided > 0).
+// memory-capped so it spills), and an ORDER-BY-on-the-join-key query over
+// presorted base tables executed as hash join plus sort enforcer.
 // Input shapes mirror bench_columnar: domain rows/4+1, ~4 matches/key.
 #include <benchmark/benchmark.h>
 
@@ -12,7 +9,6 @@
 
 #include "algebra/execute.h"
 #include "base/rng.h"
-#include "core/optimizer.h"
 #include "exec/eval.h"
 #include "exec/sort.h"
 #include "exec/spill.h"
@@ -82,14 +78,13 @@ void BM_SortSpilled(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * in.random_r.NumRows());
 }
 
-// --- joins over presorted inputs -------------------------------------
+// --- ORDER BY over a join of presorted inputs -----------------------
 
-// Both base tables arrive presorted by the join key, so the merge join's
-// sort phase degenerates to a verification-speed pass while the hash join
-// still pays the full build.
+// Both base tables arrive presorted by the join key; the ordered query is
+// executed as written, so a hash join feeds the kSort enforcer, which
+// re-sorts its output.
 struct JoinWorkload {
   Catalog cat;
-  Predicate eq;
   NodePtr ordered_query;  // ORDER BY r1.x over the join
 
   explicit JoinWorkload(int64_t rows) {
@@ -103,42 +98,13 @@ struct JoinWorkload {
       exec::SortSpec by_key{{Attribute{name, "x"}, false}};
       GSOPT_CHECK(cat.Register(name, *exec::Sort(r, by_key)).ok());
     }
-    eq = Predicate(MakeAtom("r1", "x", CmpOp::kEq, "r2", "x"));
+    Predicate eq(MakeAtom("r1", "x", CmpOp::kEq, "r2", "x"));
     ordered_query =
         Node::Sort(Node::Join(Node::Leaf("r1"), Node::Leaf("r2"), eq),
                    exec::SortSpec{{Attribute{"r1", "x"}, false}});
   }
-
-  const Relation& r1() const { return *cat.Find("r1"); }
-  const Relation& r2() const { return *cat.Find("r2"); }
 };
 
-void RunJoin(benchmark::State& state, bool merge) {
-  JoinWorkload w(state.range(0));
-  exec::ExecContext ctx;
-  ctx.merge_hint = merge;
-  int64_t rows = 0;
-  for (auto _ : state) {
-    auto r = exec::InnerJoin(w.r1(), w.r2(), w.eq, ctx);
-    rows = r.ok() ? r->NumRows() : -1;
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_HashJoinPresorted(benchmark::State& state) {
-  RunJoin(state, /*merge=*/false);
-}
-
-void BM_MergeJoinPresorted(benchmark::State& state) {
-  RunJoin(state, /*merge=*/true);
-}
-
-// --- the headline: ORDER BY discharged by the merge join's order ------
-
-// Hash side: the same ordered query executed as written -- no merge hint,
-// so a hash join feeds the kSort enforcer, which re-sorts its output.
 void BM_OrderByHashThenSort(benchmark::State& state) {
   JoinWorkload w(state.range(0));
   int64_t rows = 0;
@@ -151,40 +117,12 @@ void BM_OrderByHashThenSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-// Merge side: the DP's order-aware pass stamps the join for sort-merge
-// (presorted inputs make it cheap) and removes the enforcer its output
-// order already delivers; counters prove both decisions happened.
-void BM_OrderByMergeOrderFree(benchmark::State& state) {
-  JoinWorkload w(state.range(0));
-  QueryOptimizer opt(w.cat);
-  auto result = opt.Optimize(w.ordered_query);
-  if (!result.ok()) {
-    state.SkipWithError(result.status().ToString().c_str());
-    return;
-  }
-  state.counters["merge_joins"] =
-      static_cast<double>(result->counters.merge_joins_chosen);
-  state.counters["sorts_avoided"] =
-      static_cast<double>(result->counters.sort_enforcers_avoided);
-  int64_t rows = 0;
-  for (auto _ : state) {
-    auto r = Execute(result->best.expr, w.cat);
-    rows = r.ok() ? r->NumRows() : -1;
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
 #define SIZES Arg(16384)->Arg(65536)->Unit(benchmark::kMicrosecond)
 BENCHMARK(BM_SortRandom)->SIZES;
 BENCHMARK(BM_SortPresorted)->SIZES;
 BENCHMARK(BM_SortReverse)->SIZES;
 BENCHMARK(BM_SortSpilled)->SIZES;
-BENCHMARK(BM_HashJoinPresorted)->SIZES;
-BENCHMARK(BM_MergeJoinPresorted)->SIZES;
 BENCHMARK(BM_OrderByHashThenSort)->SIZES;
-BENCHMARK(BM_OrderByMergeOrderFree)->SIZES;
 
 }  // namespace
 }  // namespace gsopt

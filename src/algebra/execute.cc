@@ -14,11 +14,6 @@ using Clock = std::chrono::steady_clock;
 
 std::string StatsLabel(const Node& n) {
   if (n.kind() == OpKind::kLeaf) return "scan " + n.table();
-  // Surface the physical choice in EXPLAIN ANALYZE: a join the order-aware
-  // optimizer hinted to sort-merge reads e.g. "JOIN (merge)".
-  if (n.merge_join() && IsBinary(n.kind())) {
-    return OpKindName(n.kind()) + " (merge)";
-  }
   return OpKindName(n.kind());
 }
 
@@ -152,7 +147,7 @@ StatusOr<NodeResult> ExecuteNode(const NodePtr& node, const Catalog& catalog,
   }
   exec::ExecContext ctx{options.budget, stats,         options.executor,
                         options.fault,  options.spill, options.batch,
-                        options.bloom,  node->merge_join()};
+                        options.bloom};
   Clock::time_point start;
   if (stats != nullptr) {
     stats->op = StatsLabel(*node);

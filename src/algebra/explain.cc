@@ -45,11 +45,8 @@ std::string OneLine(const Node& n) {
     }
     case OpKind::kSort:
       return "SORT[" + exec::SortSpecToString(n.sort_spec()) + "]";
-    default: {
-      std::string s = OpKindName(n.kind()) + "[" + n.pred().ToString() + "]";
-      if (n.merge_join()) s += " (merge)";
-      return s;
-    }
+    default:
+      return OpKindName(n.kind()) + "[" + n.pred().ToString() + "]";
   }
 }
 

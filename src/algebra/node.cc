@@ -185,14 +185,6 @@ NodePtr Node::Sort(NodePtr child, exec::SortSpec spec) {
   return n;
 }
 
-NodePtr Node::WithMergeJoin(const NodePtr& join) {
-  GSOPT_CHECK(join != nullptr && IsBinary(join->kind_));
-  if (join->merge_join_) return join;
-  auto n = NodeBuilder::Copy(*join);
-  n->merge_join_ = true;
-  return n;
-}
-
 NodePtr Node::WithChildren(const NodePtr& n, NodePtr l, NodePtr r) {
   GSOPT_CHECK(n != nullptr);
   if (l == n->left_ && r == n->right_) return n;

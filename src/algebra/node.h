@@ -4,7 +4,7 @@
 // (GROUP BY) and projection. Nodes are immutable and shared; rewrites build
 // new trees, rebuilding a node of unchanged kind through WithChildren /
 // WithPred / WithGroupBy so that no pass drops a field it does not know
-// about (output names, preserved groups, the merge stamp).
+// about (output names, preserved groups, sort specs).
 #ifndef GSOPT_ALGEBRA_NODE_H_
 #define GSOPT_ALGEBRA_NODE_H_
 
@@ -73,19 +73,11 @@ class Node {
   // Generic binary factory by kind (inner/outer joins).
   static NodePtr Binary(OpKind kind, NodePtr l, NodePtr r, Predicate p);
 
-  // Copy of a binary join node with the sort-merge execution hint set (the
-  // order-aware optimizer stamps joins whose merge execution pays for
-  // itself; the interpreter forwards the hint to ExecContext::merge_hint).
-  // The hint is physical-only: it does not appear in ToString, so logical
-  // equivalence, enumeration dedup and plan-cache fingerprints are
-  // unaffected.
-  static NodePtr WithMergeJoin(const NodePtr& join);
-
   // The one way a rewrite rebuilds a node without changing its kind: a
-  // copy of `n` that keeps every other field (groups, specs, output names,
-  // the merge stamp). WithChildren returns `n` itself when neither child
-  // changed, so untouched subtrees stay shared; pass nullptr for the right
-  // child of a unary node. A kind change (LOJ -> JOIN) goes through
+  // copy of `n` that keeps every other field (groups, specs, output
+  // names). WithChildren returns `n` itself when neither child changed, so
+  // untouched subtrees stay shared; pass nullptr for the right child of a
+  // unary node. A kind change (LOJ -> JOIN) goes through
   // Binary instead.
   static NodePtr WithChildren(const NodePtr& n, NodePtr l, NodePtr r);
   static NodePtr WithPred(const NodePtr& n, Predicate p);
@@ -97,7 +89,6 @@ class Node {
   const std::vector<exec::PreservedGroup>& groups() const { return groups_; }
   const exec::GroupBySpec& groupby() const { return groupby_; }
   const exec::SortSpec& sort_spec() const { return sort_spec_; }
-  bool merge_join() const { return merge_join_; }
   const std::vector<Attribute>& projection() const { return projection_; }
   // Output attributes for kProject; equals projection() unless renaming.
   const std::vector<Attribute>& projection_out() const {
@@ -115,8 +106,7 @@ class Node {
   //   GS[r2.e=r3.e; {r1,r2}]((r1 LOJ[r1.c=r2.c] r2) LOJ[r1.f=r3.f] r3)
   // It is the canonical form plan-cache keys hash, so whatever changes a
   // query's answer must show: a renaming projection renders `src AS out`
-  // per renamed column, and a sort its key directions. The physical merge
-  // stamp is left out.
+  // per renamed column, and a sort its key directions.
   std::string ToString() const;
 
  private:
@@ -129,7 +119,6 @@ class Node {
   std::vector<exec::PreservedGroup> groups_;
   exec::GroupBySpec groupby_;
   exec::SortSpec sort_spec_;
-  bool merge_join_ = false;
   std::vector<Attribute> projection_;
   std::vector<Attribute> projection_out_;
   NodePtr left_, right_;

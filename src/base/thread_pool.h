@@ -8,7 +8,8 @@
 //     ParallelFor participates as lane 0, so `lanes` is the true degree of
 //     parallelism and a 1-lane pool spawns no threads at all.
 //   * ParallelFor(n, morsel, body) invokes body(lane, begin, end) for
-//     disjoint ranges covering [0, n) and returns once every range ran.
+//     disjoint ranges covering [0, n), each starting at a multiple of
+//     `morsel`, and returns once every range ran.
 //     Completion is a full synchronization point: everything the lanes
 //     wrote happens-before ParallelFor's return.
 //   * One job runs at a time. Re-entrant calls (a body calling ParallelFor

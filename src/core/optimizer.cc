@@ -36,10 +36,8 @@ std::string OptimizerCounters::ToString() const {
                   " dp_cells=" + std::to_string(dp_cells) +
                   " dp_pruned=" + std::to_string(dp_pruned) +
                   " plans_considered=" + std::to_string(plans_considered);
-  if (merge_joins_chosen + sort_enforcers_placed + sort_enforcers_avoided >
-      0) {
-    s += " merge_joins=" + std::to_string(merge_joins_chosen) +
-         " sorts_placed=" + std::to_string(sort_enforcers_placed) +
+  if (sort_enforcers_placed + sort_enforcers_avoided > 0) {
+    s += " sorts_placed=" + std::to_string(sort_enforcers_placed) +
          " sorts_avoided=" + std::to_string(sort_enforcers_avoided);
   }
   if (deadline_slack_us >= 0) {
@@ -175,9 +173,9 @@ StatusOr<OptimizeResult> QueryOptimizer::Optimize(
   } else {
     return space.status();
   }
-  // On the winning plan: the order-aware physical pass (merge hints,
-  // redundant-enforcer removal), then the counter fill. Deadline slack is
-  // whatever remains when the plan is chosen.
+  // On the winning plan: the order-aware pass (redundant-enforcer
+  // removal), then the counter fill. Deadline slack is whatever remains
+  // when the plan is chosen.
   OrderPassCounters oc;
   NodePtr tuned = ApplyOrderAwarePass(result.best.expr, cost_model_.stats(),
                                       options.assume_ordered_exec, &oc);
@@ -185,7 +183,6 @@ StatusOr<OptimizeResult> QueryOptimizer::Optimize(
     result.best.expr = tuned;
     result.best.cost = cost_model_.Cost(tuned);
   }
-  result.counters.merge_joins_chosen = oc.merge_joins_chosen;
   result.counters.sort_enforcers_placed = oc.sort_enforcers_placed;
   result.counters.sort_enforcers_avoided = oc.sort_enforcers_avoided;
   result.counters.plans_considered = result.plans_considered;

@@ -63,12 +63,11 @@ struct OptimizeOptions {
   // When the budget is exhausted mid-search, return the syntactic plan
   // instead of failing. Disable to surface Status(kResourceExhausted).
   bool fallback = true;
-  // The winning plan will execute serially, so the order-aware pass may
-  // remove kSort enforcers whose order the subtree already delivers (the
-  // interpreter always honors the merge hints it stamps). MUST be false
-  // when the plan may run on a parallel executor: morsel kernels do not
-  // preserve row order. Session clears it for a multi-lane executor.
-  // Merge-hint stamping on presorted inputs happens regardless.
+  // Lets the order-aware pass remove kSort enforcers whose order the
+  // subtree already delivers (optimizer/order.h). Every operator that pass
+  // forwards order through keeps its input's row order at any lane count,
+  // so the removal holds on a parallel executor too; false keeps every
+  // enforcer.
   bool assume_ordered_exec = true;
 
   // Fluent builder (the serving API spells options this way; see
@@ -92,10 +91,8 @@ struct OptimizerCounters {
   size_t dp_cells = 0;             // DP table cells stored
   size_t dp_pruned = 0;            // subplans discarded by cost pruning
   size_t plans_considered = 0;     // complete candidate plans costed
-  // Order-aware physical pass (optimizer/order.h) on the winning plan:
-  // inner joins stamped for sort-merge execution, and ORDER BY enforcers
-  // kept vs removed because an interesting order already delivered them.
-  size_t merge_joins_chosen = 0;
+  // Order-aware pass (optimizer/order.h) on the winning plan: ORDER BY
+  // enforcers kept vs removed because the input already arrives ordered.
   size_t sort_enforcers_placed = 0;
   size_t sort_enforcers_avoided = 0;
   // Slack left on the budget's deadline when optimization returned;

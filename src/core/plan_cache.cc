@@ -68,9 +68,8 @@ NodePtr RewriteNode(const NodePtr& n, const ScalarFn& fn) {
   exec::GroupBySpec spec = n->kind() == OpKind::kGroupBy
                                ? RewriteGroupBy(n->groupby(), fn, &spec_changed)
                                : exec::GroupBySpec{};
-  // The copy keeps every other field, the physical merge hint included: a
-  // cache hit must not fall back to hash order and break an enforcer the
-  // order-aware pass removed on the hint's strength.
+  // The copy keeps every other field (output names, preserved groups,
+  // sort specs), so a cache hit re-instantiates the plan that was cached.
   NodePtr out = Node::WithChildren(n, RewriteNode(n->left(), fn),
                                    RewriteNode(n->right(), fn));
   if (pred_changed) out = Node::WithPred(out, std::move(pred));

@@ -81,16 +81,7 @@ StatusOr<NodePtr> PreparedStatement::ExecutablePlan(
 }
 
 Session::Session(const Catalog& catalog, SessionOptions options)
-    : catalog_(catalog),
-      options_(std::move(options)) {
-  // The order-aware pass may only remove ORDER BY enforcers when the plans
-  // this session serves will execute in row order: serial kernels
-  // (parallel morsels permute rows).
-  const exec::Executor* executor = options_.exec.executor;
-  if (executor != nullptr && executor->lanes() > 1) {
-    options_.optimize.assume_ordered_exec = false;
-  }
-}
+    : catalog_(catalog), options_(std::move(options)) {}
 
 uint64_t Session::epoch() const {
   std::lock_guard<std::mutex> lock(mu_);

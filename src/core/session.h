@@ -82,11 +82,10 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   // other's plans.
   OptimizeOptions optimize;
   // Default execution policy applied to every call; per-call ExecuteOptions
-  // override via MergeExecPolicy (pointers when non-null). The plan's
-  // merge hints pick each join's physical path, and serving always runs
-  // the optimized kernels. The With* execution setters come from the shared
-  // ExecPolicyBuilder mixin (algebra/execute.h), so SessionOptions and
-  // ExecuteOptions no longer each re-declare the chain.
+  // override via MergeExecPolicy (pointers when non-null). Serving always
+  // runs the optimized kernels. The With* execution setters come from the
+  // shared ExecPolicyBuilder mixin (algebra/execute.h), so SessionOptions
+  // and ExecuteOptions no longer each re-declare the chain.
   ExecPolicy exec;
 
   ExecPolicy& policy() { return exec; }

@@ -3,7 +3,7 @@
 // The reference evaluator resolves every column reference BY NAME per row
 // (Scalar::Eval scans the schema's qualified names for each reference).
 // The optimized kernels -- Select and through it GS's selection pass, the
-// hash and merge join cores' residuals and key terms, and the hash
+// hash join core's residuals and key terms, and the hash
 // grouping feed's aggregate inputs -- instead bind a predicate or scalar
 // term to a schema once per operator call:
 //   * every column reference, arithmetic operands included, becomes a

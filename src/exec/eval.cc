@@ -24,30 +24,50 @@ using internal::IndexGroup;
 using internal::JoinCoreResult;
 using internal::LaneControl;
 using internal::LaneOutputs;
+using internal::RangeOutputs;
 using internal::LanesFor;
 using internal::MergeLaneStats;
-using internal::MergeJoinCore;
 using internal::NestedLoopJoinCore;
 using internal::RowRef;
+
+HashPlan SplitJoinPredicate(const Predicate& p, const Schema& a,
+                            const Schema& b) {
+  auto in = [](const Schema& schema, const Scalar& s) {
+    return s.Validate(schema).ok();
+  };
+  HashPlan plan;
+  for (const Atom& atom : p.atoms()) {
+    if (atom.kind == Atom::Kind::kCompare && atom.op == CmpOp::kEq) {
+      bool l_in_a = in(a, *atom.lhs);
+      bool r_in_b = in(b, *atom.rhs);
+      bool l_in_b = in(b, *atom.lhs);
+      bool r_in_a = in(a, *atom.rhs);
+      if (l_in_a && r_in_b && !(l_in_b && r_in_a)) {
+        plan.a_keys.push_back(atom.lhs);
+        plan.b_keys.push_back(atom.rhs);
+        continue;
+      }
+      if (l_in_b && r_in_a) {
+        plan.a_keys.push_back(atom.rhs);
+        plan.b_keys.push_back(atom.lhs);
+        continue;
+      }
+    }
+    plan.residual.push_back(atom);
+  }
+  return plan;
+}
 
 namespace {
 
 StatusOr<JoinCoreResult> JoinCore(const Relation& a, const Relation& b,
                                   const Predicate& p, const ExecContext& ctx) {
-  // The plan's sort-merge hint first (it runs the same NULL-key semantics
-  // and equality partition as the hash core); then the hash core for any
-  // separable equi-conjunct; nested loops for everything else and for the
-  // reference evaluator (BatchMode::kOff).
-  auto binds_to = [](const Schema& schema) {
-    return [&schema](const Scalar& s) { return s.Validate(schema).ok(); };
-  };
-  HashPlan plan =
-      SplitJoinPredicate(p, binds_to(a.schema()), binds_to(b.schema()));
+  // The hash core for any separable equi-conjunct; nested loops for
+  // everything else and for the reference evaluator (BatchMode::kOff).
+  HashPlan plan = SplitJoinPredicate(p, a.schema(), b.schema());
   StatusOr<JoinCoreResult> res =
-      !plan.usable()     ? NestedLoopJoinCore(a, b, p, ctx)
-      : ctx.merge_hint   ? MergeJoinCore(a, b, plan, ctx)
-      : ctx.Reference()  ? NestedLoopJoinCore(a, b, p, ctx)
-                         : HashJoinCore(a, b, plan, ctx);
+      plan.usable() && !ctx.Reference() ? HashJoinCore(a, b, plan, ctx)
+                                        : NestedLoopJoinCore(a, b, p, ctx);
   if (res.ok() && ctx.stats != nullptr) {
     ctx.stats->rows_in += static_cast<uint64_t>(a.NumRows()) +
                           static_cast<uint64_t>(b.NumRows());
@@ -220,20 +240,18 @@ StatusOr<Relation> Select(const Relation& r, const Predicate& p,
     RecordOut(ctx, out);
     return out;
   }
-  // Serial or morsel-parallel over the bound predicate: serially the
-  // output is exactly the reference's, order included; in parallel, lane
-  // outputs are spliced in lane order (bag-equal).
+  // Serial or morsel-parallel over the bound predicate. Either way the
+  // output is exactly the reference's, order included: each range writes
+  // its own output and the outputs are spliced in range order, so the
+  // order-aware pass can forward an order through a selection at any lane
+  // count. Outputs are reserved at their range's size (the tight upper
+  // bound): vector<Tuple> regrowth relocates fat inline-payload tuples
+  // element-wise. Untouched reserve slack is virtual address space only,
+  // the same worst case as push_back growth.
   const int lanes = LanesFor(ctx, r.NumRows());
   GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-select"));
   const BoundPredicate bound(p, r.schema());
-  LaneOutputs outs(&out, lanes);
-  // Each lane's output is reserved once at its share of the input (the
-  // tight upper bound): vector<Tuple> regrowth relocates fat
-  // inline-payload tuples element-wise. Untouched reserve slack is virtual
-  // address space only, the same worst case as push_back growth.
-  for (int l = 0; l < lanes; ++l) {
-    outs[l].Reserve(r.NumRows() / lanes + 1);
-  }
+  RangeOutputs outs(&out, ctx, lanes, r.NumRows());
   std::vector<OperatorStats> lane_stats(static_cast<size_t>(lanes));
   LaneControl control(lanes);
   ForRanges(ctx, lanes, r.NumRows(), [&](int lane, int64_t begin,
@@ -241,7 +259,7 @@ StatusOr<Relation> Select(const Relation& r, const Predicate& p,
     if (control.cancelled()) return;
     Status s = ctx.Tick("select");
     if (!s.ok()) return control.Fail(lane, std::move(s));
-    Relation& o = outs[lane];
+    Relation& o = outs.For(begin, end);
     const int64_t before = o.NumRows();
     for (int64_t i = begin; i < end; ++i) {
       if (bound.Test(RowRef(r.row(i)))) o.Add(r.row(i));

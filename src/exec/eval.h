@@ -71,9 +71,10 @@ struct ExecContext {
   // When non-null with more than one lane, large inputs take the
   // morsel-parallel kernel paths (partitioned hash join, parallel select /
   // product / GS-difference / aggregation). Null -- the default -- runs
-  // the serial kernels. Results are bag-equal either way; only row order
-  // may differ. The budget (if any) is charged from all lanes;
-  // ResourceBudget's probes are thread-safe. Ignored under BatchMode::kOff.
+  // the serial kernels. Results are bag-equal either way; row order may
+  // differ except through Select, which keeps it. The budget (if any) is
+  // charged from all lanes; ResourceBudget's probes are thread-safe.
+  // Ignored under BatchMode::kOff.
   Executor* executor = nullptr;
   // Chaos harness hook: when non-null, kernels probe it at allocation,
   // spill-I/O, budget-check and dispatch points (base/fault_injector.h).
@@ -88,14 +89,6 @@ struct ExecContext {
   // cardinality ratio; kOff pins every join filter-free; kForce always
   // builds the filter when a hash path runs.
   BloomMode bloom = BloomMode::kAuto;
-  // Per-node physical choice from the plan: the order-aware optimizer
-  // marks join nodes whose sort-merge execution pays for itself
-  // (interesting orders) and the interpreter copies the mark here. When
-  // set, a join with usable equi-keys takes the sort-merge path
-  // (exec/sort.cc MergeJoinCore) instead of the hash or nested-loop paths
-  // -- under the reference evaluator too, so a stamped tree can exercise
-  // the merge core with every other operator row-at-a-time.
-  bool merge_hint = false;
 
   Status ChargeRows(uint64_t n, const char* stage) const {
     if (budget == nullptr) return Status::OK();
@@ -150,13 +143,9 @@ class OpMemory {
 };
 
 // A join predicate's one key/residual split: each equi-atom whose two
-// sides separate across inputs a and b is a key pair, oriented a side
-// first and kept in atom order; every other atom is residual. The caller
-// supplies the side test: `in_a(s)` / `in_b(s)` say whether scalar s can
-// be evaluated over input a / b. The join kernels test against the input
-// schemas; the order-aware optimizer tests against the subtrees' output
-// qualifiers, so the order it claims for a merge join is the order the
-// merge core actually sorts by (every key, in this order).
+// sides separate across inputs a and b (each side evaluable over one
+// input's schema) is a key pair, oriented a side first and kept in atom
+// order; every other atom is residual.
 struct HashPlan {
   std::vector<ScalarPtr> a_keys;
   std::vector<ScalarPtr> b_keys;
@@ -165,35 +154,13 @@ struct HashPlan {
   bool usable() const { return !a_keys.empty(); }
 };
 
-template <typename InA, typename InB>
-HashPlan SplitJoinPredicate(const Predicate& p, const InA& in_a,
-                            const InB& in_b) {
-  HashPlan plan;
-  for (const Atom& atom : p.atoms()) {
-    if (atom.kind == Atom::Kind::kCompare && atom.op == CmpOp::kEq) {
-      bool l_in_a = in_a(*atom.lhs);
-      bool r_in_b = in_b(*atom.rhs);
-      bool l_in_b = in_b(*atom.lhs);
-      bool r_in_a = in_a(*atom.rhs);
-      if (l_in_a && r_in_b && !(l_in_b && r_in_a)) {
-        plan.a_keys.push_back(atom.lhs);
-        plan.b_keys.push_back(atom.rhs);
-        continue;
-      }
-      if (l_in_b && r_in_a) {
-        plan.a_keys.push_back(atom.rhs);
-        plan.b_keys.push_back(atom.lhs);
-        continue;
-      }
-    }
-    plan.residual.push_back(atom);
-  }
-  return plan;
-}
+HashPlan SplitJoinPredicate(const Predicate& p, const Schema& a,
+                            const Schema& b);
 
 StatusOr<Relation> Product(const Relation& a, const Relation& b,
                            const ExecContext& ctx = {});
 
+// Keeps the input's row order at any lane count.
 StatusOr<Relation> Select(const Relation& r, const Predicate& p,
                           const ExecContext& ctx = {});
 

@@ -1,7 +1,8 @@
 // Exec-internal shared pieces of the join / generalized-selection kernels:
 // join keys encoded straight from the rows, the JoinCore result shape,
-// the join cores themselves, and preserved-group indexing. The
-// key/residual split they run on (HashPlan, SplitJoinPredicate) is
+// the two join cores (hash for every equi-join, nested loops for the
+// rest and for the reference evaluator), and preserved-group indexing.
+// The key/residual split they run on (HashPlan, SplitJoinPredicate) is
 // public, in exec/eval.h. Not part of the public exec/ API.
 #ifndef GSOPT_EXEC_JOIN_INTERNAL_H_
 #define GSOPT_EXEC_JOIN_INTERNAL_H_
@@ -139,18 +140,6 @@ inline bool GroupPartAllNull(const Tuple& t, const GroupIndex& gi) {
   }
   return true;
 }
-
-// Sort-merge twin of the hash JoinCore (exec/sort.cc): sorts both sides by
-// their equi-key values (CompareValuesTotal, whose equality partition is
-// exactly the hash path's key bytes) and merges equal-key blocks, evaluating
-// residual conjuncts per candidate pair. Rows with a NULL key never match,
-// as on the hash path. Requires plan.usable(). Matched inner rows
-// are emitted in ascending key order, which is what lets the order-aware
-// optimizer claim the join's output order. Degrades to external key-sorted
-// runs when the memory cap trips and spilling is enabled.
-StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
-                                       const HashPlan& plan,
-                                       const ExecContext& ctx);
 
 }  // namespace gsopt::exec::internal
 

@@ -2,8 +2,8 @@
 // (serial, parallel, spilled), grouping feed, DISTINCT dedup set,
 // duplicate elimination and generalized-selection difference keys on these
 // bytes, so they all share one equality partition -- the one
-// Value::IdentityEquals and the sort-merge path's CompareValuesTotal
-// define.
+// Value::IdentityEquals defines. Join-key equality is stated here and
+// nowhere else.
 //
 // Per value, fixed-width binary:
 //   'i' + 8B native-endian int64 -- ints, and doubles exactly equal to an

@@ -77,7 +77,9 @@ void ForRanges(const ExecContext& ctx, int lanes, int64_t n, Body&& body) {
 }
 
 // Per-lane output relations: lane 0 is the result itself, the others are
-// private and Splice() appends them in lane order after the fan-in.
+// private and Splice() appends them in lane order after the fan-in. Lanes
+// claim morsels in any order, so the result is bag-equal to the serial
+// one, not row-for-row; RangeOutputs below keeps input order.
 class LaneOutputs {
  public:
   LaneOutputs(Relation* out, int lanes) : out_(out) {
@@ -96,6 +98,39 @@ class LaneOutputs {
  private:
   Relation* out_;
   std::vector<Relation> rest_;
+};
+
+// Per-range output relations for a kernel whose output keeps its input's
+// row order at any lane count. Serially the ranges arrive in order and all
+// write the result itself. Under lanes, the range starting at row `begin`
+// writes its own chunk (ranges start at multiples of the morsel size) and
+// Splice() appends the chunks in range order after the fan-in.
+class RangeOutputs {
+ public:
+  RangeOutputs(Relation* out, const ExecContext& ctx, int lanes, int64_t n)
+      : out_(out), morsel_(lanes > 1 ? ctx.executor->morsel_rows() : 0) {
+    if (morsel_ > 0) {
+      chunks_.resize(static_cast<size_t>((n + morsel_ - 1) / morsel_),
+                     Relation(out->schema(), out->vschema()));
+    } else {
+      out->Reserve(n);
+    }
+  }
+  // The output of range [begin, end); a chunk is reserved to the range.
+  Relation& For(int64_t begin, int64_t end) {
+    if (morsel_ == 0) return *out_;
+    Relation& chunk = chunks_[static_cast<size_t>(begin / morsel_)];
+    chunk.Reserve(end - begin);
+    return chunk;
+  }
+  void Splice() {
+    for (Relation& chunk : chunks_) out_->AppendFrom(std::move(chunk));
+  }
+
+ private:
+  Relation* out_;
+  int64_t morsel_;
+  std::vector<Relation> chunks_;
 };
 
 inline void MergeLaneStats(const std::vector<OperatorStats>& lanes,

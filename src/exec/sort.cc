@@ -1,13 +1,9 @@
 #include "exec/sort.h"
 
 #include <algorithm>
-#include <functional>
 #include <iterator>
 #include <utility>
 
-#include "exec/bind.h"
-#include "exec/join_internal.h"
-#include "exec/keys.h"
 #include "exec/spill.h"
 
 namespace gsopt::exec {
@@ -15,10 +11,6 @@ namespace gsopt::exec {
 namespace {
 
 using internal::ApproxTupleBytes;
-using internal::BoundPredicate;
-using internal::BoundScalar;
-using internal::JoinCoreResult;
-using internal::RowRef;
 using internal::SpillRun;
 
 // Maximum spilled runs merged at once. Past this the external sort takes
@@ -60,27 +52,29 @@ int CompareValuesTotal(const Value& a, const Value& b) {
 
 namespace {
 
-// One row staged for sorting: the tuple, its evaluated key values and its
-// original index in the input relation (stability tie-break; the merge
-// join's globally-indexed matched bitmaps).
+// One row staged for sorting: the tuple, its key values and its original
+// index in the input relation (the stability tie-break).
 struct Keyed {
   Tuple t;
   std::vector<Value> keys;
   int64_t orig = 0;
 };
 
-// Fills `keys` from a tuple; returning false drops the row from the
-// stream (the merge join's NULL-key skip; the Sort operator keeps all).
-using KeyFn = std::function<bool(const Tuple&, std::vector<Value>*)>;
-
+// The sort spec resolved against the input schema: key column indices and
+// per-key direction.
 struct KeyCmp {
-  const std::vector<char>* desc = nullptr;  // null = all ascending
+  std::vector<int> idx;
+  std::vector<char> desc;
 
+  void Fill(const Tuple& t, std::vector<Value>* keys) const {
+    keys->clear();
+    keys->reserve(idx.size());
+    for (int i : idx) keys->push_back(t.values[i]);
+  }
   int Compare(const std::vector<Value>& a, const std::vector<Value>& b) const {
-    size_t n = std::min(a.size(), b.size());
-    for (size_t k = 0; k < n; ++k) {
+    for (size_t k = 0; k < a.size(); ++k) {
       int c = CompareValuesTotal(a[k], b[k]);
-      if (desc != nullptr && (*desc)[k]) c = -c;
+      if (desc[k]) c = -c;
       if (c != 0) return c;
     }
     return 0;
@@ -105,34 +99,25 @@ uint64_t KeyedBytes(const Keyed& k) {
 // file is destroyed (LiveCount back to zero) before the operator returns.
 class SortedStream {
  public:
-  SortedStream(const Relation& src, KeyFn key_fn, KeyCmp cmp,
-               const ExecContext& ctx, const char* stage)
-      : src_(src),
-        key_fn_(std::move(key_fn)),
-        cmp_(cmp),
-        ctx_(ctx),
-        stage_(stage),
-        mem_(ctx) {}
+  SortedStream(const Relation& src, const KeyCmp& cmp, const ExecContext& ctx)
+      : src_(src), cmp_(cmp), ctx_(ctx), mem_(ctx) {}
 
   Status Init() {
     std::vector<Keyed> buf;
     for (int64_t i = 0; i < src_.NumRows(); ++i) {
-      GSOPT_RETURN_IF_ERROR(ctx_.Tick(stage_));
+      GSOPT_RETURN_IF_ERROR(ctx_.Tick(kStage));
       Keyed k;
-      if (!key_fn_(src_.row(i), &k.keys)) {
-        ++skipped_;
-        continue;
-      }
+      cmp_.Fill(src_.row(i), &k.keys);
       k.t = src_.row(i);
       k.orig = i;
-      Status cs = mem_.Charge(KeyedBytes(k), stage_);
+      Status cs = mem_.Charge(KeyedBytes(k), kStage);
       if (!cs.ok()) {
         // The staged rows no longer fit (or an alloc fault fired). With
         // spilling enabled, flush what we have as a sorted run and keep
         // going with an empty buffer; otherwise surface the trip.
         if (ctx_.spill == nullptr) return cs;
         GSOPT_RETURN_IF_ERROR(FlushRun(&buf));
-        GSOPT_RETURN_IF_ERROR(mem_.Charge(KeyedBytes(k), stage_));
+        GSOPT_RETURN_IF_ERROR(mem_.Charge(KeyedBytes(k), kStage));
       }
       buf.push_back(std::move(k));
     }
@@ -141,9 +126,7 @@ class SortedStream {
         return cmp_.Less(x, y);
       };
       // Presorted-input short-circuit: one linear scan instead of the full
-      // comparison sort. This is what makes a merge join over an already
-      // ordered input cheap (the optimizer's interesting-order pass counts
-      // on it).
+      // comparison sort.
       if (!std::is_sorted(buf.begin(), buf.end(), less)) {
         std::stable_sort(buf.begin(), buf.end(), less);
       }
@@ -185,31 +168,6 @@ class SortedStream {
     return Status::OK();
   }
 
-  // Collects the next maximal block of key-equal rows (in stable order).
-  // Empty block = exhausted. Block bytes are charged against `block_mem`.
-  Status NextBlock(std::vector<Keyed>* block, OpMemory* block_mem) {
-    block->clear();
-    if (!pending_valid_) {
-      GSOPT_RETURN_IF_ERROR(Next(&pending_, &pending_valid_));
-      if (!pending_valid_) return Status::OK();
-    }
-    GSOPT_RETURN_IF_ERROR(block_mem->Charge(KeyedBytes(pending_), stage_));
-    block->push_back(std::move(pending_));
-    pending_valid_ = false;
-    for (;;) {
-      GSOPT_RETURN_IF_ERROR(Next(&pending_, &pending_valid_));
-      if (!pending_valid_) return Status::OK();
-      if (cmp_.Compare(pending_.keys, block->front().keys) != 0) {
-        return Status::OK();  // pending_ starts the next block
-      }
-      GSOPT_RETURN_IF_ERROR(block_mem->Charge(KeyedBytes(pending_), stage_));
-      block->push_back(std::move(pending_));
-      pending_valid_ = false;
-    }
-  }
-
-  uint64_t skipped() const { return skipped_; }
-
   // Adds the stream's sort and spill counters to `st`. Runs a consumer
   // stopped reading early report their bytes here.
   void FlushStats(OperatorStats* st) {
@@ -237,15 +195,11 @@ class SortedStream {
     return Status::OK();
   }
 
-  // Reads the next record of run r into *k (keys re-evaluated; the key fn
-  // is pure, and rows were filtered before being written). *ok = false
-  // when the run is exhausted.
+  // Reads the next record of run r into *k, its keys re-read from the
+  // tuple. *ok = false when the run is exhausted.
   Status ReadOne(SpillRun* r, Keyed* k, bool* ok) {
     GSOPT_RETURN_IF_ERROR(r->Next(&k->t, &k->orig, ok));
-    if (*ok) {
-      k->keys.clear();
-      key_fn_(k->t, &k->keys);
-    }
+    if (*ok) cmp_.Fill(k->t, &k->keys);
     return Status::OK();
   }
 
@@ -271,7 +225,7 @@ class SortedStream {
         Keyed row;
         bool ok = true;
         for (;;) {
-          GSOPT_RETURN_IF_ERROR(ctx_.Tick(stage_));
+          GSOPT_RETURN_IF_ERROR(ctx_.Tick(kStage));
           GSOPT_RETURN_IF_ERROR(Next(&row, &ok));
           if (!ok) break;
           GSOPT_RETURN_IF_ERROR(merged.Write(row.t, row.orig));
@@ -305,11 +259,11 @@ class SortedStream {
     return Status::OK();
   }
 
+  static constexpr const char* kStage = "sort";
+
   const Relation& src_;
-  KeyFn key_fn_;
-  KeyCmp cmp_;
+  const KeyCmp& cmp_;
   const ExecContext& ctx_;
-  const char* stage_;
   OpMemory mem_;
 
   std::vector<Keyed> mem_entries_;
@@ -319,10 +273,6 @@ class SortedStream {
   std::vector<Keyed> heads_;
   std::vector<char> head_live_;
 
-  Keyed pending_;
-  bool pending_valid_ = false;
-
-  uint64_t skipped_ = 0;
   uint64_t total_runs_ = 0;
   uint64_t merge_passes_ = 0;
 };
@@ -331,29 +281,22 @@ class SortedStream {
 
 StatusOr<Relation> Sort(const Relation& r, const SortSpec& spec,
                         const ExecContext& ctx) {
-  std::vector<int> idx;
-  std::vector<char> desc;
+  KeyCmp cmp;
   for (const SortKey& k : spec) {
     int i = r.schema().Find(k.attr.rel, k.attr.name);
     if (i < 0) {
       return Status::InvalidArgument("sort: missing attribute " +
                                      k.attr.Qualified());
     }
-    idx.push_back(i);
-    desc.push_back(k.desc ? 1 : 0);
+    cmp.idx.push_back(i);
+    cmp.desc.push_back(k.desc ? 1 : 0);
   }
   OperatorStats* st = ctx.stats;
   if (st != nullptr) {
     st->rows_in += static_cast<uint64_t>(r.NumRows());
     st->sort_rows += static_cast<uint64_t>(r.NumRows());
   }
-  KeyFn key_fn = [&idx](const Tuple& t, std::vector<Value>* keys) {
-    keys->reserve(idx.size());
-    for (int i : idx) keys->push_back(t.values[i]);
-    return true;
-  };
-  KeyCmp cmp{&desc};
-  SortedStream stream(r, key_fn, cmp, ctx, "sort");
+  SortedStream stream(r, cmp, ctx);
   GSOPT_RETURN_IF_ERROR(stream.Init());
 
   Relation out(r.schema(), r.vschema());
@@ -401,86 +344,5 @@ Status CheckSorted(const Relation& r, const SortSpec& spec) {
   }
   return Status::OK();
 }
-
-namespace internal {
-
-StatusOr<JoinCoreResult> MergeJoinCore(const Relation& a, const Relation& b,
-                                       const HashPlan& plan,
-                                       const ExecContext& ctx) {
-  JoinCoreResult res = EmptyJoinResult(a, b);
-  OperatorStats* st = ctx.stats;
-  if (st != nullptr) {
-    st->merge_path = true;
-    st->sort_rows += static_cast<uint64_t>(a.NumRows()) +
-                     static_cast<uint64_t>(b.NumRows());
-  }
-
-  // Key terms bound to their side once; KeyFn copies hold the binding.
-  auto side_key_fn = [](const Relation& r, const std::vector<ScalarPtr>& ks) {
-    std::vector<BoundScalar> bound;
-    for (const ScalarPtr& k : ks) bound.emplace_back(*k, r.schema());
-    return [bound = std::move(bound)](const Tuple& t,
-                                      std::vector<Value>* keys) {
-      keys->clear();
-      keys->reserve(bound.size());
-      Value scratch;
-      for (const BoundScalar& k : bound) {
-        const Value& v = k.Ref(RowRef(t), &scratch);
-        // NULL never equi-matches under 3VL: drop the row from the merge
-        // entirely, exactly like the hash core's NULL-key skip.
-        if (v.is_null()) return false;
-        keys->push_back(v);
-      }
-      return true;
-    };
-  };
-  KeyCmp cmp;  // all ascending
-  SortedStream sa(a, side_key_fn(a, plan.a_keys), cmp, ctx, "merge-join");
-  SortedStream sb(b, side_key_fn(b, plan.b_keys), cmp, ctx, "merge-join");
-  GSOPT_RETURN_IF_ERROR(sa.Init());
-  GSOPT_RETURN_IF_ERROR(sb.Init());
-  if (st != nullptr) st->null_key_skips += sa.skipped() + sb.skipped();
-
-  const BoundPredicate residual(Predicate(plan.residual), res.out.schema());
-  std::vector<Keyed> ba, bb;
-  OpMemory mem_a(ctx), mem_b(ctx);
-  GSOPT_RETURN_IF_ERROR(sa.NextBlock(&ba, &mem_a));
-  GSOPT_RETURN_IF_ERROR(sb.NextBlock(&bb, &mem_b));
-  while (!ba.empty() && !bb.empty()) {
-    GSOPT_RETURN_IF_ERROR(ctx.Tick("merge-join"));
-    int c = cmp.Compare(ba.front().keys, bb.front().keys);
-    if (c < 0) {
-      mem_a.Release();
-      GSOPT_RETURN_IF_ERROR(sa.NextBlock(&ba, &mem_a));
-      continue;
-    }
-    if (c > 0) {
-      mem_b.Release();
-      GSOPT_RETURN_IF_ERROR(sb.NextBlock(&bb, &mem_b));
-      continue;
-    }
-    for (const Keyed& x : ba) {
-      for (const Keyed& y : bb) {
-        GSOPT_RETURN_IF_ERROR(ctx.Tick("merge-join"));
-        if (st != nullptr) ++st->residual_evals;
-        if (residual.Test(RowRef(x.t, y.t))) {
-          res.a_matched[static_cast<size_t>(x.orig)] = 1;
-          res.b_matched[static_cast<size_t>(y.orig)] = 1;
-          res.out.AddConcat(x.t, y.t);
-          GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "merge-join"));
-        }
-      }
-    }
-    mem_a.Release();
-    mem_b.Release();
-    GSOPT_RETURN_IF_ERROR(sa.NextBlock(&ba, &mem_a));
-    GSOPT_RETURN_IF_ERROR(sb.NextBlock(&bb, &mem_b));
-  }
-  sa.FlushStats(st);
-  sb.FlushStats(st);
-  return res;
-}
-
-}  // namespace internal
 
 }  // namespace gsopt::exec

@@ -1,12 +1,11 @@
 // External merge sort and the sorted-output contract.
 //
-// Sort() is the enforcer operator behind ORDER BY and the sort phase of
-// the sort-merge join (MergeJoinCore, declared in join_internal.h). The
-// in-memory path stable-sorts a row-index permutation; when the operator
-// state trips the ResourceBudget memory cap and the ExecContext carries a
-// SpillConfig, rows degrade to sorted SpillRuns (exec/spill.h) merged with a
-// bounded fan-in (multi-pass when the run count exceeds kMergeFanIn), so
-// ENOSPC / short-write faults inject at the existing spill sites and
+// Sort() is the enforcer operator behind ORDER BY. The in-memory path
+// stable-sorts the staged rows; when the operator state trips the
+// ResourceBudget memory cap and the ExecContext carries a SpillConfig, rows
+// degrade to sorted SpillRuns (exec/spill.h) merged with a bounded fan-in
+// (multi-pass when the run count exceeds kMergeFanIn), so ENOSPC /
+// short-write faults inject at the existing spill sites and
 // SpillFile::LiveCount() returns to zero on every path.
 //
 // Ordering contract (documented here, asserted by CheckSorted and the
@@ -47,8 +46,8 @@ using SortSpec = std::vector<SortKey>;
 std::string SortSpecToString(const SortSpec& spec);
 
 // Total order over values per the ordering contract above: <0, 0, >0.
-// Its equality classes are exactly the hash paths' key classes (exec/keys.h
-// AppendValueKey), so the merge join groups rows as the hash join does.
+// Sort, CheckSorted and Statistics' sortedness scan order by it; join-key
+// equality is the key bytes' (exec/keys.h), not this comparison's.
 int CompareValuesTotal(const Value& a, const Value& b);
 
 // Stable external merge sort of `r` by `spec`. Fallible: a key naming an

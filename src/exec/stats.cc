@@ -19,7 +19,6 @@ void OperatorStats::MergeCountersFrom(const OperatorStats& o) {
   bloom_checks += o.bloom_checks;
   bloom_rejects += o.bloom_rejects;
   bloom_false_positives += o.bloom_false_positives;
-  merge_path = merge_path || o.merge_path;
   sort_rows += o.sort_rows;
   sort_runs += o.sort_runs;
   sort_merge_passes += o.sort_merge_passes;
@@ -60,10 +59,8 @@ std::string OperatorStats::CountersString() const {
                   static_cast<unsigned long long>(bloom_false_positives));
     line += buf;
   }
-  if (merge_path || sort_rows > 0) {
-    std::snprintf(buf, sizeof(buf),
-                  " sort{%srows=%llu runs=%llu passes=%llu}",
-                  merge_path ? "merge " : "",
+  if (sort_rows > 0) {
+    std::snprintf(buf, sizeof(buf), " sort{rows=%llu runs=%llu passes=%llu}",
                   static_cast<unsigned long long>(sort_rows),
                   static_cast<unsigned long long>(sort_runs),
                   static_cast<unsigned long long>(sort_merge_passes));

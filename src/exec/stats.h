@@ -57,12 +57,9 @@ struct OperatorStats {
   uint64_t bloom_rejects = 0;
   uint64_t bloom_false_positives = 0;
 
-  // Sort / merge-join counters (exec/sort.cc). `merge_path` marks a join
-  // that ran sort-merge instead of hash; `sort_rows` counts rows sorted
-  // (by the Sort operator or a merge join's key-sort phase);
-  // `sort_runs` counts spilled runs when the sort went external and
+  // Sort counters (exec/sort.cc): `sort_rows` counts rows sorted,
+  // `sort_runs` spilled runs when the sort went external and
   // `sort_merge_passes` extra fan-in-limited merge rounds past the first.
-  bool merge_path = false;
   uint64_t sort_rows = 0;
   uint64_t sort_runs = 0;
   uint64_t sort_merge_passes = 0;

@@ -19,10 +19,9 @@ struct ColumnStats {
   double null_fraction = 0.0;
   // The whole table is non-decreasing by this column alone under the
   // ordering contract of exec/sort.h (NULL lowest). Detected by scanning
-  // at stats-build time, so it is always true of the actual data; it
-  // feeds only costing / physical choices (interesting orders), never
-  // correctness -- the merge join re-sorts internally with an is-sorted
-  // short-circuit either way.
+  // at stats-build time, so it is always true of the data the statistics
+  // were collected from; the order-aware pass (optimizer/order.h) drops an
+  // ORDER BY enforcer over a scan of the table on it.
   bool sorted_asc = false;
 };
 

@@ -1,6 +1,7 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "base/check.h"
@@ -46,8 +47,10 @@ void Relation::AppendFrom(Relation&& other) {
   if (rows_.empty()) {
     rows_ = std::move(other.rows_);
   } else {
-    rows_.reserve(rows_.size() + other.rows_.size());
-    for (Tuple& t : other.rows_) rows_.push_back(std::move(t));
+    // Range insert grows geometrically, so splicing many small chunks
+    // stays linear.
+    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
+                 std::make_move_iterator(other.rows_.end()));
   }
   other.rows_.clear();
 }

@@ -42,7 +42,8 @@ class Relation {
   void AddBaseRow(std::vector<Value> values, RowId id);
 
   // Moves all rows of `other` (same shape; checked) onto the end of this
-  // relation. Used by the parallel kernels to splice per-lane outputs.
+  // relation. Used by the parallel kernels to splice per-lane and
+  // per-range outputs.
   void AppendFrom(Relation&& other);
 
   // A tuple of all-NULL values / all-null row ids shaped like this relation.

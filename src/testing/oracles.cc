@@ -14,7 +14,6 @@
 #include "core/session.h"
 #include "exec/executor.h"
 #include "exec/sort.h"
-#include "optimizer/order.h"
 #include "sql/binder.h"
 #include "testing/sql_emit.h"
 
@@ -106,11 +105,10 @@ class OracleRunner {
   // Executes under a fresh row budget. kResourceExhausted surfaces to the
   // caller (which skips the candidate); other errors propagate. The
   // baseline runs the reference evaluator (BatchMode::kOff: serial,
-  // row-at-a-time, every join as nested loops over the as-written tree,
-  // which carries no merge hint) -- the ground truth every oracle compares
-  // against -- while checked candidates run the optimized kernels (the
-  // hash-join core, batch selection and aggregation, bloom filters and
-  // whatever merge joins the plan picked), so every oracle
+  // row-at-a-time, every join as nested loops over the as-written tree)
+  // -- the ground truth every oracle compares against -- while checked
+  // candidates run the optimized kernels (the hash-join core, bound
+  // selection, hash aggregation and bloom filters), so every oracle
   // differential-tests them too.
   StatusOr<Relation> Exec(const NodePtr& n,
                           exec::BatchMode batch = exec::BatchMode::kOff,
@@ -157,8 +155,7 @@ class OracleRunner {
   void RunRoundTrip();
   void RunPlanCache();
   void RunForcedPaths(OracleKind kind, const std::string& label,
-                      const NodePtr& tree, exec::BloomMode bloom,
-                      bool merge_stamped);
+                      exec::BloomMode bloom);
   void RunOrder();
   void RunChaos();
 
@@ -512,23 +509,18 @@ void OracleRunner::RunPlanCache() {
   }
 }
 
-// The forced-path battery behind the columnar, bloom and merge oracles:
-// re-executes `tree` with `bloom` on the optimized kernels -- serial,
+// The forced-path battery behind the columnar and bloom oracles:
+// re-executes the query with `bloom` on the optimized kernels -- serial,
 // morsel-parallel, memory-starved with spilling, and under two seeded
 // fault injections -- and holds every trial to the reference baseline's
 // bag (a faulted trial may instead end in a clean typed error), with the
-// memory ledger unwound after every spilling or faulted trial. A
-// `merge_stamped` tree (StampMergeJoins) gets a first trial with every
-// operator except its joins on the reference evaluator's row kernels, and
-// one more legitimate out in the spilling trial.
+// memory ledger unwound after every spilling or faulted trial.
 void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
-                                  const NodePtr& tree, exec::BloomMode bloom,
-                                  bool merge_stamped) {
+                                  exec::BloomMode bloom) {
   ++outcome_.oracles_run;
 
   // Results flow into comparisons, so the self-test mutation hook applies.
-  auto exec_forced = [&](exec::BatchMode batch, exec::Executor* executor,
-                         ResourceBudget* budget,
+  auto exec_forced = [&](exec::Executor* executor, ResourceBudget* budget,
                          const exec::SpillConfig* spill,
                          FaultInjector* fault) -> StatusOr<Relation> {
     ExecuteOptions eo;
@@ -536,9 +528,8 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
     eo.executor = executor;
     eo.spill = spill;
     eo.fault = fault;
-    eo.batch = batch;
     eo.bloom = bloom;
-    GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(tree, catalog_, eo));
+    GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(query_, catalog_, eo));
     if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
     return r;
   };
@@ -562,53 +553,39 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
     return false;
   };
 
-  // Reference rows: the merge core under row-at-a-time selection,
-  // projection and grouping.
-  if (merge_stamped) {
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(exec::BatchMode::kOff, nullptr, &budget, nullptr,
-                          nullptr),
-              label + " (reference rows)");
-    if (outcome_.failed) return;
-  }
-
   // Serial optimized kernels.
   {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(exec::BatchMode::kAuto, nullptr, &budget, nullptr,
-                          nullptr),
+    check_bag(exec_forced(nullptr, &budget, nullptr, nullptr),
               label + " (serial)");
     if (outcome_.failed) return;
   }
 
   // The morsel-parallel paths, with the thresholds forced down so
   // fuzz-sized inputs actually fan out (one bloom filter over every lane's
-  // build entries; a merge join still runs its one core under the lanes).
+  // build entries).
   {
     exec::Executor executor(4);
     executor.set_min_parallel_rows(1);
     executor.set_morsel_rows(7);
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(exec::BatchMode::kAuto, &executor, &budget, nullptr,
-                          nullptr),
+    check_bag(exec_forced(&executor, &budget, nullptr, nullptr),
               label + " (parallel)");
     if (outcome_.failed) return;
   }
 
   // Memory-starved with spilling: hash joins, aggregation and the external
-  // sort under a merge join must degrade out of core and still tile the
-  // baseline, and a bloom filter whose allocation fails under the squeeze
-  // must leave a correct filter-free join.
+  // sort must degrade out of core and still tile the baseline, and a bloom
+  // filter whose allocation fails under the squeeze must leave a correct
+  // filter-free join.
   {
     exec::SpillConfig spill;
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     budget.WithMaxMemory(opt_.chaos_memory_bytes);
-    auto got = exec_forced(exec::BatchMode::kAuto, nullptr, &budget, &spill,
-                           nullptr);
+    auto got = exec_forced(nullptr, &budget, &spill, nullptr);
     const std::string trial = label + " (spilling)";
     if (!ledger_clean(budget, trial)) return;
     if (got.ok()) {
@@ -616,22 +593,13 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
       if (outcome_.failed) return;
     } else {
       // Row caps / deadlines (kResourceExhausted without "memory cap")
-      // skip as everywhere else. On a merge-stamped tree, so does the
-      // merge join's own block staging, which has no degradation below
-      // it by design: a single key-equal block bigger than the whole cap
-      // reports "merge-join: memory cap exceeded" -- the documented
-      // irreducible case (intermediate joins concentrate duplicate keys
-      // well past the base-table sizes), analogous to the chaos oracle's
-      // DISTINCT dedup set. Any OTHER memory-cap report fails: spilling
-      // must engage, not trip.
+      // skip as everywhere else. A memory-cap report fails: spilling must
+      // engage, not trip.
       const Status& st = got.status();
-      const bool exhausted = st.code() == StatusCode::kResourceExhausted;
       const bool typed_skip =
-          exhausted && st.message().find("memory cap") == std::string::npos;
-      const bool irreducible_block =
-          merge_stamped && exhausted &&
-          st.message().find("merge-join: memory cap") != std::string::npos;
-      if (!typed_skip && !irreducible_block) {
+          st.code() == StatusCode::kResourceExhausted &&
+          st.message().find("memory cap") == std::string::npos;
+      if (!typed_skip) {
         Fail(kind, trial + " failed: " + st.ToString());
         return;
       }
@@ -653,8 +621,7 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
     exec::SpillConfig spill;
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    auto got = exec_forced(exec::BatchMode::kAuto, nullptr, &budget, &spill,
-                           &fault);
+    auto got = exec_forced(nullptr, &budget, &spill, &fault);
     const std::string name = label + " fault seed " + std::to_string(seed);
     if (!ledger_clean(budget, name)) return;
     if (!got.ok()) {
@@ -681,15 +648,9 @@ void OracleRunner::RunOrder() {
   if (!RootSortContract(query_, &spec)) return;
   ++outcome_.oracles_run;
 
-  // Reference row kernels, so the trial's row order is the plan's own:
-  // merge-stamped joins still run the merge core.
+  // Reference row kernels, so the trial's row order is the plan's own.
   auto exec_ref = [&](const NodePtr& n) -> StatusOr<Relation> {
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    ExecuteOptions eo;
-    eo.budget = &budget;
-    eo.batch = exec::BatchMode::kOff;
-    GSOPT_ASSIGN_OR_RETURN(Relation r, Execute(n, catalog_, eo));
+    GSOPT_ASSIGN_OR_RETURN(Relation r, Exec(n));
     if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
     return r;
   };
@@ -723,27 +684,27 @@ void OracleRunner::RunOrder() {
     }
   }
 
-  // Trial 1: the order-aware optimizer's winning plan, executed serially
-  // with merge hints honored (the configuration its enforcer-removal
-  // reasoning assumes). This is the trial that catches a kSort removed on
-  // the promise of an order nobody actually delivered.
-  {
-    QueryOptimizer optimizer(catalog_);
-    OptimizeOptions oo;
-    oo.max_plans = std::max<size_t>(opt_.max_plans, 16);
-    auto result = optimizer.Optimize(query_, oo);
-    if (!result.ok()) {
-      Fail(OracleKind::kOrder,
-           "optimization failed: " + result.status().ToString());
-      return;
-    }
-    check_ordered(exec_ref(result->best.expr), "optimized plan");
-    if (outcome_.failed) return;
+  // Trials 1 and 2: the order-aware optimizer's winning plan, on the
+  // reference row kernels and then on four lanes with morsels forced
+  // small (as in RunExecutor), since enforcer removal is claimed sound at
+  // any lane count. These are the trials that catch a kSort removed on the
+  // promise of an order nobody actually delivered.
+  QueryOptimizer optimizer(catalog_);
+  OptimizeOptions oo;
+  oo.max_plans = std::max<size_t>(opt_.max_plans, 16);
+  auto result = optimizer.Optimize(query_, oo);
+  if (!result.ok()) {
+    Fail(OracleKind::kOrder,
+         "optimization failed: " + result.status().ToString());
+    return;
   }
-
-  // Trial 2: the as-written tree with every join merge-stamped -- merge
-  // joins below the intact enforcer must not disturb the final order.
-  check_ordered(exec_ref(StampMergeJoins(query_)), "forced-merge execution");
+  check_ordered(exec_ref(result->best.expr), "optimized plan");
+  if (outcome_.failed) return;
+  exec::Executor executor(4);
+  executor.set_min_parallel_rows(1);
+  executor.set_morsel_rows(7);
+  check_ordered(ExecChecked(result->best.expr, &executor),
+                "optimized plan (4 lanes)");
 }
 
 void OracleRunner::RunChaos() {
@@ -917,16 +878,10 @@ StatusOr<OracleOutcome> OracleRunner::Run() {
   if (opt_.run_round_trip && !outcome_.failed) RunRoundTrip();
   if (opt_.run_plan_cache && !outcome_.failed) RunPlanCache();
   if (opt_.run_columnar && !outcome_.failed) {
-    RunForcedPaths(OracleKind::kColumnar, "columnar", query_,
-                   exec::BloomMode::kOff, /*merge_stamped=*/false);
+    RunForcedPaths(OracleKind::kColumnar, "columnar", exec::BloomMode::kOff);
   }
   if (opt_.run_bloom && !outcome_.failed) {
-    RunForcedPaths(OracleKind::kBloom, "bloom", query_,
-                   exec::BloomMode::kForce, /*merge_stamped=*/false);
-  }
-  if (opt_.run_merge && !outcome_.failed) {
-    RunForcedPaths(OracleKind::kMergeJoin, "merge", StampMergeJoins(query_),
-                   exec::BloomMode::kOff, /*merge_stamped=*/true);
+    RunForcedPaths(OracleKind::kBloom, "bloom", exec::BloomMode::kForce);
   }
   if (opt_.run_order && !outcome_.failed) RunOrder();
   if (opt_.run_chaos && !outcome_.failed) RunChaos();
@@ -945,7 +900,6 @@ std::string OracleKindName(OracleKind k) {
     case OracleKind::kPlanCache: return "plan-cache";
     case OracleKind::kColumnar: return "columnar";
     case OracleKind::kBloom: return "bloom";
-    case OracleKind::kMergeJoin: return "merge-join";
     case OracleKind::kOrder: return "order";
     case OracleKind::kChaos: return "chaos";
   }

@@ -16,14 +16,9 @@
 //                    information-passing pass forced on (BloomMode::kForce):
 //                    a filter may only ever skip work, never change an
 //                    answer;
-//  * merge join   -- the same battery, plus a reference-row-kernel trial,
-//                    over the query with every join stamped for sort-merge
-//                    (StampMergeJoins): the merge core must reproduce the
-//                    reference nested loops' NULL-key and equality
-//                    semantics exactly;
 //  * order        -- for ORDER BY queries, the order-aware optimizer's
-//                    output and the merge-stamped query both still
-//                    satisfy the sort spec and bag-equal the baseline;
+//                    plan, run serially and on four lanes, still
+//                    satisfies the sort spec and bag-equals the baseline;
 //  * TLP          -- partitioning any visible column c by `c <= k`,
 //                    `c > k`, `c IS NULL` and unioning the three optimized
 //                    partitions reproduces the unpartitioned result
@@ -70,7 +65,6 @@ enum class OracleKind {
   kPlanCache,
   kColumnar,
   kBloom,
-  kMergeJoin,
   kOrder,
   kChaos,
 };
@@ -89,8 +83,8 @@ struct OracleOptions {
   // morsel-parallel, memory-starved with spilling, and under seeded fault
   // injection, where a faulted trial may also end in a clean typed error
   // -- and holds every trial to the reference baseline's bag. The baseline
-  // runs BatchMode::kOff (nested loops, no filter, no merge), so no
-  // optimized path ever validates itself.
+  // runs BatchMode::kOff (nested loops, no filter), so no optimized path
+  // ever validates itself.
   //
   // Optimized-vs-reference: the battery as is, filter-free.
   bool run_columnar = true;
@@ -98,17 +92,14 @@ struct OracleOptions {
   // count of the hash-join core; a failed filter allocation must degrade
   // to a filter-free join, never a wrong answer.
   bool run_bloom = true;
-  // Merge-vs-reference: the battery over the query with every join
-  // stamped for sort-merge, plus a trial on the reference row kernels.
-  bool run_merge = true;
   // Order-correctness oracle: for queries whose result carries an ORDER BY
-  // (a root kSort, possibly under the final projection), re-runs the query
-  // through the order-aware optimizer (interesting orders, merge-join
-  // stamping, enforcer removal) and with every join merge-stamped, and
-  // asserts that each trial's output still satisfies the sort spec
-  // (exec::CheckSorted) *and* bag-equals the baseline. This is the oracle
-  // that catches an enforcer removed on the promise of an order nobody
-  // actually delivered.
+  // (a root kSort, possibly under the final projection), runs the
+  // order-aware optimizer's plan (enforcer removal over presorted scans)
+  // serially on the reference row kernels and on a four-lane executor with
+  // morsels forced small, and asserts that each trial's output still
+  // satisfies the sort spec (exec::CheckSorted) *and* bag-equals the
+  // baseline. This is the oracle that catches an enforcer removed on the
+  // promise of an order nobody actually delivered.
   bool run_order = true;
   // Chaos oracle (opt-in; see --chaos in tools/gsopt_fuzz): re-executes
   // the query under a starvation-level memory cap (forcing the spill

@@ -76,12 +76,20 @@ Predicate SelectPred() {
   return Predicate(MakeAtom("ra", "a", CmpOp::kLt, "ra", "b"));
 }
 
+// Selection keeps its input's row order at any lane count (the
+// order-aware pass forwards an ORDER BY through it), so the parallel
+// output is the serial one row for row, not just bag-equal.
 TEST(ParallelExecTest, SelectMatchesSerial) {
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Relation r = NullHeavy("ra", 211, seed);
     Relation serial = *Select(r, SelectPred());
     Relation parallel = *Select(r, SelectPred(), ParallelCtx());
     EXPECT_TRUE(Relation::BagEquals(serial, parallel)) << "seed " << seed;
+    ASSERT_EQ(serial.NumRows(), parallel.NumRows()) << "seed " << seed;
+    for (int64_t i = 0; i < serial.NumRows(); ++i) {
+      ASSERT_EQ(serial.row(i).vids[0], parallel.row(i).vids[0])
+          << "seed " << seed << " row " << i;
+    }
   }
 }
 

@@ -1,9 +1,8 @@
 // The external sort operator and its ordering contract: comparator
 // properties (NULL lowest, exact int/double unification past 2^53, NaN
 // rules), stability, multi-key ASC/DESC, spilled runs with bounded fan-in
-// (temp files gone, ledger unwound), injected ENOSPC / short-write
-// degradation to typed errors, and the merge-join path -- chosen per join
-// by the plan's merge hint -- against its hash and reference twins.
+// (temp files gone, ledger unwound), and injected ENOSPC / short-write
+// degradation to typed errors.
 #include "exec/sort.h"
 
 #include <gtest/gtest.h>
@@ -13,13 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "algebra/execute.h"
 #include "base/budget.h"
 #include "base/fault_injector.h"
 #include "base/rng.h"
 #include "base/spill_file.h"
 #include "exec/eval.h"
-#include "optimizer/order.h"
 #include "relational/datagen.h"
 
 namespace gsopt {
@@ -241,184 +238,6 @@ TEST(ExternalSortTest, InjectedSpillFaultsDegradeToTypedErrors) {
     EXPECT_EQ(budget.memory_charged(), 0u) << "seed " << seed;
   }
   EXPECT_GT(failed, 0) << "no injected fault ever fired; test is vacuous";
-}
-
-// --- merge join vs hash join ---
-
-Relation JoinSideA(uint64_t seed) {
-  Rng rng(seed);
-  RandomRelationOptions opt;
-  opt.num_rows = 120;
-  opt.domain = 12;
-  opt.null_fraction = 0.2;
-  return MakeRandomRelation("r1", {"a", "b"}, opt, &rng);
-}
-Relation JoinSideB(uint64_t seed) {
-  Rng rng(seed);
-  RandomRelationOptions opt;
-  opt.num_rows = 140;
-  opt.domain = 12;
-  opt.null_fraction = 0.2;
-  return MakeRandomRelation("r2", {"a", "b"}, opt, &rng);
-}
-
-ExecContext MergeCtx() {
-  ExecContext ctx;
-  ctx.merge_hint = true;
-  return ctx;
-}
-
-TEST(MergeJoinTest, BagEqualsHashJoinWithNullsAndResidual) {
-  Relation a = JoinSideA(31);
-  Relation b = JoinSideB(32);
-  Predicate p({MakeAtom("r1", "a", CmpOp::kEq, "r2", "a"),
-               MakeAtom("r1", "b", CmpOp::kLt, "r2", "b")});
-  Relation hash = *exec::InnerJoin(a, b, p);
-
-  OperatorStats stats;
-  ExecContext merge_ctx = MergeCtx();
-  merge_ctx.stats = &stats;
-  Relation merge = *exec::InnerJoin(a, b, p, merge_ctx);
-  EXPECT_TRUE(stats.merge_path);
-  EXPECT_TRUE(Relation::BagEquals(hash, merge));
-}
-
-TEST(MergeJoinTest, MixedIntDoubleKeysMatchHashKeyClasses) {
-  // Keys mixing ints, equal doubles, fractions, NULLs, NaN, and an int
-  // past 2^53 beside the double it rounds to: the merge join, the hash
-  // core and the reference nested loops must share one exact equality
-  // partition. 1 ~ 1.0 gives 2x2 pairs, 2^54 ~ 2^54.0 another 2x2, NaN 1;
-  // int(2^53+1) matches nothing, although it casts to double(2^53).
-  Relation a = MakeRelation(
-      "r1", {"a"},
-      {{I(1)}, {D(1.0)}, {D(1.5)}, {I(kTwo53 * 2)},
-       {D(static_cast<double>(kTwo53 * 2))}, {N()}, {D(std::nan(""))},
-       {I(kTwo53 + 1)}});
-  Relation b = MakeRelation(
-      "r2", {"a"},
-      {{D(1.0)}, {I(1)}, {I(kTwo53 * 2)},
-       {D(static_cast<double>(kTwo53 * 2))}, {N()}, {D(std::nan(""))},
-       {D(static_cast<double>(kTwo53))}});
-  Predicate p(MakeAtom("r1", "a", CmpOp::kEq, "r2", "a"));
-  ExecContext ref_ctx;
-  ref_ctx.batch = exec::BatchMode::kOff;
-  Relation hash = *exec::InnerJoin(a, b, p);
-  Relation merge = *exec::InnerJoin(a, b, p, MergeCtx());
-  Relation reference = *exec::InnerJoin(a, b, p, ref_ctx);
-  EXPECT_EQ(reference.NumRows(), 9);
-  EXPECT_TRUE(Relation::BagEquals(reference, hash));
-  EXPECT_TRUE(Relation::BagEquals(reference, merge));
-}
-
-TEST(MergeJoinTest, OuterJoinPaddingMatchesHash) {
-  Relation a = JoinSideA(41);
-  Relation b = JoinSideB(42);
-  Predicate p(MakeAtom("r1", "a", CmpOp::kEq, "r2", "a"));
-  for (auto flavor : {0, 1, 2}) {
-    auto run = [&](const ExecContext& ctx) {
-      switch (flavor) {
-        case 0: return exec::LeftOuterJoin(a, b, p, ctx);
-        case 1: return exec::RightOuterJoin(a, b, p, ctx);
-        default: return exec::FullOuterJoin(a, b, p, ctx);
-      }
-    };
-    Relation hash = *run(ExecContext{});
-    Relation merge = *run(MergeCtx());
-    EXPECT_TRUE(Relation::BagEquals(hash, merge)) << "flavor " << flavor;
-  }
-}
-
-TEST(MergeJoinTest, SpilledMergeMatchesHash) {
-  Relation a = JoinSideA(51);
-  Relation b = JoinSideB(52);
-  Predicate p(MakeAtom("r1", "a", CmpOp::kEq, "r2", "a"));
-  Relation hash = *exec::InnerJoin(a, b, p);
-
-  // 8KB: small enough that each side's sort staging (~12KB) spills into
-  // runs, large enough that the per-key equality blocks (~1KB per side at
-  // domain 12) fit -- block staging has no spill degradation by design.
-  ResourceBudget budget;
-  budget.WithMaxMemory(8 * 1024);
-  SpillConfig cfg;
-  OperatorStats stats;
-  ExecContext ctx = MergeCtx();
-  ctx.budget = &budget;
-  ctx.spill = &cfg;
-  ctx.stats = &stats;
-  auto merge = exec::InnerJoin(a, b, p, ctx);
-  ASSERT_TRUE(merge.ok()) << merge.status().ToString();
-  EXPECT_TRUE(stats.spilled);
-  EXPECT_GT(stats.sort_runs, 0u);
-  EXPECT_EQ(SpillFile::LiveCount(), 0u);
-  EXPECT_EQ(budget.memory_charged(), 0u);
-  EXPECT_TRUE(Relation::BagEquals(hash, *merge));
-}
-
-// Walks a plan and its stats tree in step: every binary node must carry
-// the stamp, and exactly the stamped joins with an equi-key must report
-// the merge path (the rest run nested loops).
-void ExpectMergePaths(const NodePtr& node, const OperatorStats& st) {
-  if (IsBinary(node->kind())) {
-    EXPECT_TRUE(node->merge_join()) << node->ToString();
-    bool equi = false;
-    for (const Atom& atom : node->pred().atoms()) {
-      equi = equi || (atom.kind == Atom::Kind::kCompare &&
-                      atom.op == CmpOp::kEq);
-    }
-    EXPECT_EQ(st.merge_path, equi) << st.op;
-  }
-  std::vector<NodePtr> kids;
-  if (node->left() != nullptr) kids.push_back(node->left());
-  if (node->right() != nullptr) kids.push_back(node->right());
-  ASSERT_EQ(st.children.size(), kids.size()) << st.op;
-  for (size_t i = 0; i < kids.size(); ++i) {
-    ExpectMergePaths(kids[i], *st.children[i]);
-  }
-}
-
-TEST(StampMergeJoinsTest, EveryEquiJoinFlavorTakesTheMergePath) {
-  // The merge and order oracles force the merge path by stamping the
-  // tree; this guards that coverage for inner, LEFT, RIGHT and FULL joins
-  // (and that a stamped join without an equi-key falls back to nested
-  // loops).
-  Catalog cat;
-  uint64_t seed = 71;
-  for (const char* name : {"r1", "r2", "r3", "r4", "r5", "r6"}) {
-    Rng rng(seed++);
-    RandomRelationOptions opt;
-    opt.num_rows = 40;
-    opt.domain = 8;
-    opt.null_fraction = 0.2;
-    ASSERT_TRUE(
-        cat.Register(name, MakeRandomRelation(name, {"a", "b"}, opt, &rng))
-            .ok());
-  }
-  auto eq = [](const char* l, const char* r) {
-    return Predicate(MakeAtom(l, "a", CmpOp::kEq, r, "a"));
-  };
-  NodePtr tree = Node::Join(
-      Node::FullOuterJoin(
-          Node::RightOuterJoin(
-              Node::LeftOuterJoin(
-                  Node::Join(Node::Leaf("r1"), Node::Leaf("r2"),
-                             eq("r1", "r2")),
-                  Node::Leaf("r3"), eq("r1", "r3")),
-              Node::Leaf("r4"), eq("r2", "r4")),
-          Node::Leaf("r5"), eq("r4", "r5")),
-      Node::Leaf("r6"),
-      Predicate(MakeAtom("r5", "b", CmpOp::kLt, "r6", "b")));
-  NodePtr stamped = StampMergeJoins(tree);
-
-  OperatorStats stats;
-  auto merged = Execute(stamped, cat, ExecuteOptions{}.WithStats(&stats));
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  ExpectMergePaths(stamped, stats);
-
-  ExecuteOptions reference;
-  reference.batch = exec::BatchMode::kOff;
-  auto expected = Execute(tree, cat, reference);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-  EXPECT_TRUE(Relation::BagEquals(*expected, *merged));
 }
 
 }  // namespace

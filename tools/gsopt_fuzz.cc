@@ -3,16 +3,15 @@
 // BY views, aggregated-column predicates, WHERE filters, outer joins,
 // nulls -- and checks
 // the plan-space / executor / degradation / TLP / SQL-round-trip /
-// plan-cache / columnar / bloom / merge / order oracles on each (the
-// plan-cache oracle runs every case through a gsopt::Session, validating
-// that cached parameterized templates re-instantiate to exactly what
-// literal re-optimization produces; the columnar, bloom and merge oracles
-// run one forced-path battery -- serial, parallel, spilling, faulted --
-// against the reference-evaluator baseline (BatchMode::kOff: row-at-a-time,
-// nested-loop joins), filter-free, with bloom filters forced on, and over
-// the query with every join stamped for sort-merge; the order oracle
-// re-checks ORDER BY queries through the order-aware optimizer and the
-// merge-stamped query);
+// plan-cache / columnar / bloom / order oracles on each (the plan-cache
+// oracle runs every case through a gsopt::Session, validating that cached
+// parameterized templates re-instantiate to exactly what literal
+// re-optimization produces; the columnar and bloom oracles run one
+// forced-path battery -- serial, parallel, spilling, faulted -- against
+// the reference-evaluator baseline (BatchMode::kOff: row-at-a-time,
+// nested-loop joins), filter-free and with bloom filters forced on; the
+// order oracle re-checks ORDER BY queries through the order-aware
+// optimizer's plan, serially and on four lanes);
 // failures are delta-debugged to minimal reproducers and written as
 // self-contained .sql + CSV artifacts.
 //
@@ -61,7 +60,6 @@ int Usage() {
       "  --inject-fault        mutate every checked result (self-test)\n"
       "  --no-columnar         skip the optimized-vs-reference oracle\n"
       "  --no-bloom            skip the bloom-filter-on-vs-off oracle\n"
-      "  --no-merge            skip the merge-join-vs-reference oracle\n"
       "  --no-order            skip the ORDER BY correctness oracle\n"
       "  --order-by-prob=P     root ORDER BY probability (default 0.35)\n"
       "  --chaos               run the chaos oracle (spill + fault injection)\n"
@@ -117,8 +115,6 @@ int main(int argc, char** argv) {
       opt.oracle.run_columnar = false;
     } else if (std::strcmp(argv[i], "--no-bloom") == 0) {
       opt.oracle.run_bloom = false;
-    } else if (std::strcmp(argv[i], "--no-merge") == 0) {
-      opt.oracle.run_merge = false;
     } else if (std::strcmp(argv[i], "--no-order") == 0) {
       opt.oracle.run_order = false;
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
