@@ -95,8 +95,11 @@ Status PadUnmatched(const Relation& side, const std::vector<char>& matched,
   Tuple null_row = other.NullTuple();
   for (int64_t i = 0; i < side.NumRows(); ++i) {
     if (matched[static_cast<size_t>(i)]) continue;
-    out->Add(side_is_left ? Tuple::Concat(side.row(i), null_row)
-                          : Tuple::Concat(null_row, side.row(i)));
+    if (side_is_left) {
+      out->AddConcat(side.row(i), null_row);
+    } else {
+      out->AddConcat(null_row, side.row(i));
+    }
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, stage));
   }
   return Status::OK();
@@ -211,7 +214,7 @@ StatusOr<Relation> Product(const Relation& a, const Relation& b,
       for (const Tuple& tb : b.rows()) {
         Status s = ctx.Tick("product");
         if (s.ok()) {
-          o.Add(Tuple::Concat(a.row(i), tb));
+          o.AddConcat(a.row(i), tb);
           s = ctx.ChargeRows(1, "product");
         }
         if (!s.ok()) return control.Fail(lane, std::move(s));

@@ -49,8 +49,12 @@ uint64_t Mix64(uint64_t x) {
 }  // namespace
 
 uint64_t ApproxTupleBytes(const Tuple& t) {
-  // Inline payloads (the common shapes) are already inside sizeof(Tuple);
-  // only heap-spilled wide payloads and string contents add bytes.
+  // Inline payloads (rows within Tuple's inline capacity) are already
+  // inside sizeof(Tuple); only heap-spilled wide payloads and string
+  // contents add bytes. A string block shared by k values (a join row
+  // copies its inputs' strings by reference) is charged k times, once
+  // per value that holds it: an upper bound that does not depend on
+  // which holder releases the block last.
   uint64_t n = sizeof(Tuple);
   if (t.values.size() > Tuple::kInlineValues) {
     n += t.values.size() * sizeof(Value);

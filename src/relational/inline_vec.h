@@ -2,9 +2,10 @@
 // inside the object itself, so a Tuple's values and row ids sit in one
 // contiguous allocation with the enclosing std::vector<Tuple> -- a row-major
 // layout the kernels' key and predicate reads scan without pointer
-// chasing, and an output path (join concat, select copy) that performs zero
-// heap allocations for the common shapes. Wider payloads fall back to a
-// heap array transparently.
+// chasing, and an output path (join concat, outer-join padding, select
+// copy) that performs zero heap allocations for rows within the inline
+// capacity (Tuple picks it). Wider payloads fall back to a heap array
+// transparently.
 //
 // Supports the std::vector subset the engine uses on Tuple members:
 // size/empty/data/begin/end/operator[]/front/back, push_back/emplace_back,
@@ -161,8 +162,12 @@ class InlineVec {
     (void)pos;
     size_t at = size_;
     reserve(size_ + static_cast<size_t>(last - first));
-    for (; first != last; ++first) push_back(*first);
-    return data() + at;
+    T* d = data();
+    for (; first != last; ++first) {
+      ::new (static_cast<void*>(d + size_)) T(*first);
+      ++size_;
+    }
+    return d + at;
   }
 
  private:

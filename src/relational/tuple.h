@@ -15,12 +15,13 @@ using RowId = int64_t;
 inline constexpr RowId kNullRowId = -1;
 
 struct Tuple {
-  // Inline capacities cover the common shapes -- base-relation rows and
-  // two-relation join rows -- so the hot output paths (join concat, select
-  // copy) allocate nothing per tuple. Wider tuples fall back to the heap
-  // inside InlineVec.
-  static constexpr size_t kInlineValues = 4;
-  static constexpr size_t kInlineVids = 2;
+  // Inline capacities cover rows up to ten columns over four base
+  // relations -- base rows and the padded outer-join rows of the paper's
+  // three-relation shapes (Example 2.1 is nine columns wide) -- so the hot
+  // output paths (join concat, outer-join padding, select copy) allocate
+  // nothing per tuple. Wider tuples fall back to the heap inside InlineVec.
+  static constexpr size_t kInlineValues = 10;
+  static constexpr size_t kInlineVids = 4;
 
   InlineVec<Value, kInlineValues> values;
   InlineVec<RowId, kInlineVids> vids;
@@ -41,6 +42,10 @@ struct Tuple {
     return t;
   }
 };
+
+// A bound, not an exact size: a std::vector<Tuple> moves whole Tuples when
+// it grows, so inline capacity is paid for on every row, filled or not.
+static_assert(sizeof(Tuple) <= 224, "Tuple inline capacity outgrew its bound");
 
 }  // namespace gsopt
 

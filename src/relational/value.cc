@@ -83,10 +83,8 @@ std::string Value::ToString() const {
       return "NULL";
     case ValueType::kInt:
       return std::to_string(AsInt());
-    case ValueType::kDouble: {
-      std::string s = std::to_string(std::get<double>(rep_));
-      return s;
-    }
+    case ValueType::kDouble:
+      return std::to_string(AsDouble());
     case ValueType::kString:
       return "'" + AsString() + "'";
   }
@@ -122,17 +120,24 @@ Value EvalArith(ArithOp op, const Value& a, const Value& b) {
   if (!a.IsNumeric() || !b.IsNumeric()) return Value::Null();
   bool both_int = a.type() == ValueType::kInt && b.type() == ValueType::kInt;
   if (both_int && op != ArithOp::kDiv) {
-    int64_t x = a.AsInt(), y = b.AsInt();
+    // An int64 result that overflows falls through to the double result,
+    // the path mixed int/double operands take.
+    int64_t x = a.AsInt(), y = b.AsInt(), r = 0;
+    bool overflow = false;
     switch (op) {
       case ArithOp::kAdd:
-        return Value::Int(x + y);
+        overflow = __builtin_add_overflow(x, y, &r);
+        break;
       case ArithOp::kSub:
-        return Value::Int(x - y);
+        overflow = __builtin_sub_overflow(x, y, &r);
+        break;
       case ArithOp::kMul:
-        return Value::Int(x * y);
+        overflow = __builtin_mul_overflow(x, y, &r);
+        break;
       default:
         break;
     }
+    if (!overflow) return Value::Int(r);
   }
   double x = a.AsDouble(), y = b.AsDouble();
   switch (op) {

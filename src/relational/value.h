@@ -4,14 +4,21 @@
 // through a double, so predicates, IdentityEquals / IdentityLess, the sort
 // order and the executor's key bytes (exec/keys.h) share one equality
 // partition.
+//
+// A Value is a 16-byte tagged union: the type tag, then an int64, a double
+// or a pointer to an immutable, reference-counted string block. Copying a
+// numeric copies 16 bytes; copying a string bumps the block's count, so a
+// join row that repeats a string column shares one block with its input.
 #ifndef GSOPT_RELATIONAL_VALUE_H_
 #define GSOPT_RELATIONAL_VALUE_H_
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <variant>
+
+#include "base/check.h"
 
 namespace gsopt {
 
@@ -78,25 +85,73 @@ inline Tri TriNot(Tri a) {
 
 class Value {
  public:
-  Value() : rep_(std::monostate{}) {}
+  Value() noexcept : type_(ValueType::kNull) { rep_.i = 0; }
+  Value(const Value& o) noexcept : type_(o.type_), rep_(o.rep_) {
+    if (type_ == ValueType::kString) Retain(rep_.s);
+  }
+  // Steals the string block; the source reads as NULL afterwards.
+  Value(Value&& o) noexcept : type_(o.type_), rep_(o.rep_) {
+    o.type_ = ValueType::kNull;
+  }
+  ~Value() {
+    if (type_ == ValueType::kString) Release(rep_.s);
+  }
+  Value& operator=(const Value& o) noexcept {
+    // Retain before release: self-assignment never drops the last count.
+    if (o.type_ == ValueType::kString) Retain(o.rep_.s);
+    if (type_ == ValueType::kString) Release(rep_.s);
+    type_ = o.type_;
+    rep_ = o.rep_;
+    return *this;
+  }
+  Value& operator=(Value&& o) noexcept {
+    if (this == &o) return *this;
+    if (type_ == ValueType::kString) Release(rep_.s);
+    type_ = o.type_;
+    rep_ = o.rep_;
+    o.type_ = ValueType::kNull;
+    return *this;
+  }
 
   static Value Null() { return Value(); }
-  static Value Int(int64_t v) { return Value(Rep(v)); }
-  static Value Double(double v) { return Value(Rep(v)); }
-  static Value String(std::string v) { return Value(Rep(std::move(v))); }
-
-  ValueType type() const { return static_cast<ValueType>(rep_.index()); }
-  bool is_null() const { return type() == ValueType::kNull; }
-
-  int64_t AsInt() const { return std::get<int64_t>(rep_); }
-  double AsDouble() const {
-    if (type() == ValueType::kInt) return static_cast<double>(AsInt());
-    return std::get<double>(rep_);
+  static Value Int(int64_t v) {
+    Value r;
+    r.type_ = ValueType::kInt;
+    r.rep_.i = v;
+    return r;
   }
-  const std::string& AsString() const { return std::get<std::string>(rep_); }
+  static Value Double(double v) {
+    Value r;
+    r.type_ = ValueType::kDouble;
+    r.rep_.d = v;
+    return r;
+  }
+  static Value String(std::string v) {
+    Value r;
+    r.rep_.s = new StringBlock(std::move(v));
+    r.type_ = ValueType::kString;
+    return r;
+  }
+
+  ValueType type() const { return type_; }
+  bool is_null() const { return type_ == ValueType::kNull; }
+
+  int64_t AsInt() const {
+    GSOPT_DCHECK(type_ == ValueType::kInt);
+    return rep_.i;
+  }
+  double AsDouble() const {
+    if (type_ == ValueType::kInt) return static_cast<double>(rep_.i);
+    GSOPT_DCHECK(type_ == ValueType::kDouble);
+    return rep_.d;
+  }
+  const std::string& AsString() const {
+    GSOPT_DCHECK(type_ == ValueType::kString);
+    return rep_.s->str;
+  }
 
   bool IsNumeric() const {
-    return type() == ValueType::kInt || type() == ValueType::kDouble;
+    return type_ == ValueType::kInt || type_ == ValueType::kDouble;
   }
 
   // SQL comparison: nullopt if either side is NULL or the types are
@@ -119,10 +174,31 @@ class Value {
   std::string ToString() const;
 
  private:
-  using Rep = std::variant<std::monostate, int64_t, double, std::string>;
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  // Never mutated after construction, so the Values sharing a block may
+  // live on different threads; only the count is written concurrently.
+  struct StringBlock {
+    explicit StringBlock(std::string s) : str(std::move(s)) {}
+    std::atomic<int64_t> refs{1};
+    const std::string str;
+  };
+  union Rep {
+    int64_t i;
+    double d;
+    StringBlock* s;
+  };
+
+  static void Retain(StringBlock* s) {
+    s->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  static void Release(StringBlock* s) {
+    if (s->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete s;
+  }
+
+  ValueType type_;
   Rep rep_;
 };
+
+static_assert(sizeof(Value) == 16, "Value is a tag plus one 8-byte word");
 
 // 3VL comparison outcome of `a op b` for a comparison operator.
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };

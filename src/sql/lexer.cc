@@ -1,6 +1,8 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdlib>
 #include <set>
 
 namespace gsopt::sql {
@@ -65,8 +67,14 @@ StatusOr<std::vector<Token>> Lex(const std::string& input) {
       }
       t.kind = TokenKind::kNumber;
       t.text = input.substr(i, j - i);
-      t.number = std::stod(t.text);
-      t.is_integer = !has_dot;
+      // strtod, not stod: a literal past the double range lexes as inf
+      // instead of throwing.
+      t.number = std::strtod(t.text.c_str(), nullptr);
+      if (!has_dot) {
+        const char* end = t.text.data() + t.text.size();
+        auto [ptr, ec] = std::from_chars(t.text.data(), end, t.integer);
+        t.is_integer = ec == std::errc() && ptr == end;
+      }
       i = j;
     } else if (c == '$') {
       size_t j = i + 1;
@@ -80,8 +88,7 @@ StatusOr<std::vector<Token>> Lex(const std::string& input) {
       }
       t.kind = TokenKind::kParam;
       t.text = input.substr(i, j - i);
-      t.number = std::stod(input.substr(i + 1, j - i - 1));
-      t.is_integer = true;
+      t.number = std::strtod(input.substr(i + 1, j - i - 1).c_str(), nullptr);
       i = j;
     } else if (c == '\'') {
       size_t j = i + 1;

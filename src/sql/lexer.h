@@ -3,6 +3,7 @@
 #ifndef GSOPT_SQL_LEXER_H_
 #define GSOPT_SQL_LEXER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,10 @@ struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;   // uppercased for keywords
   double number = 0;
+  // Set for a digits-only number that fits an int64, whose exact value is
+  // `integer` (`number` rounds past 2^53); larger ones lex as doubles.
   bool is_integer = false;
+  int64_t integer = 0;
   int position = 0;  // byte offset, for error messages
 };
 

@@ -275,8 +275,8 @@ class Parser {
     if (t.kind == TokenKind::kNumber) {
       Next();
       e->kind = SqlExpr::Kind::kLiteral;
-      e->literal = t.is_integer ? Value::Int(static_cast<int64_t>(t.number))
-                                : Value::Double(t.number);
+      e->literal =
+          t.is_integer ? Value::Int(t.integer) : Value::Double(t.number);
       return e;
     }
     if (t.kind == TokenKind::kString) {
@@ -287,9 +287,10 @@ class Parser {
     }
     if (t.kind == TokenKind::kParam) {
       Next();
-      if (t.number < 1) {
-        return Status::InvalidArgument("parameter indices start at $1 (got " +
-                                       t.text + ")");
+      // The upper bound keeps the int cast below defined.
+      if (t.number < 1 || t.number > (1 << 20)) {
+        return Status::InvalidArgument(
+            "parameter indices run from $1 to $1048576 (got " + t.text + ")");
       }
       e->kind = SqlExpr::Kind::kParam;
       e->param_slot = static_cast<int>(t.number) - 1;

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 namespace gsopt {
 namespace {
@@ -117,11 +122,152 @@ TEST(EvalArithTest, IntegerArithmeticStaysInt) {
   EXPECT_EQ(v.AsInt(), 12);
 }
 
+TEST(EvalArithTest, IntegerOverflowFallsBackToDouble) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    ArithOp op;
+    int64_t x, y;
+  };
+  const Case overflows[] = {
+      {ArithOp::kAdd, kMax, 1},    {ArithOp::kAdd, kMin, -1},
+      {ArithOp::kAdd, kMax, kMax}, {ArithOp::kSub, kMin, 1},
+      {ArithOp::kSub, kMax, -1},   {ArithOp::kSub, 0, kMin},
+      {ArithOp::kMul, kMax, 2},    {ArithOp::kMul, kMin, -1},
+      {ArithOp::kMul, -1, kMin},   {ArithOp::kMul, kMin, kMin}};
+  for (const Case& c : overflows) {
+    Value v = EvalArith(c.op, Value::Int(c.x), Value::Int(c.y));
+    Value want = EvalArith(c.op, Value::Double(static_cast<double>(c.x)),
+                           Value::Double(static_cast<double>(c.y)));
+    ASSERT_EQ(v.type(), ValueType::kDouble) << c.x << " " << c.y;
+    EXPECT_EQ(v.AsDouble(), want.AsDouble()) << c.x << " " << c.y;
+  }
+  EXPECT_EQ(EvalArith(ArithOp::kAdd, Value::Int(kMax), Value::Int(1))
+                .AsDouble(),
+            9223372036854775808.0);
+  // Results that land exactly on the ends of the range stay int.
+  const Case exact[] = {{ArithOp::kAdd, kMax - 1, 1},
+                        {ArithOp::kSub, kMin + 1, 1},
+                        {ArithOp::kMul, kMin / 2, 2},
+                        {ArithOp::kMul, kMax, -1},
+                        {ArithOp::kAdd, kMin, kMax}};
+  const int64_t want[] = {kMax, kMin, kMin, kMin + 1, -1};
+  for (size_t i = 0; i < std::size(exact); ++i) {
+    Value v = EvalArith(exact[i].op, Value::Int(exact[i].x),
+                        Value::Int(exact[i].y));
+    ASSERT_EQ(v.type(), ValueType::kInt) << i;
+    EXPECT_EQ(v.AsInt(), want[i]) << i;
+  }
+}
+
 TEST(EvalArithTest, DivisionIsDoubleAndZeroYieldsNull) {
   Value v = EvalArith(ArithOp::kDiv, Value::Int(3), Value::Int(2));
   EXPECT_EQ(v.type(), ValueType::kDouble);
   EXPECT_DOUBLE_EQ(v.AsDouble(), 1.5);
   EXPECT_TRUE(EvalArith(ArithOp::kDiv, Value::Int(3), Value::Int(0)).is_null());
+}
+
+// One value of every type. The string is longer than std::string's
+// small-string buffer, so its characters live in a separate heap block
+// and a copy that outlives the shared block reads freed memory (ASan).
+std::vector<Value> OneOfEach() {
+  return {Value::Null(), Value::Int(-7), Value::Double(2.5),
+          Value::String(std::string(40, 's'))};
+}
+
+void ExpectSame(const Value& a, const Value& b) {
+  ASSERT_EQ(a.type(), b.type());
+  EXPECT_TRUE(Value::IdentityEquals(a, b)) << a.ToString() << " vs "
+                                           << b.ToString();
+  EXPECT_EQ(a.Hash(), b.Hash());
+}
+
+TEST(ValueLayoutTest, SixteenBytes) { EXPECT_EQ(sizeof(Value), 16u); }
+
+TEST(ValueLifetimeTest, CopyAndMoveConstructEveryType) {
+  for (const Value& v : OneOfEach()) {
+    Value copy(v);
+    ExpectSame(copy, v);
+    Value moved(std::move(copy));
+    ExpectSame(moved, v);
+    EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+  }
+}
+
+TEST(ValueLifetimeTest, CopyAndMoveAssignAcrossEveryTypePair) {
+  const std::vector<Value> all = OneOfEach();
+  for (const Value& from : all) {
+    for (const Value& to : all) {
+      Value dst = to;
+      dst = from;
+      ExpectSame(dst, from);
+      Value src = from;
+      Value dst2 = to;
+      dst2 = std::move(src);
+      ExpectSame(dst2, from);
+      EXPECT_TRUE(src.is_null());  // NOLINT(bugprone-use-after-move)
+    }
+  }
+}
+
+TEST(ValueLifetimeTest, SelfAssignmentKeepsTheValue) {
+  for (const Value& v : OneOfEach()) {
+    Value x = v;
+    Value& alias = x;
+    x = alias;
+    ExpectSame(x, v);
+    x = std::move(alias);
+    ExpectSame(x, v);
+  }
+}
+
+TEST(ValueLifetimeTest, StringOutlivesItsSource) {
+  Value kept;
+  {
+    Value src = Value::String("outlives " + std::string(32, 'x'));
+    kept = src;
+    Value other = src;
+    src = Value::Int(1);  // drop the source's count while copies live
+  }
+  EXPECT_EQ(kept.AsString(), "outlives " + std::string(32, 'x'));
+  Value moved = std::move(kept);
+  EXPECT_EQ(moved.AsString(), "outlives " + std::string(32, 'x'));
+}
+
+TEST(ValueLifetimeTest, MovedFromValueReadsAsNull) {
+  Value s = Value::String("abc");
+  Value t = std::move(s);
+  EXPECT_TRUE(s.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(s.ToString(), "NULL");
+  s = Value::Int(3);  // a moved-from value is reusable
+  EXPECT_EQ(s.AsInt(), 3);
+  EXPECT_EQ(t.AsString(), "abc");
+}
+
+// Threads copy and destroy Values that share one string block: the count
+// is the only state they write, so a non-atomic or wrongly ordered update
+// shows as a leak, a double free or a data race under the sanitizers.
+TEST(ValueLifetimeTest, ThreadsShareOneStringBlock) {
+  const std::string text(64, 'q');
+  Value shared = Value::String(text);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &text] {
+      std::vector<Value> held;
+      for (int i = 0; i < kRounds; ++i) {
+        held.push_back(shared);
+        if (held.size() == 16) {
+          Value moved = std::move(held.back());
+          if (moved.AsString() != text) std::abort();
+          held.clear();
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(shared.AsString(), text);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 // the paper's SQL-level scenarios.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "algebra/execute.h"
 #include "base/rng.h"
 #include "core/optimizer.h"
@@ -54,6 +59,25 @@ TEST(LexerTest, NumbersIntegerAndDecimal) {
   EXPECT_TRUE((*toks)[0].is_integer);
   EXPECT_FALSE((*toks)[1].is_integer);
   EXPECT_DOUBLE_EQ((*toks)[1].number, 3.5);
+}
+
+TEST(LexerTest, IntegersAreExactUpToInt64Max) {
+  auto toks = Lex("9223372036854775807 9007199254740993 9223372036854775808");
+  ASSERT_TRUE(toks.ok());
+  EXPECT_TRUE((*toks)[0].is_integer);
+  EXPECT_EQ((*toks)[0].integer, std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE((*toks)[1].is_integer);
+  EXPECT_EQ((*toks)[1].integer, 9007199254740993);  // 2^53 + 1, not rounded
+  EXPECT_FALSE((*toks)[2].is_integer);  // past int64: a double literal
+  EXPECT_DOUBLE_EQ((*toks)[2].number, 9223372036854775808.0);
+  EXPECT_FALSE(Parse("SELECT r1.a FROM r1 WHERE r1.a = $99999999999").ok());
+  // Past the double range: inf, not an exception.
+  const std::string huge = "1" + std::string(400, '0');
+  auto inf = Lex(huge);
+  ASSERT_TRUE(inf.ok());
+  EXPECT_FALSE((*inf)[0].is_integer);
+  EXPECT_TRUE(std::isinf((*inf)[0].number));
+  EXPECT_FALSE(Parse("SELECT r1.a FROM r1 WHERE r1.a = $" + huge).ok());
 }
 
 TEST(LexerTest, RejectsBadCharacters) {
@@ -240,6 +264,49 @@ TEST(BinderTest, FullSqlQueryOptimizesEquivalently) {
     auto got = Execute(p.expr, cat);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(Relation::BagEquals(*ref, *got)) << p.expr->ToString();
+  }
+}
+
+// An arithmetic join key that overflows int64 evaluates to the double
+// result on every path: the reference evaluator and the optimized hash
+// join's key terms agree, and a wrapped int64 (INT64_MIN) never matches.
+TEST(BinderTest, OverflowingArithmeticJoinKeyMatchesReference) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Catalog cat;
+  const Value two63 = Value::Double(9223372036854775808.0);
+  ASSERT_TRUE(cat.Register("r1", MakeRelation("r1", {"a", "b"},
+                                              {{I(1), I(0)},
+                                               {I(-1), I(1)},
+                                               {I(kMax), I(2)},
+                                               {I(0), I(3)}}))
+                  .ok());
+  ASSERT_TRUE(cat.Register("r2", MakeRelation("r2", {"k"},
+                                              {{two63},
+                                               {I(kMin)},
+                                               {I(kMax - 1)},
+                                               {I(kMax)},
+                                               {I(-2)}}))
+                  .ok());
+  ExecuteOptions reference;
+  reference.batch = exec::BatchMode::kOff;
+  for (const char* kind : {"JOIN", "LEFT JOIN"}) {
+    const std::string sql = std::string("SELECT r1.b, r2.k FROM r1 ") + kind +
+                            " r2 ON r1.a + 9223372036854775807 = r2.k";
+    auto tree = ParseAndBind(sql, cat);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    auto ref = Execute(*tree, cat, reference);
+    auto got = Execute(*tree, cat);
+    ASSERT_TRUE(ref.ok() && got.ok()) << sql;
+    EXPECT_TRUE(Relation::BagEquals(*ref, *got)) << sql;
+    // b = 0 (2^63 as a double), 1 (INT64_MAX - 1) and 3 (INT64_MAX) match;
+    // b = 2 overflows to 2^64 and matches nothing.
+    int matched = 0;
+    for (const Tuple& t : got->rows()) {
+      matched += t.values[1].is_null() ? 0 : 1;
+    }
+    EXPECT_EQ(matched, 3) << sql;
+    EXPECT_EQ(got->NumRows(), std::string(kind) == "JOIN" ? 3 : 4) << sql;
   }
 }
 
