@@ -85,23 +85,6 @@ void BM_Query1Optimized(benchmark::State& state) {
   state.counters["rows"] = rows;
 }
 
-// Parallel half of the serial-vs-parallel pair: the optimized plan
-// executed with a 4-lane morsel executor (ExecuteOptions.executor). The
-// intermediate join outputs are what cross the parallel threshold here,
-// not the base tables.
-void BM_Query1OptimizedParallel(benchmark::State& state) {
-  Scenario sc(static_cast<int>(state.range(0)), state.range(1));
-  ExecuteOptions xo;
-  xo.executor = &bench::BenchExecutor(4);
-  int64_t rows = 0;
-  for (auto _ : state) {
-    auto r = Execute(sc.optimized, sc.cat, xo);
-    rows = r.ok() ? r->NumRows() : -1;
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-}
-
 void Grid(benchmark::internal::Benchmark* b) {
   for (int rows : {60, 180}) {
     for (int64_t dom : {5, 40}) {  // 40: r4 filter highly selective
@@ -112,7 +95,6 @@ void Grid(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_Query1AsWritten)->Apply(Grid)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Query1Optimized)->Apply(Grid)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Query1OptimizedParallel)->Apply(Grid)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gsopt

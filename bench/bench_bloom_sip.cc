@@ -1,8 +1,8 @@
 // Bloom-filter sideways-information-passing sweep (EXPERIMENTS.md B1):
 // the same build-heavy-probe join at match rates from 0.1% to 50%, once
-// with BloomMode::kOff and once with BloomMode::kAuto, on each lane count
-// of the hash-join core -- serial, morsel-parallel (4 lanes),
-// and memory-starved/spilled. The probe side draws `match_permille` of
+// with BloomMode::kOff and once with BloomMode::kAuto, on both paths of
+// the hash-join core -- in memory ("serial") and memory-starved/spilled.
+// The probe side draws `match_permille` of
 // its keys from the build domain and the rest from a disjoint domain, so
 // the filter's reject rate tracks (1 - match rate) directly; the headline
 // pair is the 16384-row / 1% serial-auto comparison.
@@ -54,13 +54,11 @@ struct Inputs {
   }
 };
 
-void RunJoin(benchmark::State& state, exec::BloomMode bloom, bool parallel,
-             bool spilled) {
+void RunJoin(benchmark::State& state, exec::BloomMode bloom, bool spilled) {
   Inputs in(state.range(0), state.range(1));
   for (auto _ : state) {
     exec::ExecContext ctx;
     ctx.bloom = bloom;
-    if (parallel) ctx.executor = &bench::BenchExecutor(4);
     ResourceBudget budget;
     exec::SpillConfig cfg;
     if (spilled) {
@@ -76,22 +74,16 @@ void RunJoin(benchmark::State& state, exec::BloomMode bloom, bool parallel,
 }
 
 void BM_JoinSerialOff(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kOff, false, false);
+  RunJoin(state, exec::BloomMode::kOff, false);
 }
 void BM_JoinSerialBloom(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kAuto, false, false);
-}
-void BM_JoinParallelOff(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kOff, true, false);
-}
-void BM_JoinParallelBloom(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kAuto, true, false);
+  RunJoin(state, exec::BloomMode::kAuto, false);
 }
 void BM_JoinSpilledOff(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kOff, false, true);
+  RunJoin(state, exec::BloomMode::kOff, true);
 }
 void BM_JoinSpilledBloom(benchmark::State& state) {
-  RunJoin(state, exec::BloomMode::kAuto, false, true);
+  RunJoin(state, exec::BloomMode::kAuto, true);
 }
 
 // Match-rate sweep at the headline size, plus the 64K point at 1%.
@@ -102,8 +94,6 @@ void BM_JoinSpilledBloom(benchmark::State& state) {
 
 BENCHMARK(BM_JoinSerialOff)->MATCH_SWEEP;
 BENCHMARK(BM_JoinSerialBloom)->MATCH_SWEEP;
-BENCHMARK(BM_JoinParallelOff)->MATCH_SWEEP;
-BENCHMARK(BM_JoinParallelBloom)->MATCH_SWEEP;
 BENCHMARK(BM_JoinSpilledOff)->MATCH_SWEEP;
 BENCHMARK(BM_JoinSpilledBloom)->MATCH_SWEEP;
 

@@ -101,11 +101,10 @@ void BM_FallbackLadder(benchmark::State& state) {
   state.counters["degraded"] = degraded;
 }
 
-// Serial-vs-parallel pair under governance: a 3-relation chain over large
+// Execution under governance: a 3-relation chain over large
 // near-unique-key tables, executed with an hour-long deadline that never
-// fires. Measures what the thread-safe budget probes cost when every lane
-// charges rows concurrently, vs the same charges from the serial kernels.
-void RunGovernedExecute(benchmark::State& state, bool parallel) {
+// fires. Measures what the budget's row charges and deadline probes cost.
+void BM_GovernedExecuteSerial(benchmark::State& state) {
   Catalog cat;
   Rng rng(271828);
   RandomRelationOptions ropt;
@@ -115,7 +114,6 @@ void RunGovernedExecute(benchmark::State& state, bool parallel) {
   AddRandomTables(3, ropt, &rng, &cat);
   NodePtr q = ChainQuery(3);
   ExecuteOptions xo;
-  if (parallel) xo.executor = &bench::BenchExecutor(4);
   int64_t rows = 0;
   for (auto _ : state) {
     ResourceBudget budget;
@@ -129,13 +127,6 @@ void RunGovernedExecute(benchmark::State& state, bool parallel) {
   state.counters["rows"] = static_cast<double>(rows);
 }
 
-void BM_GovernedExecuteSerial(benchmark::State& state) {
-  RunGovernedExecute(state, false);
-}
-void BM_GovernedExecuteParallel(benchmark::State& state) {
-  RunGovernedExecute(state, true);
-}
-
 BENCHMARK(BM_Optimize)->DenseRange(4, 8, 2)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_OptimizeGoverned)
     ->DenseRange(4, 8, 2)
@@ -144,10 +135,6 @@ BENCHMARK(BM_FallbackLadder)
     ->DenseRange(10, 14, 2)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GovernedExecuteSerial)
-    ->RangeMultiplier(4)
-    ->Range(1024, 16384)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GovernedExecuteParallel)
     ->RangeMultiplier(4)
     ->Range(1024, 16384)
     ->Unit(benchmark::kMillisecond);

@@ -100,23 +100,6 @@ void BM_Optimized(benchmark::State& state) {
   state.counters["rows"] = rows;
 }
 
-// Parallel half of the serial-vs-parallel pair: the optimizer's plan run
-// with a 4-lane morsel executor. detail95 (up to 4000 rows) is the input
-// that crosses the parallel threshold.
-void BM_OptimizedParallel(benchmark::State& state) {
-  Scenario sc(static_cast<int>(state.range(0)),
-              static_cast<int>(state.range(1)));
-  ExecuteOptions xo;
-  xo.executor = &bench::BenchExecutor(4);
-  int64_t rows = 0;
-  for (auto _ : state) {
-    auto r = Execute(sc.optimized, sc.cat, xo);
-    rows = r.ok() ? r->NumRows() : -1;
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-}
-
 void Grid(benchmark::internal::Benchmark* b) {
   for (int permille : {500, 200, 50}) {   // bankrupt fraction
     for (int n95 : {1000, 4000}) {        // detail table size
@@ -127,7 +110,6 @@ void Grid(benchmark::internal::Benchmark* b) {
 
 BENCHMARK(BM_AsWritten)->Apply(Grid)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Optimized)->Apply(Grid)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OptimizedParallel)->Apply(Grid)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gsopt

@@ -84,55 +84,10 @@ void BM_CompensationMatchesT1(benchmark::State& state) {
   state.counters["equal"] = equal ? 1 : 0;
 }
 
-// Serial-vs-parallel pairs: the same two strategies with a morsel-parallel
-// Executor attached (second argument = thread count). The serial variants
-// above stay the reference; EXPERIMENTS.md tabulates the ratios.
-void BM_T1AsWrittenParallel(benchmark::State& state) {
-  Inputs in(static_cast<int>(state.range(0)));
-  exec::ExecContext ctx{nullptr, nullptr,
-                        &bench::BenchExecutor(static_cast<int>(state.range(1)))};
-  int64_t rows = 0;
-  for (auto _ : state) {
-    Relation t1 = *exec::LeftOuterJoin(
-        *exec::LeftOuterJoin(in.r1, in.r2, in.p12, ctx), in.r3,
-        in.p13_and_p23, ctx);
-    rows = t1.NumRows();
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-}
-
-void BM_T2PlusCompensationParallel(benchmark::State& state) {
-  Inputs in(static_cast<int>(state.range(0)));
-  exec::ExecContext ctx{nullptr, nullptr,
-                        &bench::BenchExecutor(static_cast<int>(state.range(1)))};
-  std::vector<exec::PreservedGroup> groups{exec::PreservedGroup{"r1", "r2"}};
-  int64_t rows = 0;
-  for (auto _ : state) {
-    Relation t2 = *exec::LeftOuterJoin(
-        *exec::LeftOuterJoin(in.r1, in.r2, in.p12, ctx), in.r3, in.p23, ctx);
-    Relation fixed = *exec::GeneralizedSelection(t2, in.p13, groups, ctx);
-    rows = fixed.NumRows();
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-}
-
-void ParallelGrid(benchmark::internal::Benchmark* b) {
-  for (int rows : {512, 2048}) {
-    for (int threads : {1, 2, 4, 8}) {
-      b->Args({rows, threads});
-    }
-  }
-  b->Unit(benchmark::kMicrosecond);
-}
-
 #define SIZES RangeMultiplier(4)->Range(32, 2048)->Unit(benchmark::kMicrosecond)
 BENCHMARK(BM_T1AsWritten)->SIZES;
 BENCHMARK(BM_T2PlusCompensation)->SIZES;
 BENCHMARK(BM_CompensationMatchesT1)->SIZES;
-BENCHMARK(BM_T1AsWrittenParallel)->Apply(ParallelGrid);
-BENCHMARK(BM_T2PlusCompensationParallel)->Apply(ParallelGrid);
 
 }  // namespace
 }  // namespace gsopt

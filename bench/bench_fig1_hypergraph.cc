@@ -74,10 +74,9 @@ void BM_Acyclicity(benchmark::State& state) {
   }
 }
 
-// Serial-vs-parallel pair grounding the Fig-1 shape in execution: the
-// k=2 ScaledQ4 query (four relations) over near-unique-key tables,
-// without and with a 4-lane morsel executor.
-void RunExecuteQ4(benchmark::State& state, bool parallel) {
+// Grounds the Fig-1 shape in execution: the k=2 ScaledQ4 query (four
+// relations) over near-unique-key tables.
+void BM_ExecuteQ4Serial(benchmark::State& state) {
   const int k = 2;
   NodePtr q = ScaledQ4(k);
   Catalog cat;
@@ -87,32 +86,19 @@ void RunExecuteQ4(benchmark::State& state, bool parallel) {
   ropt.domain = ropt.num_rows;
   ropt.null_fraction = 0.1;
   AddRandomTables(2 + k, ropt, &rng, &cat);
-  ExecuteOptions xo;
-  if (parallel) xo.executor = &bench::BenchExecutor(4);
   int64_t rows = 0;
   for (auto _ : state) {
-    auto r = Execute(q, cat, xo);
+    auto r = Execute(q, cat);
     rows = r.ok() ? r->NumRows() : -1;
     benchmark::DoNotOptimize(rows);
   }
   state.counters["rows"] = static_cast<double>(rows);
 }
 
-void BM_ExecuteQ4Serial(benchmark::State& state) {
-  RunExecuteQ4(state, false);
-}
-void BM_ExecuteQ4Parallel(benchmark::State& state) {
-  RunExecuteQ4(state, true);
-}
-
 BENCHMARK(BM_BuildHypergraph)->DenseRange(2, 14, 4);
 BENCHMARK(BM_AnalysisPresConf)->DenseRange(2, 14, 4);
 BENCHMARK(BM_Acyclicity)->DenseRange(2, 14, 4);
 BENCHMARK(BM_ExecuteQ4Serial)
-    ->RangeMultiplier(4)
-    ->Range(1024, 16384)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ExecuteQ4Parallel)
     ->RangeMultiplier(4)
     ->Range(1024, 16384)
     ->Unit(benchmark::kMillisecond);

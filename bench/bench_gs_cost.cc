@@ -106,70 +106,6 @@ void BM_InnerJoinWithStats(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-// Serial-vs-parallel pairs: the same kernels with a morsel-parallel
-// Executor attached (second bench argument = thread count). A 1-thread
-// executor has a single lane, so ExecContext::Parallel declines and the
-// /1 rows measure the serial kernels inside the same grid -- the in-pair
-// baseline. The serial benches above remain the reference;
-// EXPERIMENTS.md tabulates the ratios.
-exec::ExecContext ParallelCtx(benchmark::State& state) {
-  return exec::ExecContext{nullptr, nullptr,
-                           &bench::BenchExecutor(
-                               static_cast<int>(state.range(1)))};
-}
-
-void BM_InnerJoinParallel(benchmark::State& state) {
-  Inputs in(static_cast<int>(state.range(0)));
-  exec::ExecContext ctx = ParallelCtx(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::InnerJoin(in.a, in.b, in.eq, ctx));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_MgojParallel(benchmark::State& state) {
-  Inputs in(static_cast<int>(state.range(0)));
-  exec::ExecContext ctx = ParallelCtx(state);
-  std::vector<exec::PreservedGroup> groups{exec::PreservedGroup{"a"}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::Mgoj(in.a, in.b, in.eq, groups, ctx));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_GeneralizedSelectionParallel(benchmark::State& state) {
-  Inputs in(static_cast<int>(state.range(0)));
-  Relation joined = *exec::LeftOuterJoin(in.a, in.b, in.eq);
-  exec::ExecContext ctx = ParallelCtx(state);
-  std::vector<exec::PreservedGroup> groups{exec::PreservedGroup{"a"}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        exec::GeneralizedSelection(joined, in.extra, groups, ctx));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_PlainSelectParallel(benchmark::State& state) {
-  Inputs in(static_cast<int>(state.range(0)));
-  Relation joined = *exec::LeftOuterJoin(in.a, in.b, in.eq);
-  exec::ExecContext ctx = ParallelCtx(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exec::Select(joined, in.extra, ctx));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-// rows x threads grid: the large size backs the EXPERIMENTS.md speedup
-// table; the mid size shows where fan-out overhead still pays off.
-void ParallelGrid(benchmark::internal::Benchmark* b) {
-  for (int rows : {1024, 16384}) {
-    for (int threads : {1, 2, 4, 8}) {
-      b->Args({rows, threads});
-    }
-  }
-  b->Unit(benchmark::kMicrosecond);
-}
-
 #define SIZES RangeMultiplier(4)->Range(64, 16384)->Unit(benchmark::kMicrosecond)
 BENCHMARK(BM_InnerJoin)->SIZES;
 BENCHMARK(BM_LeftOuterJoin)->SIZES;
@@ -178,10 +114,6 @@ BENCHMARK(BM_GeneralizedSelection)->SIZES;
 BENCHMARK(BM_GsTwoGroups)->SIZES;
 BENCHMARK(BM_PlainSelect)->SIZES;
 BENCHMARK(BM_InnerJoinWithStats)->SIZES;
-BENCHMARK(BM_InnerJoinParallel)->Apply(ParallelGrid);
-BENCHMARK(BM_MgojParallel)->Apply(ParallelGrid);
-BENCHMARK(BM_GeneralizedSelectionParallel)->Apply(ParallelGrid);
-BENCHMARK(BM_PlainSelectParallel)->Apply(ParallelGrid);
 
 }  // namespace
 }  // namespace gsopt

@@ -60,31 +60,21 @@ void Run(benchmark::State& state, bool prune, EnumMode mode) {
   }
 }
 
-// Serial-vs-parallel pair on the plan the enumeration produces: the DP
-// benches above time Optimize(); this pair times Execute() of the chosen
-// plan, without and with a 4-lane morsel executor, so the optimizer bench
-// also anchors what its plans cost to run.
-void RunExecuteBest(benchmark::State& state, bool parallel) {
+// The plan the enumeration produces: the DP benches above time
+// Optimize(); this one times Execute() of the chosen plan, so the
+// optimizer bench also anchors what its plans cost to run.
+void BM_ExecuteBestSerial(benchmark::State& state) {
   Workload w(static_cast<int>(state.range(0)), 31337);
   QueryOptimizer opt(w.cat);
   auto result = opt.Optimize(w.query);
   NodePtr plan = result.ok() ? result->best.expr : w.query;
-  ExecuteOptions xo;
-  if (parallel) xo.executor = &bench::BenchExecutor(4);
   int64_t rows = 0;
   for (auto _ : state) {
-    auto r = Execute(plan, w.cat, xo);
+    auto r = Execute(plan, w.cat);
     rows = r.ok() ? r->NumRows() : -1;
     benchmark::DoNotOptimize(rows);
   }
   state.counters["rows"] = static_cast<double>(rows);
-}
-
-void BM_ExecuteBestSerial(benchmark::State& state) {
-  RunExecuteBest(state, false);
-}
-void BM_ExecuteBestParallel(benchmark::State& state) {
-  RunExecuteBest(state, true);
 }
 
 void BM_GeneralizedPruned(benchmark::State& state) {
@@ -105,7 +95,6 @@ BENCHMARK(BM_GeneralizedExhaustive)->DenseRange(3, 6, 1)->Unit(benchmark::kMilli
 BENCHMARK(BM_BaselinePruned)->DenseRange(3, 7, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BinaryOnlyPruned)->DenseRange(3, 7, 1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExecuteBestSerial)->DenseRange(3, 6, 1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ExecuteBestParallel)->DenseRange(3, 6, 1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gsopt

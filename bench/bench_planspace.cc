@@ -96,10 +96,9 @@ void BM_Chain(benchmark::State& state) { RunModes(state, Chain); }
 void BM_Star(benchmark::State& state) { RunModes(state, Star); }
 void BM_Mixed(benchmark::State& state) { RunModes(state, Mixed); }
 
-// Serial-vs-parallel pair grounding the plan-space shapes in execution:
-// the as-written Mixed query over near-unique-key tables (output stays
-// linear in the table size), without and with a 4-lane morsel executor.
-void RunExecuteMixed(benchmark::State& state, bool parallel) {
+// Grounds the plan-space shapes in execution: the as-written Mixed query
+// over near-unique-key tables (output stays linear in the table size).
+void BM_ExecuteMixedSerial(benchmark::State& state) {
   const int n = 5;
   Catalog cat;
   Rng rng(161803);
@@ -109,22 +108,13 @@ void RunExecuteMixed(benchmark::State& state, bool parallel) {
   ropt.null_fraction = 0.1;
   AddRandomTables(n, ropt, &rng, &cat);
   NodePtr q = Mixed(n);
-  ExecuteOptions xo;
-  if (parallel) xo.executor = &bench::BenchExecutor(4);
   int64_t rows = 0;
   for (auto _ : state) {
-    auto r = Execute(q, cat, xo);
+    auto r = Execute(q, cat);
     rows = r.ok() ? r->NumRows() : -1;
     benchmark::DoNotOptimize(rows);
   }
   state.counters["rows"] = static_cast<double>(rows);
-}
-
-void BM_ExecuteMixedSerial(benchmark::State& state) {
-  RunExecuteMixed(state, false);
-}
-void BM_ExecuteMixedParallel(benchmark::State& state) {
-  RunExecuteMixed(state, true);
 }
 
 void Sizes(benchmark::internal::Benchmark* b) {
@@ -139,10 +129,6 @@ BENCHMARK(BM_Chain)->Apply(Sizes)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Star)->Apply(Sizes)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Mixed)->Apply(Sizes)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ExecuteMixedSerial)
-    ->RangeMultiplier(4)
-    ->Range(1024, 16384)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ExecuteMixedParallel)
     ->RangeMultiplier(4)
     ->Range(1024, 16384)
     ->Unit(benchmark::kMillisecond);

@@ -101,37 +101,10 @@ void BM_UnnestedReordered(benchmark::State& state) {
   state.counters["rows"] = rows;
 }
 
-// Parallel half of the serial-vs-parallel pair: the unnested + reordered
-// plan run with a 4-lane morsel executor. The unnested plan's joins
-// produce the multi-thousand-row intermediates that cross the parallel
-// threshold even though |r1| itself is small.
-void BM_UnnestedReorderedParallel(benchmark::State& state) {
-  Catalog cat = MakeData(static_cast<int>(state.range(0)));
-  NestedQuery q = BuildNested();
-  auto tree = UnnestToAlgebra(q, cat);
-  if (!tree.ok()) {
-    state.SkipWithError("unnest failed");
-    return;
-  }
-  QueryOptimizer opt(cat);
-  auto best = opt.Optimize(*tree);
-  NodePtr plan = best.ok() ? best->best.expr : *tree;
-  ExecuteOptions xo;
-  xo.executor = &bench::BenchExecutor(4);
-  int64_t rows = 0;
-  for (auto _ : state) {
-    auto r = Execute(plan, cat, xo);
-    rows = r.ok() ? r->NumRows() : -1;
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["rows"] = static_cast<double>(rows);
-}
-
 #define R1SIZES DenseRange(50, 250, 100)->Unit(benchmark::kMillisecond)
 BENCHMARK(BM_Tis)->R1SIZES;
 BENCHMARK(BM_Unnested)->R1SIZES;
 BENCHMARK(BM_UnnestedReordered)->R1SIZES;
-BENCHMARK(BM_UnnestedReorderedParallel)->R1SIZES;
 
 }  // namespace
 }  // namespace gsopt

@@ -17,12 +17,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "exec/executor.h"
 
 // Injected by bench/CMakeLists.txt from `git rev-parse`; "unknown" when
 // built outside a checkout.
@@ -31,23 +27,6 @@
 #endif
 
 namespace gsopt::bench {
-
-// Process-lifetime executor cache for the serial-vs-parallel bench pairs.
-// One Executor per thread count, constructed lazily and reused across
-// benchmark repetitions so the timed region measures morsel execution, not
-// thread start-up. min_parallel_rows is lowered from its production
-// default (2048) so bench-sized inputs actually take the parallel path;
-// the pairing convention is that the serial variant of each pair passes no
-// executor at all and therefore runs the serial kernels.
-inline gsopt::exec::Executor& BenchExecutor(int threads) {
-  static std::map<int, std::unique_ptr<gsopt::exec::Executor>> cache;
-  std::unique_ptr<gsopt::exec::Executor>& slot = cache[threads];
-  if (!slot) {
-    slot = std::make_unique<gsopt::exec::Executor>(threads);
-    slot->set_min_parallel_rows(64);
-  }
-  return *slot;
-}
 
 inline int RunBenchmarks(const char* name, int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);

@@ -145,9 +145,8 @@ StatusOr<NodeResult> ExecuteNode(const NodePtr& node, const Catalog& catalog,
   if (options.budget != nullptr) {
     GSOPT_RETURN_IF_ERROR(options.budget->CheckDeadlineNow("execute"));
   }
-  exec::ExecContext ctx{options.budget, stats,         options.executor,
-                        options.fault,  options.spill, options.batch,
-                        options.bloom};
+  exec::ExecContext ctx{options.budget, stats,         options.fault,
+                        options.spill,  options.batch, options.bloom};
   Clock::time_point start;
   if (stats != nullptr) {
     stats->op = StatsLabel(*node);

@@ -20,7 +20,6 @@
 #include "base/fault_injector.h"
 #include "base/status.h"
 #include "exec/eval.h"
-#include "exec/executor.h"
 #include "exec/stats.h"
 #include "relational/catalog.h"
 
@@ -35,14 +34,9 @@ namespace gsopt {
 struct ExecPolicy {
   // Optional cooperative budget (deadline / row / memory cap); not owned.
   ResourceBudget* budget = nullptr;
-  // Optional morsel-parallel executor (not owned). Null -- the default --
-  // runs every operator on the serial kernels. With more than
-  // one lane, large inputs take the parallel kernel paths; results are
-  // bag-equal to serial execution (row order may differ).
-  exec::Executor* executor = nullptr;
   // Optional deterministic fault injector (not owned). When set, kernels
-  // probe it at allocation, spill I/O, budget-check and dispatch points;
-  // see base/fault_injector.h.
+  // probe it at allocation, spill I/O and budget-check points; see
+  // base/fault_injector.h.
   FaultInjector* fault = nullptr;
   // Optional spill configuration (not owned). When set, hash joins,
   // aggregations and sorts that trip the memory cap degrade to the
@@ -60,7 +54,6 @@ struct ExecPolicy {
 // turn it on).
 inline ExecPolicy MergeExecPolicy(ExecPolicy base, const ExecPolicy& call) {
   if (call.budget != nullptr) base.budget = call.budget;
-  if (call.executor != nullptr) base.executor = call.executor;
   if (call.fault != nullptr) base.fault = call.fault;
   if (call.spill != nullptr) base.spill = call.spill;
   base.collect_stats = base.collect_stats || call.collect_stats;
@@ -76,10 +69,6 @@ template <typename Derived>
 struct ExecPolicyBuilder {
   Derived& WithBudget(ResourceBudget* b) {
     self().policy().budget = b;
-    return self();
-  }
-  Derived& WithExecutor(exec::Executor* e) {
-    self().policy().executor = e;
     return self();
   }
   Derived& WithFault(FaultInjector* f) {

@@ -34,12 +34,12 @@
 // optimize-and-execute attempt. Configuration (WithDeadline*/WithMax*) is
 // single-threaded -- it happens before a stage starts -- but the hot-path
 // probes (ChargeRows, CheckDeadline, CheckDeadlineNow) are thread-safe:
-// the morsel-parallel executor charges rows and ticks the deadline from
-// every lane concurrently. Counters are relaxed-order atomics, so the fast
-// path stays one uncontended fetch_add; expiry is a sticky atomic flag
-// every lane observes, which is what makes cooperative kResourceExhausted
-// cancellation work mid-morsel. The deadline is absolute: once expired, it
-// stays expired for every later stage.
+// a budget may be shared by concurrent queries, each charging rows and
+// ticking the deadline from its own thread. Counters are relaxed-order
+// atomics, so the fast path stays one uncontended fetch_add; expiry is a
+// sticky atomic flag every sharer observes, so one expiry cancels them all
+// cooperatively. The deadline is absolute: once expired, it stays expired
+// for every later stage.
 #ifndef GSOPT_BASE_BUDGET_H_
 #define GSOPT_BASE_BUDGET_H_
 
@@ -127,10 +127,10 @@ class ResourceBudget {
   }
 
   // Hot-loop deadline probe: cheap relaxed counter, real clock read once
-  // per kClockStride calls across all lanes combined. Once expired the
+  // per kClockStride calls across all sharers combined. Once expired the
   // result is sticky, so later stages fail fast instead of re-burning
-  // time, and every parallel lane observes the expiry within one of its
-  // own probes.
+  // time, and every query sharing the budget observes the expiry within
+  // one of its own probes.
   Status CheckDeadline(const char* stage) {
     if (expired_.load(std::memory_order_relaxed)) {
       return Exhausted(stage, "deadline cap exceeded");
@@ -158,10 +158,10 @@ class ResourceBudget {
 
   // Charges `n` materialized rows against the row cap and probes the
   // deadline. Executor kernels call this as they produce output, possibly
-  // from many lanes at once: the single fetch_add makes every row count
-  // exactly once, and exactly one charge observes the old->new transition
-  // across the cap (later charges keep failing, which is what cancels the
-  // remaining lanes).
+  // from concurrent queries sharing the budget: the single fetch_add makes
+  // every row count exactly once, and exactly one charge observes the
+  // old->new transition across the cap (later charges keep failing, which
+  // is what cancels the other sharers).
   Status ChargeRows(uint64_t n, const char* stage) {
     uint64_t after = rows_.fetch_add(n, std::memory_order_relaxed) + n;
     if (after > max_rows_) {
@@ -227,10 +227,10 @@ class ResourceBudget {
 // RAII ledger for one operator's working-state charges: Charge() forwards
 // to the budget and remembers the amount, and the destructor releases
 // whatever is still outstanding. This is the error-path hygiene primitive:
-// a kernel that returns early -- over-cap, injected fault, cancelled lane
-// -- unwinds its charges by construction, so a failed query never leaves
-// phantom bytes pinned in a shared budget. Not thread-safe; parallel
-// kernels keep one reservation per lane. A null budget makes every
+// a kernel that returns early -- over-cap, injected fault, expired
+// deadline -- unwinds its charges by construction, so a failed query never
+// leaves phantom bytes pinned in a shared budget. Not thread-safe: one
+// reservation per operator, on one thread. A null budget makes every
 // operation a no-op, keeping call sites unconditional.
 class MemoryReservation {
  public:

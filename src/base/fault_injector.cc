@@ -27,8 +27,6 @@ const char* FaultSiteName(FaultSite site) {
       return "spill-read";
     case FaultSite::kBudgetCheck:
       return "budget-check";
-    case FaultSite::kDispatch:
-      return "dispatch";
     case FaultSite::kNumSites:
       break;
   }
@@ -76,8 +74,6 @@ Status FaultInjector::MaybeFail(FaultSite site, const char* where) {
       return Status::Unavailable(msg + "short spill read");
     case FaultSite::kBudgetCheck:
       return Status::ResourceExhausted(msg + "budget exhaustion");
-    case FaultSite::kDispatch:
-      return Status::Unavailable(msg + "thread-pool dispatch failure");
     case FaultSite::kNumSites:
       break;
   }

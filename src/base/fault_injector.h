@@ -2,20 +2,16 @@
 //
 // The executor threads a FaultInjector* through ExecContext and probes it
 // at the points where a real deployment fails: allocation of operator
-// state, spill-file open/write/read (short writes, ENOSPC), cooperative
-// budget checks, and thread-pool dispatch. Each probe draws a pure
-// function of (seed, site, ordinal) -- no wall clock, no global RNG -- so
-// a given seed fires the same fault schedule on every run: probe #k at a
-// site either always fires or never does. (Under the morsel-parallel
-// executor the *assignment* of ordinals to lanes races, so which lane
-// observes probe #k can vary, but the schedule of firing ordinals is
-// fixed; chaos-oracle assertions are written to hold under any
-// assignment.)
+// state, spill-file open/write/read (short writes, ENOSPC) and cooperative
+// budget checks. Each probe draws a pure function of (seed, site,
+// ordinal) -- no wall clock, no global RNG -- so a given seed fires the
+// same fault schedule on every run: probe #k at a site either always fires
+// or never does.
 //
 // Fired faults come back as ordinary typed Statuses with "injected" in the
 // message: kResourceExhausted for persistent conditions (allocation
 // failure, ENOSPC, budget exhaustion) and kUnavailable for transient ones
-// (short write/read, dispatch failure), which is exactly the taxonomy the
+// (short spill write/read), which is exactly the taxonomy the
 // Session retry policy keys on. `max_faults` bounds total fires so a
 // bounded-retry test can prove the second attempt succeeds.
 #ifndef GSOPT_BASE_FAULT_INJECTOR_H_
@@ -36,7 +32,6 @@ enum class FaultSite : uint32_t {
   kSpillWrite,   // spill append (ENOSPC or transient short write)
   kSpillRead,    // spill read-back (transient short read)
   kBudgetCheck,  // cooperative budget probe in a kernel loop
-  kDispatch,     // thread-pool fan-out
   kNumSites,
 };
 

@@ -24,8 +24,8 @@ enum class StatusCode {
   // as-written plan, and the executor's spill path degrades hash state
   // out-of-core.
   kResourceExhausted,
-  // A transient fault -- short spill write/read, thread-pool dispatch
-  // failure, injected chaos -- where an identical retry may succeed.
+  // A transient fault -- short spill write/read, injected chaos -- where
+  // an identical retry may succeed.
   // Session honors this with its bounded retry-with-backoff policy;
   // persistent conditions (ENOSPC, caps) use kResourceExhausted instead.
   kUnavailable,
@@ -52,7 +52,7 @@ enum class StatusCode {
 //                       the same budget fails again; a bigger budget or a
 //                       cheaper query may succeed.
 //   kTransient          an identical in-process retry may succeed (short
-//                       I/O, dispatch hiccough). Session's bounded
+//                       spill I/O). Session's bounded
 //                       retry-with-backoff consumes these; ones that
 //                       escape to the wire were retried to exhaustion.
 //   kShed               the server refused admission (queue full, tenant

@@ -65,8 +65,7 @@ struct OptimizeOptions {
   bool fallback = true;
   // Lets the order-aware pass remove kSort enforcers whose order the
   // subtree already delivers (optimizer/order.h). Every operator that pass
-  // forwards order through keeps its input's row order at any lane count,
-  // so the removal holds on a parallel executor too; false keeps every
+  // forwards order through keeps its input's row order; false keeps every
   // enforcer.
   bool assume_ordered_exec = true;
 

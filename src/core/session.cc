@@ -180,10 +180,9 @@ StatusOr<QueryResult> Session::ExecuteTemplate(
     owned_stats = std::make_shared<exec::OperatorStats>();
     run.stats = owned_stats.get();
   }
-  // Transient failures (kUnavailable: short spill I/O, dispatch faults)
-  // are retried with bounded exponential backoff; an identical attempt
-  // may succeed. Persistent failures (caps, real ENOSPC) propagate
-  // immediately.
+  // Transient failures (kUnavailable: short spill I/O) are retried with
+  // bounded exponential backoff; an identical attempt may succeed.
+  // Persistent failures (caps, real ENOSPC) propagate immediately.
   int retries = 0;
   StatusOr<Relation> rows = gsopt::Execute(executable, catalog_, run);
   while (!rows.ok() && rows.status().IsTransient() &&

@@ -4,7 +4,7 @@
 //
 //   Session session(catalog, SessionOptions{}
 //                                .WithBudget(&budget)
-//                                .WithExecutor(&parallel));
+//                                .WithSpill(&spill));
 //   // One-shot:
 //   auto result = session.Query("SELECT * FROM r1 WHERE r1.a = 7");
 //   // Prepared, with $n parameters:
@@ -41,8 +41,8 @@
 // stale templates die lazily on their next lookup (counted as
 // invalidations) instead of requiring a synchronous flush.
 //
-// Concurrency: Prepare/Query/Run are safe to call from many threads of a
-// morsel-parallel server (per-shard cache mutexes; the optimizer is
+// Concurrency: Prepare/Query/Run are safe to call from many threads, such
+// as the server's request workers (per-shard cache mutexes; the optimizer is
 // rebuilt under a session mutex and handed out as shared_ptr; entries are
 // pinned by shared_ptr so eviction cannot free a plan mid-execution) --
 // PROVIDED the catalog is not mutated concurrently with serving. An
@@ -96,7 +96,7 @@ struct SessionOptions : ExecPolicyBuilder<SessionOptions> {
   // against).
   bool use_plan_cache = true;
   // Bounded retry for TRANSIENT execution failures (Status::IsTransient(),
-  // i.e. kUnavailable: short spill I/O, dispatch faults). Each retry
+  // i.e. kUnavailable: short spill I/O). Each retry
   // re-executes the already-acquired plan template -- no re-parse or plan
   // search -- after an exponential backoff starting at 500 us. Persistent
   // failures (kResourceExhausted caps, real ENOSPC) are never retried: an

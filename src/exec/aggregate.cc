@@ -7,8 +7,8 @@
 
 #include "base/check.h"
 #include "exec/bind.h"
+#include "exec/join_internal.h"
 #include "exec/keys.h"
-#include "exec/lane_control.h"
 #include "exec/spill.h"
 
 namespace gsopt::exec {
@@ -125,25 +125,6 @@ struct Accumulator {
     return retained;
   }
 
-  // Folds another lane's partial state for the same group into this one.
-  // DISTINCT aggregates are excluded from the parallel path (per-lane
-  // distinct sets cannot be combined without re-deduplicating the inputs),
-  // so distinct_keys never needs merging.
-  void MergeFrom(const Accumulator& o) {
-    count += o.count;
-    sum += o.sum;
-    sum_all_int = sum_all_int && o.sum_all_int;
-    isum += o.isum;
-    if (!o.min_v.is_null() &&
-        (min_v.is_null() || Value::IdentityLess(o.min_v, min_v))) {
-      min_v = o.min_v;
-    }
-    if (!o.max_v.is_null() &&
-        (max_v.is_null() || Value::IdentityLess(max_v, o.max_v))) {
-      max_v = o.max_v;
-    }
-  }
-
   Value Result(const AggSpec& spec) const {
     switch (spec.func) {
       case AggFunc::kCountStar:
@@ -188,7 +169,6 @@ struct ResolvedGP {
   Schema out_schema;
   VirtualSchema out_vschema;
   bool synthetic_vid = false;
-  bool has_distinct = false;
 };
 
 // Feeds row t into g's accumulators; returns bytes newly retained
@@ -288,24 +268,17 @@ Status EmitGroups(const ResolvedGP& rs, const GroupMap& gm,
   return Status::OK();
 }
 
-// The hash grouping feed, serial or morsel-parallel -- serial whenever a
-// DISTINCT aggregate needs one dedup set per group, since per-lane sets
-// cannot be combined without re-deduplicating the inputs. Each row's group
-// key is encoded straight from the row (EncodeTupleKeyInto, as FeedRows
-// does); aggregate inputs are read per row through their bound terms
-// (exec/bind.h). Lanes discover groups in row order into private maps
-// merged in lane order, so a serial run's representatives, emit order and
-// synthetic ordinals match the reference feed. Lane l's group state is
-// charged to (*mem)[l], which the caller keeps alive until the groups are
-// emitted.
+// The hash grouping feed: kBatchRows batches with one budget tick and one
+// stats update per batch. Each row's group key is encoded straight from
+// the row (EncodeTupleKeyInto, as FeedRows does); aggregate inputs are
+// read per row through their bound terms (exec/bind.h). Groups are
+// discovered in row order, so representatives, emit order and synthetic
+// ordinals match the reference feed. Group state is charged to *mem, which
+// the caller keeps alive until the groups are emitted.
 Status HashFeed(const Relation& r, const ResolvedGP& rs,
-                const ExecContext& ctx, std::vector<OpMemory>* mem,
-                GroupMap* gm, bool* mem_trip) {
+                const ExecContext& ctx, OpMemory* mem, GroupMap* gm,
+                bool* mem_trip) {
   const GroupBySpec& spec = *rs.spec;
-  const int lanes = rs.has_distinct ? 1 : internal::LanesFor(ctx, r.NumRows());
-  GSOPT_RETURN_IF_ERROR(
-      internal::CheckDispatch(ctx, lanes, "parallel-group-by"));
-  const size_t nlanes = static_cast<size_t>(lanes);
   // Aggregate input terms, bound once (exec/bind.h); unused slots stay
   // the constant NULL.
   std::vector<internal::BoundScalar> inputs(spec.aggs.size());
@@ -314,80 +287,40 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
       inputs[k] = internal::BoundScalar(*spec.aggs[k].input, r.schema());
     }
   }
-
-  struct Lane {
-    GroupMap groups;
-    OperatorStats stats;
+  auto charge = [&](uint64_t bytes) {
+    Status s = mem->Charge(bytes, "group-by");
+    if (!s.ok()) *mem_trip = true;
+    return s;
   };
-  std::vector<Lane> lane_state(nlanes);
-  mem->clear();
-  for (size_t l = 0; l < nlanes; ++l) mem->emplace_back(ctx);
-  std::atomic<bool> trip{false};
-  internal::LaneControl control(lanes);
-  internal::ForRanges(ctx, lanes, r.NumRows(), [&](int lane, int64_t begin,
-                                                   int64_t end) {
-    if (control.cancelled()) return;
-    Lane& ln = lane_state[static_cast<size_t>(lane)];
-    OpMemory& m = (*mem)[static_cast<size_t>(lane)];
-    auto fail = [&](Status s, bool memory) {
-      if (memory) trip.store(true, std::memory_order_relaxed);
-      control.Fail(lane, std::move(s));
-    };
-    Status s = ctx.Tick("group-by");
-    if (!s.ok()) return fail(std::move(s), false);
-    ++ln.stats.batches;
-    std::string key;
-    for (int64_t i = begin; i < end; ++i) {
-      const Tuple& t = r.row(i);
-      EncodeTupleKeyInto(t, rs.gcol_idx, rs.gvid_idx, &key);
-      auto it = ln.groups.groups.find(key);
-      if (it == ln.groups.groups.end()) {
-        s = m.Charge(GroupBytes(rs, key, t), "group-by");
-        if (!s.ok()) return fail(std::move(s), true);
-        Group g;
-        g.representative = t;
-        g.accs.resize(spec.aggs.size());
-        it = ln.groups.groups.emplace(key, std::move(g)).first;
-        ln.groups.order.push_back(key);
-      }
-      const internal::RowRef row(t);
-      uint64_t retained =
-          FeedRow(rs, t, &it->second,
-                  [&](size_t k, Value* scratch) -> const Value& {
-                    return inputs[k].Ref(row, scratch);
-                  });
-      if (retained > 0) {
-        s = m.Charge(retained, "group-by");
-        if (!s.ok()) return fail(std::move(s), true);
-      }
-    }
-  });
-  Status first = control.First();
-  if (!first.ok()) {
-    *mem_trip = trip.load(std::memory_order_relaxed);
-    return first;
-  }
-  if (ctx.stats != nullptr) {
-    for (const Lane& ln : lane_state) ctx.stats->MergeCountersFrom(ln.stats);
-  }
-  if (nlanes == 1) {
-    *gm = std::move(lane_state[0].groups);
-    return Status::OK();
-  }
-  for (Lane& ln : lane_state) {
-    for (std::string& key : ln.groups.order) {
-      Group& g = ln.groups.groups.at(key);
-      auto it = gm->groups.find(key);
-      if (it == gm->groups.end()) {
-        gm->order.push_back(key);
-        gm->groups.emplace(std::move(key), std::move(g));
-        continue;
-      }
-      for (size_t k = 0; k < spec.aggs.size(); ++k) {
-        it->second.accs[k].MergeFrom(g.accs[k]);
-      }
-    }
-  }
+  OperatorStats st;
+  std::string key;
+  GSOPT_RETURN_IF_ERROR(internal::ForBatches(
+      r.NumRows(), [&](int64_t begin, int64_t end) -> Status {
+        GSOPT_RETURN_IF_ERROR(ctx.Tick("group-by"));
+        ++st.batches;
+        for (int64_t i = begin; i < end; ++i) {
+          const Tuple& t = r.row(i);
+          EncodeTupleKeyInto(t, rs.gcol_idx, rs.gvid_idx, &key);
+          auto it = gm->groups.find(key);
+          if (it == gm->groups.end()) {
+            GSOPT_RETURN_IF_ERROR(charge(GroupBytes(rs, key, t)));
+            Group g;
+            g.representative = t;
+            g.accs.resize(spec.aggs.size());
+            it = gm->groups.emplace(key, std::move(g)).first;
+            gm->order.push_back(key);
+          }
+          const internal::RowRef row(t);
+          uint64_t retained =
+              FeedRow(rs, t, &it->second,
+                      [&](size_t k, Value* scratch) -> const Value& {
+                        return inputs[k].Ref(row, scratch);
+                      });
+          if (retained > 0) GSOPT_RETURN_IF_ERROR(charge(retained));
+        }
+        return Status::OK();
+      }));
+  if (ctx.stats != nullptr) ctx.stats->MergeCountersFrom(st);
   return Status::OK();
 }
 
@@ -502,10 +435,6 @@ StatusOr<Relation> GeneralizedProjection(const Relation& r,
       rs.presence_idx[k] = r.vschema().Find(spec.aggs[k].presence_rel);
     }
   }
-  for (const AggSpec& a : spec.aggs) {
-    rs.has_distinct = rs.has_distinct || a.distinct;
-  }
-
   if (ctx.stats != nullptr) {
     ctx.stats->rows_in += static_cast<uint64_t>(r.NumRows());
   }
@@ -519,20 +448,19 @@ StatusOr<Relation> GeneralizedProjection(const Relation& r,
   };
 
   // Hash grouping: the reference evaluator's row feed under kOff, the
-  // batch hash feed (serial or parallel) otherwise. Both discover groups in
-  // row order when serial, so representatives, emit order and synthetic
-  // ordinals agree. A memory trip degrades to the same out-of-core path
-  // either way (spill_all re-aggregates from scratch).
+  // batch hash feed otherwise. Both discover groups in row order, so
+  // representatives, emit order and synthetic ordinals agree. A memory
+  // trip degrades to the same out-of-core path either way (spill_all
+  // re-aggregates from scratch).
   GroupMap gm;
-  std::vector<OpMemory> mem;
-  mem.emplace_back(ctx);
+  OpMemory mem(ctx);
   bool trip = false;
-  Status s = ctx.Reference() ? FeedRows(r, rs, ctx, &mem[0], &gm, &trip)
+  Status s = ctx.Reference() ? FeedRows(r, rs, ctx, &mem, &gm, &trip)
                              : HashFeed(r, rs, ctx, &mem, &gm, &trip);
   if (s.ok()) {
     GSOPT_RETURN_IF_ERROR(EmitGroups(rs, gm, ctx, &ordinal, &out));
   } else if (trip && ctx.spill != nullptr) {
-    mem.clear();
+    mem.Release();
     gm = GroupMap();
     GSOPT_RETURN_IF_ERROR(spill_all());
   } else {

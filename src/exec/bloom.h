@@ -15,9 +15,7 @@
 // hash bits 24..24+log2(blocks); the TWO probe bits inside the block come
 // from hash bits 0..8 and 9..17. Every membership test touches exactly one
 // cache line, and both probes derive from the single existing 64-bit hash
-// (no second hash function). The block index deliberately avoids the top
-// bits, which the morsel-parallel join uses for partition routing, so a
-// partitioned build still spreads inserts across the whole filter.
+// (no second hash function).
 //
 // Sizing: kBitsPerKey bits per expected build key, rounded up to a
 // power-of-two block count. At 16 bits/key each block averages 32 keys =
@@ -62,7 +60,7 @@ inline bool BloomEligible(BloomMode mode, int64_t build_rows,
 }
 
 // Runtime calibration for kAuto: the eligibility heuristic cannot see the
-// match rate, so each probe lane of the hash-join core measures it. After
+// match rate, so the hash-join core's probe pass measures it. After
 // kBloomCalibrateChecks probes, the filter stays engaged only while it is
 // rejecting at least three quarters of them -- below that the per-probe
 // check costs more than the table lookups it saves (measured: a 50%-match
@@ -74,12 +72,6 @@ inline constexpr uint64_t kBloomCalibrateChecks = 2048;
 inline bool BloomStillWinning(uint64_t checks, uint64_t rejects) {
   return rejects * 4 >= checks * 3;
 }
-
-// The morsel-parallel probe already hides table-lookup latency with many
-// in-flight morsels, so the filter needs a larger probe side to pay off
-// there (measured: 0.8-1.0x at 16K probe rows, 1.4-1.6x at 64K). kAuto
-// only; kForce bypasses this like every other heuristic.
-inline constexpr int64_t kMinBloomProbeRowsParallel = 32768;
 
 class BloomFilter {
  public:

@@ -8,25 +8,18 @@
 #include "exec/bind.h"
 #include "exec/join_internal.h"
 #include "exec/keys.h"
-#include "exec/lane_control.h"
 
 namespace gsopt::exec {
 
 // Shared join/GS machinery lives in join_internal.h, the join cores in
-// hash_join.cc, the lane machinery in lane_control.h.
+// hash_join.cc.
 using internal::BoundPredicate;
-using internal::CheckDispatch;
-using internal::ForRanges;
+using internal::ForBatches;
 using internal::GroupIndex;
 using internal::GroupPartAllNull;
 using internal::HashJoinCore;
 using internal::IndexGroup;
 using internal::JoinCoreResult;
-using internal::LaneControl;
-using internal::LaneOutputs;
-using internal::RangeOutputs;
-using internal::LanesFor;
-using internal::MergeLaneStats;
 using internal::NestedLoopJoinCore;
 using internal::RowRef;
 
@@ -123,10 +116,10 @@ StatusOr<Relation> KeepRows(const Relation& a,
 // null-padded resurrection tuple per distinct group key of `src` that none
 // of out's first `kept` rows (the operator's selected or matched rows)
 // carries. `src_gi` locates the group's columns and row ids in src,
-// `out_gi` their slots in out, pairwise in schema order. Lanes collect the
-// first row of each missing key in their ranges, deduplicating locally;
-// the fan-in deduplicates across lanes, so each missing key resurrects
-// exactly one tuple.
+// `out_gi` their slots in out, pairwise in schema order. The first src row
+// of each missing key is collected before any tuple is appended (the
+// surviving keys are read from `out` itself), so each missing key
+// resurrects exactly one tuple.
 Status Resurrect(const Relation& src, const GroupIndex& src_gi,
                  const GroupIndex& out_gi, int64_t kept, Relation* out,
                  const ExecContext& ctx) {
@@ -135,50 +128,29 @@ Status Resurrect(const Relation& src, const GroupIndex& src_gi,
     surviving.insert(
         EncodeTupleKey(out->row(i), out_gi.value_idx, out_gi.vid_idx));
   }
-  const int lanes = LanesFor(ctx, src.NumRows());
-  GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-gs"));
-  struct Candidate {
-    std::string key;
-    int64_t row;
-  };
-  std::vector<std::vector<Candidate>> lane_cands(static_cast<size_t>(lanes));
-  std::vector<std::unordered_set<std::string>> lane_added(
-      static_cast<size_t>(lanes));
-  LaneControl control(lanes);
-  ForRanges(ctx, lanes, src.NumRows(), [&](int lane, int64_t begin,
-                                           int64_t end) {
-    if (control.cancelled()) return;
-    std::vector<Candidate>& cands = lane_cands[static_cast<size_t>(lane)];
-    std::unordered_set<std::string>& added =
-        lane_added[static_cast<size_t>(lane)];
-    std::string key;
-    for (int64_t i = begin; i < end; ++i) {
-      Status s = ctx.Tick("generalized-selection");
-      if (!s.ok()) return control.Fail(lane, std::move(s));
-      const Tuple& t = src.row(i);
-      if (GroupPartAllNull(t, src_gi)) continue;
-      EncodeTupleKeyInto(t, src_gi.value_idx, src_gi.vid_idx, &key);
-      if (surviving.count(key) || !added.insert(key).second) continue;
-      cands.push_back(Candidate{key, i});
-    }
-  });
-  GSOPT_RETURN_IF_ERROR(control.First());
-  const Tuple null_row = out->NullTuple();
+  std::vector<int64_t> missing;
   std::unordered_set<std::string> added;
-  for (std::vector<Candidate>& cands : lane_cands) {
-    for (Candidate& c : cands) {
-      if (lanes > 1 && !added.insert(std::move(c.key)).second) continue;
-      const Tuple& s = src.row(c.row);
-      Tuple t = null_row;
-      for (size_t k = 0; k < out_gi.value_idx.size(); ++k) {
-        t.values[out_gi.value_idx[k]] = s.values[src_gi.value_idx[k]];
-      }
-      for (size_t k = 0; k < out_gi.vid_idx.size(); ++k) {
-        t.vids[out_gi.vid_idx[k]] = s.vids[src_gi.vid_idx[k]];
-      }
-      out->Add(std::move(t));
-      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "generalized-selection"));
+  std::string key;
+  for (int64_t i = 0; i < src.NumRows(); ++i) {
+    GSOPT_RETURN_IF_ERROR(ctx.Tick("generalized-selection"));
+    const Tuple& t = src.row(i);
+    if (GroupPartAllNull(t, src_gi)) continue;
+    EncodeTupleKeyInto(t, src_gi.value_idx, src_gi.vid_idx, &key);
+    if (surviving.count(key) || !added.insert(key).second) continue;
+    missing.push_back(i);
+  }
+  const Tuple null_row = out->NullTuple();
+  for (int64_t i : missing) {
+    const Tuple& s = src.row(i);
+    Tuple t = null_row;
+    for (size_t k = 0; k < out_gi.value_idx.size(); ++k) {
+      t.values[out_gi.value_idx[k]] = s.values[src_gi.value_idx[k]];
     }
+    for (size_t k = 0; k < out_gi.vid_idx.size(); ++k) {
+      t.vids[out_gi.vid_idx[k]] = s.vids[src_gi.vid_idx[k]];
+    }
+    out->Add(std::move(t));
+    GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "generalized-selection"));
   }
   return Status::OK();
 }
@@ -187,11 +159,8 @@ Status Resurrect(const Relation& src, const GroupIndex& src_gi,
 
 StatusOr<Relation> Product(const Relation& a, const Relation& b,
                            const ExecContext& ctx) {
-  const int lanes = b.NumRows() > 0 ? LanesFor(ctx, a.NumRows()) : 1;
-  GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-product"));
   Relation out(Schema::Concat(a.schema(), b.schema()),
                VirtualSchema::Concat(a.vschema(), b.vschema()));
-  LaneOutputs outs(&out, lanes);
   // The exact cross-product cardinality as int*int is signed-overflow UB
   // past ~46k x 46k, and even a correct full-size reservation would commit
   // the whole product's memory before the row cap or deadline can fire.
@@ -199,30 +168,16 @@ StatusOr<Relation> Product(const Relation& a, const Relation& b,
   constexpr uint64_t kMaxReserve = 1u << 20;
   uint64_t total = static_cast<uint64_t>(a.NumRows()) *
                    static_cast<uint64_t>(b.NumRows());
-  for (int l = 0; l < lanes; ++l) {
-    outs[l].Reserve(static_cast<int64_t>(
-        std::min(total / static_cast<uint64_t>(lanes) + 1, kMaxReserve)));
-  }
+  out.Reserve(static_cast<int64_t>(std::min(total + 1, kMaxReserve)));
   RecordIn(ctx, static_cast<uint64_t>(a.NumRows()) +
                     static_cast<uint64_t>(b.NumRows()));
-  LaneControl control(lanes);
-  ForRanges(ctx, lanes, a.NumRows(), [&](int lane, int64_t begin,
-                                         int64_t end) {
-    if (control.cancelled()) return;
-    Relation& o = outs[lane];
-    for (int64_t i = begin; i < end; ++i) {
-      for (const Tuple& tb : b.rows()) {
-        Status s = ctx.Tick("product");
-        if (s.ok()) {
-          o.AddConcat(a.row(i), tb);
-          s = ctx.ChargeRows(1, "product");
-        }
-        if (!s.ok()) return control.Fail(lane, std::move(s));
-      }
+  for (const Tuple& ta : a.rows()) {
+    for (const Tuple& tb : b.rows()) {
+      GSOPT_RETURN_IF_ERROR(ctx.Tick("product"));
+      out.AddConcat(ta, tb);
+      GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "product"));
     }
-  });
-  GSOPT_RETURN_IF_ERROR(control.First());
-  outs.Splice();
+  }
   RecordOut(ctx, out);
   return out;
 }
@@ -243,42 +198,29 @@ StatusOr<Relation> Select(const Relation& r, const Predicate& p,
     RecordOut(ctx, out);
     return out;
   }
-  // Serial or morsel-parallel over the bound predicate. Either way the
-  // output is exactly the reference's, order included: each range writes
-  // its own output and the outputs are spliced in range order, so the
-  // order-aware pass can forward an order through a selection at any lane
-  // count. Outputs are reserved at their range's size (the tight upper
-  // bound): vector<Tuple> regrowth relocates fat inline-payload tuples
-  // element-wise. Untouched reserve slack is virtual address space only,
-  // the same worst case as push_back growth.
-  const int lanes = LanesFor(ctx, r.NumRows());
-  GSOPT_RETURN_IF_ERROR(CheckDispatch(ctx, lanes, "parallel-select"));
+  // Batches over the bound predicate; the output is exactly the
+  // reference's, order included, so the order-aware pass can forward an
+  // order through a selection. The output is reserved at the input's size
+  // (the tight upper bound): vector<Tuple> regrowth relocates fat
+  // inline-payload tuples element-wise. Untouched reserve slack is virtual
+  // address space only, the same worst case as push_back growth.
   const BoundPredicate bound(p, r.schema());
-  RangeOutputs outs(&out, ctx, lanes, r.NumRows());
-  std::vector<OperatorStats> lane_stats(static_cast<size_t>(lanes));
-  LaneControl control(lanes);
-  ForRanges(ctx, lanes, r.NumRows(), [&](int lane, int64_t begin,
-                                         int64_t end) {
-    if (control.cancelled()) return;
-    Status s = ctx.Tick("select");
-    if (!s.ok()) return control.Fail(lane, std::move(s));
-    Relation& o = outs.For(begin, end);
-    const int64_t before = o.NumRows();
+  out.Reserve(r.NumRows());
+  OperatorStats st;
+  GSOPT_RETURN_IF_ERROR(ForBatches(r.NumRows(), [&](int64_t begin,
+                                                    int64_t end) -> Status {
+    GSOPT_RETURN_IF_ERROR(ctx.Tick("select"));
+    const int64_t before = out.NumRows();
     for (int64_t i = begin; i < end; ++i) {
-      if (bound.Test(RowRef(r.row(i)))) o.Add(r.row(i));
+      if (bound.Test(RowRef(r.row(i)))) out.Add(r.row(i));
     }
-    OperatorStats& st = lane_stats[static_cast<size_t>(lane)];
     ++st.batches;
     st.residual_evals += static_cast<uint64_t>(end - begin);
-    if (o.NumRows() > before) {
-      s = ctx.ChargeRows(static_cast<uint64_t>(o.NumRows() - before),
-                         "select");
-      if (!s.ok()) return control.Fail(lane, std::move(s));
-    }
-  });
-  GSOPT_RETURN_IF_ERROR(control.First());
-  outs.Splice();
-  MergeLaneStats(lane_stats, ctx.stats);
+    if (out.NumRows() == before) return Status::OK();
+    return ctx.ChargeRows(static_cast<uint64_t>(out.NumRows() - before),
+                          "select");
+  }));
+  if (ctx.stats != nullptr) ctx.stats->MergeCountersFrom(st);
   RecordOut(ctx, out);
   return out;
 }
@@ -468,7 +410,7 @@ StatusOr<Relation> GeneralizedSelection(
   // extension legitimately produces them (a relation joined above an edge
   // by an always-evaluable predicate rides with both sides).
 
-  // The internal selection pass shares the budget and executor but not the
+  // The internal selection pass shares the budget and policy but not the
   // stats node: GS accounts for its own input/output exactly once and
   // counts the pass's predicate evaluations itself.
   ExecContext select_ctx = ctx;

@@ -28,7 +28,6 @@
 #include "base/fault_injector.h"
 #include "base/status.h"
 #include "exec/bloom.h"
-#include "exec/executor.h"
 #include "exec/stats.h"
 #include "relational/expr.h"
 #include "relational/relation.h"
@@ -51,7 +50,7 @@ struct SpillConfig {
 
 // Kernel policy. kAuto -- the default -- runs the optimized kernels:
 // selection over a predicate bound once per call (exec/bind.h), the hash
-// grouping feed and the hash-join core, serial or morsel-parallel. kOff
+// grouping feed and the hash-join core, in batches of rows. kOff
 // runs the reference evaluator -- serial, row-at-a-time, every column
 // resolved by name, every join as nested loops over Predicate::Satisfied --
 // the ground truth the differential tests and fuzz oracles hold the
@@ -63,21 +62,15 @@ enum class BatchMode : uint8_t { kAuto = 0, kOff = 1 };
 // constructed it is a no-op (unlimited budget, no stats), so direct kernel
 // calls in tests and benches stay terse.
 struct ExecContext {
+  // Optional, not owned. A budget may be shared by concurrent queries:
+  // ResourceBudget's probes are thread-safe.
   ResourceBudget* budget = nullptr;
   // When non-null, the kernel records its runtime counters (rows in/out,
   // hash build/probe behaviour, NULL-key skips, residual evaluations)
   // here. Null costs one pointer test per update site.
   OperatorStats* stats = nullptr;
-  // When non-null with more than one lane, large inputs take the
-  // morsel-parallel kernel paths (partitioned hash join, parallel select /
-  // product / GS-difference / aggregation). Null -- the default -- runs
-  // the serial kernels. Results are bag-equal either way; row order may
-  // differ except through Select, which keeps it. The budget (if any) is
-  // charged from all lanes; ResourceBudget's probes are thread-safe.
-  // Ignored under BatchMode::kOff.
-  Executor* executor = nullptr;
   // Chaos harness hook: when non-null, kernels probe it at allocation,
-  // spill-I/O, budget-check and dispatch points (base/fault_injector.h).
+  // spill-I/O and budget-check points (base/fault_injector.h).
   FaultInjector* fault = nullptr;
   // Non-null turns spilling on (see SpillConfig); null makes memory trips
   // fatal.
@@ -103,11 +96,6 @@ struct ExecContext {
   }
   // True under the reference evaluator (BatchMode::kOff).
   bool Reference() const { return batch == BatchMode::kOff; }
-  // True when `rows` input rows should take a parallel kernel path.
-  bool Parallel(int64_t rows) const {
-    return !Reference() && executor != nullptr && executor->lanes() > 1 &&
-           rows >= executor->min_parallel_rows();
-  }
   // True when a hash join with these build/probe cardinalities should
   // build a bloom filter on its build side (exec/bloom.h BloomEligible).
   // Callers must still charge the filter's memory and degrade to
@@ -119,8 +107,8 @@ struct ExecContext {
 
 // MemoryReservation bound to an ExecContext: charges probe the alloc fault
 // site and the budget's memory cap, and the destructor releases whatever
-// was charged. One per operator (or per lane in parallel kernels; not
-// thread-safe across lanes).
+// was charged. One per operator, used by one thread; the budget behind it
+// may be shared by concurrent queries.
 class OpMemory {
  public:
   OpMemory() = default;
@@ -160,7 +148,7 @@ HashPlan SplitJoinPredicate(const Predicate& p, const Schema& a,
 StatusOr<Relation> Product(const Relation& a, const Relation& b,
                            const ExecContext& ctx = {});
 
-// Keeps the input's row order at any lane count.
+// Keeps the input's row order.
 StatusOr<Relation> Select(const Relation& r, const Predicate& p,
                           const ExecContext& ctx = {});
 

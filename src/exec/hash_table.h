@@ -1,17 +1,12 @@
 // Allocation-free join-key machinery for the hash-join core
-// (exec/hash_join.cc), serial and morsel-parallel alike:
+// (exec/hash_join.cc):
 //
-//   * each key is encoded once into a per-lane append-only KeyArena (the
+//   * each key is encoded once into the join's append-only KeyArena (the
 //     canonical bytes of exec/keys.h, so key equality is byte equality),
-//   * the encoded bytes are hashed once to 64 bits (FNV-1a),
-//   * build rows are radix-partitioned by the hash's high bits (a serial
-//     build is the one-partition case), and
-//   * each partition gets one open-addressing JoinHashTable, with per-key
-//     entry chains threaded through a flat entry vector (no per-row
-//     allocation; the arrays are sized once up front).
-//
-// Partitions are disjoint by construction, so the build fans out across
-// lanes without locks, and probes touch exactly one partition.
+//   * the encoded bytes are hashed once to 64 bits (FNV-1a), and
+//   * one open-addressing JoinHashTable indexes them, with per-key entry
+//     chains threaded through a flat entry vector (no per-row allocation;
+//     the arrays are sized once up front).
 #ifndef GSOPT_EXEC_HASH_TABLE_H_
 #define GSOPT_EXEC_HASH_TABLE_H_
 
@@ -38,8 +33,8 @@ struct KeyHash {
   }
 };
 
-// FNV-1a over the canonical key bytes. Stable across lanes and runs,
-// which keeps partition assignment deterministic for a given input.
+// FNV-1a over the canonical key bytes. Stable across runs, which keeps
+// spill partition assignment deterministic for a given input.
 inline uint64_t HashKeyBytes(const char* data, size_t len) {
   KeyHash h;
   h.Bytes(data, len);
@@ -50,9 +45,8 @@ inline uint64_t HashKeyBytes(const std::string& key) {
   return HashKeyBytes(key.data(), key.size());
 }
 
-// Append-only byte storage for encoded keys. One arena per lane: lanes
-// append concurrently to their own arena during a build pass, after which
-// the arenas are frozen and shared read-only.
+// Append-only byte storage for encoded keys: one arena per join, appended
+// to during the build pass and frozen once the table is built.
 class KeyArena {
  public:
   // Appends the bytes and returns their offset. Pointers into the arena
@@ -71,26 +65,25 @@ class KeyArena {
   std::string data_;
 };
 
-// One partition's hash index: open addressing with linear probing over
+// A join's hash index: open addressing with linear probing over
 // power-of-two slots, one slot per distinct key, duplicate keys chained
-// through `next`. Equality is hash-then-bytes against the frozen arenas.
+// through `next`. Equality is hash-then-bytes against the frozen arena.
 class JoinHashTable {
  public:
   struct Entry {
     uint64_t hash;
-    uint64_t off;   // key bytes: arenas[lane].At(off), `len` long
-    uint32_t len;
-    uint32_t lane;
+    uint64_t off;   // key bytes: arena.At(off), `len` long
     int64_t row;    // build-side row index
+    uint32_t len;
     int32_t next;   // next entry with the same key, -1 at chain end
   };
+  static_assert(sizeof(Entry) == 32, "two entries per cache line");
 
-  // Takes the partition's entries and wires slots + duplicate chains.
-  // `arenas` must outlive the table and stay frozen.
-  void Build(std::vector<Entry> entries,
-             const std::vector<KeyArena>& arenas) {
+  // Takes the entries and wires slots + duplicate chains. `arena` must
+  // outlive the table and stay frozen.
+  void Build(std::vector<Entry> entries, const KeyArena& arena) {
     // Slot wiring indexes entries with int32_t (`next`, slots_); a
-    // partition past INT32_MAX entries would wrap. The memory governor
+    // table past INT32_MAX entries would wrap. The memory governor
     // trips far earlier in practice, so this is a structural invariant.
     assert(entries.size() <=
            static_cast<size_t>(std::numeric_limits<int32_t>::max()));
@@ -122,7 +115,7 @@ class JoinHashTable {
           break;
         }
         const Entry& h = entries_[static_cast<size_t>(head)];
-        if (h.hash == ent.hash && KeysEqual(h, ent, arenas)) {
+        if (h.hash == ent.hash && KeysEqual(h, ent, arena)) {
           ent.next = head;
           slots_[slot] = static_cast<int32_t>(e);
           chain_len[e] = chain_len[static_cast<size_t>(head)] + 1;
@@ -136,7 +129,7 @@ class JoinHashTable {
 
   // Head entry index for the key, or -1.
   int32_t Find(uint64_t hash, const char* key, uint32_t len,
-               const std::vector<KeyArena>& arenas) const {
+               const KeyArena& arena) const {
     if (slots_.empty()) return -1;
     uint64_t slot = hash & mask_;
     for (;;) {
@@ -144,7 +137,7 @@ class JoinHashTable {
       if (head < 0) return -1;
       const Entry& h = entries_[static_cast<size_t>(head)];
       if (h.hash == hash && h.len == len &&
-          std::memcmp(arenas[h.lane].At(h.off), key, len) == 0) {
+          std::memcmp(arena.At(h.off), key, len) == 0) {
         return head;
       }
       slot = (slot + 1) & mask_;
@@ -162,10 +155,9 @@ class JoinHashTable {
 
  private:
   bool KeysEqual(const Entry& a, const Entry& b,
-                 const std::vector<KeyArena>& arenas) const {
+                 const KeyArena& arena) const {
     return a.len == b.len &&
-           std::memcmp(arenas[a.lane].At(a.off), arenas[b.lane].At(b.off),
-                       a.len) == 0;
+           std::memcmp(arena.At(a.off), arena.At(b.off), a.len) == 0;
   }
 
   std::vector<Entry> entries_;

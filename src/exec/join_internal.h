@@ -1,17 +1,20 @@
-// Exec-internal shared pieces of the join / generalized-selection kernels:
-// join keys encoded straight from the rows, the JoinCore result shape,
-// the two join cores (hash for every equi-join, nested loops for the
-// rest and for the reference evaluator), and preserved-group indexing.
+// Exec-internal shared pieces of the kernels: the batch loop of the
+// optimized kernels, join keys encoded straight from the rows, the
+// JoinCore result shape, the two join cores (hash for every equi-join,
+// nested loops for the rest and for the reference evaluator), and
+// preserved-group indexing.
 // The key/residual split they run on (HashPlan, SplitJoinPredicate) is
 // public, in exec/eval.h. Not part of the public exec/ API.
 #ifndef GSOPT_EXEC_JOIN_INTERNAL_H_
 #define GSOPT_EXEC_JOIN_INTERNAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "base/status.h"
 #include "exec/bind.h"
 #include "exec/eval.h"
 #include "exec/hash_table.h"
@@ -20,13 +23,27 @@
 
 namespace gsopt::exec::internal {
 
+// Rows per batch of the optimized kernels: large enough to amortize the
+// per-batch work (one budget tick, one stats update), small enough that a
+// deadline is noticed promptly.
+inline constexpr int64_t kBatchRows = 2048;
+
+// Runs body(begin, end) -> Status over kBatchRows batches covering [0, n)
+// and returns the first failing batch's Status.
+template <typename Body>
+Status ForBatches(int64_t n, Body&& body) {
+  for (int64_t begin = 0; begin < n; begin += kBatchRows) {
+    GSOPT_RETURN_IF_ERROR(body(begin, std::min(n, begin + kBatchRows)));
+  }
+  return Status::OK();
+}
+
 // One input's side of a hash plan, bound to that input once (exec/bind.h).
 // It encodes a row's join key straight from the row, through the one
 // per-value emitter of exec/keys.h: a plain-column term reads the row's
 // value in place, any other term (arithmetic) is evaluated into one scratch
 // Value. Append() and Hash() emit the same bytes, so a streaming hash
-// equals HashKeyBytes of the built key. Const after construction: every
-// lane of a join shares one instance.
+// equals HashKeyBytes of the built key.
 class KeyColumns {
  public:
   KeyColumns(const std::vector<ScalarPtr>& keys, const Relation& r);
@@ -78,10 +95,9 @@ struct JoinCoreResult {
 JoinCoreResult EmptyJoinResult(const Relation& a, const Relation& b);
 
 // The hash-join core (exec/hash_join.cc). Builds over b and probes with a
-// on binary keys in JoinHashTables -- morsel-parallel when ctx.Parallel()
-// says so, otherwise as the one-lane case of the same code -- with one
-// bloom-filter and output-reservation policy for every lane count, and
-// degrades to SpillJoinCore on a memory-cap trip when spilling is enabled.
+// on binary keys in one JoinHashTable, with a bloom filter when
+// ctx.Bloom() says so, and degrades to SpillJoinCore on a memory-cap trip
+// when spilling is enabled.
 // Requires plan.usable().
 StatusOr<JoinCoreResult> HashJoinCore(const Relation& a, const Relation& b,
                                       const HashPlan& plan,
@@ -103,8 +119,9 @@ enum class HashRun { kWhole, kPartition, kChunk };
 
 // The in-memory build/probe behind HashJoinCore, for the out-of-core path
 // to run inside each partition too. Emits into *res (shaped like
-// EmptyJoinResult) and adds counters to *tally. A failed build charge sets
-// *mem_trip, before anything was emitted. *misses (optional) counts probe
+// EmptyJoinResult) and adds counters to *tally, which the caller discards
+// on failure. A failed build charge sets *mem_trip, before anything was
+// emitted. *misses (optional) counts probe
 // keys the table did not hold.
 Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
                    const ExecContext& ctx, HashRun run, JoinCoreResult* res,

@@ -1,5 +1,5 @@
 // Internal: the executor's one canonical key encoding. Every hash join
-// (serial, parallel, spilled), grouping feed, DISTINCT dedup set,
+// (in memory or spilled), grouping feed, DISTINCT dedup set,
 // duplicate elimination and generalized-selection difference keys on these
 // bytes, so they all share one equality partition -- the one
 // Value::IdentityEquals defines. Join-key equality is stated here and
@@ -103,7 +103,7 @@ inline void AppendValueKey(const Value& v, std::string* out) {
 
 // Encodes selected value columns and selected row-id columns of a tuple
 // into `key` (cleared first). The Into form lets hot loops reuse one
-// scratch string per lane instead of allocating per row.
+// scratch string instead of allocating per row.
 inline void EncodeTupleKeyInto(const Tuple& t,
                                const std::vector<int>& value_idx,
                                const std::vector<int>& vid_idx,

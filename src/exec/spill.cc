@@ -9,7 +9,6 @@
 #include "base/check.h"
 #include "exec/bloom.h"
 #include "exec/hash_table.h"
-#include "exec/lane_control.h"
 
 namespace gsopt::exec::internal {
 
@@ -69,8 +68,7 @@ uint64_t ApproxTupleBytes(const Tuple& t) {
 }
 
 uint64_t SpillPartitionHash(const std::string& key, int depth) {
-  // The in-memory parallel join routes on the raw high bits of
-  // HashKeyBytes; remixing with a depth salt gives every recursion level
+  // Remixing HashKeyBytes with a depth salt gives every recursion level
   // (and the level-0 spill itself) an independent bit pattern.
   return Mix64(HashKeyBytes(key) ^
                (static_cast<uint64_t>(depth) * 0xd6e8feb86659fd93ull));
@@ -311,13 +309,12 @@ struct JoinSpillState {
 
 // Joins one partition (or one build chunk of it) in memory with the
 // hash-join core, then maps its matched flags back to the operator's
-// input rows. Each partition run is serial and filter-free: the
+// input rows. Each partition run is filter-free: the
 // partitioning pass already applied the filter.
 Status JoinPartition(JoinSpillState& s, const SpillSide& build,
                      const SpillSide& probe, HashRun run, bool* mem_trip) {
   ExecContext part_ctx = s.ctx;
   part_ctx.stats = nullptr;
-  part_ctx.executor = nullptr;
   part_ctx.bloom = BloomMode::kOff;
   // Matches append straight onto the operator's output (same shape:
   // probe columns, then build columns); only the flags are per partition.

@@ -33,10 +33,9 @@ struct OperatorStats {
   uint64_t rows_in = 0;    // input tuples consumed (both sides for binaries)
   uint64_t rows_out = 0;   // output tuples produced
 
-  // Row ranges the optimized kernels processed (ForRanges in
-  // exec/lane_control.h: kBatchRows rows serially, morsels in parallel;
-  // build and probe ranges both, for joins). Zero under the reference
-  // evaluator.
+  // Row batches the optimized kernels processed (kBatchRows rows each,
+  // exec/join_internal.h; build and probe batches both, for joins). Zero
+  // under the reference evaluator.
   uint64_t batches = 0;
 
   // Hash-path counters (join kernels; zero on the nested-loop path).
@@ -89,10 +88,11 @@ struct OperatorStats {
     return children.back().get();
   }
 
-  // Adds another node's flat counters into this one: the parallel kernels
-  // give each lane a private scratch node and merge after the fan-in, so
-  // hot loops never contend on shared counters. Children, wall time and
-  // estimates are not merged (lane scratches have none).
+  // Adds another node's flat counters into this one: kernels count into a
+  // private scratch node and merge it once they succeed, so an attempt
+  // that fails or degrades (a spilled join or aggregation) leaves no
+  // partial counters. Children, wall time and estimates are not merged
+  // (scratch nodes have none).
   void MergeCountersFrom(const OperatorStats& o);
 
   // Wall time minus the children's wall time (the operator's own work).

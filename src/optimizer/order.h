@@ -7,11 +7,9 @@
 // and selections and plain projections forwarding their child's claim),
 // and each kSort enforcer is checked against its input's claim.
 //
-// Enforcer removal is sound at any lane count: scans, selections
-// (per-range outputs spliced in range order, exec/eval.h Select), plain
-// projections and sorts all keep their input's row order on a parallel
-// executor too. OptimizeOptions::assume_ordered_exec = false keeps every
-// enforcer.
+// Enforcer removal is sound because scans, selections (exec/eval.h
+// Select), plain projections and sorts all keep their input's row order.
+// OptimizeOptions::assume_ordered_exec = false keeps every enforcer.
 #ifndef GSOPT_OPTIMIZER_ORDER_H_
 #define GSOPT_OPTIMIZER_ORDER_H_
 

@@ -41,20 +41,6 @@ void Relation::AddBaseRow(std::vector<Value> values, RowId id) {
   Add(std::move(t));
 }
 
-void Relation::AppendFrom(Relation&& other) {
-  GSOPT_DCHECK(other.schema_.size() == schema_.size());
-  GSOPT_DCHECK(other.vschema_.size() == vschema_.size());
-  if (rows_.empty()) {
-    rows_ = std::move(other.rows_);
-  } else {
-    // Range insert grows geometrically, so splicing many small chunks
-    // stays linear.
-    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
-                 std::make_move_iterator(other.rows_.end()));
-  }
-  other.rows_.clear();
-}
-
 void Relation::TrimReserve() {
   if (rows_.capacity() - rows_.size() > rows_.size() / 8) {
     rows_.shrink_to_fit();

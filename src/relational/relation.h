@@ -21,7 +21,7 @@ class Relation {
   const Schema& schema() const { return schema_; }
   const VirtualSchema& vschema() const { return vschema_; }
 
-  // 64-bit row count: intermediate results (products, parallel joins) can
+  // 64-bit row count: intermediate results (products, skewed joins) can
   // legitimately exceed 2^31 rows, and cost/budget arithmetic must not see
   // a negative count.
   int64_t NumRows() const { return static_cast<int64_t>(rows_.size()); }
@@ -40,11 +40,6 @@ class Relation {
   // Appends a row of real values, assigning the given row id to every
   // virtual attribute (for single-base-relation relations).
   void AddBaseRow(std::vector<Value> values, RowId id);
-
-  // Moves all rows of `other` (same shape; checked) onto the end of this
-  // relation. Used by the parallel kernels to splice per-lane and
-  // per-range outputs.
-  void AppendFrom(Relation&& other);
 
   // A tuple of all-NULL values / all-null row ids shaped like this relation.
   Tuple NullTuple() const;

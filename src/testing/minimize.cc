@@ -221,7 +221,6 @@ class Minimizer {
     // same class of failure alive, and probing is much cheaper.
     probe_opt_ = options.oracle;
     probe_opt_.run_plan_space = original.kind == OracleKind::kPlanSpace;
-    probe_opt_.run_executor = original.kind == OracleKind::kExecutor;
     probe_opt_.run_degradation = original.kind == OracleKind::kDegradation;
     probe_opt_.run_tlp = original.kind == OracleKind::kTlp;
     probe_opt_.run_round_trip = original.kind == OracleKind::kRoundTrip;

@@ -12,7 +12,6 @@
 #include "base/spill_file.h"
 #include "core/optimizer.h"
 #include "core/session.h"
-#include "exec/executor.h"
 #include "exec/sort.h"
 #include "sql/binder.h"
 #include "testing/sql_emit.h"
@@ -111,13 +110,11 @@ class OracleRunner {
   // selection, hash aggregation and bloom filters), so every oracle
   // differential-tests them too.
   StatusOr<Relation> Exec(const NodePtr& n,
-                          exec::BatchMode batch = exec::BatchMode::kOff,
-                          exec::Executor* executor = nullptr) {
+                          exec::BatchMode batch = exec::BatchMode::kOff) {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     ExecuteOptions eo;
     eo.budget = &budget;
-    eo.executor = executor;
     eo.batch = batch;
     return Execute(n, catalog_, eo);
   }
@@ -125,10 +122,8 @@ class OracleRunner {
   // Executes a candidate whose result flows into a comparison, on the
   // optimized kernels: applies the fault-injection hook (when configured)
   // so harness self-tests can fake a wrong answer on every checked path.
-  StatusOr<Relation> ExecChecked(const NodePtr& n,
-                                 exec::Executor* executor = nullptr) {
-    GSOPT_ASSIGN_OR_RETURN(Relation r,
-                           Exec(n, exec::BatchMode::kAuto, executor));
+  StatusOr<Relation> ExecChecked(const NodePtr& n) {
+    GSOPT_ASSIGN_OR_RETURN(Relation r, Exec(n, exec::BatchMode::kAuto));
     if (opt_.mutate_checked_result) opt_.mutate_checked_result(&r);
     return r;
   }
@@ -149,7 +144,6 @@ class OracleRunner {
   }
 
   void RunPlanSpace();
-  void RunExecutor();
   void RunDegradation();
   void RunTlp();
   void RunRoundTrip();
@@ -197,31 +191,6 @@ void OracleRunner::RunPlanSpace() {
                std::to_string(space->plans.size()) +
                " diverges from the syntactic result; plan=" +
                space->plans[i].expr->ToString());
-      return;
-    }
-  }
-}
-
-void OracleRunner::RunExecutor() {
-  ++outcome_.oracles_run;
-  for (int lanes : opt_.lane_counts) {
-    exec::Executor executor(lanes);
-    // Force the parallel kernel paths onto small fuzz-sized inputs.
-    executor.set_min_parallel_rows(1);
-    executor.set_morsel_rows(7);
-    auto got = ExecChecked(query_, &executor);
-    if (!got.ok()) {
-      if (Skipped(got.status())) continue;
-      Fail(OracleKind::kExecutor,
-           "parallel execution (" + std::to_string(lanes) +
-               " lanes) failed: " + got.status().ToString());
-      return;
-    }
-    ++outcome_.plans_checked;
-    if (!Relation::BagEquals(baseline_, *got)) {
-      Fail(OracleKind::kExecutor,
-           "parallel result (" + std::to_string(lanes) +
-               " lanes) diverges from serial");
       return;
     }
   }
@@ -510,9 +479,9 @@ void OracleRunner::RunPlanCache() {
 }
 
 // The forced-path battery behind the columnar and bloom oracles:
-// re-executes the query with `bloom` on the optimized kernels -- serial,
-// morsel-parallel, memory-starved with spilling, and under two seeded
-// fault injections -- and holds every trial to the reference baseline's
+// re-executes the query with `bloom` on the optimized kernels -- plain,
+// memory-starved with spilling, and under two seeded fault injections --
+// and holds every trial to the reference baseline's
 // bag (a faulted trial may instead end in a clean typed error), with the
 // memory ledger unwound after every spilling or faulted trial.
 void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
@@ -520,12 +489,11 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
   ++outcome_.oracles_run;
 
   // Results flow into comparisons, so the self-test mutation hook applies.
-  auto exec_forced = [&](exec::Executor* executor, ResourceBudget* budget,
+  auto exec_forced = [&](ResourceBudget* budget,
                          const exec::SpillConfig* spill,
                          FaultInjector* fault) -> StatusOr<Relation> {
     ExecuteOptions eo;
     eo.budget = budget;
-    eo.executor = executor;
     eo.spill = spill;
     eo.fault = fault;
     eo.bloom = bloom;
@@ -557,22 +525,7 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
   {
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(nullptr, &budget, nullptr, nullptr),
-              label + " (serial)");
-    if (outcome_.failed) return;
-  }
-
-  // The morsel-parallel paths, with the thresholds forced down so
-  // fuzz-sized inputs actually fan out (one bloom filter over every lane's
-  // build entries).
-  {
-    exec::Executor executor(4);
-    executor.set_min_parallel_rows(1);
-    executor.set_morsel_rows(7);
-    ResourceBudget budget;
-    budget.WithMaxRows(opt_.max_rows_per_exec);
-    check_bag(exec_forced(&executor, &budget, nullptr, nullptr),
-              label + " (parallel)");
+    check_bag(exec_forced(&budget, nullptr, nullptr), label + " (serial)");
     if (outcome_.failed) return;
   }
 
@@ -585,7 +538,7 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
     budget.WithMaxMemory(opt_.chaos_memory_bytes);
-    auto got = exec_forced(nullptr, &budget, &spill, nullptr);
+    auto got = exec_forced(&budget, &spill, nullptr);
     const std::string trial = label + " (spilling)";
     if (!ledger_clean(budget, trial)) return;
     if (got.ok()) {
@@ -621,7 +574,7 @@ void OracleRunner::RunForcedPaths(OracleKind kind, const std::string& label,
     exec::SpillConfig spill;
     ResourceBudget budget;
     budget.WithMaxRows(opt_.max_rows_per_exec);
-    auto got = exec_forced(nullptr, &budget, &spill, &fault);
+    auto got = exec_forced(&budget, &spill, &fault);
     const std::string name = label + " fault seed " + std::to_string(seed);
     if (!ledger_clean(budget, name)) return;
     if (!got.ok()) {
@@ -685,10 +638,10 @@ void OracleRunner::RunOrder() {
   }
 
   // Trials 1 and 2: the order-aware optimizer's winning plan, on the
-  // reference row kernels and then on four lanes with morsels forced
-  // small (as in RunExecutor), since enforcer removal is claimed sound at
-  // any lane count. These are the trials that catch a kSort removed on the
-  // promise of an order nobody actually delivered.
+  // reference row kernels and then on the optimized kernels Session serves
+  // with, since enforcer removal is claimed sound on both. These are the
+  // trials that catch a kSort removed on the promise of an order nobody
+  // actually delivered.
   QueryOptimizer optimizer(catalog_);
   OptimizeOptions oo;
   oo.max_plans = std::max<size_t>(opt_.max_plans, 16);
@@ -700,11 +653,8 @@ void OracleRunner::RunOrder() {
   }
   check_ordered(exec_ref(result->best.expr), "optimized plan");
   if (outcome_.failed) return;
-  exec::Executor executor(4);
-  executor.set_min_parallel_rows(1);
-  executor.set_morsel_rows(7);
-  check_ordered(ExecChecked(result->best.expr, &executor),
-                "optimized plan (4 lanes)");
+  check_ordered(ExecChecked(result->best.expr),
+                "optimized plan (optimized kernels)");
 }
 
 void OracleRunner::RunChaos() {
@@ -872,7 +822,6 @@ StatusOr<OracleOutcome> OracleRunner::Run() {
   baseline_ = std::move(*baseline);
 
   if (opt_.run_plan_space && !outcome_.failed) RunPlanSpace();
-  if (opt_.run_executor && !outcome_.failed) RunExecutor();
   if (opt_.run_degradation && !outcome_.failed) RunDegradation();
   if (opt_.run_tlp && !outcome_.failed) RunTlp();
   if (opt_.run_round_trip && !outcome_.failed) RunRoundTrip();
@@ -893,7 +842,6 @@ StatusOr<OracleOutcome> OracleRunner::Run() {
 std::string OracleKindName(OracleKind k) {
   switch (k) {
     case OracleKind::kPlanSpace: return "plan-space";
-    case OracleKind::kExecutor: return "executor";
     case OracleKind::kDegradation: return "degradation";
     case OracleKind::kTlp: return "tlp";
     case OracleKind::kRoundTrip: return "round-trip";

@@ -6,19 +6,18 @@
 //
 //  * plan space   -- every enumerated association-tree plan bag-equals the
 //                    syntactic result (the paper's Theorem 1 claim);
-//  * executor     -- the morsel-parallel executor matches serial at every
-//                    lane count;
 //  * degradation  -- every fallback-ladder rung (generalized, baseline,
 //                    binary-only, syntactic) still answers correctly;
-//  * columnar     -- the optimized kernels -- serial, parallel, spilling,
-//                    faulted -- reproduce the reference result;
+//  * columnar     -- the optimized kernels -- plain, spilling, faulted --
+//                    reproduce the reference result;
 //  * bloom        -- the same battery with the bloom-filter sideways-
 //                    information-passing pass forced on (BloomMode::kForce):
 //                    a filter may only ever skip work, never change an
 //                    answer;
 //  * order        -- for ORDER BY queries, the order-aware optimizer's
-//                    plan, run serially and on four lanes, still
-//                    satisfies the sort spec and bag-equals the baseline;
+//                    plan, run on the reference and the optimized
+//                    kernels, still satisfies the sort spec and
+//                    bag-equals the baseline;
 //  * TLP          -- partitioning any visible column c by `c <= k`,
 //                    `c > k`, `c IS NULL` and unioning the three optimized
 //                    partitions reproduces the unpartitioned result
@@ -58,7 +57,6 @@ namespace gsopt::testing {
 
 enum class OracleKind {
   kPlanSpace,
-  kExecutor,
   kDegradation,
   kTlp,
   kRoundTrip,
@@ -73,32 +71,30 @@ std::string OracleKindName(OracleKind k);
 
 struct OracleOptions {
   bool run_plan_space = true;
-  bool run_executor = true;
   bool run_degradation = true;
   bool run_tlp = true;
   bool run_round_trip = true;
   bool run_plan_cache = true;
   // The forced-path battery (oracles.cc RunForcedPaths), run three ways.
-  // Each re-executes the query on the optimized kernels -- serial,
-  // morsel-parallel, memory-starved with spilling, and under seeded fault
-  // injection, where a faulted trial may also end in a clean typed error
-  // -- and holds every trial to the reference baseline's bag. The baseline
-  // runs BatchMode::kOff (nested loops, no filter), so no optimized path
-  // ever validates itself.
+  // Each re-executes the query on the optimized kernels -- plain,
+  // memory-starved with spilling, and under seeded fault injection, where
+  // a faulted trial may also end in a clean typed error -- and holds every
+  // trial to the reference baseline's bag. The baseline runs
+  // BatchMode::kOff (nested loops, no filter), so no optimized path ever
+  // validates itself.
   //
   // Optimized-vs-reference: the battery as is, filter-free.
   bool run_columnar = true;
-  // Bloom-on-vs-off: the battery with BloomMode::kForce on every lane
-  // count of the hash-join core; a failed filter allocation must degrade
-  // to a filter-free join, never a wrong answer.
+  // Bloom-on-vs-off: the battery with BloomMode::kForce on every path of
+  // the hash-join core; a failed filter allocation must degrade to a
+  // filter-free join, never a wrong answer.
   bool run_bloom = true;
   // Order-correctness oracle: for queries whose result carries an ORDER BY
   // (a root kSort, possibly under the final projection), runs the
   // order-aware optimizer's plan (enforcer removal over presorted scans)
-  // serially on the reference row kernels and on a four-lane executor with
-  // morsels forced small, and asserts that each trial's output still
-  // satisfies the sort spec (exec::CheckSorted) *and* bag-equals the
-  // baseline. This is the oracle that catches an enforcer removed on the
+  // on the reference row kernels and on the optimized kernels, and
+  // asserts that each trial's output still satisfies the sort spec
+  // (exec::CheckSorted) *and* bag-equals the baseline. This is the oracle that catches an enforcer removed on the
   // promise of an order nobody actually delivered.
   bool run_order = true;
   // Chaos oracle (opt-in; see --chaos in tools/gsopt_fuzz): re-executes
@@ -121,11 +117,9 @@ struct OracleOptions {
   size_t max_plans = 64;
   // Per-execution row budget; exhausting it skips that candidate.
   uint64_t max_rows_per_exec = 500000;
-  // Lane counts the executor oracle cross-checks against serial.
-  std::vector<int> lane_counts = {2, 4};
 
   // Test-only fault injection: applied to every result produced through
-  // the *checked* path (optimized plans, parallel runs, TLP partitions,
+  // the *checked* path (optimized plans, forced-path trials, TLP partitions,
   // re-bound round trips) but never to the syntactic baseline. Lets the
   // harness's own failure -> minimize -> artifact path be exercised
   // deterministically without patching a kernel.

@@ -64,7 +64,6 @@ TEST(FaultInjectorTest, SiteMaskRestrictsFiring) {
   o.site_mask = FaultInjector::MaskOf({FaultSite::kSpillRead});
   FaultInjector fi(o);
   EXPECT_TRUE(fi.MaybeFail(FaultSite::kAlloc, "test").ok());
-  EXPECT_TRUE(fi.MaybeFail(FaultSite::kDispatch, "test").ok());
   EXPECT_FALSE(fi.MaybeFail(FaultSite::kSpillRead, "test").ok());
 }
 
@@ -99,8 +98,6 @@ TEST(FaultInjectorTest, StatusTaxonomyMatchesSites) {
   Status read = fi.MaybeFail(FaultSite::kSpillRead, "t");
   EXPECT_EQ(read.code(), StatusCode::kUnavailable);
   EXPECT_TRUE(read.IsTransient());
-  Status dispatch = fi.MaybeFail(FaultSite::kDispatch, "t");
-  EXPECT_EQ(dispatch.code(), StatusCode::kUnavailable);
   // Write faults alternate between ENOSPC-class and short-write, but are
   // always one of the two typed classes.
   for (int i = 0; i < 20; ++i) {

@@ -18,7 +18,6 @@
 #include "base/fault_injector.h"
 #include "base/rng.h"
 #include "core/plan_cache.h"
-#include "exec/executor.h"
 #include "exec/sort.h"
 #include "relational/datagen.h"
 #include "sql/binder.h"
@@ -429,25 +428,30 @@ TEST(SessionTest, MissPathExecutionFailureNeverPoisonsTheCache) {
 
 TEST(SessionTest, TransientFaultIsRetriedPersistentIsNot) {
   Catalog cat = MakeCatalog(82, 3, /*rows=*/40);
-  static exec::Executor executor(4);
-  executor.set_min_parallel_rows(1);
   NodePtr q = PivotQuery(3);
 
-  {  // Transient (kUnavailable dispatch fault): one bounded retry wins.
+  {  // Transient (kUnavailable short spill read): one bounded retry wins.
+    // The memory cap forces the spill path, so the first run-file read
+    // back draws the one fault.
+    ResourceBudget budget;
+    budget.WithMaxMemory(2 * 1024);
+    exec::SpillConfig spill;
     FaultInjector::Options o;
     o.seed = 2;
     o.period = 1;
     o.max_faults = 1;
-    o.site_mask = FaultInjector::MaskOf({FaultSite::kDispatch});
+    o.site_mask = FaultInjector::MaskOf({FaultSite::kSpillRead});
     FaultInjector fi(o);
     Session session(cat, SessionOptions{}
-                             .WithExecutor(&executor)
+                             .WithBudget(&budget)
+                             .WithSpill(&spill)
                              .WithFault(&fi)
                              .WithRetries(2));
     auto served = session.Run(q);
     ASSERT_TRUE(served.ok()) << served.status().ToString();
     EXPECT_EQ(served->transient_retries, 1);
     EXPECT_EQ(fi.fired_total(), 1u);
+    EXPECT_EQ(budget.memory_charged(), 0u);
     auto expect = Execute(q, cat);
     ASSERT_TRUE(expect.ok());
     EXPECT_TRUE(Relation::BagEquals(*expect, served->rows));

@@ -1,9 +1,8 @@
 // The serving-API redesign surface: QueryResult carries rows + stats +
 // dispositions as one value (no side channels), the shared ExecPolicy /
 // ExecPolicyBuilder mixin gives SessionOptions and ExecuteOptions one
-// merge rule instead of triplicated With* chains, the wire-stable error
-// taxonomy (ErrorClass, IsRetryable) keeps its documented contract, and
-// an ORDER BY served on a per-call parallel executor arrives ordered.
+// merge rule instead of triplicated With* chains, and the wire-stable error
+// taxonomy (ErrorClass, IsRetryable) keeps its documented contract.
 #include "core/session.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +12,6 @@
 #include "algebra/execute.h"
 #include "base/rng.h"
 #include "base/status.h"
-#include "exec/executor.h"
-#include "exec/sort.h"
 #include "relational/datagen.h"
 
 namespace gsopt {
@@ -138,41 +135,6 @@ TEST(QueryResult, PreparedExecuteReportsCacheHit) {
   auto r = stmt.value().Execute({Value::Int(3)});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().cache_hit) << "executing a prepared template is reuse";
-}
-
-// ---------------------------------------------------------------------------
-// ORDER BY on a per-call parallel executor.
-
-TEST(QueryResult, OrderByStaysOrderedOnPerCallParallelExecutor) {
-  // r is stored ascending by k, so the order-aware pass drops the ORDER BY
-  // enforcer over the filtered scan, and the per-call executor runs the
-  // selection on four lanes. The selection must still emit rows in input
-  // order. Lanes take morsels in a schedule-dependent order, so a splice
-  // that ignored range order would show on most runs but not all (about
-  // 19 in 20 at this size): the query runs several times.
-  std::vector<std::vector<Value>> data;
-  int64_t kept = 0;
-  for (int64_t k = 0; k < 100000; ++k) {
-    data.push_back({Value::Int(k), Value::Int(k % 7)});
-    if (k % 7 != 3) ++kept;
-  }
-  Catalog cat;
-  ASSERT_TRUE(cat.Register("r", MakeRelation("r", {"k", "x"}, data)).ok());
-  Session session(cat);
-  exec::Executor four_lanes(4);
-  four_lanes.set_min_parallel_rows(1);
-  four_lanes.set_morsel_rows(7);
-  const exec::SortSpec by_k{{Attribute{"r", "k"}, /*desc=*/false}};
-  for (int run = 0; run < 10; ++run) {
-    auto r = session.Query(
-        "SELECT r.k, r.x FROM r WHERE r.x <> 3 ORDER BY r.k",
-        ExecuteOptions{}.WithExecutor(&four_lanes));
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->counters.sort_enforcers_avoided, 1u);
-    EXPECT_EQ(r->rows.NumRows(), kept);
-    Status sorted = exec::CheckSorted(r->rows, by_k);
-    EXPECT_TRUE(sorted.ok()) << "run " << run << ": " << sorted.ToString();
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Regression corpus: every checked-in reproducer under tests/corpus/ must
-// load, re-bind, and pass the full oracle battery (plan space, executors,
-// degradation ladder, TLP, SQL round trip). The fuzz driver appends new
+// load, re-bind, and pass the full oracle battery (plan space, forced
+// kernel paths, degradation ladder, TLP, SQL round trip). The fuzz driver appends new
 // minimized failures here once their bug is fixed; hand-authored cases pin
 // the paper shapes (Example 2.1's aggregated-column predicate, DISTINCT
 // views, duplicate conjuncts, complex predicates).

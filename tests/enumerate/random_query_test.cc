@@ -100,7 +100,6 @@ TEST(RandomQueryTest, ExactDuplicateConjunctIsGeneratedAndStaysCorrect) {
     AddRandomTables(opt.num_rels, dopt, &drng, &cat);
 
     testing::OracleOptions oopt;
-    oopt.run_executor = false;  // plan space + degradation + TLP suffice
     Rng orng(seed * 13 + 1);
     auto outcome = testing::CheckQuery(q, cat, oopt, &orng);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();

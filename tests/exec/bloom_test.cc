@@ -3,9 +3,9 @@
 // negative membership answer is definitive (no false negatives ever), a
 // NULL key is never inserted or checked, and turning the filter on
 // (BloomMode::kForce) must reproduce the filter-free result bag on every
-// join flavor and every lane count of the hash-join core -- serial,
-// morsel-parallel, and spilled -- including when the filter's own
-// allocation fails (degrade to filter-free, never a wrong answer).
+// join flavor and every path of the hash-join core -- in memory and
+// spilled -- including when the filter's own allocation fails (degrade to
+// filter-free, never a wrong answer).
 #include "exec/bloom.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "base/fault_injector.h"
 #include "base/rng.h"
 #include "exec/eval.h"
-#include "exec/executor.h"
 #include "relational/datagen.h"
 
 namespace gsopt {
@@ -29,7 +28,6 @@ using exec::BloomEligible;
 using exec::BloomFilter;
 using exec::BloomMode;
 using exec::ExecContext;
-using exec::Executor;
 using exec::FullOuterJoin;
 using exec::InnerJoin;
 using exec::LeftOuterJoin;
@@ -133,9 +131,8 @@ ExecContext FilterOff() {
   return ctx;
 }
 
-// The serial hash-join core under forced filtering. The parallel and
-// spilled variants need per-call executor/budget/config storage, so they
-// are built where they run.
+// The in-memory hash-join core under forced filtering. The spilled variant
+// needs per-call budget/config storage, so it is built where it runs.
 ExecContext ForcedSerial() {
   ExecContext ctx;
   ctx.bloom = BloomMode::kForce;
@@ -151,20 +148,6 @@ void CheckAllPathsMatchFilterFree(Op&& op, const char* label) {
   ASSERT_TRUE(serial.ok()) << label << ": " << serial.status().ToString();
   EXPECT_TRUE(Relation::BagEquals(*reference, *serial))
       << label << " (serial) diverges";
-
-  {
-    Executor executor(4);
-    executor.set_min_parallel_rows(1);
-    executor.set_morsel_rows(7);
-    ExecContext ctx;
-    ctx.bloom = BloomMode::kForce;
-    ctx.executor = &executor;
-    auto parallel = op(ctx);
-    ASSERT_TRUE(parallel.ok()) << label << ": "
-                               << parallel.status().ToString();
-    EXPECT_TRUE(Relation::BagEquals(*reference, *parallel))
-        << label << " (parallel) diverges";
-  }
 
   {
     ResourceBudget budget;
@@ -390,32 +373,6 @@ TEST(BloomJoinTest, AutoModeDisarmsOnHighMatchRates) {
   OperatorStats forced;
   ASSERT_TRUE(run(BloomMode::kForce, &forced).ok());
   EXPECT_EQ(forced.bloom_checks, forced.probe_rows);
-}
-
-TEST(BloomJoinTest, ParallelAutoNeedsTheLargerProbeFloor) {
-  // 4096 probe rows clear the serial kAuto floor but not the parallel
-  // one: in-flight morsels already hide lookup latency, so kAuto keeps
-  // the morsel path filter-free until kMinBloomProbeRowsParallel.
-  Relation a = RandomRel("ra", 4096, 81, 4000, 0.0);
-  Relation b = RandomRel("rb", 200, 82, 100, 0.0);
-  Executor executor(4);
-  executor.set_min_parallel_rows(1);
-
-  OperatorStats st;
-  ExecContext ctx;  // BloomMode::kAuto
-  ctx.executor = &executor;
-  ctx.stats = &st;
-  ASSERT_TRUE(InnerJoin(a, b, EqA(), ctx).ok());
-  EXPECT_FALSE(st.bloom);
-
-  OperatorStats forced;
-  ExecContext ctx2;
-  ctx2.bloom = BloomMode::kForce;
-  ctx2.executor = &executor;
-  ctx2.stats = &forced;
-  ASSERT_TRUE(InnerJoin(a, b, EqA(), ctx2).ok());
-  EXPECT_TRUE(forced.bloom);
-  EXPECT_GT(forced.bloom_checks, 0u);
 }
 
 }  // namespace

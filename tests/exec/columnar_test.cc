@@ -3,8 +3,8 @@
 // evaluator
 // (BatchMode::kOff: row-at-a-time selection and aggregation, nested-loop
 // joins) on every shape -- selection (exact row order), hash joins of
-// every flavor with bound residuals (bag equality), hash
-// aggregation with bound inputs, and the parallel twins -- across
+// every flavor with bound residuals (bag equality) and hash
+// aggregation with bound inputs -- across
 // batch-boundary sizes, NULL-heavy data, mixed-type columns, $n slots,
 // arithmetic terms and keys, special doubles, and the memory-cap spill
 // degradation. Also unit-tests the join-key encoder against the tuple
@@ -18,7 +18,6 @@
 #include "base/rng.h"
 #include "exec/aggregate.h"
 #include "exec/eval.h"
-#include "exec/executor.h"
 #include "exec/join_internal.h"
 #include "exec/keys.h"
 #include "relational/datagen.h"
@@ -31,7 +30,6 @@ using exec::AggSpec;
 using exec::AntiJoin;
 using exec::BatchMode;
 using exec::ExecContext;
-using exec::Executor;
 using exec::FullOuterJoin;
 using exec::GeneralizedProjection;
 using exec::GroupBySpec;
@@ -611,19 +609,21 @@ TEST(ColumnarAggTest, GroupByMatchesReference) {
 
 TEST(ColumnarAggTest, DistinctAggRunsOnTheBatchFeedAndMatches) {
   Relation r = RandomRel("ra", 200, 9);
-  GroupBySpec spec;
-  spec.group_cols = {Attribute{"ra", "a"}};
-  spec.aggs.push_back(
-      Agg(AggFunc::kCount, Scalar::Column("ra", "b"), "dc", /*distinct=*/true));
-  OperatorStats st;
-  ExecContext forced = Optimized();
-  forced.stats = &st;
-  StatusOr<Relation> ref = GeneralizedProjection(r, spec, Reference());
-  StatusOr<Relation> col = GeneralizedProjection(r, spec, forced);
-  ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(col.ok());
-  EXPECT_TRUE(Relation::BagEquals(*ref, *col));
-  EXPECT_GT(st.batches, 0u);  // DISTINCT only pins the feed to one lane
+  for (AggFunc func : {AggFunc::kCount, AggFunc::kSum, AggFunc::kAvg}) {
+    GroupBySpec spec;
+    spec.group_cols = {Attribute{"ra", "a"}};
+    spec.aggs.push_back(
+        Agg(func, Scalar::Column("ra", "b"), "dc", /*distinct=*/true));
+    OperatorStats st;
+    ExecContext forced = Optimized();
+    forced.stats = &st;
+    StatusOr<Relation> ref = GeneralizedProjection(r, spec, Reference());
+    StatusOr<Relation> col = GeneralizedProjection(r, spec, forced);
+    ASSERT_TRUE(ref.ok());
+    ASSERT_TRUE(col.ok());
+    EXPECT_TRUE(Relation::BagEquals(*ref, *col)) << AggFuncName(func);
+    EXPECT_GT(st.batches, 0u);
+  }
 }
 
 TEST(ColumnarAggTest, GroupKeyNullsAndVidsMatchReference) {
@@ -641,38 +641,7 @@ TEST(ColumnarAggTest, GroupKeyNullsAndVidsMatchReference) {
   EXPECT_TRUE(Relation::BagEquals(*ref, *col));
 }
 
-// ---------------------------------------------------------------------------
-// Parallel twins with batching forced.
-// ---------------------------------------------------------------------------
-
-Executor* TestExecutor() {
-  static Executor* ex = [] {
-    auto* e = new Executor(4);
-    e->set_min_parallel_rows(1);
-    e->set_morsel_rows(7);
-    return e;
-  }();
-  return ex;
-}
-
-TEST(ColumnarParallelTest, SelectAndJoinMatchSerialReference) {
-  for (uint64_t seed = 0; seed < 5; ++seed) {
-    Relation a = RandomRel("ra", 211, seed);
-    Relation b = RandomRel("rb", 163, seed + 40);
-    ExecContext par = Optimized();
-    par.executor = TestExecutor();
-    Predicate sel(MakeAtom("ra", "a", CmpOp::kLt, "ra", "b"));
-    EXPECT_TRUE(Relation::BagEquals(*Select(a, sel, Reference()),
-                                    *Select(a, sel, par)));
-    EXPECT_TRUE(
-        Relation::BagEquals(*InnerJoin(a, b, EqAWithResidual(), Reference()),
-                            *InnerJoin(a, b, EqAWithResidual(), par)));
-    EXPECT_TRUE(Relation::BagEquals(*FullOuterJoin(a, b, EqA(), Reference()),
-                                    *FullOuterJoin(a, b, EqA(), par)));
-  }
-}
-
-TEST(ColumnarParallelTest, ArithmeticAggInputsMatchReference) {
+TEST(ColumnarAggTest, ArithmeticAggInputsMatchReference) {
   auto term = [](ArithOp op, ScalarPtr l, ScalarPtr r) {
     return Scalar::Arith(op, std::move(l), std::move(r));
   };
@@ -695,14 +664,9 @@ TEST(ColumnarParallelTest, ArithmeticAggInputsMatchReference) {
     Relation r = RandomRel("ra", 230, 70 + seed);
     StatusOr<Relation> ref = GeneralizedProjection(r, spec, Reference());
     ASSERT_TRUE(ref.ok());
-    ExecContext par = Optimized();
-    par.executor = TestExecutor();
-    for (const ExecContext& ctx : {Optimized(), par}) {
-      StatusOr<Relation> got = GeneralizedProjection(r, spec, ctx);
-      ASSERT_TRUE(got.ok());
-      EXPECT_TRUE(Relation::BagEquals(*ref, *got))
-          << "seed " << seed << (ctx.executor ? " parallel" : " serial");
-    }
+    StatusOr<Relation> got = GeneralizedProjection(r, spec, Optimized());
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(Relation::BagEquals(*ref, *got)) << "seed " << seed;
   }
 }
 

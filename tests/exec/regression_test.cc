@@ -80,6 +80,24 @@ TEST(HashJoinRegressionTest, ProbeTicksInsideSkewedBucket) {
   EXPECT_GE(budget.deadline_checks(), static_cast<uint64_t>(kBucket));
 }
 
+TEST(HashJoinRegressionTest, RowCapStopsJoinMidProduction) {
+  // 300 x 300 rows over a 3-value key match ~30000 pairs; a 50-row cap
+  // must stop the probe with kResourceExhausted, not finish the join.
+  std::vector<std::vector<Value>> rows;
+  for (int i = 0; i < 300; ++i) rows.push_back({I(i % 3), I(i)});
+  Relation a = MakeRelation("a", {"x", "y"}, rows);
+  Relation b = MakeRelation("b", {"x", "y"}, rows);
+  ResourceBudget budget;
+  budget.WithMaxRows(50);
+  exec::ExecContext ctx{&budget, nullptr};
+  auto out = exec::InnerJoin(
+      a, b, Predicate(MakeAtom("a", "x", CmpOp::kEq, "b", "x")), ctx);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(out.status().message().find("row cap"), std::string::npos)
+      << out.status().ToString();
+}
+
 TEST(ExecutionEquivalentRegressionTest, HonorsExecuteOptions) {
   // Pre-fix ExecutionEquivalent executed both plans with default options,
   // silently discarding the caller's budget; a row cap must now surface as

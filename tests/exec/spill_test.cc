@@ -17,7 +17,6 @@
 #include "base/spill_file.h"
 #include "exec/aggregate.h"
 #include "exec/eval.h"
-#include "exec/executor.h"
 #include "relational/datagen.h"
 
 namespace gsopt {
@@ -231,33 +230,6 @@ TEST(SpillRecursionTest, AggregationRepartitionsAtDefaultFanOut) {
       4 * 1024);
   EXPECT_GT(st.spill_recursions, 0u);
   EXPECT_GT(st.spill_partitions, 8u);
-}
-
-TEST(SpillParallelTest, ParallelSpilledMatchesSerialUnlimited) {
-  static exec::Executor executor(4);
-  executor.set_min_parallel_rows(1);
-  Relation a = BigTable("r1", 71, 320, 30);
-  Relation b = BigTable("r2", 72, 320, 30);
-  Predicate p({MakeAtom("r1", "a", CmpOp::kEq, "r2", "a")});
-
-  auto reference = exec::InnerJoin(a, b, p, ExecContext{});
-  ASSERT_TRUE(reference.ok());
-
-  ResourceBudget budget;
-  budget.WithMaxMemory(4 * 1024);
-  SpillConfig cfg;
-  OperatorStats stats;
-  ExecContext ctx;
-  ctx.budget = &budget;
-  ctx.stats = &stats;
-  ctx.executor = &executor;
-  ctx.spill = &cfg;
-  auto spilled = exec::InnerJoin(a, b, p, ctx);
-  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  EXPECT_TRUE(Relation::BagEquals(*reference, *spilled));
-  EXPECT_TRUE(stats.spilled);
-  EXPECT_EQ(SpillFile::LiveCount(), 0);
-  EXPECT_EQ(budget.memory_charged(), 0u);
 }
 
 TEST(SpillFaultTest, MemoryTripWithoutSpillNamesTheCap) {

@@ -2,16 +2,16 @@
 // full query class. Generates seeded random (query, data) cases -- GROUP
 // BY views, aggregated-column predicates, WHERE filters, outer joins,
 // nulls -- and checks
-// the plan-space / executor / degradation / TLP / SQL-round-trip /
-// plan-cache / columnar / bloom / order oracles on each (the plan-cache
-// oracle runs every case through a gsopt::Session, validating that cached
+// the plan-space / degradation / TLP / SQL-round-trip / plan-cache /
+// columnar / bloom / order oracles on each (the plan-cache oracle runs
+// every case through a gsopt::Session, validating that cached
 // parameterized templates re-instantiate to exactly what literal
 // re-optimization produces; the columnar and bloom oracles run one
-// forced-path battery -- serial, parallel, spilling, faulted -- against
-// the reference-evaluator baseline (BatchMode::kOff: row-at-a-time,
+// forced-path battery -- plain, spilling, faulted -- against the
+// reference-evaluator baseline (BatchMode::kOff: row-at-a-time,
 // nested-loop joins), filter-free and with bloom filters forced on; the
 // order oracle re-checks ORDER BY queries through the order-aware
-// optimizer's plan, serially and on four lanes);
+// optimizer's plan, on the reference and the optimized kernels);
 // failures are delta-debugged to minimal reproducers and written as
 // self-contained .sql + CSV artifacts.
 //
