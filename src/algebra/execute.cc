@@ -171,10 +171,8 @@ StatusOr<Relation> Execute(const NodePtr& node, const Catalog& catalog,
   GSOPT_ASSIGN_OR_RETURN(NodeResult result,
                          ExecuteNode(node, catalog, options, options.stats));
   // The caller owns what it gets back: a borrowed root (SELECT * FROM r1)
-  // is copied once, and an owned root drops the reserve its operator sized
-  // for its inputs.
+  // is copied once.
   if (result.borrowed != nullptr) return *result.borrowed;
-  result.owned.TrimReserve();
   return std::move(result.owned);
 }
 

@@ -148,6 +148,8 @@ struct Accumulator {
   }
 };
 
+// A group's representative views its first row in the aggregated input,
+// which outlives the group map.
 struct Group {
   Tuple representative;
   std::vector<Accumulator> accs;
@@ -177,7 +179,7 @@ struct ResolvedGP {
 // present; the rest consume their input term, which `input(k, scratch)`
 // evaluates over t.
 template <typename Input>
-uint64_t FeedRow(const ResolvedGP& rs, const Tuple& t, Group* g,
+uint64_t FeedRow(const ResolvedGP& rs, Tuple t, Group* g,
                  const Input& input) {
   static const Value kOne = Value::Int(1);
   static const Value kNull;
@@ -198,8 +200,7 @@ uint64_t FeedRow(const ResolvedGP& rs, const Tuple& t, Group* g,
 }
 
 // Bytes charged when a group is created.
-uint64_t GroupBytes(const ResolvedGP& rs, const std::string& key,
-                    const Tuple& t) {
+uint64_t GroupBytes(const ResolvedGP& rs, const std::string& key, Tuple t) {
   return key.size() + internal::ApproxTupleBytes(t) +
          rs.spec->aggs.size() * sizeof(Accumulator) + 96;
 }
@@ -253,16 +254,15 @@ Status EmitGroups(const ResolvedGP& rs, const GroupMap& gm,
   const GroupBySpec& spec = *rs.spec;
   for (const std::string& key : gm.order) {
     const Group& g = gm.groups.at(key);
-    Tuple t;
-    t.values.reserve(static_cast<size_t>(rs.out_schema.size()));
-    for (int i : rs.gcol_idx) t.values.push_back(g.representative.values[i]);
+    const MutableTuple t = out->AddNullRow();
+    size_t c = 0;
+    for (int i : rs.gcol_idx) t.values[c++] = g.representative.values[i];
     for (size_t k = 0; k < spec.aggs.size(); ++k) {
-      t.values.push_back(g.accs[k].Result(spec.aggs[k]));
+      t.values[c++] = g.accs[k].Result(spec.aggs[k]);
     }
-    t.vids.reserve(static_cast<size_t>(rs.out_vschema.size()));
-    for (int i : rs.gvid_idx) t.vids.push_back(g.representative.vids[i]);
-    if (rs.synthetic_vid) t.vids.push_back((*ordinal)++);
-    out->Add(std::move(t));
+    c = 0;
+    for (int i : rs.gvid_idx) t.vids[c++] = g.representative.vids[i];
+    if (rs.synthetic_vid) t.vids[c] = (*ordinal)++;
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "group-by"));
   }
   return Status::OK();
@@ -299,7 +299,7 @@ Status HashFeed(const Relation& r, const ResolvedGP& rs,
         GSOPT_RETURN_IF_ERROR(ctx.Tick("group-by"));
         ++st.batches;
         for (int64_t i = begin; i < end; ++i) {
-          const Tuple& t = r.row(i);
+          const Tuple t = r.row(i);
           EncodeTupleKeyInto(t, rs.gcol_idx, rs.gvid_idx, &key);
           auto it = gm->groups.find(key);
           if (it == gm->groups.end()) {

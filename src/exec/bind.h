@@ -31,23 +31,22 @@
 namespace gsopt::exec::internal {
 
 // A row bound terms read: one tuple, or a (left, right) pair read as their
-// concatenation. Borrows the tuples.
+// concatenation. Borrows the tuples' values.
 class RowRef {
  public:
-  explicit RowRef(const Tuple& t) : left_(&t) {}
-  RowRef(const Tuple& left, const Tuple& right)
-      : left_(&left),
-        right_(&right),
+  explicit RowRef(Tuple t) : left_(t.values.data()) {}
+  RowRef(Tuple left, Tuple right)
+      : left_(left.values.data()),
+        right_(right.values.data()),
         split_(static_cast<int>(left.values.size())) {}
 
   const Value& operator[](int i) const {
-    return i < split_ ? left_->values[static_cast<size_t>(i)]
-                      : right_->values[static_cast<size_t>(i - split_)];
+    return i < split_ ? left_[i] : right_[i - split_];
   }
 
  private:
-  const Tuple* left_;
-  const Tuple* right_ = nullptr;
+  const Value* left_;
+  const Value* right_ = nullptr;
   int split_ = std::numeric_limits<int>::max();
 };
 

@@ -79,20 +79,14 @@ void RecordOut(const ExecContext& ctx, const Relation& out) {
 }
 
 // Outer-join padding: appends every row of `side` whose matched flag is
-// clear, concatenated with an all-NULL row shaped like `other` (side on
-// the left when side_is_left).
+// clear, padded with NULLs and null row ids to out's width (side on the
+// left when side_is_left).
 Status PadUnmatched(const Relation& side, const std::vector<char>& matched,
-                    const Relation& other, bool side_is_left,
-                    const ExecContext& ctx, const char* stage,
-                    Relation* out) {
-  Tuple null_row = other.NullTuple();
+                    bool side_is_left, const ExecContext& ctx,
+                    const char* stage, Relation* out) {
   for (int64_t i = 0; i < side.NumRows(); ++i) {
     if (matched[static_cast<size_t>(i)]) continue;
-    if (side_is_left) {
-      out->AddConcat(side.row(i), null_row);
-    } else {
-      out->AddConcat(null_row, side.row(i));
-    }
+    out->AddPadded(side.row(i), side_is_left);
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, stage));
   }
   return Status::OK();
@@ -133,23 +127,21 @@ Status Resurrect(const Relation& src, const GroupIndex& src_gi,
   std::string key;
   for (int64_t i = 0; i < src.NumRows(); ++i) {
     GSOPT_RETURN_IF_ERROR(ctx.Tick("generalized-selection"));
-    const Tuple& t = src.row(i);
+    const Tuple t = src.row(i);
     if (GroupPartAllNull(t, src_gi)) continue;
     EncodeTupleKeyInto(t, src_gi.value_idx, src_gi.vid_idx, &key);
     if (surviving.count(key) || !added.insert(key).second) continue;
     missing.push_back(i);
   }
-  const Tuple null_row = out->NullTuple();
   for (int64_t i : missing) {
-    const Tuple& s = src.row(i);
-    Tuple t = null_row;
+    const Tuple s = src.row(i);
+    const MutableTuple t = out->AddNullRow();
     for (size_t k = 0; k < out_gi.value_idx.size(); ++k) {
       t.values[out_gi.value_idx[k]] = s.values[src_gi.value_idx[k]];
     }
     for (size_t k = 0; k < out_gi.vid_idx.size(); ++k) {
       t.vids[out_gi.vid_idx[k]] = s.vids[src_gi.vid_idx[k]];
     }
-    out->Add(std::move(t));
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "generalized-selection"));
   }
   return Status::OK();
@@ -201,9 +193,9 @@ StatusOr<Relation> Select(const Relation& r, const Predicate& p,
   // Batches over the bound predicate; the output is exactly the
   // reference's, order included, so the order-aware pass can forward an
   // order through a selection. The output is reserved at the input's size
-  // (the tight upper bound): vector<Tuple> regrowth relocates fat
-  // inline-payload tuples element-wise. Untouched reserve slack is virtual
-  // address space only, the same worst case as push_back growth.
+  // (the tight upper bound), so it never regrows. Untouched reserve slack
+  // is virtual address space only, the same worst case as push_back
+  // growth.
   const BoundPredicate bound(p, r.schema());
   out.Reserve(r.NumRows());
   OperatorStats st;
@@ -212,7 +204,8 @@ StatusOr<Relation> Select(const Relation& r, const Predicate& p,
     GSOPT_RETURN_IF_ERROR(ctx.Tick("select"));
     const int64_t before = out.NumRows();
     for (int64_t i = begin; i < end; ++i) {
-      if (bound.Test(RowRef(r.row(i)))) out.Add(r.row(i));
+      const Tuple t = r.row(i);
+      if (bound.Test(RowRef(t))) out.Add(t);
     }
     ++st.batches;
     st.residual_evals += static_cast<uint64_t>(end - begin);
@@ -264,12 +257,11 @@ StatusOr<Relation> Project(const Relation& r,
   result.Reserve(r.NumRows());
   RecordIn(ctx, r.NumRows());
   for (const Tuple& t : r.rows()) {
-    Tuple nt;
-    nt.values.reserve(src_idx.size());
-    for (int i : src_idx) nt.values.push_back(t.values[i]);
-    nt.vids.reserve(vid_idx.size());
-    for (int i : vid_idx) nt.vids.push_back(t.vids[i]);
-    result.Add(std::move(nt));
+    const MutableTuple nt = result.AddNullRow();
+    for (size_t k = 0; k < src_idx.size(); ++k) {
+      nt.values[k] = t.values[src_idx[k]];
+    }
+    for (size_t k = 0; k < vid_idx.size(); ++k) nt.vids[k] = t.vids[vid_idx[k]];
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "project"));
   }
   RecordOut(ctx, result);
@@ -307,7 +299,7 @@ StatusOr<Relation> LeftOuterJoin(const Relation& a, const Relation& b,
                                  const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
   GSOPT_RETURN_IF_ERROR(
-      PadUnmatched(a, core.a_matched, b, true, ctx, "left-outer-join",
+      PadUnmatched(a, core.a_matched, true, ctx, "left-outer-join",
                    &core.out));
   RecordOut(ctx, core.out);
   return std::move(core.out);
@@ -317,7 +309,7 @@ StatusOr<Relation> RightOuterJoin(const Relation& a, const Relation& b,
                                   const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
   GSOPT_RETURN_IF_ERROR(
-      PadUnmatched(b, core.b_matched, a, false, ctx, "right-outer-join",
+      PadUnmatched(b, core.b_matched, false, ctx, "right-outer-join",
                    &core.out));
   RecordOut(ctx, core.out);
   return std::move(core.out);
@@ -327,10 +319,10 @@ StatusOr<Relation> FullOuterJoin(const Relation& a, const Relation& b,
                                  const Predicate& p, const ExecContext& ctx) {
   GSOPT_ASSIGN_OR_RETURN(JoinCoreResult core, JoinCore(a, b, p, ctx));
   GSOPT_RETURN_IF_ERROR(
-      PadUnmatched(a, core.a_matched, b, true, ctx, "full-outer-join",
+      PadUnmatched(a, core.a_matched, true, ctx, "full-outer-join",
                    &core.out));
   GSOPT_RETURN_IF_ERROR(
-      PadUnmatched(b, core.b_matched, a, false, ctx, "full-outer-join",
+      PadUnmatched(b, core.b_matched, false, ctx, "full-outer-join",
                    &core.out));
   RecordOut(ctx, core.out);
   return std::move(core.out);
@@ -376,25 +368,17 @@ StatusOr<Relation> OuterUnion(const Relation& a, const Relation& b,
   RecordIn(ctx, static_cast<uint64_t>(a.NumRows()) +
                     static_cast<uint64_t>(b.NumRows()));
   for (const Tuple& t : a.rows()) {
-    Tuple nt;
-    nt.values = t.values;
-    nt.values.resize(schema.size(), Value::Null());
-    nt.vids = t.vids;
-    nt.vids.resize(vschema.size(), kNullRowId);
-    out.Add(std::move(nt));
+    out.AddPadded(t, true);
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "outer-union"));
   }
   for (const Tuple& t : b.rows()) {
-    Tuple nt;
-    nt.values.assign(schema.size(), Value::Null());
-    nt.vids.assign(vschema.size(), kNullRowId);
+    const MutableTuple nt = out.AddNullRow();
     for (size_t i = 0; i < t.values.size(); ++i) {
       nt.values[b_value_map[i]] = t.values[i];
     }
     for (size_t i = 0; i < t.vids.size(); ++i) {
       nt.vids[b_vid_map[i]] = t.vids[i];
     }
-    out.Add(std::move(nt));
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "outer-union"));
   }
   RecordOut(ctx, out);

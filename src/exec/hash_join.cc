@@ -164,7 +164,9 @@ Status RunHashJoin(const Relation& a, const Relation& b, const HashPlan& plan,
       // Duplicate chains jump across the build side; start pulling the
       // next match's row while this one is being copied out.
       int32_t e_next = table.entry(e).next;
-      if (e_next >= 0) Prefetch(&b.row(table.entry(e_next).row));
+      if (e_next >= 0) {
+        Prefetch(b.row(table.entry(e_next).row).values.data());
+      }
       ++st.residual_evals;
       if (!residual.Test(RowRef(a.row(i), b.row(j)))) continue;
       res->a_matched[static_cast<size_t>(i)] = 1;
@@ -271,15 +273,16 @@ StatusOr<JoinCoreResult> NestedLoopJoinCore(const Relation& a,
   JoinCoreResult res = EmptyJoinResult(a, b);
   const Schema& out_schema = res.out.schema();
   uint64_t evals = 0;
+  OwnedTuple t;  // the candidate pair, concatenated
   for (int64_t i = 0; i < a.NumRows(); ++i) {
     for (int64_t j = 0; j < b.NumRows(); ++j) {
       GSOPT_RETURN_IF_ERROR(ctx.Tick("join"));
-      Tuple t = Tuple::Concat(a.row(i), b.row(j));
+      t.AssignConcat(a.row(i), b.row(j));
       ++evals;
       if (p.Satisfied(t, out_schema)) {
         res.a_matched[static_cast<size_t>(i)] = 1;
         res.b_matched[static_cast<size_t>(j)] = 1;
-        res.out.Add(std::move(t));
+        res.out.Add(t);
         GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "join"));
       }
     }

@@ -68,7 +68,7 @@ class KeyColumns {
  private:
   template <typename Sink>
   bool Emit(int64_t i, Sink& s) const {
-    const Tuple& t = r_->row(i);
+    const Tuple t = r_->row(i);
     Value scratch;
     for (const BoundScalar& term : terms_) {
       const int c = term.column();
@@ -148,7 +148,7 @@ inline GroupIndex IndexGroup(const PreservedGroup& group, const Schema& schema,
 // True if the tuple is entirely NULL on the group's columns and row ids.
 // Such a projection means "no preserved tuple here" (the group's part was
 // itself padding from an outer join below) and must not be resurrected.
-inline bool GroupPartAllNull(const Tuple& t, const GroupIndex& gi) {
+inline bool GroupPartAllNull(Tuple t, const GroupIndex& gi) {
   for (int i : gi.value_idx) {
     if (!t.values[i].is_null()) return false;
   }

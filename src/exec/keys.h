@@ -104,7 +104,7 @@ inline void AppendValueKey(const Value& v, std::string* out) {
 // Encodes selected value columns and selected row-id columns of a tuple
 // into `key` (cleared first). The Into form lets hot loops reuse one
 // scratch string instead of allocating per row.
-inline void EncodeTupleKeyInto(const Tuple& t,
+inline void EncodeTupleKeyInto(Tuple t,
                                const std::vector<int>& value_idx,
                                const std::vector<int>& vid_idx,
                                std::string* key) {
@@ -117,7 +117,7 @@ inline void EncodeTupleKeyInto(const Tuple& t,
   }
 }
 
-inline std::string EncodeTupleKey(const Tuple& t,
+inline std::string EncodeTupleKey(Tuple t,
                                   const std::vector<int>& value_idx,
                                   const std::vector<int>& vid_idx) {
   std::string key;

@@ -52,12 +52,14 @@ int CompareValuesTotal(const Value& a, const Value& b) {
 
 namespace {
 
-// One row staged for sorting: the tuple, its key values and its original
-// index in the input relation (the stability tie-break).
+// One row staged for sorting: its key values and its original index in
+// the input relation (the stability tie-break). A staged row is that input
+// row; a row read back from a spilled run carries its own copy in `t`.
 struct Keyed {
-  Tuple t;
   std::vector<Value> keys;
   int64_t orig = 0;
+  bool spilled = false;
+  OwnedTuple t;
 };
 
 // The sort spec resolved against the input schema: key column indices and
@@ -66,7 +68,7 @@ struct KeyCmp {
   std::vector<int> idx;
   std::vector<char> desc;
 
-  void Fill(const Tuple& t, std::vector<Value>* keys) const {
+  void Fill(Tuple t, std::vector<Value>* keys) const {
     keys->clear();
     keys->reserve(idx.size());
     for (int i : idx) keys->push_back(t.values[i]);
@@ -88,9 +90,8 @@ struct KeyCmp {
   }
 };
 
-uint64_t KeyedBytes(const Keyed& k) {
-  return ApproxTupleBytes(k.t) + 24 * static_cast<uint64_t>(k.keys.size()) +
-         48;
+uint64_t KeyedBytes(Tuple t, const Keyed& k) {
+  return ApproxTupleBytes(t) + 24 * static_cast<uint64_t>(k.keys.size()) + 48;
 }
 
 // Produces a relation's rows in sorted order. In-memory when the staged
@@ -107,17 +108,17 @@ class SortedStream {
     for (int64_t i = 0; i < src_.NumRows(); ++i) {
       GSOPT_RETURN_IF_ERROR(ctx_.Tick(kStage));
       Keyed k;
-      cmp_.Fill(src_.row(i), &k.keys);
-      k.t = src_.row(i);
+      const Tuple t = src_.row(i);
+      cmp_.Fill(t, &k.keys);
       k.orig = i;
-      Status cs = mem_.Charge(KeyedBytes(k), kStage);
+      Status cs = mem_.Charge(KeyedBytes(t, k), kStage);
       if (!cs.ok()) {
         // The staged rows no longer fit (or an alloc fault fired). With
         // spilling enabled, flush what we have as a sorted run and keep
         // going with an empty buffer; otherwise surface the trip.
         if (ctx_.spill == nullptr) return cs;
         GSOPT_RETURN_IF_ERROR(FlushRun(&buf));
-        GSOPT_RETURN_IF_ERROR(mem_.Charge(KeyedBytes(k), kStage));
+        GSOPT_RETURN_IF_ERROR(mem_.Charge(KeyedBytes(t, k), kStage));
       }
       buf.push_back(std::move(k));
     }
@@ -136,6 +137,11 @@ class SortedStream {
     if (!buf.empty()) GSOPT_RETURN_IF_ERROR(FlushRun(&buf));
     GSOPT_RETURN_IF_ERROR(MergeToFanIn());
     return LoadHeads();
+  }
+
+  // The row a staged or read-back entry stands for.
+  Tuple RowOf(const Keyed& k) const {
+    return k.spilled ? Tuple(k.t) : src_.row(k.orig);
   }
 
   // Moves the next row out of the stream. *ok = false when exhausted.
@@ -186,7 +192,7 @@ class SortedStream {
                      });
     GSOPT_ASSIGN_OR_RETURN(SpillRun run, SpillRun::Create(ctx_));
     for (const Keyed& k : *buf) {
-      GSOPT_RETURN_IF_ERROR(run.Write(k.t, k.orig));
+      GSOPT_RETURN_IF_ERROR(run.Write(RowOf(k), k.orig));
     }
     runs_.push_back(std::move(run));
     ++total_runs_;
@@ -199,6 +205,7 @@ class SortedStream {
   // tuple. *ok = false when the run is exhausted.
   Status ReadOne(SpillRun* r, Keyed* k, bool* ok) {
     GSOPT_RETURN_IF_ERROR(r->Next(&k->t, &k->orig, ok));
+    k->spilled = true;
     if (*ok) cmp_.Fill(k->t, &k->keys);
     return Status::OK();
   }
@@ -228,7 +235,7 @@ class SortedStream {
           GSOPT_RETURN_IF_ERROR(ctx_.Tick(kStage));
           GSOPT_RETURN_IF_ERROR(Next(&row, &ok));
           if (!ok) break;
-          GSOPT_RETURN_IF_ERROR(merged.Write(row.t, row.orig));
+          GSOPT_RETURN_IF_ERROR(merged.Write(RowOf(row), row.orig));
         }
         next.push_back(std::move(merged));
       }
@@ -306,7 +313,11 @@ StatusOr<Relation> Sort(const Relation& r, const SortSpec& spec,
     bool ok = false;
     GSOPT_RETURN_IF_ERROR(stream.Next(&k, &ok));
     if (!ok) break;
-    out.Add(std::move(k.t));
+    if (k.spilled) {
+      out.Add(std::move(k.t));
+    } else {
+      out.Add(r.row(k.orig));
+    }
     GSOPT_RETURN_IF_ERROR(ctx.ChargeRows(1, "sort"));
   }
   stream.FlushStats(st);
@@ -327,8 +338,8 @@ Status CheckSorted(const Relation& r, const SortSpec& spec) {
     desc.push_back(k.desc ? 1 : 0);
   }
   for (int64_t i = 1; i < r.NumRows(); ++i) {
-    const Tuple& prev = r.row(i - 1);
-    const Tuple& cur = r.row(i);
+    const Tuple prev = r.row(i - 1);
+    const Tuple cur = r.row(i);
     for (size_t k = 0; k < idx.size(); ++k) {
       int c = CompareValuesTotal(prev.values[idx[k]], cur.values[idx[k]]);
       if (desc[k]) c = -c;

@@ -47,20 +47,13 @@ uint64_t Mix64(uint64_t x) {
 
 }  // namespace
 
-uint64_t ApproxTupleBytes(const Tuple& t) {
-  // Inline payloads (rows within Tuple's inline capacity) are already
-  // inside sizeof(Tuple); only heap-spilled wide payloads and string
-  // contents add bytes. A string block shared by k values (a join row
+uint64_t ApproxTupleBytes(Tuple t) {
+  // A row occupies its values' and row ids' slots in the strided buffers,
+  // plus string contents. A string block shared by k values (a join row
   // copies its inputs' strings by reference) is charged k times, once
   // per value that holds it: an upper bound that does not depend on
   // which holder releases the block last.
-  uint64_t n = sizeof(Tuple);
-  if (t.values.size() > Tuple::kInlineValues) {
-    n += t.values.size() * sizeof(Value);
-  }
-  if (t.vids.size() > Tuple::kInlineVids) {
-    n += t.vids.size() * sizeof(RowId);
-  }
+  uint64_t n = t.values.size() * sizeof(Value) + t.vids.size() * sizeof(RowId);
   for (const Value& v : t.values) {
     if (v.type() == ValueType::kString) n += v.AsString().size();
   }
@@ -74,7 +67,7 @@ uint64_t SpillPartitionHash(const std::string& key, int depth) {
                (static_cast<uint64_t>(depth) * 0xd6e8feb86659fd93ull));
 }
 
-Status AppendTupleRecord(const Tuple& t, int64_t orig, std::string* buf) {
+Status AppendTupleRecord(Tuple t, int64_t orig, std::string* buf) {
   // Record framing narrows to u16 counts and a u32 payload length. The
   // casts used to be unchecked: a 65536-column tuple wrapped its count to
   // 0 and a >4GB string wrapped its length, silently corrupting the run
@@ -141,14 +134,14 @@ Status AppendTupleRecord(const Tuple& t, int64_t orig, std::string* buf) {
   return Status::OK();
 }
 
-Status WriteTupleRecord(SpillFile* f, const Tuple& t, int64_t orig,
+Status WriteTupleRecord(SpillFile* f, Tuple t, int64_t orig,
                         std::string* scratch) {
   scratch->clear();
   GSOPT_RETURN_IF_ERROR(AppendTupleRecord(t, orig, scratch));
   return f->Append(scratch->data(), scratch->size());
 }
 
-Status ReadTupleRecord(SpillFile* f, Tuple* t, int64_t* orig) {
+Status ReadTupleRecord(SpillFile* f, OwnedTuple* t, int64_t* orig) {
   uint32_t payload_len = 0;
   GSOPT_RETURN_IF_ERROR(f->ReadExact(&payload_len, sizeof payload_len));
   std::string payload(payload_len, '\0');
@@ -217,7 +210,7 @@ StatusOr<SpillRun> SpillRun::Create(const ExecContext& ctx) {
   return SpillRun(std::move(f), ctx.stats);
 }
 
-Status SpillRun::Write(const Tuple& t, int64_t orig) {
+Status SpillRun::Write(Tuple t, int64_t orig) {
   GSOPT_RETURN_IF_ERROR(WriteTupleRecord(&file_, t, orig, &scratch_));
   ++count_;
   return Status::OK();
@@ -228,7 +221,7 @@ Status SpillRun::Rewind() {
   return file_.Rewind();
 }
 
-Status SpillRun::Next(Tuple* t, int64_t* orig, bool* ok) {
+Status SpillRun::Next(OwnedTuple* t, int64_t* orig, bool* ok) {
   *ok = cursor_ < count_;
   if (!*ok) return Status::OK();
   ++cursor_;
@@ -237,10 +230,14 @@ Status SpillRun::Next(Tuple* t, int64_t* orig, bool* ok) {
 
 Status SpillRun::Load(Relation* rows, std::vector<int64_t>* orig) {
   GSOPT_RETURN_IF_ERROR(Rewind());
+  OwnedTuple t;
   for (; cursor_ < count_; ++cursor_) {
-    Tuple t;
     int64_t o = 0;
     GSOPT_RETURN_IF_ERROR(ReadTupleRecord(&file_, &t, &o));
+    if (t.values.size() != static_cast<size_t>(rows->schema().size()) ||
+        t.vids.size() != static_cast<size_t>(rows->vschema().size())) {
+      return Status::Internal("spill: record shape does not match its run");
+    }
     rows->Add(std::move(t));
     if (orig != nullptr) orig->push_back(o);
   }

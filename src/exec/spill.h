@@ -46,10 +46,11 @@
 
 namespace gsopt::exec::internal {
 
-// Rough per-tuple resident size used for memory-cap accounting: container
-// headers plus string payloads. An estimate, not an audit -- consistency
-// between charge and release is what matters, and OpMemory guarantees that.
-uint64_t ApproxTupleBytes(const Tuple& t);
+// Rough per-tuple resident size used for memory-cap accounting: the row's
+// slots in a relation's strided buffers plus string payloads. An estimate,
+// not an audit -- consistency between charge and release is what matters,
+// and OpMemory guarantees that.
+uint64_t ApproxTupleBytes(Tuple t);
 
 // Hash for partition routing at a given recursion depth. Depth salts the
 // hash so a partition that overflows re-splits on fresh bits instead of
@@ -61,13 +62,14 @@ uint64_t SpillPartitionHash(const std::string& key, int depth);
 // exceeds the framing limits (more than 65535 values or vids, a string or
 // total payload past 4GB); the old unchecked casts silently truncated the
 // counts and corrupted every record after.
-Status AppendTupleRecord(const Tuple& t, int64_t orig, std::string* buf);
+Status AppendTupleRecord(Tuple t, int64_t orig, std::string* buf);
 
-Status WriteTupleRecord(SpillFile* f, const Tuple& t, int64_t orig,
+Status WriteTupleRecord(SpillFile* f, Tuple t, int64_t orig,
                         std::string* scratch);
 
-// Reads one record; the tuple's value/vid counts come from the record.
-Status ReadTupleRecord(SpillFile* f, Tuple* t, int64_t* orig);
+// Reads one record into *t, reusing its buffers; the value/vid counts come
+// from the record.
+Status ReadTupleRecord(SpillFile* f, OwnedTuple* t, int64_t* orig);
 
 // Repartitioning levels a spilled operator may take. Past it the join
 // falls back to block chunking, and an aggregation whose partition still
@@ -82,11 +84,11 @@ class SpillRun {
   // set); the file probes ctx.fault, and Discard() reports to ctx.stats.
   static StatusOr<SpillRun> Create(const ExecContext& ctx);
 
-  Status Write(const Tuple& t, int64_t orig);
+  Status Write(Tuple t, int64_t orig);
   // Flushes and moves the read cursor to the first record.
   Status Rewind();
   // Reads the next record; *ok = false (and no read) past the last one.
-  Status Next(Tuple* t, int64_t* orig, bool* ok);
+  Status Next(OwnedTuple* t, int64_t* orig, bool* ok);
   // Rewinds and appends every record's tuple to `rows` and, when `orig`
   // is non-null, its original row index to `orig`.
   Status Load(Relation* rows, std::vector<int64_t>* orig);

@@ -1,6 +1,7 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <numeric>
 
@@ -8,50 +9,82 @@
 
 namespace gsopt {
 
-void Relation::Add(const Tuple& t) {
-  GSOPT_DCHECK(static_cast<int>(t.values.size()) == schema_.size());
-  GSOPT_DCHECK(static_cast<int>(t.vids.size()) == vschema_.size());
-  rows_.push_back(t);
+bool Relation::Holds(Tuple t) const {
+  auto within = [](const auto* p, const auto& buf) {
+    return p != nullptr && !std::less<>()(p, buf.data()) &&
+           std::less<>()(p, buf.data() + buf.size());
+  };
+  return within(t.values.data(), values_) || within(t.vids.data(), vids_);
 }
 
-void Relation::Add(Tuple&& t) {
-  GSOPT_DCHECK(static_cast<int>(t.values.size()) == schema_.size());
-  GSOPT_DCHECK(static_cast<int>(t.vids.size()) == vschema_.size());
-  rows_.push_back(std::move(t));
+void Relation::Add(Tuple t) { AddConcat(t, Tuple()); }
+
+void Relation::Add(OwnedTuple&& t) {
+  GSOPT_DCHECK(t.values.size() == width_);
+  GSOPT_DCHECK(t.vids.size() == vwidth_);
+  values_.insert(values_.end(), std::make_move_iterator(t.values.begin()),
+                 std::make_move_iterator(t.values.end()));
+  vids_.insert(vids_.end(), t.vids.begin(), t.vids.end());
+  ++num_rows_;
 }
 
-void Relation::AddConcat(const Tuple& a, const Tuple& b) {
-  GSOPT_DCHECK(static_cast<int>(a.values.size() + b.values.size()) ==
-               schema_.size());
-  GSOPT_DCHECK(static_cast<int>(a.vids.size() + b.vids.size()) ==
-               vschema_.size());
-  Tuple& t = rows_.emplace_back();
-  t.values.reserve(a.values.size() + b.values.size());
-  t.values.insert(t.values.end(), a.values.begin(), a.values.end());
-  t.values.insert(t.values.end(), b.values.begin(), b.values.end());
-  t.vids.reserve(a.vids.size() + b.vids.size());
-  t.vids.insert(t.vids.end(), a.vids.begin(), a.vids.end());
-  t.vids.insert(t.vids.end(), b.vids.begin(), b.vids.end());
+void Relation::AddConcat(Tuple a, Tuple b) {
+  GSOPT_DCHECK(a.values.size() + b.values.size() == width_);
+  GSOPT_DCHECK(a.vids.size() + b.vids.size() == vwidth_);
+  if (Holds(a) || Holds(b)) {
+    // Growing may move the row a view reads: copy it out first.
+    OwnedTuple t;
+    t.AssignConcat(a, b);
+    Add(std::move(t));
+    return;
+  }
+  values_.insert(values_.end(), a.values.begin(), a.values.end());
+  values_.insert(values_.end(), b.values.begin(), b.values.end());
+  vids_.insert(vids_.end(), a.vids.begin(), a.vids.end());
+  vids_.insert(vids_.end(), b.vids.begin(), b.vids.end());
+  ++num_rows_;
+}
+
+void Relation::AddPadded(Tuple t, bool t_first) {
+  GSOPT_DCHECK(t.values.size() <= width_);
+  GSOPT_DCHECK(t.vids.size() <= vwidth_);
+  if (Holds(t)) {
+    OwnedTuple copy;
+    copy.AssignConcat(t, Tuple());
+    AddPadded(copy, t_first);
+    return;
+  }
+  const size_t pad = width_ - t.values.size();
+  const size_t vpad = vwidth_ - t.vids.size();
+  if (t_first) {
+    values_.insert(values_.end(), t.values.begin(), t.values.end());
+    values_.resize(values_.size() + pad);
+    vids_.insert(vids_.end(), t.vids.begin(), t.vids.end());
+    vids_.resize(vids_.size() + vpad, kNullRowId);
+  } else {
+    values_.resize(values_.size() + pad);
+    values_.insert(values_.end(), t.values.begin(), t.values.end());
+    vids_.resize(vids_.size() + vpad, kNullRowId);
+    vids_.insert(vids_.end(), t.vids.begin(), t.vids.end());
+  }
+  ++num_rows_;
+}
+
+MutableTuple Relation::AddNullRow() {
+  const size_t v0 = values_.size(), i0 = vids_.size();
+  values_.resize(v0 + width_);
+  vids_.resize(i0 + vwidth_, kNullRowId);
+  ++num_rows_;
+  return MutableTuple{{values_.data() + v0, width_},
+                      {vids_.data() + i0, vwidth_}};
 }
 
 void Relation::AddBaseRow(std::vector<Value> values, RowId id) {
-  Tuple t;
-  t.values = std::move(values);
-  t.vids.assign(vschema_.size(), id);
-  Add(std::move(t));
-}
-
-void Relation::TrimReserve() {
-  if (rows_.capacity() - rows_.size() > rows_.size() / 8) {
-    rows_.shrink_to_fit();
-  }
-}
-
-Tuple Relation::NullTuple() const {
-  Tuple t;
-  t.values.assign(schema_.size(), Value::Null());
-  t.vids.assign(vschema_.size(), kNullRowId);
-  return t;
+  GSOPT_DCHECK(values.size() == width_);
+  values_.insert(values_.end(), std::make_move_iterator(values.begin()),
+                 std::make_move_iterator(values.end()));
+  vids_.resize(vids_.size() + vwidth_, id);
+  ++num_rows_;
 }
 
 namespace {
@@ -67,7 +100,7 @@ std::vector<int> NameSortedOrder(const Schema& s) {
   return order;
 }
 
-bool RowLess(const Tuple& a, const Tuple& b, const std::vector<int>& oa,
+bool RowLess(Tuple a, Tuple b, const std::vector<int>& oa,
              const std::vector<int>& ob) {
   for (size_t i = 0; i < oa.size(); ++i) {
     const Value& x = a.values[oa[i]];
@@ -78,7 +111,7 @@ bool RowLess(const Tuple& a, const Tuple& b, const std::vector<int>& oa,
   return false;
 }
 
-bool RowEq(const Tuple& a, const Tuple& b, const std::vector<int>& oa,
+bool RowEq(Tuple a, Tuple b, const std::vector<int>& oa,
            const std::vector<int>& ob) {
   for (size_t i = 0; i < oa.size(); ++i) {
     if (!Value::IdentityEquals(a.values[oa[i]], b.values[ob[i]])) return false;
@@ -103,13 +136,13 @@ bool Relation::BagEquals(const Relation& a, const Relation& b) {
   std::iota(ra.begin(), ra.end(), 0);
   std::iota(rb.begin(), rb.end(), 0);
   std::sort(ra.begin(), ra.end(), [&](int64_t x, int64_t y) {
-    return RowLess(a.rows()[x], a.rows()[y], oa, oa);
+    return RowLess(a.row(x), a.row(y), oa, oa);
   });
   std::sort(rb.begin(), rb.end(), [&](int64_t x, int64_t y) {
-    return RowLess(b.rows()[x], b.rows()[y], ob, ob);
+    return RowLess(b.row(x), b.row(y), ob, ob);
   });
   for (int64_t i = 0; i < a.NumRows(); ++i) {
-    if (!RowEq(a.rows()[ra[i]], b.rows()[rb[i]], oa, ob)) return false;
+    if (!RowEq(a.row(ra[i]), b.row(rb[i]), oa, ob)) return false;
   }
   return true;
 }
@@ -118,7 +151,7 @@ std::string Relation::ToString(int max_rows) const {
   std::string s = schema_.ToString() + "  [" + std::to_string(NumRows()) +
                   " rows]\n";
   int shown = 0;
-  for (const Tuple& t : rows_) {
+  for (const Tuple& t : rows()) {
     if (shown++ >= max_rows) {
       s += "  ...\n";
       break;
@@ -141,8 +174,8 @@ std::string Relation::CanonicalString() const {
     header += schema_.attr(order[i]).Qualified();
   }
   std::vector<std::string> lines;
-  lines.reserve(rows_.size());
-  for (const Tuple& t : rows_) {
+  lines.reserve(static_cast<size_t>(num_rows_));
+  for (const Tuple& t : rows()) {
     std::string line;
     for (size_t i = 0; i < order.size(); ++i) {
       if (i) line += ",";

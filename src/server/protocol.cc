@@ -4,8 +4,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
+#include <type_traits>
+
+#include "base/check.h"
 
 namespace gsopt::server {
 
@@ -18,51 +22,105 @@ constexpr uint8_t kTagInt = 1;
 constexpr uint8_t kTagDouble = 2;
 constexpr uint8_t kTagString = 3;
 
+// `v` in wire (little-endian) byte order, whatever the host's.
+template <typename T>
+T ToWire(T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::big) {
+    T r = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      r = static_cast<T>((r << 8) | ((v >> (8 * i)) & 0xff));
+    }
+    return r;
+  }
+  return v;
+}
+
+// Writes little-endian fixed-width fields and raw bytes into a buffer
+// already sized for them: the one writer behind every Append* helper and
+// the one-pass ROWS encoder.
+class WireWriter {
+ public:
+  explicit WireWriter(char* p) : p_(p) {}
+
+  void U8(uint8_t v) { *p_++ = static_cast<char>(v); }
+  template <typename T>
+  void Fixed(T v) {
+    v = ToWire(v);
+    std::memcpy(p_, &v, sizeof v);
+    p_ += sizeof v;
+  }
+  void Bytes(const char* s, size_t n) {
+    std::memcpy(p_, s, n);
+    p_ += n;
+  }
+  void WriteString(const std::string& s) {
+    Fixed(static_cast<uint32_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+
+  // The [u8 tag][body] encoding of one value, and its size.
+  static size_t ValueBytes(const Value& v) {
+    switch (v.type()) {
+      case ValueType::kNull:
+        return 1;
+      case ValueType::kInt:
+      case ValueType::kDouble:
+        return 9;
+      case ValueType::kString:
+        return 5 + v.AsString().size();
+    }
+    return 1;
+  }
+  void WriteValue(const Value& v) {
+    switch (v.type()) {
+      case ValueType::kNull:
+        U8(kTagNull);
+        return;
+      case ValueType::kInt:
+        U8(kTagInt);
+        Fixed(static_cast<uint64_t>(v.AsInt()));
+        return;
+      case ValueType::kDouble:
+        U8(kTagDouble);
+        Fixed(std::bit_cast<uint64_t>(v.AsDouble()));
+        return;
+      case ValueType::kString:
+        U8(kTagString);
+        WriteString(v.AsString());
+        return;
+    }
+  }
+
+  char* end() const { return p_; }
+
+ private:
+  char* p_;
+};
+
+// Grows `buf` by `n` bytes and returns a writer over the new tail.
+WireWriter Extend(std::string* buf, size_t n) {
+  const size_t at = buf->size();
+  buf->resize(at + n);
+  return WireWriter(buf->data() + at);
+}
+
 }  // namespace
 
 void AppendU8(std::string* buf, uint8_t v) {
   buf->push_back(static_cast<char>(v));
 }
 
-void AppendU32(std::string* buf, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+void AppendU32(std::string* buf, uint32_t v) { Extend(buf, 4).Fixed(v); }
 
-void AppendU64(std::string* buf, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+void AppendU64(std::string* buf, uint64_t v) { Extend(buf, 8).Fixed(v); }
 
 void AppendString(std::string* buf, const std::string& s) {
-  AppendU32(buf, static_cast<uint32_t>(s.size()));
-  buf->append(s);
+  Extend(buf, 4 + s.size()).WriteString(s);
 }
 
 void AppendValue(std::string* buf, const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      AppendU8(buf, kTagNull);
-      return;
-    case ValueType::kInt:
-      AppendU8(buf, kTagInt);
-      AppendU64(buf, static_cast<uint64_t>(v.AsInt()));
-      return;
-    case ValueType::kDouble: {
-      AppendU8(buf, kTagDouble);
-      double d = v.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(bits));
-      AppendU64(buf, bits);
-      return;
-    }
-    case ValueType::kString:
-      AppendU8(buf, kTagString);
-      AppendString(buf, v.AsString());
-      return;
-  }
+  Extend(buf, WireWriter::ValueBytes(v)).WriteValue(v);
 }
 
 bool PayloadReader::Take(size_t n, const char** out) {
@@ -225,6 +283,12 @@ Status DecodeExecute(const std::string& payload, uint64_t* stmt_id,
   if (!r.ReadU64(stmt_id) || !r.ReadU32(&n)) {
     return Status::InvalidArgument("malformed EXECUTE frame");
   }
+  // Every value takes at least its tag byte: a larger count is a lie that
+  // must not size an allocation.
+  if (n > r.remaining()) {
+    return Status::InvalidArgument("EXECUTE parameter count " +
+                                   std::to_string(n) + " exceeds its payload");
+  }
   params->clear();
   params->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -239,22 +303,33 @@ Status DecodeExecute(const std::string& payload, uint64_t* stmt_id,
 }
 
 std::string EncodeRows(const WireResult& result, const Relation& relation) {
-  std::string p;
-  AppendU8(&p, result.cache_hit ? 1 : 0);
-  AppendU8(&p, result.degraded ? 1 : 0);
-  AppendU8(&p, result.rung);
-  AppendU32(&p, result.transient_retries);
+  // One pass sizes the frame, a second writes it: rows travel in the
+  // relation's own row-major order, so both walk its value buffer straight
+  // through.
   const Schema& schema = relation.schema();
-  AppendU32(&p, static_cast<uint32_t>(schema.size()));
-  for (int c = 0; c < schema.size(); ++c) {
-    AppendString(&p, schema.attr(c).Qualified());
+  const std::span<const Value> values = relation.values();
+  size_t size = 7 + 4 + 8;
+  for (const Attribute& a : schema.attrs()) {
+    size += 4 + a.rel.size() + 1 + a.name.size();
   }
-  AppendU64(&p, static_cast<uint64_t>(relation.NumRows()));
-  for (const Tuple& t : relation.rows()) {
-    for (int c = 0; c < schema.size(); ++c) {
-      AppendValue(&p, t.values[static_cast<size_t>(c)]);
-    }
+  for (const Value& v : values) size += WireWriter::ValueBytes(v);
+
+  std::string p(size, '\0');
+  WireWriter w(p.data());
+  w.U8(result.cache_hit ? 1 : 0);
+  w.U8(result.degraded ? 1 : 0);
+  w.U8(result.rung);
+  w.Fixed(result.transient_retries);
+  w.Fixed(static_cast<uint32_t>(schema.size()));
+  for (const Attribute& a : schema.attrs()) {  // Attribute::Qualified()
+    w.Fixed(static_cast<uint32_t>(a.rel.size() + 1 + a.name.size()));
+    w.Bytes(a.rel.data(), a.rel.size());
+    w.U8('.');
+    w.Bytes(a.name.data(), a.name.size());
   }
+  w.Fixed(static_cast<uint64_t>(relation.NumRows()));
+  for (const Value& v : values) w.WriteValue(v);
+  GSOPT_DCHECK(w.end() == p.data() + p.size());
   return p;
 }
 
@@ -269,6 +344,14 @@ Status DecodeRows(const std::string& payload, WireResult* out) {
   }
   out->cache_hit = cache_hit != 0;
   out->degraded = degraded != 0;
+  // Counts are bounded by what the rest of the payload can hold before
+  // they size anything: a column name takes at least its 4-byte length,
+  // a value at least its tag byte.
+  if (ncols > r.remaining() / 4) {
+    return Status::InvalidArgument("ROWS column count " +
+                                   std::to_string(ncols) +
+                                   " exceeds its payload");
+  }
   out->columns.clear();
   out->columns.reserve(ncols);
   for (uint32_t c = 0; c < ncols; ++c) {
@@ -279,8 +362,16 @@ Status DecodeRows(const std::string& payload, WireResult* out) {
     out->columns.push_back(std::move(name));
   }
   if (!r.ReadU64(&nrows)) return Status::InvalidArgument("malformed ROWS frame");
+  // Rows of a zero-column result (SELECT * over a zero-column table) take
+  // no bytes, so their count is bounded like the frame itself: at most one
+  // row per byte a frame may hold. Only a count the payload vouches for
+  // sizes the row vector up front.
+  if (ncols == 0 ? nrows > kMaxFrameBytes : nrows > r.remaining() / ncols) {
+    return Status::InvalidArgument("ROWS row count " + std::to_string(nrows) +
+                                   " exceeds its payload");
+  }
   out->rows.clear();
-  out->rows.reserve(nrows);
+  if (ncols > 0) out->rows.reserve(nrows);
   for (uint64_t i = 0; i < nrows; ++i) {
     std::vector<Value> row;
     row.reserve(ncols);

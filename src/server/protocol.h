@@ -102,6 +102,8 @@ class PayloadReader {
   bool ReadValue(Value* v);
 
   bool ok() const { return ok_; }
+  // Bytes not yet consumed.
+  size_t remaining() const { return buf_.size() - pos_; }
   // Every byte consumed: a well-formed frame has no trailing garbage.
   bool AtEnd() const { return ok_ && pos_ == buf_.size(); }
 

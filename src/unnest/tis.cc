@@ -1,5 +1,7 @@
 #include "unnest/nested_query.h"
 
+#include <algorithm>
+
 #include "base/check.h"
 
 namespace gsopt {
@@ -9,14 +11,15 @@ namespace {
 // Number of tuples of `block` qualifying under the environment `env`
 // (concatenation of all ancestor tuples).
 StatusOr<int64_t> CountQualified(const NestedBlock& block,
-                                 const Catalog& catalog, const Tuple& env,
+                                 const Catalog& catalog, Tuple env,
                                  const Schema& env_schema) {
   GSOPT_ASSIGN_OR_RETURN(const Relation* rel, catalog.Table(block.table));
   const Schema extended_schema = Schema::Concat(env_schema, rel->schema());
   int64_t count = 0;
+  OwnedTuple extended;
   for (const Tuple& t : rel->rows()) {
     if (!block.local.Satisfied(t, rel->schema())) continue;
-    Tuple extended = Tuple::Concat(env, t);
+    extended.AssignConcat(env, t);
     if (!block.correlation.Satisfied(extended, extended_schema)) continue;
     if (block.condition.has_value()) {
       GSOPT_CHECK(block.nested != nullptr);
@@ -67,10 +70,9 @@ StatusOr<Relation> ExecuteTis(const NestedQuery& q, const Catalog& catalog) {
         continue;
       }
     }
-    Tuple nt;
-    for (int i : proj) nt.values.push_back(t.values[i]);
-    nt.vids = t.vids;
-    out.Add(std::move(nt));
+    const MutableTuple nt = out.AddNullRow();
+    for (size_t k = 0; k < proj.size(); ++k) nt.values[k] = t.values[proj[k]];
+    std::copy(t.vids.begin(), t.vids.end(), nt.vids.begin());
   }
   return out;
 }

@@ -11,6 +11,7 @@
 // key encoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -83,7 +84,7 @@ void ExpectSelectExactlyMatches(const Relation& r, const Predicate& p) {
                                         col->row(i).values[c]))
           << p.ToString() << " row " << i;
     }
-    EXPECT_EQ(ref->row(i).vids, col->row(i).vids);
+    EXPECT_TRUE(std::ranges::equal(ref->row(i).vids, col->row(i).vids));
   }
 }
 
@@ -542,7 +543,7 @@ TEST(KeyEncodingTest, BatchKeysMatchTheTupleEncoding) {
     const exec::internal::KeyColumns kc(inputs[in], r);
     for (int64_t i = 0; i < r.NumRows(); ++i) {
       // The key terms' values, through the reference evaluator.
-      Tuple vals;
+      OwnedTuple vals;
       std::vector<int> idx;
       bool any_null = false;
       for (const ScalarPtr& k : inputs[in]) {

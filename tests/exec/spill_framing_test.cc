@@ -21,8 +21,8 @@ using exec::internal::AppendTupleRecord;
 using exec::internal::ReadTupleRecord;
 using exec::internal::WriteTupleRecord;
 
-Tuple WideTuple(size_t values, size_t vids) {
-  Tuple t;
+OwnedTuple WideTuple(size_t values, size_t vids) {
+  OwnedTuple t;
   t.values.reserve(values);
   for (size_t i = 0; i < values; ++i) {
     t.values.push_back(Value::Int(static_cast<int64_t>(i)));
@@ -32,7 +32,7 @@ Tuple WideTuple(size_t values, size_t vids) {
 }
 
 TEST(SpillFramingTest, RejectsTooManyValuesAndLeavesBufferUntouched) {
-  Tuple t = WideTuple(70000, 1);
+  OwnedTuple t = WideTuple(70000, 1);
   std::string buf = "prefix";
   Status s = AppendTupleRecord(t, 0, &buf);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
@@ -40,7 +40,7 @@ TEST(SpillFramingTest, RejectsTooManyValuesAndLeavesBufferUntouched) {
 }
 
 TEST(SpillFramingTest, RejectsTooManyVids) {
-  Tuple t = WideTuple(1, 70000);
+  OwnedTuple t = WideTuple(1, 70000);
   std::string buf;
   Status s = AppendTupleRecord(t, 0, &buf);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
@@ -48,11 +48,11 @@ TEST(SpillFramingTest, RejectsTooManyVids) {
 }
 
 TEST(SpillFramingTest, AcceptsExactU16Boundary) {
-  Tuple t = WideTuple(65535, 65535);
+  OwnedTuple t = WideTuple(65535, 65535);
   std::string buf;
   EXPECT_TRUE(AppendTupleRecord(t, 42, &buf).ok());
   EXPECT_FALSE(buf.empty());
-  Tuple over = WideTuple(65536, 1);
+  OwnedTuple over = WideTuple(65536, 1);
   std::string buf2;
   EXPECT_EQ(AppendTupleRecord(over, 42, &buf2).code(),
             StatusCode::kResourceExhausted);
@@ -61,7 +61,7 @@ TEST(SpillFramingTest, AcceptsExactU16Boundary) {
 TEST(SpillFramingTest, BoundaryRecordRoundTripsThroughSpillFile) {
   auto f = SpillFile::Create("", nullptr);
   ASSERT_TRUE(f.ok());
-  Tuple t = WideTuple(65535, 3);
+  OwnedTuple t = WideTuple(65535, 3);
   t.values[0] = Value::Null();
   t.values[1] = Value::String("payload \x01 with bytes");
   t.values[2] = Value::Double(-0.0);
@@ -69,7 +69,7 @@ TEST(SpillFramingTest, BoundaryRecordRoundTripsThroughSpillFile) {
   std::string scratch;
   ASSERT_TRUE(WriteTupleRecord(&*f, t, /*orig=*/123456789, &scratch).ok());
   ASSERT_TRUE(f->Rewind().ok());
-  Tuple back;
+  OwnedTuple back;
   int64_t orig = -1;
   ASSERT_TRUE(ReadTupleRecord(&*f, &back, &orig).ok());
   EXPECT_EQ(orig, 123456789);
@@ -84,13 +84,14 @@ TEST(SpillFramingTest, TruncatedRecordReadsAsInternal) {
   auto f = SpillFile::Create("", nullptr);
   ASSERT_TRUE(f.ok());
   std::string scratch;
-  ASSERT_TRUE(WriteTupleRecord(&*f, WideTuple(4, 2), 7, &scratch).ok());
+  const OwnedTuple t = WideTuple(4, 2);
+  ASSERT_TRUE(WriteTupleRecord(&*f, t, 7, &scratch).ok());
   // A second, cut-off record: write only half of its bytes.
   std::string rec;
-  ASSERT_TRUE(AppendTupleRecord(WideTuple(4, 2), 8, &rec).ok());
+  ASSERT_TRUE(AppendTupleRecord(t, 8, &rec).ok());
   ASSERT_TRUE(f->Append(rec.data(), rec.size() / 2).ok());
   ASSERT_TRUE(f->Rewind().ok());
-  Tuple back;
+  OwnedTuple back;
   int64_t orig = 0;
   ASSERT_TRUE(ReadTupleRecord(&*f, &back, &orig).ok());
   EXPECT_EQ(ReadTupleRecord(&*f, &back, &orig).code(), StatusCode::kInternal);

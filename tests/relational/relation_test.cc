@@ -45,12 +45,106 @@ TEST(RelationTest, AddBaseRowAssignsVids) {
   EXPECT_EQ(r.row(1).vids[0], 1);
 }
 
-TEST(RelationTest, NullTupleShape) {
+TEST(RelationTest, NullRowShape) {
   Relation r = MakeRelation("t", {"x", "y"}, {});
-  Tuple t = r.NullTuple();
+  r.AddNullRow();
+  ASSERT_EQ(r.NumRows(), 1);
+  const Tuple t = r.row(0);
   EXPECT_EQ(t.values.size(), 2u);
   EXPECT_TRUE(t.values[0].is_null());
+  EXPECT_TRUE(t.values[1].is_null());
+  ASSERT_EQ(t.vids.size(), 1u);
   EXPECT_EQ(t.vids[0], kNullRowId);
+}
+
+// Rows are counted explicitly, so a relation without value columns still
+// has rows: with row ids (a zero-column base table joined in) and without.
+TEST(RelationTest, ZeroColumnRelationsCountRows) {
+  Relation ids(Schema(), VirtualSchema({"e"}));
+  ids.Reserve(8);
+  EXPECT_EQ(ids.NumRows(), 0);
+  ids.AddBaseRow({}, 4);
+  ids.Add(ids.row(0));
+  Relation e1(Schema(), VirtualSchema({"e1"}));
+  e1.AddBaseRow({}, 7);
+  Relation joined(Schema(), VirtualSchema({"e", "e1"}));
+  joined.AddConcat(ids.row(1), e1.row(0));
+  joined.Reserve(100);
+  EXPECT_EQ(ids.NumRows(), 2);
+  EXPECT_EQ(ids.row(1).vids[0], 4);
+  ASSERT_EQ(joined.NumRows(), 1);
+  EXPECT_EQ(joined.row(0).vids[1], 7);
+
+  Relation bare;
+  bare.Reserve(3);
+  bare.Add(Tuple());
+  bare.AddConcat(Tuple(), Tuple());
+  bare.AddNullRow();
+  EXPECT_EQ(bare.NumRows(), 3);
+  int seen = 0;
+  for (const Tuple& t : bare.rows()) {
+    EXPECT_TRUE(t.values.empty());
+    EXPECT_TRUE(t.vids.empty());
+    ++seen;
+  }
+  EXPECT_EQ(seen, 3);
+  Relation moved = std::move(bare);
+  EXPECT_EQ(moved.NumRows(), 3);
+  EXPECT_EQ(bare.NumRows(), 0);  // NOLINT(bugprone-use-after-move)
+}
+
+// Appending to one relation never touches another's buffers.
+TEST(RelationTest, ViewSurvivesAnotherRelationGrowing) {
+  Relation src = MakeRelation("t", {"x", "s"},
+                              {{I(1), Value::String("one")},
+                               {I(2), Value::String("two")}});
+  const Tuple view = src.row(1);
+  Relation sink(src.schema(), src.vschema());
+  for (int i = 0; i < 1000; ++i) sink.Add(view);
+  EXPECT_EQ(view.values[0].AsInt(), 2);
+  EXPECT_EQ(view.values[1].AsString(), "two");
+  EXPECT_EQ(view.vids[0], 1);
+  EXPECT_EQ(sink.row(999).values[1].AsString(), "two");
+}
+
+// A view of a relation's own row may be appended to it even when the
+// append reallocates the buffers that view points into (the relation
+// copies it out first). Run under ASan to see no stale read.
+TEST(RelationTest, SelfAppendAcrossReallocation) {
+  Relation r = MakeRelation("t", {"x", "s"}, {{I(7), Value::String("seven")}});
+  for (int i = 0; i < 200; ++i) {
+    r.Add(r.row(r.NumRows() - 1));
+    r.AddConcat(Tuple(r.row(0).values.first(1), {}),
+                Tuple(r.row(0).values.subspan(1), r.row(0).vids));
+    r.AddPadded(r.row(0), true);
+  }
+  ASSERT_EQ(r.NumRows(), 601);
+  for (const Tuple& t : r.rows()) {
+    EXPECT_EQ(t.values[0].AsInt(), 7);
+    EXPECT_EQ(t.values[1].AsString(), "seven");
+    EXPECT_EQ(t.vids[0], 0);
+  }
+}
+
+TEST(RelationTest, PaddingAndNullRowsFillWithNulls) {
+  Relation a = MakeRelation("a", {"x"}, {{I(1)}});
+  Relation out(Schema::Concat(a.schema(), Schema({Attribute{"b", "y"}})),
+               VirtualSchema({"a", "b"}));
+  out.AddPadded(a.row(0), true);
+  out.AddPadded(a.row(0), false);
+  const MutableTuple m = out.AddNullRow();
+  m.values[1] = I(9);
+  ASSERT_EQ(out.NumRows(), 3);
+  EXPECT_EQ(out.row(0).values[0].AsInt(), 1);
+  EXPECT_TRUE(out.row(0).values[1].is_null());
+  EXPECT_EQ(out.row(0).vids[1], kNullRowId);
+  EXPECT_TRUE(out.row(1).values[0].is_null());
+  EXPECT_EQ(out.row(1).values[1].AsInt(), 1);
+  EXPECT_EQ(out.row(1).vids[0], kNullRowId);
+  EXPECT_EQ(out.row(1).vids[1], 0);
+  EXPECT_TRUE(out.row(2).values[0].is_null());
+  EXPECT_EQ(out.row(2).values[1].AsInt(), 9);
+  EXPECT_EQ(out.row(2).vids[0], kNullRowId);
 }
 
 TEST(RelationTest, CanonicalStringSortsRowsAndColumns) {

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +78,78 @@ TEST(Protocol, ErrorRoundTripPreservesClass) {
   EXPECT_EQ(cls, ErrorClass::kTransient);
 }
 
+// Hex dump of a byte string, for readable golden-frame comparisons.
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    if (!out.empty()) out.push_back(' ');
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+// The ROWS frame's exact bytes: little-endian fixed-width fields, one tag
+// byte per value, strings as u32 length + raw bytes. A change here breaks
+// every deployed client, so it must come with a kProtocolVersion bump.
+TEST(Protocol, RowsFrameBytesArePinned) {
+  WireResult disposition;
+  disposition.cache_hit = true;
+  disposition.rung = 2;
+  disposition.transient_retries = 0x01020304;
+  const std::string head = "01 00 02 04 03 02 01";
+
+  Relation edge(Schema({Attribute{"t", "v"}}), VirtualSchema({"t"}));
+  const std::vector<Value> edge_values = {
+      Value::Null(),
+      Value::Int(std::numeric_limits<int64_t>::min()),
+      Value::Int(std::numeric_limits<int64_t>::max()),
+      Value::Double(-0.0),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+      Value::String(""),
+      Value::String(std::string("a\0b", 3))};
+  for (size_t i = 0; i < edge_values.size(); ++i) {
+    edge.AddBaseRow({edge_values[i]}, static_cast<RowId>(i));
+  }
+  EXPECT_EQ(Hex(EncodeRows(disposition, edge)),
+            head +
+                " 01 00 00 00 03 00 00 00 74 2e 76"  // 1 column "t.v"
+                " 07 00 00 00 00 00 00 00"           // 7 rows
+                " 00"                                // NULL
+                " 01 00 00 00 00 00 00 00 80"        // INT64_MIN
+                " 01 ff ff ff ff ff ff ff 7f"        // INT64_MAX
+                " 02 00 00 00 00 00 00 00 80"        // -0.0
+                " 02 00 00 00 00 00 00 f8 7f"        // quiet NaN
+                " 03 00 00 00 00"                    // ""
+                " 03 03 00 00 00 61 00 62");         // "a\0b"
+
+  // Two columns: values travel row by row, columns in schema order.
+  Relation two(Schema({Attribute{"t", "a"}, Attribute{"u", "b"}}),
+               VirtualSchema({"t"}));
+  two.AddBaseRow({Value::Int(1), Value::String("x")}, 0);
+  two.AddBaseRow({Value::Null(), Value::Double(2.5)}, 1);
+  EXPECT_EQ(Hex(EncodeRows(WireResult{}, two)),
+            "00 00 00 00 00 00 00"
+            " 02 00 00 00 03 00 00 00 74 2e 61 03 00 00 00 75 2e 62"
+            " 02 00 00 00 00 00 00 00"
+            " 01 01 00 00 00 00 00 00 00 03 01 00 00 00 78"
+            " 00 02 00 00 00 00 00 00 04 40");
+
+  // Zero rows: the schema still travels.
+  Relation empty(Schema({Attribute{"t", "v"}}), VirtualSchema({"t"}));
+  EXPECT_EQ(Hex(EncodeRows(disposition, empty)),
+            head + " 01 00 00 00 03 00 00 00 74 2e 76"
+                   " 00 00 00 00 00 00 00 00");
+
+  // Zero columns: only the row count travels.
+  Relation no_columns(Schema(), VirtualSchema({"e"}));
+  no_columns.AddBaseRow({}, 0);
+  no_columns.AddBaseRow({}, 1);
+  EXPECT_EQ(Hex(EncodeRows(disposition, no_columns)),
+            head + " 00 00 00 00 02 00 00 00 00 00 00 00");
+}
+
 TEST(Protocol, MalformedPayloadsRejected) {
   uint32_t version;
   std::string tenant;
@@ -92,6 +165,52 @@ TEST(Protocol, MalformedPayloadsRejected) {
   p = EncodeHello(kProtocolVersion, "t");
   p.push_back('x');
   EXPECT_FALSE(DecodeHello(p, &version, &tenant).ok());
+
+  // A count larger than the rest of the payload could hold is rejected
+  // before anything is sized by it: every value takes at least one byte
+  // and every column name at least four.
+  p.clear();
+  AppendU64(&p, 1);
+  AppendU32(&p, 0xffffffffu);
+  Status s = DecodeExecute(p, &id, &params);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+
+  const std::string head = EncodeRows(WireResult{}, Relation());
+  WireResult out;
+  // Column count past the payload.
+  p = head.substr(0, 7);
+  AppendU32(&p, 0xffffffffu);
+  s = DecodeRows(p, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  // Row count past the payload, one column.
+  p = head.substr(0, 7);
+  AppendU32(&p, 1);
+  AppendString(&p, "t.v");
+  AppendU64(&p, uint64_t{1} << 60);
+  s = DecodeRows(p, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  // Rows without columns take no bytes; their count is capped like a
+  // frame's size.
+  p = head.substr(0, 7);
+  AppendU32(&p, 0);
+  AppendU64(&p, uint64_t{1} << 60);
+  s = DecodeRows(p, &out);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  p = head.substr(0, 7);
+  AppendU32(&p, 0);
+  AppendU64(&p, 3);
+  ASSERT_TRUE(DecodeRows(p, &out).ok());
+  EXPECT_EQ(out.rows.size(), 3u);
+  // Counts that exactly fit still decode.
+  p = head.substr(0, 7);
+  AppendU32(&p, 1);
+  AppendString(&p, "t.v");
+  AppendU64(&p, 2);
+  AppendValue(&p, Value::Null());
+  AppendValue(&p, Value::Int(3));
+  ASSERT_TRUE(DecodeRows(p, &out).ok());
+  ASSERT_EQ(out.rows.size(), 2u);
+  EXPECT_EQ(out.rows[1][0].AsInt(), 3);
 }
 
 TEST(Protocol, ExtractFrameHandlesPartialBuffers) {
@@ -186,6 +305,24 @@ TEST(Server, PreparedExecuteIsCacheHitWithVaryingParams) {
   EXPECT_GE(server.stats().responses_rows, 8u);
 }
 
+// A zero-column table answers SELECT * with rows but no columns; the frame
+// carries just the row count.
+TEST(Server, ZeroColumnResultRoundTrips) {
+  Catalog cat = MakeCatalog(1, 5);
+  ASSERT_TRUE(cat.CreateTable("e", {}).ok());
+  ASSERT_TRUE(cat.Insert("e", {}).ok());
+  ASSERT_TRUE(cat.Insert("e", {}).ok());
+  GsoptServer server(cat);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port(), "t0");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto got = client.value().Query("SELECT * FROM e");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got.value().columns.empty());
+  EXPECT_EQ(got.value().rows.size(), 2u);
+  server.Stop();
+}
+
 TEST(Server, UnknownStatementAndBadSqlAreTypedInvalid) {
   Catalog cat = MakeCatalog();
   GsoptServer server(cat);
@@ -204,6 +341,56 @@ TEST(Server, UnknownStatementAndBadSqlAreTypedInvalid) {
 
   // The connection survives typed errors: a good query still works.
   auto ok = c.Query("SELECT * FROM r1");
+  EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+  server.Stop();
+}
+
+// A connected socket to the server on loopback.
+int ConnectRaw(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// An EXECUTE frame whose parameter count no payload could hold is a typed
+// error for that request, not a crash: the server keeps serving.
+TEST(Server, OversizedParamCountIsTypedErrorAndServerSurvives) {
+  Catalog cat = MakeCatalog(2, 5);
+  GsoptServer server(cat);
+  ASSERT_TRUE(server.Start().ok());
+
+  int fd = ConnectRaw(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(
+      WriteFrame(fd, FrameType::kHello, EncodeHello(kProtocolVersion, "t0"))
+          .ok());
+  auto hello = ReadFrame(fd);
+  ASSERT_TRUE(hello.ok());
+  ASSERT_EQ(hello.value().type, FrameType::kHelloOk);
+  std::string p;
+  AppendU64(&p, 1);
+  AppendU32(&p, 0xffffffffu);  // 2^32 - 1 parameters in a 12-byte payload
+  ASSERT_TRUE(WriteFrame(fd, FrameType::kExecute, p).ok());
+  auto reply = ReadFrame(fd);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, FrameType::kError);
+  ErrorClass cls;
+  std::string message;
+  ASSERT_TRUE(DecodeError(reply.value().payload, &cls, &message).ok());
+  EXPECT_EQ(cls, ErrorClass::kInvalid) << message;
+  ::close(fd);
+
+  auto client = Client::Connect("127.0.0.1", server.port(), "t0");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto ok = client.value().Query("SELECT * FROM r1");
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
   server.Stop();
 }

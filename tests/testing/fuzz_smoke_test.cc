@@ -61,7 +61,7 @@ TEST(FuzzSmokeTest, InjectedFaultIsCaughtMinimizedAndWritten) {
       for (int64_t i = 0; i + 1 < r->NumRows(); ++i) reduced.Add(r->row(i));
       *r = std::move(reduced);
     } else {
-      r->Add(r->NullTuple());
+      r->AddNullRow();
     }
   };
 
